@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .ktypes import (
     joint_harmonics,
     lowest_kprime_catalog,
 )
-from .localization import local_characters, localize
+from .localization import localize
 from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents
 from .packets import (
     RowNotFound,
@@ -137,10 +138,10 @@ def cmd_component_group(args) -> Report:
         lp, g, iota = localize(phi, p)
         locs[p.id] = {
             "rank": g.rank,
-            "characters": len(local_characters(g)),
+            "characters": g.order(),
             "map": [list(r) for r in iota.rows],
         }
-        rep.say(f"  at {p.id}: local rank {g.rank}, {len(local_characters(g))} characters")
+        rep.say(f"  at {p.id}: local rank {g.rank}, {g.order()} characters")
     rep.data["localizations"] = locs
     return rep
 
@@ -153,14 +154,19 @@ def cmd_enumerate(args) -> Report:
     rep = Report("enumerate")
     shown = []
     count = 0
+    # the member at a place is a function of the local character there, so
+    # each (place, character) pair is rendered once per call
+    rendered = {}
     for c in cons:
-        entry = {
-            "eta": {pid: _label_str(vals) for pid, vals in c.eta.signs()},
-            "members": {pid: render(d) for pid, d in c.local_members},
-            "vanishing": c.has_zero_member,
-        }
-        shown.append(entry)
-        if not c.has_zero_member:
+        eta, members = {}, {}
+        for (pid, vals), (_, d) in zip(c.eta.signs(), c.local_members):
+            key = (pid, vals)
+            if key not in rendered:
+                rendered[key] = (_label_str(vals), render(d))
+            eta[pid], members[pid] = rendered[key]
+        vanishing = c.has_zero_member
+        shown.append({"eta": eta, "members": members, "vanishing": vanishing})
+        if not vanishing:
             count += 1
     rep.data["count"] = count
     rep.data["constituents"] = shown
@@ -391,7 +397,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(
         prog="mp4spectrum",
         description="Symbolic calculator for the discrete spectrum of Mp(4)",

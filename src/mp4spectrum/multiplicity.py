@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affine, span_iter
+from operator import getitem
+from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affine
 from .descriptors import Zero
 from .fields import Place
 from .localization import LocalParam, localize
@@ -95,14 +96,11 @@ def diagonal_pullback(phi: AParameter, places: list[Place], eta: AdelicCharacter
     from .parameters import component_group
 
     group = component_group(phi)
-    locals_ = prepare_local_data(phi, places)
-    values = []
-    for i in range(len(group.basis)):
-        prod = 1
-        for ld in locals_:
-            ch = eta.component(ld.place.id)
-            prod *= ch.on(ld.iota.image_of_generator(i))
-        values.append(prod)
+    values = [1] * len(group.basis)
+    for place in places:
+        _, _, iota = localize(phi, place)
+        for i, sign in enumerate(iota.pullback(eta.component(place.id))):
+            values[i] *= sign
     return F2Character(group, tuple(values))
 
 
@@ -110,71 +108,85 @@ def multiplicity(phi: AParameter, places: list[Place], eta: AdelicCharacter) -> 
     return 1 if diagonal_pullback(phi, places, eta) == epsilon_tilde(phi) else 0
 
 
-def _eta_from_choice(locals_: list[LocalData], choice) -> AdelicCharacter:
-    return AdelicCharacter(tuple((ld.place.id, ch) for ld, ch in zip(locals_, choice)))
+def _constituent(eta_pairs: list, member_pairs: list, choice: tuple) -> Constituent:
+    """The constituent at one multiplicity-one tuple of character indexes.
+
+    eta_pairs[k][i] and member_pairs[k][i] are the (place id, character)
+    and (place id, member) pairs of character i at the k-th place; sharing
+    them keeps each constituent to a handful of new objects.
+    """
+    eta = AdelicCharacter(tuple(map(getitem, eta_pairs, choice)))
+    return Constituent(eta, tuple(map(getitem, member_pairs, choice)), multiplicity=1)
 
 
-def _constituent(locals_: list[LocalData], choice) -> Constituent:
-    members = tuple((ld.place.id, ld.entry_for(ch).member) for ld, ch in zip(locals_, choice))
-    return Constituent(_eta_from_choice(locals_, choice), members, multiplicity=1)
+def _local_kernel(group: ComponentGroup) -> list:
+    """Basis of the sign-exponent vectors orthogonal to the group's relations."""
+    n = len(group.basis)
+    if not group.relations:
+        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    sol = solve_affine(list(group.relations), [0] * len(group.relations), n)
+    assert sol is not None
+    return sol[1]
+
+
+def _index_table(ld: LocalData, kernel: list) -> tuple:
+    """Character index in ld.characters for each coefficient word over the kernel.
+
+    Bit k of a word is the coefficient of kernel[k]; the kernel spans
+    exactly the characters of the group, so every word has an index.
+    """
+    index_of = {ch.bits: i for i, ch in enumerate(ld.characters)}
+    span = [(0,) * len(ld.group.basis)]
+    for bvec in kernel:
+        span += [tuple(a ^ b for a, b in zip(v, bvec)) for v in span]
+    return tuple(index_of[v] for v in span)
+
+
+def _to_int(vec) -> int:
+    return sum(1 << j for j, bit in enumerate(vec) if bit)
 
 
 def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]):
-    """All adelic characters with Delta^* eta = eps~, via the affine system.
+    """Index tuples of all adelic characters with Delta^* eta = eps~.
 
-    Unknowns are the concatenated sign-exponent vectors of the local
-    characters; each local character group contributes the F2-subspace of
-    vectors orthogonal to its relations, parameterized by a basis.
+    Unknowns are the concatenated coefficient words of the local
+    characters over a basis of each local character group.  The affine
+    solve runs once; each solution is an int bitmask whose slice at a
+    place indexes that place's precomputed table into ld.characters.
+    The global kernel is a basis, so no solution repeats.
     """
     eps = epsilon_tilde(phi)
     local_bases = []
-    offsets = []
+    slices = []  # (offset, mask, index table) per place
     width = 0
     for ld in locals_:
-        n = len(ld.group.basis)
-        constraints = list(ld.group.relations)
-        sol = solve_affine(constraints, [0] * len(constraints), n) if constraints else ((0,) * n, [])
-        if constraints:
-            assert sol is not None
-            _, kernel = sol
-        else:
-            kernel = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        kernel = _local_kernel(ld.group)
         local_bases.append(kernel)
-        offsets.append(width)
+        slices.append((width, (1 << len(kernel)) - 1, _index_table(ld, kernel)))
         width += len(kernel)
 
     # rows: one per global generator; unknowns: coefficients over the local bases
-    n_gen = len(eps.group.basis)
     rows = []
     rhs = []
-    for i in range(n_gen):
-        row = [0] * width
-        for ld, basis, off in zip(locals_, local_bases, offsets):
+    for i in range(len(eps.group.basis)):
+        row = []
+        for ld, basis in zip(locals_, local_bases):
             img = ld.iota.image_of_generator(i)
-            for k, bvec in enumerate(basis):
-                row[off + k] = sum(a & b for a, b in zip(bvec, img)) % 2
+            row.extend(sum(a & b for a, b in zip(bvec, img)) % 2 for bvec in basis)
         rows.append(row)
         rhs.append(0 if eps.values[i] == 1 else 1)
     solved = solve_affine(rows, rhs, width)
     if solved is None:
         return
     x0, kernel = solved
-    seen = set()
-    for delta in span_iter(kernel, width):
-        x = tuple(a ^ b for a, b in zip(x0, delta))
-        if x in seen:
-            continue
-        seen.add(x)
-        choice = []
-        for ld, basis, off in zip(locals_, local_bases, offsets):
-            n = len(ld.group.basis)
-            bits = [0] * n
-            for k, bvec in enumerate(basis):
-                if x[off + k]:
-                    bits = [(a ^ b) for a, b in zip(bits, bvec)]
-            values = tuple(1 if b == 0 else -1 for b in bits)
-            choice.append(F2Character(ld.group, values))
-        yield tuple(choice)
+    x0 = _to_int(x0)
+    span = [0]
+    for bvec in kernel:
+        b = _to_int(bvec)
+        span += [v ^ b for v in span]
+    for delta in span:
+        x = x0 ^ delta
+        yield tuple(table[(x >> off) & mask] for off, mask, table in slices)
 
 
 def enumerate_constituents(
@@ -185,15 +197,18 @@ def enumerate_constituents(
     With include_vanishing=True the multiplicity-one tuples whose member
     vanishes locally are appended (flagged by has_zero_member), mirroring
     the distinction between the character condition and nonvanishing.
+
+    Places are ordered by id and each ld.characters in ascending bits, so
+    sorting index tuples gives AdelicCharacter.sort_key order.
     """
     locals_ = prepare_local_data(phi, places)
+    eta_pairs = [tuple((ld.place.id, ch) for ch in ld.characters) for ld in locals_]
+    member_pairs = [tuple((ld.place.id, e.member) for e in ld.entries) for ld in locals_]
     picked = []
-    for choice in _solutions_by_linear_algebra(phi, locals_):
-        cons = _constituent(locals_, choice)
-        if cons.has_zero_member and not include_vanishing:
-            continue
-        picked.append(cons)
-    picked.sort(key=lambda c: c.eta.sort_key())
+    for choice in sorted(_solutions_by_linear_algebra(phi, locals_)):
+        cons = _constituent(eta_pairs, member_pairs, choice)
+        if include_vanishing or not cons.has_zero_member:
+            picked.append(cons)
     return picked
 
 

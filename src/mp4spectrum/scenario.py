@@ -180,11 +180,39 @@ def _as_sign(value: Any, path: str) -> int:
     return value
 
 
+def _as_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _as_list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _as_object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected an object, got {value!r}")
+    return value
+
+
+def _require_element(name: str, names: set, path: str) -> None:
+    if name not in names:
+        raise SchemaError(path, f"unknown element {name!r}")
+
+
 def _as_fraction(value: Any, path: str) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational number: {value!r}") from None
+
+
+def _parse_twists(obj: dict, path: str) -> dict:
+    raw = _as_object(obj.get("eps_twists", {}), f"{path}.eps_twists")
+    return {str(k): _as_sign(v, f"{path}.eps_twists.{k}") for k, v in raw.items()}
 
 
 def _parse_shape(obj: Any, path: str) -> LocalRhoShape:
@@ -193,14 +221,14 @@ def _parse_shape(obj: Any, path: str) -> LocalRhoShape:
     kind = _require(obj, "shape", path)
     try:
         if kind == "irreducible-symplectic":
-            twists = {str(k): _as_sign(v, f"{path}.eps_twists.{k}") for k, v in obj.get("eps_twists", {}).items()}
+            twists = _parse_twists(obj, path)
             return RhoIrreducibleSymplectic(
                 tag=str(_require(obj, "tag", path)),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
                 eps_twists=twists,
             )
         if kind == "steinberg":
-            twists = {str(k): _as_sign(v, f"{path}.eps_twists.{k}") for k, v in obj.get("eps_twists", {}).items()}
+            twists = _parse_twists(obj, path)
             return RhoSteinberg(
                 label=str(_require(obj, "class", path)),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
@@ -213,11 +241,11 @@ def _parse_shape(obj: Any, path: str) -> LocalRhoShape:
                 chi_parity=_as_sign(obj.get("chi_parity", 1), f"{path}.chi_parity"),
             )
         if kind == "real-discrete":
-            return RhoRealDiscrete(kappa=int(_require(obj, "kappa", path)))
+            return RhoRealDiscrete(kappa=_as_int(_require(obj, "kappa", path), f"{path}.kappa"))
         if kind == "dihedral-supercuspidal":
             return RhoDihedralSupercuspidal(tag=str(_require(obj, "tag", path)))
         if kind == "real-orthogonal-discrete":
-            return RhoRealOrthogonalDiscrete(kappa=int(_require(obj, "kappa", path)))
+            return RhoRealOrthogonalDiscrete(kappa=_as_int(_require(obj, "kappa", path), f"{path}.kappa"))
         if kind == "quadratic-pair":
             return RhoQuadraticPair(a=str(_require(obj, "a", path)), b=str(_require(obj, "b", path)))
         if kind == "reducible-orthogonal":
@@ -261,14 +289,14 @@ def scenario_from_dict(data: Any) -> Scenario:
         places.append(Place(pid, kind))
 
     elements: list[GlobalElement] = [trivial_element(places), minus_one_element(places)]
-    for i, eraw in enumerate(data.get("elements", [])):
+    for i, eraw in enumerate(_as_list(data.get("elements", []), "$.elements")):
         path = f"$.elements[{i}]"
         if not isinstance(eraw, dict):
             raise SchemaError(path, "expected an object")
         name = str(_require(eraw, "name", path))
         if any(e.name == name for e in elements):
             raise SchemaError(f"{path}.name", f"element {name!r} already defined")
-        classes_raw = _require(eraw, "classes", path)
+        classes_raw = _as_object(_require(eraw, "classes", path), f"{path}.classes")
         classes = {}
         for p in places:
             if p.id not in classes_raw:
@@ -284,7 +312,8 @@ def scenario_from_dict(data: Any) -> Scenario:
         elements.append(GlobalElement(name, classes))
 
     cuspidal: list[CuspidalDatum] = []
-    for i, draw in enumerate(data.get("cuspidal", [])):
+    element_names = {e.name for e in elements}
+    for i, draw in enumerate(_as_list(data.get("cuspidal", []), "$.cuspidal")):
         path = f"$.cuspidal[{i}]"
         if not isinstance(draw, dict):
             raise SchemaError(path, "expected an object")
@@ -297,20 +326,28 @@ def scenario_from_dict(data: Any) -> Scenario:
             if not any(p.id == pid for p in places):
                 raise SchemaError(f"{path}.local.{pid}", "unknown place")
             local[pid] = _parse_shape(sraw, f"{path}.local.{pid}")
+        twisted_raw = _as_object(draw.get("twisted_roots", {}), f"{path}.twisted_roots")
+        for k in twisted_raw:
+            _require_element(k, element_names, f"{path}.twisted_roots.{k}")
+        central_char = str(draw.get("central_char", "1"))
+        if central_char != "trivial":
+            _require_element(central_char, element_names, f"{path}.central_char")
         try:
             datum = CuspidalDatum(
                 name=name,
-                gl_rank=int(draw.get("gl_rank", 2)),
+                gl_rank=_as_int(draw.get("gl_rank", 2), f"{path}.gl_rank"),
                 duality=str(_require(draw, "duality", path)),
                 global_root=_as_sign(draw.get("global_root", 1), f"{path}.global_root"),
                 local=local,
                 twisted_roots={
-                    str(k): _as_sign(v, f"{path}.twisted_roots.{k}")
-                    for k, v in draw.get("twisted_roots", {}).items()
+                    str(k): _as_sign(v, f"{path}.twisted_roots.{k}") for k, v in twisted_raw.items()
                 },
-                l_half_nonzero={str(k): bool(v) for k, v in draw.get("l_half_nonzero", {}).items()},
+                l_half_nonzero={
+                    str(k): bool(v)
+                    for k, v in _as_object(draw.get("l_half_nonzero", {}), f"{path}.l_half_nonzero").items()
+                },
                 dihedral=bool(draw.get("dihedral", False)),
-                central_char=str(draw.get("central_char", "1")),
+                central_char=central_char,
             )
         except InvalidParameter as exc:
             raise SchemaError(path, str(exc)) from exc
@@ -319,7 +356,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         cuspidal.append(datum)
 
     mp2 = []
-    for i, wraw in enumerate(data.get("mp2_weil", [])):
+    for i, wraw in enumerate(_as_list(data.get("mp2_weil", []), "$.mp2_weil")):
         path = f"$.mp2_weil[{i}]"
         if not isinstance(wraw, dict):
             raise SchemaError(path, "expected an object")
@@ -327,7 +364,7 @@ def scenario_from_dict(data: Any) -> Scenario:
             Mp2CuspidalWeil(
                 name=str(_require(wraw, "name", path)),
                 chi=str(_require(wraw, "chi", path)),
-                s_places=frozenset(str(x) for x in _require(wraw, "s_places", path)),
+                s_places=frozenset(str(x) for x in _as_list(_require(wraw, "s_places", path), f"{path}.s_places")),
             )
         )
 
@@ -338,7 +375,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         if not isinstance(praw, dict):
             raise SchemaError(path, "expected an object")
         summands = []
-        for i, item in enumerate(_require(praw, "summands", path)):
+        for i, item in enumerate(_as_list(_require(praw, "summands", path), f"{path}.summands")):
             ipath = f"{path}.summands[{i}]"
             if (
                 not isinstance(item, (list, tuple))

@@ -1,6 +1,7 @@
 """Diagonal pullback, multiplicity, and the two enumeration routes."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,28 @@ def test_enumerate_matches_oracle_randomized(rng):
 def test_enumerate_matches_oracle_property(seed, ptype):
     places, elements, phi = random_scenario_parameter(random.Random(seed), ptype)
     assert len(enumerate_constituents(phi, places)) == brute_force_count(phi, places)
+
+
+@pytest.mark.parametrize("ptype", PTYPES)
+def test_enumeration_order_matches_brute_force_list(ptype):
+    # the enumeration sorts index tuples; this must list exactly the
+    # multiplicity-one tuples of the full product, in sort_key order
+    rng = random.Random(f"order-{ptype}")
+    for _ in range(8):
+        places, elements, phi = random_scenario_parameter(rng, ptype)
+        assert len(places) <= 6
+        locals_ = prepare_local_data(phi, places)
+        eps = epsilon_tilde(phi)
+        expected = []
+        for choice in itertools.product(*(ld.characters for ld in locals_)):
+            if all(
+                math.prod(ch.on(ld.iota.image_of_generator(i)) for ld, ch in zip(locals_, choice)) == sign
+                for i, sign in enumerate(eps.values)
+            ):
+                expected.append(AdelicCharacter(tuple((ld.place.id, ch) for ld, ch in zip(locals_, choice))))
+        expected.sort(key=AdelicCharacter.sort_key)
+        cons = enumerate_constituents(phi, places, include_vanishing=True)
+        assert [c.eta.signs() for c in cons] == [eta.signs() for eta in expected]
 
 
 def test_multiplicity_sk_wrong_parity_is_zero():

@@ -135,6 +135,55 @@ def test_single_flip_mutations_rejected():
         assert elem_name in (a, b)
 
 
+def _set_local(pid, key, value):
+    return lambda d: d["cuspidal"][0]["local"][pid].__setitem__(key, value)
+
+
+# (fixture, mutation, JSON path the error must name); the first six are the
+# single mutations of sk.json that used to end in a traceback
+SCHEMA_MUTATIONS = {
+    "kappa_not_int": ("sk.json", _set_local("v2", "kappa", "two"), "$.cuspidal[0].local.v2.kappa"),
+    "gl_rank_not_int": (
+        "sk.json",
+        lambda d: d["cuspidal"][0].__setitem__("gl_rank", "two"),
+        "$.cuspidal[0].gl_rank",
+    ),
+    "summands_not_list": ("sk.json", lambda d: d["parameter"].__setitem__("summands", 5), "$.parameter.summands"),
+    "s_places_not_list": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": 5}]),
+        "$.mp2_weil[0].s_places",
+    ),
+    "eps_twists_not_object": ("sk.json", _set_local("v1", "eps_twists", [1]), "$.cuspidal[0].local.v1.eps_twists"),
+    "twisted_root_unknown_element": (
+        "sk.json",
+        lambda d: d["cuspidal"][0]["twisted_roots"].__setitem__("zz", 1),
+        "$.cuspidal[0].twisted_roots.zz",
+    ),
+    "s_places_bare_string": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": "v2v3"}]),
+        "$.mp2_weil[0].s_places",
+    ),
+    "central_char_unknown_element": (
+        "soudry.json",
+        lambda d: d["cuspidal"][0].__setitem__("central_char", "zz"),
+        "$.cuspidal[0].central_char",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_MUTATIONS))
+def test_cli_schema_mutations_exit_typed(name, tmp_path, capsys):
+    fixture, mutate, json_path = SCHEMA_MUTATIONS[name]
+    data = copy.deepcopy(fixture_data(fixture))
+    mutate(data)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    assert main(["enumerate", "--scenario", str(path)]) in (2, 4)
+    assert json_path in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
