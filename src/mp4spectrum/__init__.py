@@ -2,7 +2,7 @@
 
 from .fields import GlobalElement, Place, SquareClass, chi_minus_one, hilbert, validate_reciprocity
 from .parameters import AParameter, CuspidalDatum, ParamType, classify, component_group, epsilon_tilde
-from .localization import localize, local_characters
+from .localization import localize
 from .packets import local_packet, reducibility_oracle, shimura_correspondence, shimura_row
 from .multiplicity import brute_force_count, diagonal_pullback, enumerate_constituents, multiplicity
 from .ktypes import KTypeMp, KTypeO, degree_o, joint_harmonics, lowest_kprime_catalog
@@ -33,7 +33,6 @@ __all__ = [
     "hilbert",
     "joint_harmonics",
     "load_scenario",
-    "local_characters",
     "local_packet",
     "localize",
     "lowest_kprime_catalog",

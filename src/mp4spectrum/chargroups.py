@@ -12,8 +12,9 @@ multiplicity module's affine parity solve, so they live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .record import Record
 
 Sign = int
 Vec = tuple[int, ...]  # F2 row vector
@@ -80,8 +81,7 @@ def span_iter(basis: Sequence[Vec], width: int) -> Iterable[Vec]:
         yield tuple(v)
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(Record):
     """F2^basis modulo the span of the relation vectors."""
 
     basis: tuple[str, ...]
@@ -120,8 +120,7 @@ class ComponentGroup:
         return F2Character(self, (1,) * len(self.basis))
 
 
-@dataclass(frozen=True)
-class F2Character:
+class F2Character(Record):
     group: ComponentGroup
     values: tuple[Sign, ...]  # aligned with group.basis
 
@@ -154,8 +153,7 @@ class F2Character:
         return F2Character(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
 
 
-@dataclass(frozen=True)
-class LocalizationMap:
+class LocalizationMap(Record):
     """F2-linear map from a free global component group to a local one.
 
     Row i is the image of the i-th global generator, written over the

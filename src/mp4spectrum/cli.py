@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import tables
 from .descriptors import render
@@ -53,7 +52,17 @@ from .packets import (
 from .parameters import InvalidParameter, MissingSignData, classify, component_group, epsilon_tilde
 from .reports import Report
 from .residual import residual_spectrum
-from .scenario import ScenarioValidationError, SchemaError, load_scenario
+from .scenario import (
+    ScenarioValidationError,
+    SchemaError,
+    _as_fraction,
+    _as_int,
+    _as_list,
+    _as_object,
+    _as_sign,
+    _require,
+    load_scenario,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -255,6 +264,16 @@ def cmd_correspond(args) -> Report:
     return rep
 
 
+# the inducing data each (group, parabolic) pair of the oracle reads
+_REDUCE_NEEDS = {
+    ("Mp4", "P1"): ("chi", "s", "inner"),
+    ("Mp4", "P2"): ("tau", "s"),
+    ("SO5+", "Q1"): ("chi", "s", "inner"),
+    ("SO5+", "Q2"): ("tau", "s"),
+    ("SO5-", "Q1"): ("chi", "s", "inner"),
+}
+
+
 def cmd_reduce(args) -> Report:
     q = _query_of(args)
     group = str(q.get("group", "Mp4"))
@@ -263,7 +282,7 @@ def cmd_reduce(args) -> Report:
     if "chi" in q:
         kwargs["char"] = tables.char_from_query(q["chi"])
     if "s" in q:
-        kwargs["s"] = Fraction(str(q["s"]))
+        kwargs["s"] = _as_fraction(q["s"], "$.query.s")
     if "inner" in q:
         kwargs["inner"] = tables.descriptor_from_query(q["inner"])
     if "tau" in q:
@@ -272,6 +291,8 @@ def cmd_reduce(args) -> Report:
         kwargs["omega_trivial"] = bool(q["omega_trivial"])
     if "self_dual" in q:
         kwargs["self_dual"] = bool(q["self_dual"])
+    for key in _REDUCE_NEEDS.get((group, parabolic), ()):
+        _require(q, key, "$.query")
     result = reducibility_oracle(group, parabolic, **kwargs)
     rep = Report("reduce")
     rep.data["reducible"] = result.reducible
@@ -290,42 +311,64 @@ def cmd_reduce(args) -> Report:
     return rep
 
 
+def _int_list(q: dict, key: str, path: str) -> tuple:
+    values = _as_list(q.get(key, []), f"{path}.{key}")
+    return tuple(_as_int(x, f"{path}.{key}[{i}]") for i, x in enumerate(values))
+
+
+def _ktype_o(q: dict) -> KTypeO:
+    path = "$.query"
+    fields = {
+        "p": _as_int(_require(q, "p", path), f"{path}.p"),
+        "q": _as_int(_require(q, "q", path), f"{path}.q"),
+        "a": _int_list(q, "a", path),
+        "eps": _as_sign(q.get("eps", 1), f"{path}.eps"),
+        "b": _int_list(q, "b", path),
+        "delta": _as_sign(q.get("delta", 1), f"{path}.delta"),
+    }
+    try:
+        return KTypeO(**fields)
+    except ValueError as exc:  # signature and weights that name no O(p) x O(q) type
+        raise SchemaError(path, str(exc)) from None
+
+
+def _catalog_query(sub):
+    path = "$.query.query"
+    sub = _as_object(sub, path)
+    t = sub.get("type")
+
+    def frac(key):
+        return _as_fraction(_require(sub, key, path), f"{path}.{key}")
+
+    def sign(key):
+        return _as_sign(_require(sub, key, path), f"{path}.{key}")
+
+    if t == "discrete":
+        return DiscreteSeriesQuery(frac("a"), frac("b"), sign("eps1"), sign("eps2"))
+    if t == "jp1":
+        return LanglandsP1Query(sign("chi_parity"), frac("a"), frac("s"))
+    if t == "jp2":
+        return LanglandsP2Query(frac("a"), frac("s"))
+    if t == "jb":
+        return LanglandsBQuery(sign("eps1"), sign("eps2"))
+    raise SchemaError("$.query.query.type", f"unknown catalog query {t!r}")
+
+
 def cmd_ktype(args) -> Report:
     q = _query_of(args)
     op = q.get("op")
     rep = Report("ktype")
     if op == "degree" or op == "harmonics":
-        mu = KTypeO(
-            p=int(q["p"]),
-            q=int(q["q"]),
-            a=tuple(int(x) for x in q.get("a", [])),
-            eps=int(q.get("eps", 1)),
-            b=tuple(int(x) for x in q.get("b", [])),
-            delta=int(q.get("delta", 1)),
-        )
+        mu = _ktype_o(q)
         rep.data["degree"] = degree_o(mu)
         rep.say(f"deg = {degree_o(mu)}")
         if op == "harmonics":
-            mp = joint_harmonics(mu, int(q.get("n", 2)))
+            mp = joint_harmonics(mu, _as_int(q.get("n", 2), "$.query.n"))
             rep.data["kprime"] = [str(w) for w in mp.weights]
             rep.say("K'-type: (" + ", ".join(str(w) for w in mp.weights) + ")")
         return rep
     if op == "catalog":
-        sub = q.get("query", {})
-        t = sub.get("type")
-        if t == "discrete":
-            query = DiscreteSeriesQuery(
-                Fraction(str(sub["a"])), Fraction(str(sub["b"])), int(sub["eps1"]), int(sub["eps2"])
-            )
-        elif t == "jp1":
-            query = LanglandsP1Query(int(sub["chi_parity"]), Fraction(str(sub["a"])), Fraction(str(sub["s"])))
-        elif t == "jp2":
-            query = LanglandsP2Query(Fraction(str(sub["a"])), Fraction(str(sub["s"])))
-        elif t == "jb":
-            query = LanglandsBQuery(int(sub["eps1"]), int(sub["eps2"]))
-        else:
-            raise SchemaError("$.query.query.type", f"unknown catalog query {t!r}")
-        result = lowest_kprime_catalog(query)
+        result = lowest_kprime_catalog(_catalog_query(q.get("query", {})))
         rep.data["lowest_kprime_types"] = [[str(w) for w in kt.weights] for kt in result]
         for kt in result:
             rep.say("(" + ", ".join(str(w) for w in kt.weights) + ")")

@@ -23,9 +23,10 @@ Sp(W_2) and (1,), (2,) are P_1, P_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .record import Record
 
 Sign = int
 
@@ -41,15 +42,13 @@ def so_group(n: int, eps: Sign) -> tuple:
 # characters and GL(2) inducing data
 
 
-@dataclass(frozen=True, order=True)
-class QuadChar:
+class QuadChar(Record, order=True):
     """Quadratic character chi_a, named by the local square-class label."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class TagChar:
+class TagChar(Record, order=True):
     """Opaque unitary character tag (chi with chi^2 != 1), or its inverse."""
 
     tag: str
@@ -59,30 +58,26 @@ class TagChar:
 CharAtom = Union[QuadChar, TagChar]
 
 
-@dataclass(frozen=True, order=True)
-class Seg:
+class Seg(Record, order=True):
     """GL(1) segment chi |.|^s."""
 
     char: CharAtom
     s: Fraction
 
 
-@dataclass(frozen=True, order=True)
-class St2:
+class St2(Record, order=True):
     """Twisted Steinberg representation st_chi of GL(2), nonarchimedean."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class SC2:
+class SC2(Record, order=True):
     """Self-dual supercuspidal representation of GL(2), by opaque tag."""
 
     tag: str
 
 
-@dataclass(frozen=True, order=True)
-class RealD:
+class RealD(Record, order=True):
     """Relative discrete series D_a of GL(2, R)."""
 
     a: Fraction
@@ -91,8 +86,7 @@ class RealD:
 GL2Rep = Union[St2, SC2, RealD]
 
 
-@dataclass(frozen=True, order=True)
-class GL2Seg:
+class GL2Seg(Record, order=True):
     """GL(2) segment tau x |det|^s."""
 
     rep: GL2Rep
@@ -103,113 +97,98 @@ class GL2Seg:
 # atoms
 
 
-@dataclass(frozen=True, order=True)
-class Zero:
+class Zero(Record, order=True):
     pass
 
 
 ZERO = Zero()
 
 
-@dataclass(frozen=True, order=True)
-class WeilOdd:
+class WeilOdd(Record, order=True):
     """Odd elementary Weil representation of Mp(W_1) w.r.t. psi_a."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class WeilEven:
+class WeilEven(Record, order=True):
     """Even elementary Weil representation of Mp(W_1) w.r.t. psi_a."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class MpSt2:
+class MpSt2(Record, order=True):
     """Genuine Steinberg-type square-integrable rep of Mp(W_1) in I_{B,psi}(chi|.|^{1/2})."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class MpRealDS2:
+class MpRealDS2(Record, order=True):
     """Genuine discrete series of Mp(2, R) of signed index a (weight a+1 or a-1)."""
 
     a: Fraction
 
 
-@dataclass(frozen=True, order=True)
-class Mp2Member:
+class Mp2Member(Record, order=True):
     """Member of the rank-1 metaplectic packet of a supercuspidal 2-dim datum."""
 
     tag: str
     eps: Sign
 
 
-@dataclass(frozen=True, order=True)
-class MpDS4:
+class MpDS4(Record, order=True):
     """Square-integrable genuine rep of Mp(W_2) named by L-parameter key and sign label."""
 
     lparam: tuple
     label: tuple
 
 
-@dataclass(frozen=True, order=True)
-class SODS:
+class SODS(Record, order=True):
     """Square-integrable rep of SO(V_2^eps) named by L-parameter key and sign label."""
 
     lparam: tuple
     label: tuple
 
 
-@dataclass(frozen=True, order=True)
-class RealLKT:
+class RealLKT(Record, order=True):
     """Genuine (limit of) discrete series of Mp(4, R) named by lowest K'-type."""
 
     weights: tuple  # pair of Fractions, weakly decreasing
 
 
-@dataclass(frozen=True, order=True)
-class MpStPair:
+class MpStPair(Record, order=True):
     """St~_psi(chi, pi): square-integrable sub of I_{P1,psi}(chi|.|^{1/2}, pi)."""
 
     label: str
     inner: "Desc"
 
 
-@dataclass(frozen=True, order=True)
-class MpStTwist:
+class MpStTwist(Record, order=True):
     """St~^{sign}_{chi,psi}: square-integrable subs at the s = 3/2 point."""
 
     label: str
     sign: Sign
 
 
-@dataclass(frozen=True, order=True)
-class MpStTau:
+class MpStTau(Record, order=True):
     """St~_psi(tau): square-integrable sub of I_{P2,psi}(tau |det|^{1/2})."""
 
     tau: GL2Rep
 
 
-@dataclass(frozen=True, order=True)
-class MpGenNG:
+class MpGenNG(Record, order=True):
     """pi_{gen/ng,psi}(tau): the two tempered summands of I_{P2,psi}(tau)."""
 
     tau: GL2Rep
     generic: bool
 
 
-@dataclass(frozen=True, order=True)
-class NuChar:
+class NuChar(Record, order=True):
     """chi_a o nu on a rank-1 special orthogonal group (nu = spinor norm)."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class SOStPair:
+class SOStPair(Record, order=True):
     """St^{eps}(chi, sigma) on SO(V_2^eps)."""
 
     space_eps: Sign
@@ -217,39 +196,34 @@ class SOStPair:
     inner: "Desc"
 
 
-@dataclass(frozen=True, order=True)
-class SOStTwist:
+class SOStTwist(Record, order=True):
     """St^{eps}_chi on SO(V_2^eps)."""
 
     space_eps: Sign
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class SOStTau:
+class SOStTau(Record, order=True):
     """St^{+}(tau) on SO(V_2^+)."""
 
     tau: GL2Rep
 
 
-@dataclass(frozen=True, order=True)
-class SOGenNG:
+class SOGenNG(Record, order=True):
     """sigma_{gen/ng}(tau): the two tempered summands of I^+_{Q2}(tau)."""
 
     tau: GL2Rep
     generic: bool
 
 
-@dataclass(frozen=True, order=True)
-class OExt:
+class OExt(Record, order=True):
     """eps'-extension of a rank-1 special orthogonal rep to the full orthogonal group."""
 
     base: "Desc"
     sign: Sign
 
 
-@dataclass(frozen=True, order=True)
-class ThetaLift:
+class ThetaLift(Record, order=True):
     """theta_{W_n, V_r^eps, psi_a}(source)."""
 
     to_metaplectic: bool  # True: target Mp(W_n); False: target SO/O(V_r^eps)
@@ -260,24 +234,21 @@ class ThetaLift:
     source: "Desc"
 
 
-@dataclass(frozen=True, order=True)
-class TwistNu:
+class TwistNu(Record, order=True):
     """base tensored with chi_a o nu (SO side of the correspondence tables)."""
 
     base: "Desc"
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class Opaque:
+class Opaque(Record, order=True):
     """Named atom for members the tables leave abstract (supercuspidal partners etc.)."""
 
     head: str
     data: tuple = ()
 
 
-@dataclass(frozen=True, order=True)
-class LQ:
+class LQ(Record, order=True):
     """Langlands quotient J_{P,psi}(segments..., inner)."""
 
     group: tuple
@@ -286,8 +257,7 @@ class LQ:
     inner: Union["Desc", None] = None
 
 
-@dataclass(frozen=True, order=True)
-class DSum:
+class DSum(Record, order=True):
     parts: tuple
 
 
@@ -419,7 +389,7 @@ def _render_parabolic(group: tuple, blocks: tuple) -> str:
 def _render_piece(p) -> str:
     if isinstance(p, tuple):
         return "x".join(str(x) for x in p)
-    # localization constituents carry their own dataclass repr fields
+    # localization constituents carry their own record fields
     name = type(p).__name__
     vals = ",".join(str(v) for v in vars(p).values())
     return f"{name[5:] if name.startswith('Piece') else name}({vals})"

@@ -24,8 +24,9 @@ pairings = +1) is validated pairwise, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .record import Record
 
 Sign = int  # +1 or -1
 
@@ -79,8 +80,7 @@ class ReciprocityViolation(Exception):
         super().__init__(f"Hilbert reciprocity fails for ({a}, {b}): product = {product:+d}")
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+class Place(Record, order=True):
     id: str
     kind: str
 
@@ -129,8 +129,7 @@ class Place:
         return SquareClass(self, (0,) * self.rank)
 
 
-@dataclass(frozen=True, order=True)
-class SquareClass:
+class SquareClass(Record, order=True):
     place: Place
     bits: tuple[int, ...]
 
@@ -185,8 +184,7 @@ def chi_minus_one(place: Place, a: SquareClass) -> Sign:
     return hilbert(place, a, place.minus_one())
 
 
-@dataclass(frozen=True)
-class GlobalElement:
+class GlobalElement(Record):
     """A square class at every place of a closed-world scenario."""
 
     name: str
@@ -225,8 +223,7 @@ def global_pairing(places: Sequence[Place], a: GlobalElement, b: GlobalElement) 
     return prod
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(Record):
     ok: bool
     checked_pairs: int
     violation: tuple[str, str, Sign] | None = None

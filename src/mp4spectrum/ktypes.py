@@ -26,10 +26,11 @@ are Fractions, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
+
+from .record import Record
 
 Sign = int
 HALF = Fraction(1, 2)
@@ -50,8 +51,7 @@ def _check_weights(ws: Sequence[int]) -> None:
         raise ValueError("weights must be weakly decreasing")
 
 
-@dataclass(frozen=True)
-class KTypeO:
+class KTypeO(Record):
     """Irreducible O(p) x O(q) type by highest weights; p + q odd."""
 
     p: int
@@ -97,8 +97,7 @@ class KTypeO:
         return 0 if self.delta == 1 else self.q - 2 * self.l
 
 
-@dataclass(frozen=True)
-class KTypeMp:
+class KTypeMp(Record):
     """Genuine K'-type of the metaplectic cover of Sp(2n, R)."""
 
     weights: tuple  # Fractions in Z + 1/2, weakly decreasing
@@ -298,8 +297,8 @@ def lowest_kprime_discrete(a: Fraction, b: Fraction, eps1: Sign, eps2: Sign) -> 
     only the diagonal labels index members.
     """
     a, b = Fraction(a), Fraction(b)
-    if a < b or b <= 0:
-        raise UncataloguedShape("need a >= b > 0")
+    if a < b or b <= 0 or (a - HALF).denominator != 1 or (b - HALF).denominator != 1:
+        raise UncataloguedShape("need half-odd integers a >= b > 0")
     if a == b:
         if eps1 != eps2:
             raise UncataloguedShape("mixed labels index no member when a = b")
@@ -313,16 +312,14 @@ def lowest_kprime_discrete(a: Fraction, b: Fraction, eps1: Sign, eps2: Sign) -> 
     return table[(eps1, eps2)]
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesQuery:
+class DiscreteSeriesQuery(Record):
     a: Fraction
     b: Fraction
     eps1: Sign
     eps2: Sign
 
 
-@dataclass(frozen=True)
-class LanglandsP1Query:
+class LanglandsP1Query(Record):
     """J_{P1,psi}(chi|.|^s, D~_{a,psi}) with s > 0."""
 
     chi_parity: Sign
@@ -330,16 +327,14 @@ class LanglandsP1Query:
     s: Fraction
 
 
-@dataclass(frozen=True)
-class LanglandsP2Query:
+class LanglandsP2Query(Record):
     """J_{P2,psi}(D_a |det|^s) with a > 0 and Re s > 0."""
 
     a: Fraction
     s: Fraction
 
 
-@dataclass(frozen=True)
-class LanglandsBQuery:
+class LanglandsBQuery(Record):
     """J_{B,psi}(chi_1|.|^{s_1}, chi_2|.|^{s_2}) with s_1 > 0, s_1 >= s_2 >= 0."""
 
     eps1: Sign
@@ -361,8 +356,8 @@ def lowest_kprime_catalog(query) -> list[KTypeMp]:
         return [KTypeMp(tuple(map(Fraction, w)))]
     if isinstance(query, LanglandsP2Query):
         a = Fraction(query.a)
-        if query.s <= 0 or a <= 0:
-            raise UncataloguedShape("need a > 0 and Re s > 0")
+        if query.s <= 0 or a <= 0 or (2 * a).denominator != 1:
+            raise UncataloguedShape("need a > 0 in Z/2 and Re s > 0")
         if a.denominator == 1:
             return [KTypeMp((a + HALF, -a - HALF))]
         return [KTypeMp((a + 1, -a)), KTypeMp((a, -a - 1))]

@@ -21,11 +21,10 @@ constituents its summand splits into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .chargroups import ComponentGroup, F2Character, LocalizationMap
+from .chargroups import ComponentGroup, LocalizationMap
 from .fields import Place, SquareClass
 from .parameters import (
     AParameter,
@@ -45,41 +44,37 @@ from .parameters import (
     classify,
     component_group,
 )
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # tempered constituents
 
 
-@dataclass(frozen=True, order=True)
-class PieceSC:
+class PieceSC(Record, order=True):
     """2-dim irreducible symplectic supercuspidal constituent."""
 
     tag: str
 
 
-@dataclass(frozen=True, order=True)
-class PieceSt:
+class PieceSt(Record, order=True):
     """Constituent chi_c x S_2 (Steinberg parameter)."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class PieceD:
+class PieceD(Record, order=True):
     """Real discrete-series constituent D_a, a in 1/2 + Z."""
 
     a: Fraction
 
 
-@dataclass(frozen=True, order=True)
-class Piece4SC:
+class Piece4SC(Record, order=True):
     """4-dim irreducible symplectic supercuspidal constituent."""
 
     tag: str
 
 
-@dataclass(frozen=True, order=True)
-class PiecePS:
+class PiecePS(Record, order=True):
     """Principal-series constituent chi|.|^s + chi^{-1}|.|^{-s}; no generator."""
 
     tag: str
@@ -130,41 +125,35 @@ def _piece_order_key(piece: TemperedPiece):
 # local parameter shapes
 
 
-@dataclass(frozen=True)
-class ShPrincipal:
+class ShPrincipal(Record):
     a: SquareClass
 
 
-@dataclass(frozen=True)
-class ShSK:
+class ShSK(Record):
     rho_name: str
     rho: SymplecticShape
     a: SquareClass
 
 
-@dataclass(frozen=True)
-class ShHPS:
+class ShHPS(Record):
     """Local shape (chi_a x S_2) + (chi_b x S_2); covers the a = b degeneration."""
 
     a: SquareClass
     b: SquareClass
 
 
-@dataclass(frozen=True)
-class ShSoudryIrreducible:
+class ShSoudryIrreducible(Record):
     rho_name: str
     rho: Union[RhoDihedralSupercuspidal, RhoRealOrthogonalDiscrete]
 
 
-@dataclass(frozen=True)
-class ShSoudryNonQuadratic:
+class ShSoudryNonQuadratic(Record):
     """rho_v = chi + chi^{-1}, chi^2 != 1: trivial local group, one member."""
 
     chi: str
 
 
-@dataclass(frozen=True)
-class ShTempered:
+class ShTempered(Record):
     pieces: tuple  # ordered TemperedPiece entries (generators first)
     sc_signs: tuple = ()  # ((tag, eps, ((label, sign), ...)), ...) for supercuspidal pieces
 
@@ -172,8 +161,7 @@ class ShTempered:
 LocalShape = Union[ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQuadratic, ShTempered]
 
 
-@dataclass(frozen=True)
-class LocalParam:
+class LocalParam(Record):
     place: Place
     ptype: ParamType
     shape: LocalShape
@@ -266,8 +254,3 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
         (tag, eps, tuple(sorted(twists.items()))) for tag, (eps, twists) in sorted(sc_signs.items())
     )
     return result(ShTempered(ordered_pieces, packed_signs), group, rows)
-
-
-def local_characters(group: ComponentGroup) -> list[F2Character]:
-    """All characters of a local component group, in canonical order."""
-    return group.characters()

@@ -21,7 +21,6 @@ Their agreement is the main acceptance gate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import getitem
 from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affine
 from .descriptors import Zero
@@ -29,6 +28,7 @@ from .fields import Place
 from .localization import LocalParam, localize
 from .packets import PacketEntry, local_packet
 from .parameters import AParameter, epsilon_tilde
+from .record import Record
 
 
 class ScenarioTooLarge(ValueError):
@@ -38,8 +38,7 @@ class ScenarioTooLarge(ValueError):
 BRUTE_FORCE_PLACE_CAP = 6
 
 
-@dataclass(frozen=True)
-class AdelicCharacter:
+class AdelicCharacter(Record):
     components: tuple  # ordered (place_id, F2Character) pairs
 
     def component(self, place_id: str) -> F2Character:
@@ -56,8 +55,7 @@ class AdelicCharacter:
         return tuple((pid, ch.bits) for pid, ch in self.components)
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(Record):
     eta: AdelicCharacter
     local_members: tuple  # ordered (place_id, Desc) pairs
     multiplicity: int
@@ -67,8 +65,7 @@ class Constituent:
         return any(isinstance(d, Zero) for _, d in self.local_members)
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(Record):
     place: Place
     param: LocalParam
     group: ComponentGroup

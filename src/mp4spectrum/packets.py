@@ -13,7 +13,6 @@ All tables are compiled in; lookups are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from .chargroups import ComponentGroup, F2Character
 from .descriptors import (
@@ -79,6 +78,7 @@ from .parameters import (
     RhoRealOrthogonalDiscrete,
     RhoSteinberg,
 )
+from .record import Record
 
 HALF = Fraction(1, 2)
 THREE_HALF = Fraction(3, 2)
@@ -96,8 +96,7 @@ class RowNotFound(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class PacketEntry:
+class PacketEntry(Record):
     label: F2Character
     member: Desc
     in_l_packet: bool
@@ -450,16 +449,14 @@ def designated_l_packet_member(lp: LocalParam) -> Desc:
 # the local Shimura correspondence table (nonarchimedean, all summands symplectic)
 
 
-@dataclass(frozen=True)
-class SCEntry:
+class SCEntry(Record):
     label: tuple
     mp: Desc
     so_space: Sign
     so: Desc
 
 
-@dataclass(frozen=True)
-class SCRow:
+class SCRow(Record):
     name: str
     entries: tuple[SCEntry, ...]
 
@@ -677,8 +674,7 @@ def orthogonal_shimura_row(tau_tag: str) -> SCRow:
 # reducibility oracle (nonarchimedean composition series)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     reducible: bool
     constituents: tuple = ()  # (sub, quotient) or the two direct summands
     direct_sum: bool = False

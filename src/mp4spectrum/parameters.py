@@ -27,12 +27,12 @@ of the declared local signs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
 from .chargroups import ComponentGroup, F2Character
 from .fields import GlobalElement, Place, Sign, SquareClass, chi_minus_one
+from .record import Record, field
 
 
 class InvalidParameter(ValueError):
@@ -47,8 +47,7 @@ class MissingSignData(KeyError):
 # local shapes of a GL(2) or GL(4) datum
 
 
-@dataclass(frozen=True)
-class RhoIrreducibleSymplectic:
+class RhoIrreducibleSymplectic(Record):
     """Nonarchimedean supercuspidal 2-dimensional symplectic datum.
 
     eps is eps(1/2, rho_v); eps_twists maps a local square-class label c to
@@ -61,8 +60,7 @@ class RhoIrreducibleSymplectic:
     eps_twists: Mapping[str, Sign] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RhoSteinberg:
+class RhoSteinberg(Record):
     """rho_v = chi_c x S_2 (twisted Steinberg), nonarchimedean."""
 
     label: str  # square-class label of c at the place
@@ -70,8 +68,7 @@ class RhoSteinberg:
     eps_twists: Mapping[str, Sign] = field(default_factory=dict)  # keyed by class label
 
 
-@dataclass(frozen=True)
-class RhoPrincipalSeries:
+class RhoPrincipalSeries(Record):
     """rho_v = chi|.|^s + chi^{-1}|.|^{-s}, |s| < 1/2, chi an opaque unitary tag.
 
     chi_parity is chi(-1); it determines the local root number chi(-1)
@@ -88,8 +85,7 @@ class RhoPrincipalSeries:
             raise InvalidParameter(f"principal-series exponent must satisfy 0 <= s < 1/2, got {self.s}")
 
 
-@dataclass(frozen=True)
-class RhoRealDiscrete:
+class RhoRealDiscrete(Record):
     """rho_v = D_{kappa - 1/2} at a real place (symplectic), kappa >= 1."""
 
     kappa: int
@@ -99,15 +95,13 @@ class RhoRealDiscrete:
             raise InvalidParameter("kappa must be a positive integer")
 
 
-@dataclass(frozen=True)
-class RhoDihedralSupercuspidal:
+class RhoDihedralSupercuspidal(Record):
     """Nonarchimedean irreducible orthogonal (dihedral) datum."""
 
     tag: str
 
 
-@dataclass(frozen=True)
-class RhoRealOrthogonalDiscrete:
+class RhoRealOrthogonalDiscrete(Record):
     """rho_v = D_kappa at a real place (orthogonal), kappa >= 1 an integer."""
 
     kappa: int
@@ -117,31 +111,27 @@ class RhoRealOrthogonalDiscrete:
             raise InvalidParameter("kappa must be a positive integer")
 
 
-@dataclass(frozen=True)
-class RhoQuadraticPair:
+class RhoQuadraticPair(Record):
     """rho_v = chi_a + chi_b (orthogonal), named by square-class labels."""
 
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class RhoReducibleOrthogonal:
+class RhoReducibleOrthogonal(Record):
     """rho_v = chi + chi^{-1} with chi^2 != 1 (orthogonal, trivial determinant)."""
 
     chi: str
 
 
-@dataclass(frozen=True)
-class Rho4Irreducible:
+class Rho4Irreducible(Record):
     """4-dimensional irreducible symplectic localization of a GL(4) datum."""
 
     tag: str
     eps: Sign
 
 
-@dataclass(frozen=True)
-class Rho4Split:
+class Rho4Split(Record):
     """Declared local decomposition of a GL(4) datum into 2-dim symplectic pieces."""
 
     parts: tuple
@@ -233,8 +223,7 @@ def local_eps_twist(shape: LocalRhoShape, cls: SquareClass, place: Place) -> Sig
 # global cuspidal data and parameters
 
 
-@dataclass(frozen=True)
-class CuspidalDatum:
+class CuspidalDatum(Record):
     """Self-dual cuspidal datum on GL(2) or GL(4), with its analytic inputs."""
 
     name: str
@@ -284,8 +273,7 @@ class ParamType(enum.Enum):
     PRINCIPAL = "principal"
 
 
-@dataclass(frozen=True)
-class AParameter:
+class AParameter(Record):
     """Formal unordered sum of (datum, d) summands; kept in canonical order."""
 
     summands: tuple  # of (Summand, int)

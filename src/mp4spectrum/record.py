@@ -1,0 +1,218 @@
+"""Value classes whose methods are not compiled per class.
+
+Every term of the package (descriptors, parameters, local shapes, packet
+entries, reports) is a small record class.  ``dataclasses`` builds the
+methods of each such class by compiling generated source at import
+(about 0.75 ms per class on Python 3.11, more with ``order=True``), and
+importing it pulls in ``inspect`` and ``ast``; over the package's 79
+classes that was most of the start-up time of every CLI call.  Here one
+shared base gives the classes their behaviour:
+
+    class Seg(Record, order=True):
+        char: CharAtom
+        s: Fraction
+
+Fields are the annotated class attributes, in order; a class attribute
+gives a default and ``field(default_factory=...)`` a fresh default per
+instance.  The behaviour is that of ``@dataclass(frozen=True)`` (or
+``frozen=False``, ``order=True`` as class keywords):
+
+* ``__init__`` takes the fields positionally or by keyword, fills the
+  defaults, then calls ``__post_init__`` if the class defines one;
+* frozen instances raise ``AttributeError`` on assignment and deletion
+  (``__post_init__`` may still write through ``object.__setattr__``);
+  mutable ones are unhashable;
+* ``==`` holds only between instances of the same class with equal fields,
+  ``hash`` is the hash of the field tuple, and ordered classes compare
+  their field tuples, raising ``TypeError`` against any other class;
+* ``repr`` is ``Name(field=value, ...)`` without the ``repr=False`` fields,
+  byte for byte the dataclass text (canonical sort keys are built on it).
+
+``hash`` and the orderings, which the package hardly calls, are shared
+functions that read the fields with ``operator.attrgetter``.
+``__init__``, ``__eq__`` and ``__repr__`` are hot (a residual-spectrum
+run builds thousands of terms, compares and ``repr``s them), and written
+that way they took about twice as long per call as the dataclass ones in
+micro-benchmarks on Python 3.11; keeping the values in a materialized
+``__dict__`` instead made every attribute read about twice as slow.  So
+each of the three is compiled once per field count, for placeholder
+fields ``_0``, ``_1``, ..., and each class gets copies of those code
+objects with the placeholders swapped for its field names
+(``CodeType.replace`` of ``co_varnames``, ``co_names`` and the string
+``co_consts``): the methods read fields by name as hand-written ones
+would, and keyword arguments, defaults and argument errors of
+``__init__`` behave as usual.  No other code-object detail is touched,
+which keeps the copies valid from Python 3.10 on (checked on 3.10 to
+3.13).
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter, ge, gt, le, lt
+from types import FunctionType
+
+_MISSING = object()
+_set = object.__setattr__
+
+
+class Field:
+    """A field declared with ``field()``: a default factory, repr flag."""
+
+    __slots__ = ("name", "default", "default_factory", "repr")
+
+    def __init__(self, name, default, default_factory, repr):
+        self.name = name
+        self.default = default
+        self.default_factory = default_factory
+        self.repr = repr
+
+
+def field(*, default_factory, repr: bool = True) -> Field:
+    """A field whose default is ``default_factory()``, made per instance."""
+    return Field(None, _MISSING, default_factory, repr)
+
+
+_TEMPLATES: dict = {}
+
+
+def _template(kind: str, n: int, finish: str = "pass"):
+    """Code of method ``kind`` for ``n`` fields named ``_0 .. _{n-1}``.
+
+    ``finish`` ends ``__init__``: ``pass``, a call of ``__post_init__``, or
+    of ``_fill_defaults`` for classes with default factories.
+    """
+    key = (kind, n, finish)
+    if key not in _TEMPLATES:
+        x = [f"_{i}" for i in range(n)]
+        if kind == "__init__":
+            lines = [f"def __init__({', '.join(['self', *x])}):"]
+            lines += [f"    _set(self, {a!r}, {a})" for a in x] + [f"    {finish}"]
+        elif kind == "__eq__":
+            mine, theirs = ("(" + "".join(f"{obj}.{a}, " for a in x) + ")" for obj in ("self", "other"))
+            lines = [
+                "def __eq__(self, other):",
+                "    if other.__class__ is self.__class__:",
+                f"        return {mine} == {theirs}",
+                "    return NotImplemented",
+            ]
+        else:
+            shown = ", ".join(f"{a}={{self.{a}!r}}" for a in x)
+            lines = ["def __repr__(self):", f'    return f"{{self.__class__.__qualname__}}({shown})"']
+        scope: dict = {}
+        exec(compile("\n".join(lines), "<record>", "exec"), scope)
+        _TEMPLATES[key] = scope[kind].__code__
+    return _TEMPLATES[key]
+
+
+def _renaming(names: list) -> dict:
+    """Placeholder -> field name, for identifiers and the repr pieces."""
+    rename = {}
+    for i, name in enumerate(names):
+        sep = ", " if i else "("
+        rename[f"_{i}"] = name
+        rename[f"{sep}_{i}="] = f"{sep}{name}="  # "(_0=", ", _1=" in __repr__
+    return rename
+
+
+def _method(cls, template, rename: dict, defaults=None) -> FunctionType:
+    """A method of ``cls`` from ``template``, its placeholders renamed."""
+    code = template.replace(
+        co_varnames=tuple([rename.get(v, v) for v in template.co_varnames]),
+        co_names=tuple([rename.get(v, v) for v in template.co_names]),
+        co_consts=tuple([rename.get(c, c) if type(c) is str else c for c in template.co_consts]),
+    )
+    method = FunctionType(code, globals(), code.co_name, defaults)
+    method.__qualname__ = f"{cls.__qualname__}.{code.co_name}"
+    method.__module__ = cls.__module__
+    return method
+
+
+def _defaults(cls, fields: tuple):
+    defaults = []
+    for f in fields:
+        if f.default is not _MISSING:
+            defaults.append(f.default)
+        elif f.default_factory is not None:
+            defaults.append(f)  # marks "not given": _fill_defaults replaces it
+        elif defaults:
+            raise TypeError(f"{cls.__qualname__}: field {f.name!r} without a default follows one with a default")
+    return tuple(defaults) or None
+
+
+def _astuple(names: list):
+    """A function from an instance to the tuple of its field values."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return attrgetter(*names) if names else lambda obj: ()
+
+
+def _ordering(compare):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(self._astuple(self), other._astuple(other))
+        return NotImplemented
+
+    method.__name__ = f"__{compare.__name__}__"
+    return method
+
+
+_ORDERING = {f"__{op.__name__}__": _ordering(op) for op in (lt, le, gt, ge)}
+
+
+class Record:
+    """Base of the package's value classes; see the module docstring."""
+
+    __record_fields__: tuple = ()
+    __record_frozen__ = True
+    __record_order__ = False
+
+    def __init_subclass__(cls, *, frozen: bool = True, order: bool = False) -> None:
+        fields = list(cls.__record_fields__)
+        for name in cls.__dict__.get("__annotations__", {}):
+            value = cls.__dict__.get(name, _MISSING)
+            if isinstance(value, Field):
+                value.name = name
+                delattr(cls, name)
+                fields.append(value)
+            else:
+                fields.append(Field(name, value, None, True))
+        cls.__record_fields__ = fields = tuple(fields)
+        cls.__record_frozen__ = frozen
+        cls.__record_order__ = order
+        names = [f.name for f in fields]
+        if any(f.default_factory is not None for f in fields):
+            finish = "self._fill_defaults()"
+        elif hasattr(cls, "__post_init__"):
+            finish = "self.__post_init__()"
+        else:
+            finish = "pass"
+        rename = _renaming(names)
+        cls.__init__ = _method(cls, _template("__init__", len(names), finish), rename, _defaults(cls, fields))
+        cls.__eq__ = _method(cls, _template("__eq__", len(names)), rename)
+        shown = [f.name for f in fields if f.repr]
+        cls.__repr__ = _method(cls, _template("__repr__", len(shown)), _renaming(shown))
+        cls._astuple = staticmethod(_astuple(names))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+        if order:
+            for name, method in _ORDERING.items():
+                setattr(cls, name, method)
+
+    def _fill_defaults(self) -> None:
+        for f in self.__record_fields__:
+            if getattr(self, f.name) is f:
+                _set(self, f.name, f.default_factory())
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -7,11 +7,11 @@ ordering, so exported atlases diff cleanly across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .record import Record, field
 
 
-@dataclass
-class Report:
+class Report(Record, frozen=False):
     command: str
     data: dict = field(default_factory=dict)
     lines: list = field(default_factory=list)

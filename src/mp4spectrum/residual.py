@@ -25,17 +25,16 @@ signs equals the root number of rho).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .descriptors import Desc, render
 from .fields import GlobalElement, Place
 from .localization import localize
 from .packets import designated_l_packet_member, local_packet
 from .parameters import AParameter, CuspidalDatum, InvalidParameter, classify, rho_is_irreducible
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Mp2CuspidalWeil:
+class Mp2CuspidalWeil(Record):
     """Rank-1 metaplectic cuspidal rep of Weil type: character + even place set."""
 
     name: str
@@ -53,8 +52,7 @@ class Mp2CuspidalWeil:
             raise InvalidParameter(f"{self.name}: S(pi) mentions unknown places")
 
 
-@dataclass(frozen=True)
-class ResidualConstituent:
+class ResidualConstituent(Record):
     name: str
     support: str  # "P1" | "P2" | "B"
     family: str  # "principal" | "saito-kurokawa" | "howe-piatetski-shapiro" | "soudry"

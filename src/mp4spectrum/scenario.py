@@ -13,7 +13,6 @@ JSON path; validation failures name the offending pair or datum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -47,6 +46,7 @@ from .parameters import (
     local_eps_twist,
     shape_allowed,
 )
+from .record import Record, field
 from .residual import Mp2CuspidalWeil
 
 SCHEMA_VERSION = 1
@@ -62,8 +62,7 @@ class ScenarioValidationError(ValueError):
     pass
 
 
-@dataclass
-class Scenario:
+class Scenario(Record, frozen=False):
     places: list[Place]
     elements: list[GlobalElement]  # includes the built-ins "1" and "-1"
     cuspidal: list[CuspidalDatum]

@@ -64,7 +64,7 @@ from .parameters import (
     RhoRealOrthogonalDiscrete,
     RhoSteinberg,
 )
-from .scenario import SchemaError
+from .scenario import SchemaError, _as_fraction, _as_list, _as_object, _as_sign, _require
 
 HALF = Fraction(1, 2)
 
@@ -72,6 +72,7 @@ HALF = Fraction(1, 2)
 def char_from_query(q) -> QuadChar | TagChar:
     if isinstance(q, str):
         return QuadChar(q)
+    q = _as_object(q, "$.query.chi")
     if "class" in q:
         return QuadChar(str(q["class"]))
     if "tag" in q:
@@ -80,69 +81,86 @@ def char_from_query(q) -> QuadChar | TagChar:
 
 
 def gl2_from_query(q) -> St2 | SC2 | RealD:
+    path = "$.query.tau"
+    q = _as_object(q, path)
     t = q.get("type")
     if t == "steinberg":
-        return St2(str(q["class"]))
+        return St2(str(_require(q, "class", path)))
     if t == "supercuspidal":
-        return SC2(str(q["tag"]))
+        return SC2(str(_require(q, "tag", path)))
     if t == "real-discrete":
-        return RealD(Fraction(str(q["a"])))
-    raise SchemaError("$.query.tau", f"unknown GL(2) datum {t!r}")
+        return RealD(_as_fraction(_require(q, "a", path), f"{path}.a"))
+    raise SchemaError(path, f"unknown GL(2) datum {t!r}")
 
 
 def descriptor_from_query(q):
+    path = "$.query.inner"
+    q = _as_object(q, path)
     t = q.get("type")
     if t == "weil-odd":
-        return WeilOdd(str(q["class"]))
+        return WeilOdd(str(_require(q, "class", path)))
     if t == "weil-even":
-        return WeilEven(str(q["class"]))
+        return WeilEven(str(_require(q, "class", path)))
     if t == "mp-steinberg":
-        return MpSt2(str(q["class"]))
+        return MpSt2(str(_require(q, "class", path)))
     if t == "mp2-member":
-        return Mp2Member(str(q["tag"]), int(q.get("eps", 1)))
+        return Mp2Member(str(_require(q, "tag", path)), _as_sign(q.get("eps", 1), f"{path}.eps"))
     if t == "gl2-steinberg":
-        return St2(str(q["class"]))
+        return St2(str(_require(q, "class", path)))
     if t == "so3-supercuspidal":
-        return Opaque("sigma_sc", (str(q["tag"]),))
+        return Opaque("sigma_sc", (str(_require(q, "tag", path)),))
     if t == "nu":
-        return NuChar(str(q["class"]))
-    raise SchemaError("$.query.inner", f"unknown inducing representation {t!r}")
+        return NuChar(str(_require(q, "class", path)))
+    raise SchemaError(path, f"unknown inducing representation {t!r}")
 
 
 def shimura_row_from_query(q) -> SCRow:
     kind = str(q.get("place_kind", "nonarch-odd-3mod4"))
+    if kind not in KINDS:
+        raise SchemaError("$.query.place_kind", f"unknown place kind {kind!r}")
     place = Place("v", kind)
-    row = q.get("row")
-    if not isinstance(row, dict):
-        raise SchemaError("$.query.row", "expected an object")
+    path = "$.query.row"
+    row = _as_object(q.get("row"), path)
+
+    def text(key):
+        return str(_require(row, key, path))
+
     t = row.get("type")
     if t == "steinberg-S4":
-        return principal_shimura_row(place, place.class_from_label(str(row.get("a", "1"))))
+        label = str(row.get("a", "1"))
+        try:
+            a = place.class_from_label(label)
+        except ValueError as exc:
+            raise SchemaError(f"{path}.a", str(exc)) from None
+        return principal_shimura_row(place, a)
     if t == "orthogonal-S2":
-        return orthogonal_shimura_row(str(row["tau"]))
+        return orthogonal_shimura_row(text("tau"))
     if t == "4dim":
-        shape = ShTempered((Piece4SC(str(row["tag"])),))
+        shape = ShTempered((Piece4SC(text("tag")),))
         return shimura_row(place, shape)
     if t == "pair-supercuspidal":
-        t1, t2 = (str(x) for x in row["tags"])
+        tags = _as_list(_require(row, "tags", path), f"{path}.tags")
+        if len(tags) != 2:
+            raise SchemaError(f"{path}.tags", f"expected two tags, got {tags!r}")
+        t1, t2 = (str(x) for x in tags)
         shape = ShTempered(tuple(sorted((PieceSC(t1), PieceSC(t2)), key=repr)))
         return shimura_row(place, shape)
     if t == "double-supercuspidal":
-        tag = str(row["tag"])
+        tag = text("tag")
         shape = ShTempered((PieceSC(tag), PieceSC(tag)))
         return shimura_row(place, shape)
     if t == "double-steinberg":
-        a = str(row["a"])
+        a = text("a")
         shape = ShTempered((PieceSt(a), PieceSt(a)))
         return shimura_row(place, shape)
     if t == "steinberg-pair":
-        a, b = str(row["a"]), str(row["b"])
+        a, b = text("a"), text("b")
         pieces = tuple(sorted((PieceSt(a), PieceSt(b)), key=repr))
         return shimura_row(place, ShTempered(pieces))
     if t == "sc-plus-S2":
-        tag, a = str(row["tag"]), str(row["a"])
-        eps0 = int(row.get("eps", 1))
-        tw = int(row.get("eps_twist", 1))
+        tag, a = text("tag"), text("a")
+        eps0 = _as_sign(row.get("eps", 1), f"{path}.eps")
+        tw = _as_sign(row.get("eps_twist", 1), f"{path}.eps_twist")
         pieces = tuple(sorted((PieceSC(tag), PieceSt(a)), key=repr))
         shape = ShTempered(pieces, ((tag, eps0, ((a, tw),)),))
         return shimura_row(place, shape)

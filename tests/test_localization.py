@@ -14,7 +14,6 @@ from mp4spectrum.localization import (
     ShSK,
     ShSoudryNonQuadratic,
     ShTempered,
-    local_characters,
     localize,
 )
 from mp4spectrum.parameters import (
@@ -58,7 +57,7 @@ def test_sk_reducible_place_kills_first_generator():
     lp, group, iota = localize(phi, places[0])
     assert isinstance(lp.shape, ShSK)
     assert group.relations == ((1, 0),)
-    chars = local_characters(group)
+    chars = group.characters()
     assert [c.values for c in chars] == [(1, 1), (1, -1)]
     # a1 maps into the killed factor: every character is trivial on its image
     for ch in chars:
@@ -71,7 +70,7 @@ def test_sk_irreducible_place_is_free():
     places, phi = _sk_parameter(shape)
     lp, group, iota = localize(phi, places[0])
     assert group.relations == ()
-    assert len(local_characters(group)) == 4
+    assert len(group.characters()) == 4
     assert iota.rows == ((1, 0), (0, 1))
 
 
@@ -90,7 +89,7 @@ def test_hps_equal_classes_quotient():
     places, phi = _hps_parameter(("u", "u"), ("u", "1"))
     lp, group, iota = localize(phi, places[0])
     assert group.relations == ((1, 1),)
-    chars = local_characters(group)
+    chars = group.characters()
     assert [c.values for c in chars] == [(1, 1), (-1, -1)]
     # both generators land on the same class
     assert iota.rows == ((1, 0), (0, 1))
@@ -98,7 +97,7 @@ def test_hps_equal_classes_quotient():
         assert ch.on(iota.image_of_generator(0)) == ch.on(iota.image_of_generator(1))
     lp2, group2, _ = localize(phi, places[1])
     assert group2.relations == ()
-    assert len(local_characters(group2)) == 4
+    assert len(group2.characters()) == 4
 
 
 def _soudry_parameter(shape_v1):
@@ -135,7 +134,7 @@ def test_soudry_split_place_maps_to_sum():
     assert isinstance(lp.shape, ShHPS)
     assert iota.rows == ((1, 1),)
     # eta(image of a1) = eps1 eps2 on the rank-2 local group
-    for ch in local_characters(group):
+    for ch in group.characters():
         e1, e2 = ch.values
         assert ch.on(iota.image_of_generator(0)) == e1 * e2
 
@@ -172,7 +171,7 @@ def test_soudry_nonquadratic_place_trivial_group():
     lp, group, iota = localize(phi, places2[0])
     assert isinstance(lp.shape, ShSoudryNonQuadratic)
     assert group.rank == 0
-    assert local_characters(group)[0].values == ()
+    assert group.characters()[0].values == ()
 
 
 def test_tempered_pieces_and_relations():
@@ -202,7 +201,7 @@ def test_tempered_pieces_and_relations():
     # real place where both localize to D_{1/2}: diagonal relation
     lp3, group3, _ = localize(phi, places[2])
     assert group3.relations == ((0, 1), (1, 0)) or len(group3.relations) == 1
-    assert len(local_characters(group3)) == 2
+    assert len(group3.characters()) == 2
 
 
 def test_localization_maps_are_linear_everywhere(rng):
@@ -218,4 +217,4 @@ def test_localization_maps_are_linear_everywhere(rng):
                     assert iota.image(xy) == tuple(
                         a ^ b for a, b in zip(iota.image(x), iota.image(y))
                     )
-            assert len(local_characters(group)) in (1, 2, 4)
+            assert len(group.characters()) in (1, 2, 4)

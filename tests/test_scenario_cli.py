@@ -318,3 +318,19 @@ def test_cli_export_tables(tmp_path, capsys):
     assert main(["export-tables", "-o", str(out_path2)]) == 0
     capsys.readouterr()
     assert out_path.read_text() == out_path2.read_text()
+
+
+MALFORMED_QUERIES = {
+    "ktype_degree_without_p": ("ktype", {"op": "degree"}, "$.query.p"),
+    "ktype_catalog_without_a": ("ktype", {"op": "catalog", "query": {"type": "discrete"}}, "$.query.query.a"),
+    "ktype_degree_p_not_int": ("ktype", {"op": "degree", "p": "x", "q": 1}, "$.query.p"),
+    "reduce_s_not_rational": ("reduce", {"group": "Mp4", "parabolic": "P1", "s": "abc"}, "$.query.s"),
+    "correspond_row_without_tau": ("correspond", {"row": {"type": "orthogonal-S2"}}, "$.query.row.tau"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_QUERIES))
+def test_cli_malformed_query_exit_typed(name, capsys):
+    sub, query, json_path = MALFORMED_QUERIES[name]
+    assert main([sub, "--query", json.dumps(query)]) == 4
+    assert json_path in capsys.readouterr().err
