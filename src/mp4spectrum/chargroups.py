@@ -93,10 +93,6 @@ class ComponentGroup(Record):
                 raise ValueError("relation length does not match basis")
 
     @property
-    def ambient_rank(self) -> int:
-        return len(self.basis)
-
-    @property
     def rank(self) -> int:
         return len(self.basis) - len(rref(self.relations, len(self.basis)))
 
@@ -139,9 +135,6 @@ class F2Character(Record):
     def on(self, vector: Sequence[int]) -> Sign:
         """Value on a group element given as an F2 vector over the basis."""
         return -1 if _dot(self.bits, vector) else 1
-
-    def on_generator(self, name: str) -> Sign:
-        return self.values[self.group.basis.index(name)]
 
     @property
     def is_trivial(self) -> bool:

@@ -26,7 +26,7 @@ import json
 import sys
 
 from . import tables
-from .descriptors import render
+from .descriptors import render, sign_label, sign_str
 from .fields import ReciprocityViolation
 from .ktypes import (
     DiscreteSeriesQuery,
@@ -55,6 +55,7 @@ from .residual import residual_spectrum
 from .scenario import (
     ScenarioValidationError,
     SchemaError,
+    _as_bool,
     _as_fraction,
     _as_int,
     _as_list,
@@ -68,14 +69,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SCHEMA = 4
-
-
-def _sign_str(s: int) -> str:
-    return "+" if s == 1 else "-"
-
-
-def _label_str(values) -> str:
-    return "(" + ",".join(_sign_str(v) for v in values) + ")"
 
 
 def _load(args) -> "Scenario":
@@ -122,7 +115,7 @@ def cmd_classify(args) -> Report:
     rep = Report("classify")
     rep.data["type"] = ptype.value
     rep.data["epsilon_tilde"] = {
-        lab: _sign_str(v) for lab, v in zip(eps.group.basis, eps.values)
+        lab: sign_str(v) for lab, v in zip(eps.group.basis, eps.values)
     }
     rep.say(f"parameter type: {ptype.value}")
     for lab, v in zip(eps.group.basis, eps.values):
@@ -139,9 +132,9 @@ def cmd_component_group(args) -> Report:
     rep = Report("component-group")
     rep.data["basis"] = list(group.basis)
     rep.data["rank"] = group.rank
-    rep.data["epsilon_tilde"] = [_sign_str(v) for v in eps.values]
+    rep.data["epsilon_tilde"] = [sign_str(v) for v in eps.values]
     rep.say(f"S_phi is free of rank {group.rank} on {', '.join(group.basis)}")
-    rep.say("eps~ = " + _label_str(eps.values))
+    rep.say("eps~ = " + sign_label(eps.values))
     locs = {}
     for p in sorted(sc.places, key=lambda p: p.id):
         lp, g, iota = localize(phi, p)
@@ -171,7 +164,7 @@ def cmd_enumerate(args) -> Report:
         for (pid, vals), (_, d) in zip(c.eta.signs(), c.local_members):
             key = (pid, vals)
             if key not in rendered:
-                rendered[key] = (_label_str(vals), render(d))
+                rendered[key] = (sign_label(vals), render(d))
             eta[pid], members[pid] = rendered[key]
         vanishing = c.has_zero_member
         shown.append({"eta": eta, "members": members, "vanishing": vanishing})
@@ -200,24 +193,16 @@ def cmd_packet(args) -> Report:
         place = sc.place(args.place)
     except KeyError:
         raise SchemaError("$.place", f"unknown place {args.place!r}") from None
-    lp, group, _ = localize(phi, place)
-    entries = local_packet(lp)
+    lp, _, _ = localize(phi, place)
+    entries = [e.rendered() for e in local_packet(lp)]
     rep = Report("packet")
     rep.data["place"] = place.id
     rep.data["kind"] = place.kind
-    rep.data["entries"] = [
-        {
-            "label": _label_str(e.label.values),
-            "member": render(e.member),
-            "in_l_packet": e.in_l_packet,
-            "zero": e.is_zero,
-        }
-        for e in entries
-    ]
+    rep.data["entries"] = entries
     rep.say(f"packet at {place.id} ({place.kind}):")
     for e in entries:
-        mark = " *L" if e.in_l_packet else ""
-        rep.say(f"  {_label_str(e.label.values)}  {render(e.member)}{mark}")
+        mark = " *L" if e["in_l_packet"] else ""
+        rep.say(f"  {e['label']}  {e['member']}{mark}")
     return rep
 
 
@@ -242,19 +227,12 @@ def cmd_correspond(args) -> Report:
     row = tables.shimura_row_from_query(q)
     rep = Report("correspond")
     rep.data["row"] = row.name
-    rep.data["entries"] = [
-        {
-            "label": _label_str(e.label),
-            "mp": render(e.mp),
-            "so_space": f"V2{_sign_str(e.so_space)}",
-            "so": render(e.so),
-        }
-        for e in row.entries
-    ]
+    entries = [e.rendered() for e in row.entries]
+    rep.data["entries"] = entries
     rep.say(f"row: {row.name}")
-    for e in row.entries:
-        rep.say(f"  {_label_str(e.label)}  Mp: {render(e.mp)}")
-        rep.say(f"          SO(V2{_sign_str(e.so_space)}): {render(e.so)}")
+    for e in entries:
+        rep.say(f"  {e['label']}  Mp: {e['mp']}")
+        rep.say(f"          SO({e['so_space']}): {e['so']}")
     # round-trip check: SO descriptor -> label -> Mp member, must be a bijection
     for e in row.entries:
         lab, mp = row.to_mp(e.so)
@@ -288,9 +266,9 @@ def cmd_reduce(args) -> Report:
     if "tau" in q:
         kwargs["tau"] = tables.gl2_from_query(q["tau"])
     if "omega_trivial" in q:
-        kwargs["omega_trivial"] = bool(q["omega_trivial"])
+        kwargs["omega_trivial"] = _as_bool(q["omega_trivial"], "$.query.omega_trivial")
     if "self_dual" in q:
-        kwargs["self_dual"] = bool(q["self_dual"])
+        kwargs["self_dual"] = _as_bool(q["self_dual"], "$.query.self_dual")
     for key in _REDUCE_NEEDS.get((group, parabolic), ()):
         _require(q, key, "$.query")
     result = reducibility_oracle(group, parabolic, **kwargs)

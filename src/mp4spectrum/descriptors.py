@@ -395,8 +395,16 @@ def _render_piece(p) -> str:
     return f"{name[5:] if name.startswith('Piece') else name}({vals})"
 
 
+def sign_str(s: Sign) -> str:
+    return "+" if s == 1 else "-"
+
+
+def sign_label(values) -> str:
+    """A character label written as its signs, e.g. "(+,-)"."""
+    return "(" + ",".join(map(sign_str, values)) + ")"
+
+
 def render(d: Desc) -> str:
-    sgn = {1: "+", -1: "-"}
     if isinstance(d, (St2, SC2, RealD)):
         return _render_gl2(d)
     if isinstance(d, Zero):
@@ -410,21 +418,19 @@ def render(d: Desc) -> str:
     if isinstance(d, MpRealDS2):
         return f"D~_{_render_frac(d.a)}"
     if isinstance(d, Mp2Member):
-        return f"pi0^{sgn[d.eps]}[{d.tag}]"
+        return f"pi0^{sign_str(d.eps)}[{d.tag}]"
     if isinstance(d, MpDS4):
-        lab = ",".join(sgn[e] for e in d.label)
         par = "+".join(_render_piece(p) for p in d.lparam)
-        return f"pi^({lab})[{par}]"
+        return f"pi^{sign_label(d.label)}[{par}]"
     if isinstance(d, SODS):
-        lab = ",".join(sgn[e] for e in d.label)
         par = "+".join(_render_piece(p) for p in d.lparam)
-        return f"sigma^({lab})[{par}]"
+        return f"sigma^{sign_label(d.label)}[{par}]"
     if isinstance(d, RealLKT):
         return "pi_LKT(" + ",".join(_render_frac(w) for w in d.weights) + ")"
     if isinstance(d, MpStPair):
         return f"St~(chi[{d.label}], {render(d.inner)})"
     if isinstance(d, MpStTwist):
-        return f"St~^{sgn[d.sign]}_chi[{d.label}]"
+        return f"St~^{sign_str(d.sign)}_chi[{d.label}]"
     if isinstance(d, MpStTau):
         return f"St~({_render_gl2(d.tau)})"
     if isinstance(d, MpGenNG):
@@ -432,18 +438,18 @@ def render(d: Desc) -> str:
     if isinstance(d, NuChar):
         return f"nu[{d.label}]"
     if isinstance(d, SOStPair):
-        return f"St^{sgn[d.space_eps]}(chi[{d.label}], {render(d.inner)})"
+        return f"St^{sign_str(d.space_eps)}(chi[{d.label}], {render(d.inner)})"
     if isinstance(d, SOStTwist):
-        return f"St^{sgn[d.space_eps]}_chi[{d.label}]"
+        return f"St^{sign_str(d.space_eps)}_chi[{d.label}]"
     if isinstance(d, SOStTau):
         return f"St^+({_render_gl2(d.tau)})"
     if isinstance(d, SOGenNG):
         return f"sigma_{'gen' if d.generic else 'ng'}({_render_gl2(d.tau)})"
     if isinstance(d, OExt):
-        return f"({render(d.base)})^{sgn[d.sign]}"
+        return f"({render(d.base)})^{sign_str(d.sign)}"
     if isinstance(d, ThetaLift):
-        tgt = f"W{d.n}" if d.to_metaplectic else f"V{d.r}{sgn[d.space_eps]}"
-        src = f"V{d.r}{sgn[d.space_eps]}" if d.to_metaplectic else f"W{d.n}"
+        tgt = f"W{d.n}" if d.to_metaplectic else f"V{d.r}{sign_str(d.space_eps)}"
+        src = f"V{d.r}{sign_str(d.space_eps)}" if d.to_metaplectic else f"W{d.n}"
         return f"theta[{src}->{tgt}, psi_{d.twist}]({render(d.source)})"
     if isinstance(d, TwistNu):
         return f"{render(d.base)} (x) nu[{d.label}]"

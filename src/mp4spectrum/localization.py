@@ -42,7 +42,6 @@ from .parameters import (
     RhoSteinberg,
     SymplecticShape,
     classify,
-    component_group,
 )
 from .record import Record
 
@@ -167,60 +166,66 @@ class LocalParam(Record):
     shape: LocalShape
 
 
-def _free(labels: tuple[str, ...], relations=()) -> ComponentGroup:
-    return ComponentGroup(basis=labels, relations=tuple(relations))
+def local_group(shape: LocalShape) -> ComponentGroup:
+    """The local component group a shape determines, per the table above."""
+    if isinstance(shape, (ShPrincipal, ShSoudryIrreducible)):
+        return ComponentGroup(("a1",))
+    if isinstance(shape, ShSK):
+        if isinstance(shape.rho, RhoPrincipalSeries):
+            return ComponentGroup(("a1", "a2"), ((1, 0),))
+        return ComponentGroup(("a1", "a2"))
+    if isinstance(shape, ShHPS):
+        if shape.a == shape.b:
+            return ComponentGroup(("a1", "a2"), ((1, 1),))
+        return ComponentGroup(("a1", "a2"))
+    if isinstance(shape, ShSoudryNonQuadratic):
+        return ComponentGroup(())
+    if isinstance(shape, ShTempered):
+        gens = [p for p in shape.pieces if contributes_generator(p)]
+        relations = []
+        for j in range(len(gens)):
+            for k in range(j + 1, len(gens)):
+                if gens[j] == gens[k]:
+                    rel = [0] * len(gens)
+                    rel[j] = rel[k] = 1
+                    relations.append(tuple(rel))
+        return ComponentGroup(tuple(f"g{k}" for k in range(len(gens))), tuple(relations))
+    raise TypeError(f"not a local shape: {shape!r}")
 
 
 def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup, LocalizationMap]:
     """Local shape, local component group, and the canonical map at one place."""
     ptype = classify(phi)
-    global_basis = component_group(phi).basis
+    global_basis = phi.basis_labels()
 
-    def result(shape, group, rows):
+    def result(shape, rows):
+        group = local_group(shape)
         lp = LocalParam(place=place, ptype=ptype, shape=shape)
         return lp, group, LocalizationMap(source_basis=global_basis, target=group, rows=tuple(rows))
 
     if ptype is ParamType.PRINCIPAL:
         elem = phi.summands[0][0]
-        group = _free(("a1",))
-        return result(ShPrincipal(elem.local(place)), group, [(1,)])
+        return result(ShPrincipal(elem.local(place)), [(1,)])
 
     if ptype is ParamType.SAITO_KUROKAWA:
         (rho, _), (elem, _) = phi.summands
-        shape = rho.local[place.id]
-        a = elem.local(place)
-        if isinstance(shape, RhoPrincipalSeries):
-            group = _free(("a1", "a2"), relations=[(1, 0)])
-        else:
-            group = _free(("a1", "a2"))
-        return result(ShSK(rho.name, shape, a), group, [(1, 0), (0, 1)])
+        return result(ShSK(rho.name, rho.local[place.id], elem.local(place)), [(1, 0), (0, 1)])
 
     if ptype is ParamType.HOWE_PS:
         (e1, _), (e2, _) = phi.summands
-        a, b = e1.local(place), e2.local(place)
-        if a == b:
-            group = _free(("a1", "a2"), relations=[(1, 1)])
-        else:
-            group = _free(("a1", "a2"))
-        return result(ShHPS(a, b), group, [(1, 0), (0, 1)])
+        return result(ShHPS(e1.local(place), e2.local(place)), [(1, 0), (0, 1)])
 
     if ptype is ParamType.SOUDRY:
         rho = phi.summands[0][0]
         shape = rho.local[place.id]
         if isinstance(shape, (RhoDihedralSupercuspidal, RhoRealOrthogonalDiscrete)):
-            group = _free(("a1",))
-            return result(ShSoudryIrreducible(rho.name, shape), group, [(1,)])
+            return result(ShSoudryIrreducible(rho.name, shape), [(1,)])
         if isinstance(shape, RhoReducibleOrthogonal):
-            group = _free(())
-            return result(ShSoudryNonQuadratic(shape.chi), group, [()])
+            return result(ShSoudryNonQuadratic(shape.chi), [()])
         assert isinstance(shape, RhoQuadraticPair)
         a = place.class_from_label(min(shape.a, shape.b))
         b = place.class_from_label(max(shape.a, shape.b))
-        if a == b:
-            group = _free(("a1", "a2"), relations=[(1, 1)])
-        else:
-            group = _free(("a1", "a2"))
-        return result(ShHPS(a, b), group, [(1, 1)])
+        return result(ShHPS(a, b), [(1, 1)])
 
     # tempered: generators come from the declared local decomposition
     pieces_by_summand: list[list[TemperedPiece]] = []
@@ -237,15 +242,6 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
             else:
                 tail.append(piece)
     gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
-    labels = tuple(f"g{k}" for k in range(len(gens)))
-    relations = []
-    for j in range(len(gens)):
-        for k in range(j + 1, len(gens)):
-            if gens[j][0] == gens[k][0]:
-                rel = [0] * len(gens)
-                rel[j] = rel[k] = 1
-                relations.append(tuple(rel))
-    group = _free(labels, relations)
     rows = []
     for i in range(len(phi.summands)):
         rows.append(tuple(1 if gi == i else 0 for _, gi in gens))
@@ -253,4 +249,4 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
     packed_signs = tuple(
         (tag, eps, tuple(sorted(twists.items()))) for tag, (eps, twists) in sorted(sc_signs.items())
     )
-    return result(ShTempered(ordered_pieces, packed_signs), group, rows)
+    return result(ShTempered(ordered_pieces, packed_signs), rows)

@@ -81,10 +81,8 @@ def prepare_local_data(phi: AParameter, places: list[Place]) -> list[LocalData]:
     out = []
     for place in sorted(places, key=lambda p: p.id):
         lp, group, iota = localize(phi, place)
-        chars = tuple(group.characters())
         entries = tuple(local_packet(lp))
-        assert tuple(e.label for e in entries) == chars
-        out.append(LocalData(place, lp, group, iota, chars, entries))
+        out.append(LocalData(place, lp, group, iota, tuple(e.label for e in entries), entries))
     return out
 
 

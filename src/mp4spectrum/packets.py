@@ -14,7 +14,7 @@ All tables are compiled in; lookups are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from .chargroups import ComponentGroup, F2Character
+from .chargroups import F2Character
 from .descriptors import (
     MP4,
     Desc,
@@ -53,6 +53,8 @@ from .descriptors import (
     lq,
     render,
     seg,
+    sign_label,
+    sign_str,
 )
 from .fields import Place, Sign, SquareClass, chi_minus_one
 from .ktypes import lowest_kprime_discrete
@@ -69,6 +71,7 @@ from .localization import (
     ShSoudryIrreducible,
     ShSoudryNonQuadratic,
     ShTempered,
+    local_group,
 )
 from .parameters import (
     RhoDihedralSupercuspidal,
@@ -104,6 +107,14 @@ class PacketEntry(Record):
     @property
     def is_zero(self) -> bool:
         return isinstance(self.member, Zero)
+
+    def rendered(self) -> dict:
+        return {
+            "label": sign_label(self.label.values),
+            "member": render(self.member),
+            "in_l_packet": self.in_l_packet,
+            "zero": self.is_zero,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -227,41 +238,6 @@ def _wald_member(rho, rho_name: str, eps1: Sign) -> Desc:
         lam = Fraction(2 * rho.kappa - 1, 2)
         return MpRealDS2(lam if eps1 == 1 else -lam)
     raise UnsupportedShape(f"no rank-1 packet for {rho!r}")
-
-
-# ---------------------------------------------------------------------------
-# component groups attached to shapes (mirrors localization, kept local so the
-# packet engine is usable on bare shapes)
-
-
-def group_of_shape(lp: LocalParam) -> ComponentGroup:
-    shape = lp.shape
-    if isinstance(shape, ShPrincipal):
-        return ComponentGroup(("a1",))
-    if isinstance(shape, ShSK):
-        if isinstance(shape.rho, RhoPrincipalSeries):
-            return ComponentGroup(("a1", "a2"), ((1, 0),))
-        return ComponentGroup(("a1", "a2"))
-    if isinstance(shape, ShHPS):
-        if shape.a == shape.b:
-            return ComponentGroup(("a1", "a2"), ((1, 1),))
-        return ComponentGroup(("a1", "a2"))
-    if isinstance(shape, ShSoudryIrreducible):
-        return ComponentGroup(("a1",))
-    if isinstance(shape, ShSoudryNonQuadratic):
-        return ComponentGroup(())
-    if isinstance(shape, ShTempered):
-        gens = [p for p in shape.pieces if not isinstance(p, PiecePS)]
-        labels = tuple(f"g{k}" for k in range(len(gens)))
-        relations = []
-        for j in range(len(gens)):
-            for k in range(j + 1, len(gens)):
-                if gens[j] == gens[k]:
-                    rel = [0] * len(gens)
-                    rel[j] = rel[k] = 1
-                    relations.append(tuple(rel))
-        return ComponentGroup(labels, tuple(relations))
-    raise UnsupportedShape(f"unknown shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +378,8 @@ def _tempered_entries(place: Place, shape: ShTempered, chars) -> list[PacketEntr
 
 def local_packet(lp: LocalParam) -> list[PacketEntry]:
     """The packet entries at a local parameter, one per admissible character."""
-    group = group_of_shape(lp)
-    chars = group.characters()
     shape = lp.shape
+    chars = local_group(shape).characters()
     if isinstance(shape, ShPrincipal):
         return _principal_entries(lp.place, shape.a, chars)
     if isinstance(shape, ShSK):
@@ -413,9 +388,8 @@ def local_packet(lp: LocalParam) -> list[PacketEntry]:
         return _hps_entries(lp.place, shape, chars)
     if isinstance(shape, (ShSoudryIrreducible, ShSoudryNonQuadratic)):
         return _soudry_entries(lp.place, shape, chars)
-    if isinstance(shape, ShTempered):
-        return _tempered_entries(lp.place, shape, chars)
-    raise UnsupportedShape(f"unknown shape {shape!r}")
+    # local_group has already rejected anything that is not a local shape
+    return _tempered_entries(lp.place, shape, chars)
 
 
 def designated_l_packet_member(lp: LocalParam) -> Desc:
@@ -454,6 +428,14 @@ class SCEntry(Record):
     mp: Desc
     so_space: Sign
     so: Desc
+
+    def rendered(self) -> dict:
+        return {
+            "label": sign_label(self.label),
+            "mp": render(self.mp),
+            "so_space": f"V2{sign_str(self.so_space)}",
+            "so": render(self.so),
+        }
 
 
 class SCRow(Record):
@@ -515,11 +497,7 @@ def shimura_row(place: Place, shape: ShTempered) -> SCRow:
     """
     if not place.is_nonarch:
         raise RowNotFound("rows are tabulated at nonarchimedean places only")
-    return shimura_row_for_pieces(place, shape)
-
-
-def shimura_row_for_pieces(place: Place, shape: ShTempered) -> SCRow:
-    pieces = [p for p in shape.pieces]
+    pieces = list(shape.pieces)
     if any(isinstance(p, PiecePS) for p in pieces):
         raise RowNotFound("principal-series constituents are outside the table")
     sc_signs = {tag: (eps, dict(tw)) for tag, eps, tw in shape.sc_signs}

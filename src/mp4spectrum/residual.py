@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .descriptors import Desc, render
+from .descriptors import Desc, render, sign_str
 from .fields import GlobalElement, Place
 from .localization import localize
 from .packets import designated_l_packet_member, local_packet
@@ -69,7 +69,7 @@ class ResidualConstituent(Record):
 
 
 def _entry(phi: AParameter, place: Place, label: tuple) -> Desc:
-    lp, group, _ = localize(phi, place)
+    lp, _, _ = localize(phi, place)
     for e in local_packet(lp):
         if e.label.values == label:
             return e.member
@@ -152,7 +152,7 @@ def residual_spectrum(
                     continue
                 eps1 = dict(zip((p.id for p in irr), signs))
                 members = [(p.id, _entry(phi, p, (eps1.get(p.id, 1), 1))) for p in places]
-                sig = "".join("+" if eps1.get(p.id, 1) == 1 else "-" for p in places)
+                sig = "".join(sign_str(eps1.get(p.id, 1)) for p in places)
                 add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, members)
 
     # P1, Howe-PS family: ordered pairs with chi_{1,v} != chi_{2,v} on S(pi)

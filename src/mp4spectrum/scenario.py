@@ -179,6 +179,12 @@ def _as_sign(value: Any, path: str) -> int:
     return value
 
 
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {value!r}")
@@ -342,10 +348,10 @@ def scenario_from_dict(data: Any) -> Scenario:
                     str(k): _as_sign(v, f"{path}.twisted_roots.{k}") for k, v in twisted_raw.items()
                 },
                 l_half_nonzero={
-                    str(k): bool(v)
+                    str(k): _as_bool(v, f"{path}.l_half_nonzero.{k}")
                     for k, v in _as_object(draw.get("l_half_nonzero", {}), f"{path}.l_half_nonzero").items()
                 },
-                dihedral=bool(draw.get("dihedral", False)),
+                dihedral=_as_bool(draw.get("dihedral", False), f"{path}.dihedral"),
                 central_char=central_char,
             )
         except InvalidParameter as exc:

@@ -25,6 +25,8 @@ from .descriptors import (
     WeilOdd,
     elementary_weil,
     render,
+    sign_label,
+    sign_str,
 )
 from .fields import KINDS, Place, hilbert
 from .ktypes import (
@@ -64,7 +66,7 @@ from .parameters import (
     RhoRealOrthogonalDiscrete,
     RhoSteinberg,
 )
-from .scenario import SchemaError, _as_fraction, _as_list, _as_object, _as_sign, _require
+from .scenario import SchemaError, _as_bool, _as_fraction, _as_list, _as_object, _as_sign, _require
 
 HALF = Fraction(1, 2)
 
@@ -76,7 +78,7 @@ def char_from_query(q) -> QuadChar | TagChar:
     if "class" in q:
         return QuadChar(str(q["class"]))
     if "tag" in q:
-        return TagChar(str(q["tag"]), bool(q.get("inverted", False)))
+        return TagChar(str(q["tag"]), _as_bool(q.get("inverted", False), "$.query.chi.inverted"))
     raise SchemaError("$.query.chi", "expected {'class': ...} or {'tag': ...}")
 
 
@@ -171,10 +173,6 @@ def shimura_row_from_query(q) -> SCRow:
 # atlas export
 
 
-def _sgn(v: int) -> str:
-    return "+" if v == 1 else "-"
-
-
 def _hilbert_tables() -> dict:
     out = {}
     for kind in KINDS:
@@ -188,18 +186,6 @@ def _hilbert_tables() -> dict:
             },
         }
     return out
-
-
-def _packet_entries(lp: LocalParam) -> list:
-    return [
-        {
-            "label": "(" + ",".join(_sgn(v) for v in e.label.values) + ")",
-            "member": render(e.member),
-            "in_l_packet": e.in_l_packet,
-            "zero": e.is_zero,
-        }
-        for e in local_packet(lp)
-    ]
 
 
 def _sample_shapes(place: Place) -> list[tuple[str, LocalParam]]:
@@ -271,23 +257,10 @@ def _packet_tables() -> dict:
     out = {}
     for kind in KINDS:
         place = Place("v", kind)
-        out[kind] = {name: _packet_entries(lp) for name, lp in _sample_shapes(place)}
+        out[kind] = {
+            name: [e.rendered() for e in local_packet(lp)] for name, lp in _sample_shapes(place)
+        }
     return out
-
-
-def _row_json(row: SCRow) -> dict:
-    return {
-        "name": row.name,
-        "entries": [
-            {
-                "label": "(" + ",".join(_sgn(v) for v in e.label) + ")",
-                "mp": render(e.mp),
-                "so_space": f"V2{_sgn(e.so_space)}",
-                "so": render(e.so),
-            }
-            for e in row.entries
-        ],
-    }
 
 
 def _shimura_tables() -> list:
@@ -317,7 +290,7 @@ def _shimura_tables() -> list:
         shimura_row(place, ShTempered(tuple(sorted((PieceSt("1"), PieceSt("u")), key=repr)))),
         shimura_row(place, ShTempered((PieceSt("u"), PieceSt("u")))),
     ]
-    return [_row_json(r) for r in rows]
+    return [{"name": r.name, "entries": [e.rendered() for e in r.entries]} for r in rows]
 
 
 def _reducibility_tables() -> list:
@@ -361,7 +334,7 @@ def _elementary_weil_tables() -> dict:
     for n in (1, 2, 3):
         for parity in (1, -1):
             for label in ("1", "u"):
-                out[f"omega{_sgn(parity)}_W{n}_psi[{label}]"] = render(elementary_weil(n, parity, label))
+                out[f"omega{sign_str(parity)}_W{n}_psi[{label}]"] = render(elementary_weil(n, parity, label))
     return out
 
 
@@ -373,7 +346,7 @@ def _ktype_tables() -> dict:
                 if a == b and e1 != e2:
                     continue
                 kt = lowest_kprime_catalog(DiscreteSeriesQuery(a, b, e1, e2))[0]
-                ds[f"a={a},b={b},label=({_sgn(e1)},{_sgn(e2)})"] = [str(w) for w in kt.weights]
+                ds[f"a={a},b={b},label={sign_label((e1, e2))}"] = [str(w) for w in kt.weights]
     lang = {
         "J_P1(chi+, a=3/2, s=1)": lowest_kprime_catalog(LanglandsP1Query(1, Fraction(3, 2), Fraction(1))),
         "J_P1(chi-, a=3/2, s=1)": lowest_kprime_catalog(LanglandsP1Query(-1, Fraction(3, 2), Fraction(1))),

@@ -48,7 +48,6 @@ from mp4spectrum.localization import (
 from mp4spectrum.packets import (
     UnsupportedInduction,
     designated_l_packet_member,
-    group_of_shape,
     hps_quaternion_data,
     local_packet,
     mp_st_pair,
@@ -338,9 +337,11 @@ def test_l_packet_members_nonzero_and_designated(rng):
             assert all_plus.member == designated_l_packet_member(lp)
 
 
-def test_group_of_shape_matches_localization(rng):
+def test_packet_labels_are_the_local_characters(rng):
+    # the multiplicity module indexes packet entries by position in
+    # group.characters(), so the two lists must agree entry for entry
     for lp, group, iota in _all_sample_params(rng):
-        assert group_of_shape(lp) == group
+        assert [e.label for e in local_packet(lp)] == group.characters()
 
 
 def test_sk_vanishing_case_list(rng):

@@ -170,6 +170,11 @@ SCHEMA_MUTATIONS = {
         lambda d: d["cuspidal"][0].__setitem__("central_char", "zz"),
         "$.cuspidal[0].central_char",
     ),
+    "dihedral_string": (
+        "soudry.json",
+        lambda d: d["cuspidal"][0].__setitem__("dihedral", "false"),
+        "$.cuspidal[0].dihedral",
+    ),
 }
 
 
@@ -326,6 +331,17 @@ MALFORMED_QUERIES = {
     "ktype_degree_p_not_int": ("ktype", {"op": "degree", "p": "x", "q": 1}, "$.query.p"),
     "reduce_s_not_rational": ("reduce", {"group": "Mp4", "parabolic": "P1", "s": "abc"}, "$.query.s"),
     "correspond_row_without_tau": ("correspond", {"row": {"type": "orthogonal-S2"}}, "$.query.row.tau"),
+    "reduce_omega_trivial_string": (
+        "reduce",
+        {
+            "group": "Mp4",
+            "parabolic": "P2",
+            "tau": {"type": "supercuspidal", "tag": "t"},
+            "s": "1/2",
+            "omega_trivial": "false",
+        },
+        "$.query.omega_trivial",
+    ),
 }
 
 
