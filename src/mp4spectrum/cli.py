@@ -15,6 +15,10 @@ Subcommands:
   export-tables    emit the compiled tables as JSON
   self-test        enumeration against the brute-force oracle
 
+Each subcommand builds its result dict once.  ``--format json`` prints
+that dict; ``--format text`` renders it through the command's ``_*_text``
+function, which is called only then.
+
 Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error.
 """
 
@@ -27,7 +31,6 @@ import sys
 
 from . import tables
 from .descriptors import render, sign_label, sign_str
-from .fields import ReciprocityViolation
 from .ktypes import (
     DiscreteSeriesQuery,
     KTypeO,
@@ -43,6 +46,7 @@ from .ktypes import (
 from .localization import localize
 from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents
 from .packets import (
+    REDUCTIONS,
     RowNotFound,
     UnsupportedInduction,
     UnsupportedShape,
@@ -50,7 +54,7 @@ from .packets import (
     reducibility_oracle,
 )
 from .parameters import InvalidParameter, MissingSignData, classify, component_group, epsilon_tilde
-from .reports import Report
+from .reports import Report, dumps
 from .residual import residual_spectrum
 from .scenario import (
     ScenarioValidationError,
@@ -61,6 +65,7 @@ from .scenario import (
     _as_list,
     _as_object,
     _as_sign,
+    _as_str,
     _require,
     load_scenario,
 )
@@ -85,25 +90,22 @@ def _need_parameter(sc):
 
 def cmd_validate(args) -> Report:
     sc = _load(args)
-    rep = Report("validate")
-    recip = sc.reciprocity_report()
-    rep.data["reciprocity"] = {
-        "ok": recip.ok,
-        "checked_pairs": recip.checked_pairs,
-        "violation": list(recip.violation) if recip.violation else None,
+    recip = sc.validate()
+    data = {
+        "reciprocity": {"ok": recip.ok, "checked_pairs": recip.checked_pairs, "violation": recip.violation},
+        "places": [{"id": p.id, "kind": p.kind} for p in sc.places],
+        "elements": sorted(e.name for e in sc.elements),
+        "ok": True,
     }
-    if not recip.ok:
-        a, b, prod = recip.violation
-        rep.say(f"FAIL reciprocity: pair ({a}, {b}) has product {prod:+d}")
-        raise ReciprocityViolation(a, b, prod)
-    sc.validate()
-    rep.data["places"] = [{"id": p.id, "kind": p.kind} for p in sc.places]
-    rep.data["elements"] = sorted(e.name for e in sc.elements)
-    rep.data["ok"] = True
-    rep.say(f"reciprocity: OK ({recip.checked_pairs} ordered pairs)")
-    rep.say(f"cuspidal sign products: OK ({len(sc.cuspidal)} data)")
-    rep.say("scenario is valid")
-    return rep
+    return Report("validate", data, functools.partial(_validate_text, cuspidal=len(sc.cuspidal)))
+
+
+def _validate_text(d, cuspidal):
+    return [
+        f"reciprocity: OK ({d['reciprocity']['checked_pairs']} ordered pairs)",
+        f"cuspidal sign products: OK ({cuspidal} data)",
+        "scenario is valid",
+    ]
 
 
 def cmd_classify(args) -> Report:
@@ -112,15 +114,17 @@ def cmd_classify(args) -> Report:
     phi = _need_parameter(sc)
     ptype = classify(phi)
     eps = epsilon_tilde(phi)
-    rep = Report("classify")
-    rep.data["type"] = ptype.value
-    rep.data["epsilon_tilde"] = {
-        lab: sign_str(v) for lab, v in zip(eps.group.basis, eps.values)
+    data = {
+        "type": ptype.value,
+        "epsilon_tilde": {lab: sign_str(v) for lab, v in zip(eps.group.basis, eps.values)},
     }
-    rep.say(f"parameter type: {ptype.value}")
-    for lab, v in zip(eps.group.basis, eps.values):
-        rep.say(f"  eps~({lab}) = {v:+d}")
-    return rep
+    return Report("classify", data, _classify_text)
+
+
+def _classify_text(d):
+    yield f"parameter type: {d['type']}"
+    for lab, s in d["epsilon_tilde"].items():
+        yield f"  eps~({lab}) = {s}1"
 
 
 def cmd_component_group(args) -> Report:
@@ -129,12 +133,6 @@ def cmd_component_group(args) -> Report:
     phi = _need_parameter(sc)
     group = component_group(phi)
     eps = epsilon_tilde(phi)
-    rep = Report("component-group")
-    rep.data["basis"] = list(group.basis)
-    rep.data["rank"] = group.rank
-    rep.data["epsilon_tilde"] = [sign_str(v) for v in eps.values]
-    rep.say(f"S_phi is free of rank {group.rank} on {', '.join(group.basis)}")
-    rep.say("eps~ = " + sign_label(eps.values))
     locs = {}
     for p in sorted(sc.places, key=lambda p: p.id):
         lp, g, iota = localize(phi, p)
@@ -143,9 +141,20 @@ def cmd_component_group(args) -> Report:
             "characters": g.order(),
             "map": [list(r) for r in iota.rows],
         }
-        rep.say(f"  at {p.id}: local rank {g.rank}, {g.order()} characters")
-    rep.data["localizations"] = locs
-    return rep
+    data = {
+        "basis": list(group.basis),
+        "rank": group.rank,
+        "epsilon_tilde": [sign_str(v) for v in eps.values],
+        "localizations": locs,
+    }
+    return Report("component-group", data, _component_group_text)
+
+
+def _component_group_text(d):
+    yield f"S_phi is free of rank {d['rank']} on {', '.join(d['basis'])}"
+    yield "eps~ = (" + ",".join(d["epsilon_tilde"]) + ")"
+    for pid, loc in d["localizations"].items():
+        yield f"  at {pid}: local rank {loc['rank']}, {loc['characters']} characters"
 
 
 def cmd_enumerate(args) -> Report:
@@ -153,7 +162,6 @@ def cmd_enumerate(args) -> Report:
     sc.validate()
     phi = _need_parameter(sc)
     cons = enumerate_constituents(phi, sc.places, include_vanishing=args.verbose)
-    rep = Report("enumerate")
     shown = []
     count = 0
     # the member at a place is a function of the local character there, so
@@ -170,17 +178,19 @@ def cmd_enumerate(args) -> Report:
         shown.append({"eta": eta, "members": members, "vanishing": vanishing})
         if not vanishing:
             count += 1
-    rep.data["count"] = count
-    rep.data["constituents"] = shown
-    rep.say(f"{count} constituents")
-    for entry in shown:
+    data = {"count": count, "constituents": shown}
+    return Report("enumerate", data, functools.partial(_enumerate_text, verbose=args.verbose))
+
+
+def _enumerate_text(d, verbose):
+    yield f"{d['count']} constituents"
+    for entry in d["constituents"]:
         eta = " ".join(f"{pid}:{lab}" for pid, lab in sorted(entry["eta"].items()))
         flag = "  [vanishing member]" if entry["vanishing"] else ""
-        rep.say(f"  {eta}{flag}")
-        if args.verbose:
-            for pid, d in sorted(entry["members"].items()):
-                rep.say(f"      {pid}: {d}")
-    return rep
+        yield f"  {eta}{flag}"
+        if verbose:
+            for pid, member in sorted(entry["members"].items()):
+                yield f"      {pid}: {member}"
 
 
 def cmd_packet(args) -> Report:
@@ -194,16 +204,19 @@ def cmd_packet(args) -> Report:
     except KeyError:
         raise SchemaError("$.place", f"unknown place {args.place!r}") from None
     lp, _, _ = localize(phi, place)
-    entries = [e.rendered() for e in local_packet(lp)]
-    rep = Report("packet")
-    rep.data["place"] = place.id
-    rep.data["kind"] = place.kind
-    rep.data["entries"] = entries
-    rep.say(f"packet at {place.id} ({place.kind}):")
-    for e in entries:
+    data = {
+        "place": place.id,
+        "kind": place.kind,
+        "entries": [e.rendered() for e in local_packet(lp)],
+    }
+    return Report("packet", data, _packet_text)
+
+
+def _packet_text(d):
+    yield f"packet at {d['place']} ({d['kind']}):"
+    for e in d["entries"]:
         mark = " *L" if e["in_l_packet"] else ""
-        rep.say(f"  {e['label']}  {e['member']}{mark}")
-    return rep
+        yield f"  {e['label']}  {e['member']}{mark}"
 
 
 def _query_of(args) -> dict:
@@ -225,40 +238,29 @@ def _query_of(args) -> dict:
 def cmd_correspond(args) -> Report:
     q = _query_of(args)
     row = tables.shimura_row_from_query(q)
-    rep = Report("correspond")
-    rep.data["row"] = row.name
-    entries = [e.rendered() for e in row.entries]
-    rep.data["entries"] = entries
-    rep.say(f"row: {row.name}")
-    for e in entries:
-        rep.say(f"  {e['label']}  Mp: {e['mp']}")
-        rep.say(f"          SO({e['so_space']}): {e['so']}")
     # round-trip check: SO descriptor -> label -> Mp member, must be a bijection
     for e in row.entries:
         lab, mp = row.to_mp(e.so)
         assert lab == e.label and mp == e.mp
-    rep.data["round_trip"] = "ok"
-    rep.say("round trip: ok")
-    return rep
+    data = {"row": row.name, "entries": [e.rendered() for e in row.entries], "round_trip": "ok"}
+    return Report("correspond", data, _correspond_text)
 
 
-# the inducing data each (group, parabolic) pair of the oracle reads
-_REDUCE_NEEDS = {
-    ("Mp4", "P1"): ("chi", "s", "inner"),
-    ("Mp4", "P2"): ("tau", "s"),
-    ("SO5+", "Q1"): ("chi", "s", "inner"),
-    ("SO5+", "Q2"): ("tau", "s"),
-    ("SO5-", "Q1"): ("chi", "s", "inner"),
-}
+def _correspond_text(d):
+    yield f"row: {d['row']}"
+    for e in d["entries"]:
+        yield f"  {e['label']}  Mp: {e['mp']}"
+        yield f"          SO({e['so_space']}): {e['so']}"
+    yield f"round trip: {d['round_trip']}"
 
 
 def cmd_reduce(args) -> Report:
     q = _query_of(args)
-    group = str(q.get("group", "Mp4"))
-    parabolic = str(q.get("parabolic", "P1"))
+    group = _as_str(q.get("group", "Mp4"), "$.query.group")
+    parabolic = _as_str(q.get("parabolic", "P1"), "$.query.parabolic")
     kwargs = {}
     if "chi" in q:
-        kwargs["char"] = tables.char_from_query(q["chi"])
+        kwargs["chi"] = tables.char_from_query(q["chi"])
     if "s" in q:
         kwargs["s"] = _as_fraction(q["s"], "$.query.s")
     if "inner" in q:
@@ -269,24 +271,24 @@ def cmd_reduce(args) -> Report:
         kwargs["omega_trivial"] = _as_bool(q["omega_trivial"], "$.query.omega_trivial")
     if "self_dual" in q:
         kwargs["self_dual"] = _as_bool(q["self_dual"], "$.query.self_dual")
-    for key in _REDUCE_NEEDS.get((group, parabolic), ()):
+    _, needs = REDUCTIONS.get((group, parabolic), (None, ()))
+    for key in needs:
         _require(q, key, "$.query")
     result = reducibility_oracle(group, parabolic, **kwargs)
-    rep = Report("reduce")
-    rep.data["reducible"] = result.reducible
-    rep.data["direct_sum"] = result.direct_sum
-    rep.data["constituents"] = [render(c) for c in result.constituents]
-    if not result.reducible:
-        rep.say("irreducible")
-    elif result.direct_sum:
-        rep.say("direct sum:")
-        for c in result.constituents:
-            rep.say(f"  (+) {render(c)}")
-    else:
-        rep.say("composition series (sub, then quotient):")
-        for c in result.constituents:
-            rep.say(f"  {render(c)}")
-    return rep
+    data = {
+        "reducible": result.reducible,
+        "direct_sum": result.direct_sum,
+        "constituents": [render(c) for c in result.constituents],
+    }
+    return Report("reduce", data, _reduce_text)
+
+
+def _reduce_text(d):
+    if not d["reducible"]:
+        return ["irreducible"]
+    if d["direct_sum"]:
+        return ["direct sum:", *(f"  (+) {c}" for c in d["constituents"])]
+    return ["composition series (sub, then quotient):", *(f"  {c}" for c in d["constituents"])]
 
 
 def _int_list(q: dict, key: str, path: str) -> tuple:
@@ -335,72 +337,76 @@ def _catalog_query(sub):
 def cmd_ktype(args) -> Report:
     q = _query_of(args)
     op = q.get("op")
-    rep = Report("ktype")
     if op == "degree" or op == "harmonics":
         mu = _ktype_o(q)
-        rep.data["degree"] = degree_o(mu)
-        rep.say(f"deg = {degree_o(mu)}")
+        data = {"degree": degree_o(mu)}
         if op == "harmonics":
             mp = joint_harmonics(mu, _as_int(q.get("n", 2), "$.query.n"))
-            rep.data["kprime"] = [str(w) for w in mp.weights]
-            rep.say("K'-type: (" + ", ".join(str(w) for w in mp.weights) + ")")
-        return rep
+            data["kprime"] = [str(w) for w in mp.weights]
+        return Report("ktype", data, _ktype_text)
     if op == "catalog":
         result = lowest_kprime_catalog(_catalog_query(q.get("query", {})))
-        rep.data["lowest_kprime_types"] = [[str(w) for w in kt.weights] for kt in result]
-        for kt in result:
-            rep.say("(" + ", ".join(str(w) for w in kt.weights) + ")")
-        return rep
+        data = {"lowest_kprime_types": [[str(w) for w in kt.weights] for kt in result]}
+        return Report("ktype", data, _ktype_text)
     raise SchemaError("$.query.op", f"unknown op {op!r}; use degree, harmonics, or catalog")
+
+
+def _ktype_text(d):
+    if "degree" in d:
+        yield f"deg = {d['degree']}"
+    if "kprime" in d:
+        yield "K'-type: (" + ", ".join(d["kprime"]) + ")"
+    for weights in d.get("lowest_kprime_types", ()):
+        yield "(" + ", ".join(weights) + ")"
 
 
 def cmd_residual(args) -> Report:
     sc = _load(args)
     sc.validate()
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    rep = Report("residual")
-    rep.data["count"] = len(cons)
-    rep.data["constituents"] = [c.rendered() for c in cons]
-    rep.say(f"{len(cons)} residual constituents")
-    for c in cons:
-        rep.say(f"  [{c.support}] {c.name}  ({c.family})")
-        if args.verbose:
-            for pid, d in c.descriptor:
-                rep.say(f"      {pid}: {render(d)}")
-    return rep
+    data = {"count": len(cons), "constituents": [c.rendered() for c in cons]}
+    return Report("residual", data, functools.partial(_residual_text, verbose=args.verbose))
+
+
+def _residual_text(d, verbose):
+    yield f"{d['count']} residual constituents"
+    for c in d["constituents"]:
+        yield f"  [{c['support']}] {c['name']}  ({c['family']})"
+        if verbose:
+            for pid, member in c["members"].items():
+                yield f"      {pid}: {member}"
 
 
 def cmd_export_tables(args) -> Report:
     data = tables.export_all()
-    rep = Report("export-tables")
-    rep.data.update(data)
-    rep.say(json.dumps(data, indent=2, ensure_ascii=False))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, ensure_ascii=False)
-        rep.lines = [f"tables written to {args.output}"]
-    return rep
+            fh.write(dumps(data))
+    return Report("export-tables", data, functools.partial(_export_tables_text, output=args.output))
+
+
+def _export_tables_text(d, output):
+    return [f"tables written to {output}" if output else dumps(d)]
 
 
 def cmd_self_test(args) -> Report:
     sc = _load(args)
     sc.validate()
     phi = _need_parameter(sc)
-    cons = enumerate_constituents(phi, sc.places)
+    enumerated = len(enumerate_constituents(phi, sc.places))
     oracle = brute_force_count(phi, sc.places)
-    rep = Report("self-test")
-    rep.data["enumerated"] = len(cons)
-    rep.data["oracle"] = oracle
-    rep.data["ok"] = len(cons) == oracle
-    rep.say(f"enumerate_constituents: {len(cons)}")
-    rep.say(f"brute_force_count:      {oracle}")
-    if len(cons) != oracle:
-        rep.say("MISMATCH")
-        raise ScenarioValidationError(
-            f"self-test mismatch: enumerated {len(cons)}, oracle {oracle}"
-        )
-    rep.say("self-test: OK")
-    return rep
+    if enumerated != oracle:
+        raise ScenarioValidationError(f"self-test mismatch: enumerated {enumerated}, oracle {oracle}")
+    data = {"enumerated": enumerated, "oracle": oracle, "ok": True}
+    return Report("self-test", data, _self_test_text)
+
+
+def _self_test_text(d):
+    return [
+        f"enumerate_constituents: {d['enumerated']}",
+        f"brute_force_count:      {d['oracle']}",
+        "self-test: OK",
+    ]
 
 
 COMMANDS = {
@@ -444,7 +450,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ScenarioValidationError, ReciprocityViolation, InvalidParameter, MissingSignData) as exc:
+    except (ScenarioValidationError, InvalidParameter, MissingSignData) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (

@@ -30,12 +30,7 @@ from .record import Record
 
 Sign = int
 
-MP2 = ("Mp", 1)
 MP4 = ("Mp", 2)
-
-
-def so_group(n: int, eps: Sign) -> tuple:
-    return ("SO", n, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +321,6 @@ def dsum(*parts: Desc) -> Desc:
     return DSum(tuple(sorted(flat, key=repr)))
 
 
-def weil_odd_dual(label: str, minus_one_label: str, mul) -> WeilOdd:
-    """(omega^-_{W_1, psi_a})^dual = omega^-_{W_1, psi_{-a}}."""
-    return WeilOdd(mul(label, minus_one_label))
-
-
 def elementary_weil(n: int, parity: Sign, label: str) -> Desc:
     """The elementary Weil representations of Mp(W_n) w.r.t. psi_a.
 
@@ -359,16 +349,12 @@ def _render_char(ch: CharAtom) -> str:
     return f"{ch.tag}^-1" if ch.inverted else ch.tag
 
 
-def _render_frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _render_gl2(rep: GL2Rep) -> str:
     if isinstance(rep, St2):
         return f"st_chi[{rep.label}]"
     if isinstance(rep, SC2):
         return f"sc[{rep.tag}]"
-    return f"D_{_render_frac(rep.a)}"
+    return f"D_{rep.a}"
 
 
 def _render_group(group: tuple) -> str:
@@ -416,7 +402,7 @@ def render(d: Desc) -> str:
     if isinstance(d, MpSt2):
         return f"st~_chi[{d.label}]"
     if isinstance(d, MpRealDS2):
-        return f"D~_{_render_frac(d.a)}"
+        return f"D~_{d.a}"
     if isinstance(d, Mp2Member):
         return f"pi0^{sign_str(d.eps)}[{d.tag}]"
     if isinstance(d, MpDS4):
@@ -426,7 +412,7 @@ def render(d: Desc) -> str:
         par = "+".join(_render_piece(p) for p in d.lparam)
         return f"sigma^{sign_label(d.label)}[{par}]"
     if isinstance(d, RealLKT):
-        return "pi_LKT(" + ",".join(_render_frac(w) for w in d.weights) + ")"
+        return "pi_LKT(" + ",".join(map(str, d.weights)) + ")"
     if isinstance(d, MpStPair):
         return f"St~(chi[{d.label}], {render(d.inner)})"
     if isinstance(d, MpStTwist):
@@ -461,9 +447,9 @@ def render(d: Desc) -> str:
         for s in d.segs:
             if isinstance(s, Seg):
                 base = _render_char(s.char)
-                parts.append(f"|.|^{_render_frac(s.s)}" if base == "1" else f"{base}|.|^{_render_frac(s.s)}")
+                parts.append(f"|.|^{s.s}" if base == "1" else f"{base}|.|^{s.s}")
             else:
-                parts.append(f"{_render_gl2(s.rep)}|det|^{_render_frac(s.s)}")
+                parts.append(f"{_render_gl2(s.rep)}|det|^{s.s}")
         if d.inner is not None:
             parts.append(render(d.inner))
         psi = ",psi" if d.group[0] == "Mp" else ""

@@ -74,12 +74,6 @@ class PlaceMismatch(ValueError):
     """Square classes from different places were combined."""
 
 
-class ReciprocityViolation(Exception):
-    def __init__(self, a: str, b: str, product: Sign):
-        self.a, self.b, self.product = a, b, product
-        super().__init__(f"Hilbert reciprocity fails for ({a}, {b}): product = {product:+d}")
-
-
 class Place(Record, order=True):
     id: str
     kind: str
@@ -227,11 +221,6 @@ class ReciprocityReport(Record):
     ok: bool
     checked_pairs: int
     violation: tuple[str, str, Sign] | None = None
-
-    def raise_on_failure(self) -> None:
-        if not self.ok:
-            assert self.violation is not None
-            raise ReciprocityViolation(*self.violation)
 
 
 def validate_reciprocity(places: Sequence[Place], elements: Iterable[GlobalElement]) -> ReciprocityReport:

@@ -791,21 +791,24 @@ def reduce_so5_minus_q1(char, s: Fraction, inner: Desc) -> ReductionResult:
     return IRREDUCIBLE
 
 
-def reducibility_oracle(group: str, parabolic: str, **kwargs) -> ReductionResult:
-    """Dispatch by (group, parabolic): Mp4/P1, Mp4/P2, SO5+/Q1, SO5+/Q2, SO5-/Q1."""
-    key = (group, parabolic)
-    if key == ("Mp4", "P1"):
-        return reduce_mp4_p1(kwargs["char"], kwargs["s"], kwargs["inner"])
-    if key == ("Mp4", "P2"):
-        return reduce_mp4_p2(
-            kwargs["tau"], kwargs["s"], kwargs.get("omega_trivial"), kwargs.get("self_dual", True)
-        )
-    if key == ("SO5+", "Q1"):
-        return reduce_so5_plus_q1(kwargs["char"], kwargs["s"], kwargs["inner"])
-    if key == ("SO5+", "Q2"):
-        return reduce_so5_plus_q2(
-            kwargs["tau"], kwargs["s"], kwargs.get("omega_trivial"), kwargs.get("self_dual", True)
-        )
-    if key == ("SO5-", "Q1"):
-        return reduce_so5_minus_q1(kwargs["char"], kwargs["s"], kwargs["inner"])
-    raise UnsupportedInduction(f"no composition-series data for {group}/{parabolic}")
+# the reduction for each (group, parabolic) pair and the inducing data it
+# reads, in its argument order; the GL(2) ones also read omega_trivial and
+# self_dual when given
+REDUCTIONS = {
+    ("Mp4", "P1"): (reduce_mp4_p1, ("chi", "s", "inner")),
+    ("Mp4", "P2"): (reduce_mp4_p2, ("tau", "s")),
+    ("SO5+", "Q1"): (reduce_so5_plus_q1, ("chi", "s", "inner")),
+    ("SO5+", "Q2"): (reduce_so5_plus_q2, ("tau", "s")),
+    ("SO5-", "Q1"): (reduce_so5_minus_q1, ("chi", "s", "inner")),
+}
+
+
+def reducibility_oracle(group: str, parabolic: str, **data) -> ReductionResult:
+    """Dispatch by (group, parabolic) through ``REDUCTIONS``; ``data`` is keyed as there."""
+    if (group, parabolic) not in REDUCTIONS:
+        raise UnsupportedInduction(f"no composition-series data for {group}/{parabolic}")
+    reduce, needs = REDUCTIONS[group, parabolic]
+    args = [data[key] for key in needs]
+    if "tau" in needs:
+        args += [data.get("omega_trivial"), data.get("self_dual", True)]
+    return reduce(*args)

@@ -1,29 +1,29 @@
-"""Report objects: one machine-readable dict, one human-readable text form.
+"""Reports: one result dict per command, rendered as JSON or as text.
 
-The machine form is plain JSON-serializable data with deterministic
-ordering, so exported atlases diff cleanly across runs.
+The JSON form is plain JSON-serializable data with deterministic
+ordering, so exported atlases diff cleanly across runs.  The text form is
+a rendering of the same dict, built only when it is asked for.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, Iterable
 
-from .record import Record, field
+from .record import Record
 
 
-class Report(Record, frozen=False):
+def dumps(data) -> str:
+    """The package's one JSON writer: two-space indent, non-ASCII kept."""
+    return json.dumps(data, indent=2, ensure_ascii=False)
+
+
+class Report(Record):
     command: str
-    data: dict = field(default_factory=dict)
-    lines: list = field(default_factory=list)
-
-    def say(self, text: str = "") -> None:
-        self.lines.append(text)
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, **self.data}, indent=2, ensure_ascii=False)
-
-    def to_text(self) -> str:
-        return "\n".join(self.lines)
+    data: dict
+    text: Callable[[dict], Iterable[str]]  # data -> the lines of the text form
 
     def emit(self, fmt: str) -> str:
-        return self.to_json() if fmt == "json" else self.to_text()
+        if fmt == "json":
+            return dumps({"command": self.command, **self.data})
+        return "\n".join(self.text(self.data))

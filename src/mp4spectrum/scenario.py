@@ -46,7 +46,7 @@ from .parameters import (
     local_eps_twist,
     shape_allowed,
 )
-from .record import Record, field
+from .record import Record
 from .residual import Mp2CuspidalWeil
 
 SCHEMA_VERSION = 1
@@ -68,7 +68,6 @@ class Scenario(Record, frozen=False):
     cuspidal: list[CuspidalDatum]
     mp2_weil: list[Mp2CuspidalWeil]
     parameter: AParameter | None
-    raw: dict = field(default_factory=dict, repr=False)
 
     def element(self, name: str) -> GlobalElement:
         for e in self.elements:
@@ -85,7 +84,8 @@ class Scenario(Record, frozen=False):
     def reciprocity_report(self) -> ReciprocityReport:
         return validate_reciprocity(self.places, self.elements)
 
-    def validate(self) -> None:
+    def validate(self) -> ReciprocityReport:
+        """Run every check in order; returns the (passing) reciprocity report."""
         report = self.reciprocity_report()
         if not report.ok:
             a, b, prod = report.violation
@@ -100,6 +100,7 @@ class Scenario(Record, frozen=False):
             w.validate(pids, names)
         if self.parameter is not None:
             classify(self.parameter)
+        return report
 
     def _validate_datum(self, datum: CuspidalDatum) -> None:
         for p in self.places:
@@ -182,6 +183,12 @@ def _as_sign(value: Any, path: str) -> int:
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(path, f"expected a string, got {value!r}")
     return value
 
 
@@ -403,7 +410,6 @@ def scenario_from_dict(data: Any) -> Scenario:
         cuspidal=cuspidal,
         mp2_weil=mp2,
         parameter=parameter,
-        raw=dict(data),
     )
 
 

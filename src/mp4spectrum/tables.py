@@ -66,9 +66,14 @@ from .parameters import (
     RhoRealOrthogonalDiscrete,
     RhoSteinberg,
 )
-from .scenario import SchemaError, _as_bool, _as_fraction, _as_list, _as_object, _as_sign, _require
+from .scenario import SchemaError, _as_bool, _as_fraction, _as_list, _as_object, _as_sign, _as_str, _require
 
 HALF = Fraction(1, 2)
+
+
+def _text(obj: dict, key: str, path: str) -> str:
+    """The required string ``obj[key]`` of a query object at ``path``."""
+    return _as_str(_require(obj, key, path), f"{path}.{key}")
 
 
 def char_from_query(q) -> QuadChar | TagChar:
@@ -76,9 +81,9 @@ def char_from_query(q) -> QuadChar | TagChar:
         return QuadChar(q)
     q = _as_object(q, "$.query.chi")
     if "class" in q:
-        return QuadChar(str(q["class"]))
+        return QuadChar(_text(q, "class", "$.query.chi"))
     if "tag" in q:
-        return TagChar(str(q["tag"]), _as_bool(q.get("inverted", False), "$.query.chi.inverted"))
+        return TagChar(_text(q, "tag", "$.query.chi"), _as_bool(q.get("inverted", False), "$.query.chi.inverted"))
     raise SchemaError("$.query.chi", "expected {'class': ...} or {'tag': ...}")
 
 
@@ -87,9 +92,9 @@ def gl2_from_query(q) -> St2 | SC2 | RealD:
     q = _as_object(q, path)
     t = q.get("type")
     if t == "steinberg":
-        return St2(str(_require(q, "class", path)))
+        return St2(_text(q, "class", path))
     if t == "supercuspidal":
-        return SC2(str(_require(q, "tag", path)))
+        return SC2(_text(q, "tag", path))
     if t == "real-discrete":
         return RealD(_as_fraction(_require(q, "a", path), f"{path}.a"))
     raise SchemaError(path, f"unknown GL(2) datum {t!r}")
@@ -100,24 +105,24 @@ def descriptor_from_query(q):
     q = _as_object(q, path)
     t = q.get("type")
     if t == "weil-odd":
-        return WeilOdd(str(_require(q, "class", path)))
+        return WeilOdd(_text(q, "class", path))
     if t == "weil-even":
-        return WeilEven(str(_require(q, "class", path)))
+        return WeilEven(_text(q, "class", path))
     if t == "mp-steinberg":
-        return MpSt2(str(_require(q, "class", path)))
+        return MpSt2(_text(q, "class", path))
     if t == "mp2-member":
-        return Mp2Member(str(_require(q, "tag", path)), _as_sign(q.get("eps", 1), f"{path}.eps"))
+        return Mp2Member(_text(q, "tag", path), _as_sign(q.get("eps", 1), f"{path}.eps"))
     if t == "gl2-steinberg":
-        return St2(str(_require(q, "class", path)))
+        return St2(_text(q, "class", path))
     if t == "so3-supercuspidal":
-        return Opaque("sigma_sc", (str(_require(q, "tag", path)),))
+        return Opaque("sigma_sc", (_text(q, "tag", path),))
     if t == "nu":
-        return NuChar(str(_require(q, "class", path)))
+        return NuChar(_text(q, "class", path))
     raise SchemaError(path, f"unknown inducing representation {t!r}")
 
 
 def shimura_row_from_query(q) -> SCRow:
-    kind = str(q.get("place_kind", "nonarch-odd-3mod4"))
+    kind = _as_str(q.get("place_kind", "nonarch-odd-3mod4"), "$.query.place_kind")
     if kind not in KINDS:
         raise SchemaError("$.query.place_kind", f"unknown place kind {kind!r}")
     place = Place("v", kind)
@@ -125,11 +130,11 @@ def shimura_row_from_query(q) -> SCRow:
     row = _as_object(q.get("row"), path)
 
     def text(key):
-        return str(_require(row, key, path))
+        return _text(row, key, path)
 
     t = row.get("type")
     if t == "steinberg-S4":
-        label = str(row.get("a", "1"))
+        label = _as_str(row.get("a", "1"), f"{path}.a")
         try:
             a = place.class_from_label(label)
         except ValueError as exc:
@@ -144,7 +149,7 @@ def shimura_row_from_query(q) -> SCRow:
         tags = _as_list(_require(row, "tags", path), f"{path}.tags")
         if len(tags) != 2:
             raise SchemaError(f"{path}.tags", f"expected two tags, got {tags!r}")
-        t1, t2 = (str(x) for x in tags)
+        t1, t2 = (_as_str(x, f"{path}.tags[{i}]") for i, x in enumerate(tags))
         shape = ShTempered(tuple(sorted((PieceSC(t1), PieceSC(t2)), key=repr)))
         return shimura_row(place, shape)
     if t == "double-supercuspidal":

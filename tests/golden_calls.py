@@ -1,9 +1,10 @@
 """The CLI calls whose stdout is pinned under tests/golden/.
 
-Scenario calls are named ``<fixture>.<variant>.<format>``, packet tables
-``<fixture>.packet-<place>.json``, and calls without a scenario
-``<name>.json``.  Kept free of pytest so that ``tools/check_python.py``
-can replay them on interpreters without it.
+Scenario calls are named ``<fixture>.<variant>.<ext>``, packet tables
+``<fixture>.packet-<place>.<ext>``, and calls without a scenario
+``<name>.<ext>``; ``.json`` files hold the ``--format json`` output and
+``.txt`` files the ``--format text`` output.  Kept free of pytest so that
+``tools/check_python.py`` can replay them on interpreters without it.
 """
 
 import json
@@ -15,6 +16,8 @@ GOLDEN = os.path.join(HERE, "golden")
 
 FIXTURE_NAMES = ("hps", "hps_degenerate", "principal", "sk", "sk_steinberg", "soudry", "tempered")
 
+FORMATS = {"json": "json", "txt": "text"}
+
 VARIANTS = {
     "enumerate.json": ["enumerate", "--format", "json"],
     "enumerate-verbose.json": ["enumerate", "--verbose", "--format", "json"],
@@ -25,29 +28,35 @@ VARIANTS = {
     "classify.json": ["classify", "--format", "json"],
     "validate.json": ["validate", "--format", "json"],
     "self-test.json": ["self-test", "--format", "json"],
+    "validate.txt": ["validate", "--format", "text"],
+    "classify.txt": ["classify", "--format", "text"],
+    "component-group.txt": ["component-group", "--format", "text"],
+    "enumerate.txt": ["enumerate", "--format", "text"],
+    "residual.txt": ["residual", "--format", "text"],
+    "self-test.txt": ["self-test", "--format", "text"],
 }
 
-# calls that take no scenario: the table export and the accepted queries
-# of tests/test_scenario_cli.py
-SCENARIO_FREE = {
-    "export-tables.json": ["export-tables"],
-    "correspond.json": [
+# calls that take no scenario, by stem: the table export and the accepted
+# queries of tests/test_scenario_cli.py; each is pinned in both formats
+SCENARIO_FREE_CALLS = {
+    "export-tables": ["export-tables"],
+    "correspond": [
         "correspond",
         "--query",
         '{"place_kind": "nonarch-odd-3mod4", "row": {"type": "steinberg-S4", "a": "u"}}',
     ],
-    "reduce.json": [
+    "reduce": [
         "reduce",
         "--query",
         '{"group": "Mp4", "parabolic": "P1", "chi": {"class": "u"}, "s": "1/2",'
         ' "inner": {"type": "mp-steinberg", "class": "u"}}',
     ],
-    "ktype-degree.json": [
+    "ktype-degree": [
         "ktype",
         "--query",
         '{"op": "degree", "p": 2, "q": 1, "a": [0], "eps": -1, "b": [], "delta": -1}',
     ],
-    "ktype-catalog.json": [
+    "ktype-catalog": [
         "ktype",
         "--query",
         '{"op": "catalog", "query": {"type": "discrete", "a": "5/2", "b": "3/2", "eps1": 1, "eps2": 1}}',
@@ -64,6 +73,8 @@ def _places(fixture):
         return [p["id"] for p in json.load(fh)["places"]]
 
 
+SCENARIO_FREE = [f"{stem}.{ext}" for stem in SCENARIO_FREE_CALLS for ext in FORMATS]
+
 PACKETS = [(fixture, pid) for fixture in FIXTURE_NAMES for pid in _places(fixture)]
 
 
@@ -73,9 +84,10 @@ def golden_calls():
     for fixture in FIXTURE_NAMES:
         for variant, argv in VARIANTS.items():
             calls[f"{fixture}.{variant}"] = argv + ["--scenario", _scenario(fixture)]
-    for fixture, pid in PACKETS:
-        argv = ["packet", "--place", pid, "--format", "json", "--scenario", _scenario(fixture)]
-        calls[f"{fixture}.packet-{pid}.json"] = argv
-    for name, argv in SCENARIO_FREE.items():
-        calls[name] = argv + ["--format", "json"]
+    for ext, fmt in FORMATS.items():
+        for fixture, pid in PACKETS:
+            argv = ["packet", "--place", pid, "--format", fmt, "--scenario", _scenario(fixture)]
+            calls[f"{fixture}.packet-{pid}.{ext}"] = argv
+        for stem, argv in SCENARIO_FREE_CALLS.items():
+            calls[f"{stem}.{ext}"] = argv + ["--format", fmt]
     return calls

@@ -11,7 +11,9 @@ import os
 import pytest
 
 from golden_calls import FIXTURE_NAMES, GOLDEN, PACKETS, SCENARIO_FREE, VARIANTS, golden_calls
-from mp4spectrum.cli import main
+from mp4spectrum import cli
+from mp4spectrum.cli import COMMANDS, main
+from mp4spectrum.reports import Report
 
 
 def _check(name, argv, capsys):
@@ -33,6 +35,44 @@ def test_cli_packet_matches_golden(fixture, place, capsys):
     _check(name, golden_calls()[name], capsys)
 
 
+@pytest.mark.parametrize("fixture,place", PACKETS)
+def test_cli_packet_text_matches_golden(fixture, place, capsys):
+    name = f"{fixture}.packet-{place}.txt"
+    _check(name, golden_calls()[name], capsys)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIO_FREE))
 def test_cli_scenario_free_output_matches_golden(name, capsys):
     _check(name, golden_calls()[name], capsys)
+
+
+def _refuse_text(monkeypatch):
+    """Make every text renderer fail the test if it is called.
+
+    Both the module's ``_<command>_text`` functions and whatever renderer a
+    command hands to its report are replaced.
+    """
+
+    def refuser(command):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command}: text form rendered")
+
+        return refuse
+
+    for command in COMMANDS:
+        monkeypatch.setattr(cli, f"_{command.replace('-', '_')}_text", refuser(command))
+    monkeypatch.setattr(cli, "Report", lambda command, data, text: Report(command, data, refuser(command)))
+
+
+def test_json_form_renders_no_text(monkeypatch, capsys):
+    _refuse_text(monkeypatch)
+    json_calls = {name: argv for name, argv in golden_calls().items() if name.endswith(".json")}
+    assert {argv[0] for argv in json_calls.values()} == set(COMMANDS)
+    for name, argv in json_calls.items():
+        _check(name, argv, capsys)
+
+
+def test_text_form_calls_the_renderer(monkeypatch):
+    _refuse_text(monkeypatch)
+    with pytest.raises(AssertionError, match="classify: text form rendered"):
+        main(golden_calls()["sk.classify.txt"])

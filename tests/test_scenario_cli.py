@@ -209,6 +209,16 @@ def test_cli_validate_reciprocity_failure(tmp_path, capsys):
     assert "t" in err and "-1" in err or "reciprocity" in err
 
 
+def test_cli_validate_checks_reciprocity_once(monkeypatch, capsys):
+    from mp4spectrum import scenario
+
+    calls = []
+    check = scenario.validate_reciprocity
+    monkeypatch.setattr(scenario, "validate_reciprocity", lambda *a: calls.append(a) or check(*a))
+    assert main(["validate", "--scenario", fixture_path("sk.json"), "--format", "json"]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_schema_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -342,6 +352,18 @@ MALFORMED_QUERIES = {
         },
         "$.query.omega_trivial",
     ),
+    "reduce_chi_class_null": (
+        "reduce",
+        {
+            "group": "Mp4",
+            "parabolic": "P1",
+            "chi": {"class": None},
+            "s": "1/2",
+            "inner": {"type": "weil-odd", "class": "u"},
+        },
+        "$.query.chi.class",
+    ),
+    "correspond_tau_null": ("correspond", {"row": {"type": "orthogonal-S2", "tau": None}}, "$.query.row.tau"),
 }
 
 
