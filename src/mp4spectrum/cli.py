@@ -169,10 +169,10 @@ def cmd_enumerate(args) -> Report:
     rendered = {}
     for c in cons:
         eta, members = {}, {}
-        for (pid, vals), (_, d) in zip(c.eta.signs(), c.local_members):
-            key = (pid, vals)
+        for (pid, ch), (_, d) in zip(c.eta.components, c.local_members):
+            key = (pid, ch.bits)
             if key not in rendered:
-                rendered[key] = (sign_label(vals), render(d))
+                rendered[key] = (sign_label(ch.values), render(d))
             eta[pid], members[pid] = rendered[key]
         vanishing = c.has_zero_member
         shown.append({"eta": eta, "members": members, "vanishing": vanishing})

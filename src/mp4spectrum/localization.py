@@ -16,7 +16,9 @@ packet constructions:
                     a diagonal relation for repeated constituents
 
 Each global generator maps to the sum of the local generators of the
-constituents its summand splits into.
+constituents its summand splits into.  Relations and images are masks
+in the convention of ``chargroups``: local generator 0 is the most
+significant bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .chargroups import ComponentGroup, LocalizationMap
+from .chargroups import ComponentGroup, LocalizationMap, to_mask
 from .fields import Place, SquareClass
 from .parameters import (
     AParameter,
@@ -172,60 +174,59 @@ def local_group(shape: LocalShape) -> ComponentGroup:
         return ComponentGroup(("a1",))
     if isinstance(shape, ShSK):
         if isinstance(shape.rho, RhoPrincipalSeries):
-            return ComponentGroup(("a1", "a2"), ((1, 0),))
+            return ComponentGroup(("a1", "a2"), (0b10,))
         return ComponentGroup(("a1", "a2"))
     if isinstance(shape, ShHPS):
         if shape.a == shape.b:
-            return ComponentGroup(("a1", "a2"), ((1, 1),))
+            return ComponentGroup(("a1", "a2"), (0b11,))
         return ComponentGroup(("a1", "a2"))
     if isinstance(shape, ShSoudryNonQuadratic):
         return ComponentGroup(())
     if isinstance(shape, ShTempered):
         gens = [p for p in shape.pieces if contributes_generator(p)]
-        relations = []
-        for j in range(len(gens)):
-            for k in range(j + 1, len(gens)):
-                if gens[j] == gens[k]:
-                    rel = [0] * len(gens)
-                    rel[j] = rel[k] = 1
-                    relations.append(tuple(rel))
-        return ComponentGroup(tuple(f"g{k}" for k in range(len(gens))), tuple(relations))
+        n = len(gens)
+        relations = tuple(
+            (1 << (n - 1 - j)) | (1 << (n - 1 - k))
+            for j in range(n)
+            for k in range(j + 1, n)
+            if gens[j] == gens[k]
+        )
+        return ComponentGroup(tuple(f"g{k}" for k in range(n)), relations)
     raise TypeError(f"not a local shape: {shape!r}")
 
 
 def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup, LocalizationMap]:
     """Local shape, local component group, and the canonical map at one place."""
     ptype = classify(phi)
-    global_basis = phi.basis_labels()
 
-    def result(shape, rows):
+    def result(shape, images):
         group = local_group(shape)
         lp = LocalParam(place=place, ptype=ptype, shape=shape)
-        return lp, group, LocalizationMap(source_basis=global_basis, target=group, rows=tuple(rows))
+        return lp, group, LocalizationMap(target=group, images=tuple(images))
 
     if ptype is ParamType.PRINCIPAL:
         elem = phi.summands[0][0]
-        return result(ShPrincipal(elem.local(place)), [(1,)])
+        return result(ShPrincipal(elem.local(place)), [0b1])
 
     if ptype is ParamType.SAITO_KUROKAWA:
         (rho, _), (elem, _) = phi.summands
-        return result(ShSK(rho.name, rho.local[place.id], elem.local(place)), [(1, 0), (0, 1)])
+        return result(ShSK(rho.name, rho.local[place.id], elem.local(place)), [0b10, 0b01])
 
     if ptype is ParamType.HOWE_PS:
         (e1, _), (e2, _) = phi.summands
-        return result(ShHPS(e1.local(place), e2.local(place)), [(1, 0), (0, 1)])
+        return result(ShHPS(e1.local(place), e2.local(place)), [0b10, 0b01])
 
     if ptype is ParamType.SOUDRY:
         rho = phi.summands[0][0]
         shape = rho.local[place.id]
         if isinstance(shape, (RhoDihedralSupercuspidal, RhoRealOrthogonalDiscrete)):
-            return result(ShSoudryIrreducible(rho.name, shape), [(1,)])
+            return result(ShSoudryIrreducible(rho.name, shape), [0b1])
         if isinstance(shape, RhoReducibleOrthogonal):
-            return result(ShSoudryNonQuadratic(shape.chi), [()])
+            return result(ShSoudryNonQuadratic(shape.chi), [0])
         assert isinstance(shape, RhoQuadraticPair)
         a = place.class_from_label(min(shape.a, shape.b))
         b = place.class_from_label(max(shape.a, shape.b))
-        return result(ShHPS(a, b), [(1, 1)])
+        return result(ShHPS(a, b), [0b11])
 
     # tempered: generators come from the declared local decomposition
     pieces_by_summand: list[list[TemperedPiece]] = []
@@ -242,11 +243,9 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
             else:
                 tail.append(piece)
     gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
-    rows = []
-    for i in range(len(phi.summands)):
-        rows.append(tuple(1 if gi == i else 0 for _, gi in gens))
+    images = [to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands))]
     ordered_pieces = tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr))
     packed_signs = tuple(
         (tag, eps, tuple(sorted(twists.items()))) for tag, (eps, twists) in sorted(sc_signs.items())
     )
-    return result(ShTempered(ordered_pieces, packed_signs), rows)
+    return result(ShTempered(ordered_pieces, packed_signs), images)

@@ -9,9 +9,9 @@ image of a_i under the localization map.  The multiplicity of pi_eta is
 Two counting routes are kept deliberately independent:
 
   * enumerate_constituents solves the F2-affine system cut out by the
-    pullback condition (basis of each local character subgroup, affine
-    solve, kernel enumeration) and then filters out tuples with a
-    vanishing local member;
+    pullback condition (one affine solve over the concatenated local
+    character masks, kernel enumeration) and then filters out tuples
+    with a vanishing local member;
   * brute_force_count iterates the full product of local character lists
     and applies the definitional test tuple by tuple.
 
@@ -27,7 +27,7 @@ from .descriptors import Zero
 from .fields import Place
 from .localization import LocalParam, localize
 from .packets import PacketEntry, local_packet
-from .parameters import AParameter, epsilon_tilde
+from .parameters import AParameter, component_group, epsilon_tilde
 from .record import Record
 
 
@@ -51,7 +51,7 @@ class AdelicCharacter(Record):
         return tuple((pid, ch.values) for pid, ch in self.components)
 
     def sort_key(self) -> tuple:
-        # lexicographic over (place id, character bits), +1 before -1
+        # lexicographic over (place id, character mask), +1 before -1
         return tuple((pid, ch.bits) for pid, ch in self.components)
 
 
@@ -88,15 +88,11 @@ def prepare_local_data(phi: AParameter, places: list[Place]) -> list[LocalData]:
 
 def diagonal_pullback(phi: AParameter, places: list[Place], eta: AdelicCharacter) -> F2Character:
     """Delta^* eta on the global component group."""
-    from .parameters import component_group
-
-    group = component_group(phi)
-    values = [1] * len(group.basis)
+    bits = 0
     for place in places:
         _, _, iota = localize(phi, place)
-        for i, sign in enumerate(iota.pullback(eta.component(place.id))):
-            values[i] *= sign
-    return F2Character(group, tuple(values))
+        bits ^= iota.pullback(eta.component(place.id))
+    return F2Character(component_group(phi), bits)
 
 
 def multiplicity(phi: AParameter, places: list[Place], eta: AdelicCharacter) -> int:
@@ -114,74 +110,38 @@ def _constituent(eta_pairs: list, member_pairs: list, choice: tuple) -> Constitu
     return Constituent(eta, tuple(map(getitem, member_pairs, choice)), multiplicity=1)
 
 
-def _local_kernel(group: ComponentGroup) -> list:
-    """Basis of the sign-exponent vectors orthogonal to the group's relations."""
-    n = len(group.basis)
-    if not group.relations:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    sol = solve_affine(list(group.relations), [0] * len(group.relations), n)
-    assert sol is not None
-    return sol[1]
-
-
-def _index_table(ld: LocalData, kernel: list) -> tuple:
-    """Character index in ld.characters for each coefficient word over the kernel.
-
-    Bit k of a word is the coefficient of kernel[k]; the kernel spans
-    exactly the characters of the group, so every word has an index.
-    """
-    index_of = {ch.bits: i for i, ch in enumerate(ld.characters)}
-    span = [(0,) * len(ld.group.basis)]
-    for bvec in kernel:
-        span += [tuple(a ^ b for a, b in zip(v, bvec)) for v in span]
-    return tuple(index_of[v] for v in span)
-
-
-def _to_int(vec) -> int:
-    return sum(1 << j for j, bit in enumerate(vec) if bit)
-
-
 def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]):
-    """Index tuples of all adelic characters with Delta^* eta = eps~.
+    """Index tuples of all adelic characters with Delta^* eta = eps~, in order.
 
-    Unknowns are the concatenated coefficient words of the local
-    characters over a basis of each local character group.  The affine
-    solve runs once; each solution is an int bitmask whose slice at a
-    place indexes that place's precomputed table into ld.characters.
-    The global kernel is a basis, so no solution repeats.
+    The unknown is the concatenation of the local character masks, the
+    first place most significant, so ascending solutions are adelic
+    characters in AdelicCharacter.sort_key order.  Its equations are one
+    parity per global generator (eta on the images of that generator has
+    product eps~) and one per local relation (eta is trivial on it).
+    The affine solve runs once and the global kernel is a basis, so no
+    solution repeats.
     """
     eps = epsilon_tilde(phi)
-    local_bases = []
-    slices = []  # (offset, mask, index table) per place
+    rows = [0] * len(eps.group.basis)
+    relations = []
+    slices = []  # (shift, mask, character index by mask) per place
     width = 0
-    for ld in locals_:
-        kernel = _local_kernel(ld.group)
-        local_bases.append(kernel)
-        slices.append((width, (1 << len(kernel)) - 1, _index_table(ld, kernel)))
-        width += len(kernel)
-
-    # rows: one per global generator; unknowns: coefficients over the local bases
-    rows = []
-    rhs = []
-    for i in range(len(eps.group.basis)):
-        row = []
-        for ld, basis in zip(locals_, local_bases):
-            img = ld.iota.image_of_generator(i)
-            row.extend(sum(a & b for a, b in zip(bvec, img)) % 2 for bvec in basis)
-        rows.append(row)
-        rhs.append(0 if eps.values[i] == 1 else 1)
-    solved = solve_affine(rows, rhs, width)
+    for ld in reversed(locals_):
+        n = len(ld.group.basis)
+        rows = [row | (img << width) for row, img in zip(rows, ld.iota.images)]
+        relations += [r << width for r in ld.group.relations]
+        slices.append((width, (1 << n) - 1, {ch.bits: i for i, ch in enumerate(ld.characters)}))
+        width += n
+    slices.reverse()
+    solved = solve_affine(rows + relations, eps.bits << len(relations), width)
     if solved is None:
         return
     x0, kernel = solved
-    x0 = _to_int(x0)
-    span = [0]
-    for bvec in kernel:
-        b = _to_int(bvec)
+    span = [x0]
+    for b in kernel:
         span += [v ^ b for v in span]
-    for delta in span:
-        x = x0 ^ delta
-        yield tuple(table[(x >> off) & mask] for off, mask, table in slices)
+    for x in sorted(span):
+        yield tuple(index[(x >> shift) & mask] for shift, mask, index in slices)
 
 
 def enumerate_constituents(
@@ -193,14 +153,14 @@ def enumerate_constituents(
     vanishes locally are appended (flagged by has_zero_member), mirroring
     the distinction between the character condition and nonvanishing.
 
-    Places are ordered by id and each ld.characters in ascending bits, so
-    sorting index tuples gives AdelicCharacter.sort_key order.
+    Places are ordered by id, so the solutions come in
+    AdelicCharacter.sort_key order.
     """
     locals_ = prepare_local_data(phi, places)
     eta_pairs = [tuple((ld.place.id, ch) for ch in ld.characters) for ld in locals_]
     member_pairs = [tuple((ld.place.id, e.member) for e in ld.entries) for ld in locals_]
     picked = []
-    for choice in sorted(_solutions_by_linear_algebra(phi, locals_)):
+    for choice in _solutions_by_linear_algebra(phi, locals_):
         cons = _constituent(eta_pairs, member_pairs, choice)
         if include_vanishing or not cons.has_zero_member:
             picked.append(cons)
@@ -212,16 +172,15 @@ def brute_force_count(phi: AParameter, places: list[Place]) -> int:
     if len(places) > BRUTE_FORCE_PLACE_CAP:
         raise ScenarioTooLarge(f"more than {BRUTE_FORCE_PLACE_CAP} places")
     locals_ = prepare_local_data(phi, places)
-    eps = epsilon_tilde(phi)
-    n_gen = len(eps.group.basis)
+    eps = epsilon_tilde(phi).values
     count = 0
     for choice in itertools.product(*(ld.characters for ld in locals_)):
         ok = True
-        for i in range(n_gen):
+        for i, sign in enumerate(eps):
             prod = 1
             for ld, ch in zip(locals_, choice):
-                prod *= ch.on(ld.iota.image_of_generator(i))
-            if prod != eps.values[i]:
+                prod *= ch.on(ld.iota.images[i])
+            if prod != sign:
                 ok = False
                 break
         if not ok:

@@ -350,7 +350,7 @@ def epsilon_tilde(phi: AParameter) -> F2Character:
         for datum, _ in phi.summands:
             assert isinstance(datum, CuspidalDatum)
             values.append(datum.global_root)
-        return F2Character(group, tuple(values))
+        return group.character(values)
     if ptype is ParamType.SAITO_KUROKAWA:
         rho, elem = _sk_parts(phi)
         try:
@@ -359,5 +359,5 @@ def epsilon_tilde(phi: AParameter) -> F2Character:
             raise MissingSignData(
                 f"datum {rho.name!r} lacks the twisted root number by {elem.name!r}"
             ) from None
-        return F2Character(group, (rho.global_root * twisted, twisted))
+        return group.character((rho.global_root * twisted, twisted))
     return group.trivial_character()

@@ -175,7 +175,7 @@ def _require(obj: Mapping, key: str, path: str) -> Any:
 
 
 def _as_sign(value: Any, path: str) -> int:
-    if value not in (1, -1):
+    if isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
         raise SchemaError(path, f"expected +1 or -1, got {value!r}")
     return value
 
@@ -227,51 +227,65 @@ def _parse_twists(obj: dict, path: str) -> dict:
     return {str(k): _as_sign(v, f"{path}.eps_twists.{k}") for k, v in raw.items()}
 
 
-def _parse_shape(obj: Any, path: str) -> LocalRhoShape:
+def _as_class(obj: dict, key: str, place: Place, path: str) -> str:
+    """A required square-class label that names a class at the place."""
+    label = _as_str(_require(obj, key, path), f"{path}.{key}")
+    try:
+        place.class_from_label(label)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.{key}", str(exc)) from None
+    return label
+
+
+def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
     if not isinstance(obj, dict):
         raise SchemaError(path, "shape must be an object")
     kind = _require(obj, "shape", path)
+
+    def text(key):
+        return _as_str(_require(obj, key, path), f"{path}.{key}")
+
     try:
         if kind == "irreducible-symplectic":
             twists = _parse_twists(obj, path)
             return RhoIrreducibleSymplectic(
-                tag=str(_require(obj, "tag", path)),
+                tag=text("tag"),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
                 eps_twists=twists,
             )
         if kind == "steinberg":
             twists = _parse_twists(obj, path)
             return RhoSteinberg(
-                label=str(_require(obj, "class", path)),
+                label=_as_class(obj, "class", place, path),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
                 eps_twists=twists,
             )
         if kind == "principal-series":
             return RhoPrincipalSeries(
-                chi=str(_require(obj, "chi", path)),
+                chi=text("chi"),
                 s=_as_fraction(obj.get("s", 0), f"{path}.s"),
                 chi_parity=_as_sign(obj.get("chi_parity", 1), f"{path}.chi_parity"),
             )
         if kind == "real-discrete":
             return RhoRealDiscrete(kappa=_as_int(_require(obj, "kappa", path), f"{path}.kappa"))
         if kind == "dihedral-supercuspidal":
-            return RhoDihedralSupercuspidal(tag=str(_require(obj, "tag", path)))
+            return RhoDihedralSupercuspidal(tag=text("tag"))
         if kind == "real-orthogonal-discrete":
             return RhoRealOrthogonalDiscrete(kappa=_as_int(_require(obj, "kappa", path), f"{path}.kappa"))
         if kind == "quadratic-pair":
-            return RhoQuadraticPair(a=str(_require(obj, "a", path)), b=str(_require(obj, "b", path)))
+            return RhoQuadraticPair(a=_as_class(obj, "a", place, path), b=_as_class(obj, "b", place, path))
         if kind == "reducible-orthogonal":
-            return RhoReducibleOrthogonal(chi=str(_require(obj, "chi", path)))
+            return RhoReducibleOrthogonal(chi=text("chi"))
         if kind == "gl4-irreducible":
             return Rho4Irreducible(
-                tag=str(_require(obj, "tag", path)),
+                tag=text("tag"),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
             )
         if kind == "gl4-split":
             parts = _require(obj, "parts", path)
             if not isinstance(parts, list) or not parts:
                 raise SchemaError(f"{path}.parts", "expected a nonempty list")
-            return Rho4Split(tuple(_parse_shape(s, f"{path}.parts[{i}]") for i, s in enumerate(parts)))
+            return Rho4Split(tuple(_parse_shape(s, place, f"{path}.parts[{i}]") for i, s in enumerate(parts)))
     except InvalidParameter as exc:
         raise SchemaError(path, str(exc)) from exc
     raise SchemaError(f"{path}.shape", f"unknown shape kind {kind!r}")
@@ -325,6 +339,7 @@ def scenario_from_dict(data: Any) -> Scenario:
 
     cuspidal: list[CuspidalDatum] = []
     element_names = {e.name for e in elements}
+    by_id = {p.id: p for p in places}
     for i, draw in enumerate(_as_list(data.get("cuspidal", []), "$.cuspidal")):
         path = f"$.cuspidal[{i}]"
         if not isinstance(draw, dict):
@@ -335,9 +350,9 @@ def scenario_from_dict(data: Any) -> Scenario:
             raise SchemaError(f"{path}.local", "expected an object keyed by place id")
         local = {}
         for pid, sraw in local_raw.items():
-            if not any(p.id == pid for p in places):
+            if pid not in by_id:
                 raise SchemaError(f"{path}.local.{pid}", "unknown place")
-            local[pid] = _parse_shape(sraw, f"{path}.local.{pid}")
+            local[pid] = _parse_shape(sraw, by_id[pid], f"{path}.local.{pid}")
         twisted_raw = _as_object(draw.get("twisted_roots", {}), f"{path}.twisted_roots")
         for k in twisted_raw:
             _require_element(k, element_names, f"{path}.twisted_roots.{k}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from mp4spectrum.chargroups import solve_affine, span_iter
+from mp4spectrum.chargroups import from_mask, solve_affine, to_mask
 from mp4spectrum.fields import (
     GlobalElement,
     Place,
@@ -84,7 +84,7 @@ def random_element(rng: random.Random, places, existing, name: str) -> GlobalEle
     for p in places:
         offsets[p.id] = width
         width += p.rank
-    rows, rhs = [], []
+    rows = []
     for y in existing:
         row = [0] * width
         for p in places:
@@ -92,15 +92,14 @@ def random_element(rng: random.Random, places, existing, name: str) -> GlobalEle
             g = grams[p.id]
             for i in range(p.rank):
                 row[offsets[p.id] + i] = sum(g[i][j] & ybits[j] for j in range(p.rank)) % 2
-        rows.append(row)
-        rhs.append(0)
-    solved = solve_affine(rows, rhs, width)
+        rows.append(to_mask(row))
+    solved = solve_affine(rows, 0, width)
     assert solved is not None  # x = 0 is always a solution
-    x0, kernel = solved
-    x = list(x0)
+    x, kernel = solved
     for b in kernel:
         if rng.random() < 0.5:
-            x = [(a ^ c) for a, c in zip(x, b)]
+            x ^= b
+    x = from_mask(x, width)
     classes = {}
     for p in places:
         off = offsets[p.id]

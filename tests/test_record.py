@@ -48,20 +48,11 @@ def _place():
     return Place("v1", "nonarch-odd-3mod4")
 
 
-def _group():
-    from mp4spectrum.chargroups import ComponentGroup
-
-    return ComponentGroup(("a1", "a2"), ((1, 1),))
-
-
 # valid arguments for the classes whose __post_init__ checks them; every
 # other class takes any values
 SAMPLES = {
     "Place": lambda: [("v1", "real"), ("v1", "nonarch-dyadic")],
     "SquareClass": lambda: [(_place(), (0, 1)), (_place(), (1, 0))],
-    "ComponentGroup": lambda: [(("a1", "a2"), ((1, 1),)), (("a1", "a2"),)],
-    "F2Character": lambda: [(_group(), (1, 1)), (_group(), (-1, -1))],
-    "LocalizationMap": lambda: [(("g",), _group(), ((1, 1),)), (("g",), _group(), ((0, 0),))],
     "KTypeO": lambda: [(2, 1, (0,), -1, (), -1), (2, 1, (3,), 1, (), 1)],
     "KTypeMp": lambda: [((Fraction(3, 2), Fraction(1, 2)),), ((Fraction(1, 2), Fraction(-1, 2)),)],
     "RhoPrincipalSeries": lambda: [("chi", Fraction(1, 4), -1), ("chi", Fraction(0), 1)],

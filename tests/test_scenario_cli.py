@@ -175,7 +175,29 @@ SCHEMA_MUTATIONS = {
         lambda d: d["cuspidal"][0].__setitem__("dihedral", "false"),
         "$.cuspidal[0].dihedral",
     ),
+    # the escapes below loaded, and ended in a raw ValueError or a wrong
+    # result later; load now refuses them
+    "steinberg_unknown_class": ("sk_steinberg.json", _set_local("v1", "class", "zz9"), "$.cuspidal[0].local.v1.class"),
+    "quadratic_pair_unknown_class": ("soudry.json", _set_local("v1", "b", "zz9"), "$.cuspidal[0].local.v1.b"),
+    "shape_tag_null": ("sk.json", _set_local("v1", "tag", None), "$.cuspidal[0].local.v1.tag"),
+    "global_root_true": (
+        "sk.json",
+        lambda d: d["cuspidal"][0].__setitem__("global_root", True),
+        "$.cuspidal[0].global_root",
+    ),
+    "global_root_float": (
+        "sk.json",
+        lambda d: d["cuspidal"][0].__setitem__("global_root", -1.0),
+        "$.cuspidal[0].global_root",
+    ),
 }
+LOAD_ESCAPES = (
+    "steinberg_unknown_class",
+    "quadratic_pair_unknown_class",
+    "shape_tag_null",
+    "global_root_true",
+    "global_root_float",
+)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMA_MUTATIONS))
@@ -186,6 +208,18 @@ def test_cli_schema_mutations_exit_typed(name, tmp_path, capsys):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(data))
     assert main(["enumerate", "--scenario", str(path)]) in (2, 4)
+    assert json_path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", LOAD_ESCAPES)
+def test_cli_schema_escapes_fail_validate(name, tmp_path, capsys):
+    # each of these passed validate or raised a raw ValueError there
+    fixture, mutate, json_path = SCHEMA_MUTATIONS[name]
+    data = copy.deepcopy(fixture_data(fixture))
+    mutate(data)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(path)]) == 4
     assert json_path in capsys.readouterr().err
 
 

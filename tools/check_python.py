@@ -1,4 +1,4 @@
-"""Check one interpreter without pytest: start-up imports, self-test, goldens.
+"""Check one interpreter without pytest: start-up imports, self-test, character sum, goldens.
 
 Run from the repository root with the interpreter to check, e.g.
 
@@ -6,13 +6,16 @@ Run from the repository root with the interpreter to check, e.g.
 
 It checks that importing ``mp4spectrum.cli`` under ``-S`` loads neither
 ``dataclasses`` nor ``inspect``, that ``self-test`` passes on every
-bundled fixture, and that every call of ``tests/golden_calls.py``
-reproduces its file under ``tests/golden/`` byte for byte.  Prints one
-line per check and exits 1 if any fails.  Uses the standard library only,
-for interpreters that have no pytest.
+bundled fixture, that the character sum of ``perfbench/oracle.py``
+counts what ``enumerate_constituents`` lists on every fixture (with and
+without the vanishing tuples), and that every call of
+``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
+byte for byte.  Prints one line per check and exits 1 if any fails.
+Uses the standard library only, for interpreters that have no pytest.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -23,6 +26,8 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from golden_calls import FIXTURE_NAMES, GOLDEN, golden_calls
 from mp4spectrum.cli import main
+from mp4spectrum.multiplicity import enumerate_constituents
+from mp4spectrum.scenario import load_scenario
 
 
 def _run(argv):
@@ -46,6 +51,21 @@ def check_self_test():
     return not failed, f"self-test on {len(FIXTURE_NAMES)} fixtures, failed: {failed}"
 
 
+def check_character_sum():
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", os.path.join(ROOT, "perfbench", "oracle.py"))
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    differ = []
+    for f in FIXTURE_NAMES:
+        sc = load_scenario(os.path.join(ROOT, "fixtures", f"{f}.json"))
+        phi, places = sc.parameter, sc.places
+        sums = (oracle.character_sum_count(phi, places), oracle.character_sum_count(phi, places, nonzero_only=False))
+        listed = (len(enumerate_constituents(phi, places)), len(enumerate_constituents(phi, places, include_vanishing=True)))
+        if sums != listed:
+            differ.append(f"{f} {sums} != {listed}")
+    return not differ, f"character sum = enumeration on {len(FIXTURE_NAMES)} fixtures, differ: {differ}"
+
+
 def check_goldens():
     calls = golden_calls()
     differ = []
@@ -60,7 +80,7 @@ def check_goldens():
 def main_check() -> int:
     print(f"python {sys.version.split()[0]}")
     ok = True
-    for check in (check_imports, check_self_test, check_goldens):
+    for check in (check_imports, check_self_test, check_character_sum, check_goldens):
         passed, detail = check()
         ok &= passed
         print(f"{'PASS' if passed else 'FAIL'} {check.__name__}: {detail}")
