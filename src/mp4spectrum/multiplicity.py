@@ -12,7 +12,7 @@ Two counting routes are kept deliberately independent:
     pullback condition (one affine solve over the concatenated local
     character masks, kernel enumeration) and then filters out tuples
     with a vanishing local member;
-  * brute_force_count iterates the full product of local character lists
+  * brute_force_count iterates the full product of local packet entries
     and applies the definitional test tuple by tuple.
 
 Their agreement is the main acceptance gate.
@@ -26,7 +26,7 @@ from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affi
 from .descriptors import Zero
 from .fields import Place
 from .localization import LocalParam, localize
-from .packets import PacketEntry, local_packet
+from .packets import local_packet
 from .parameters import AParameter, component_group, epsilon_tilde
 from .record import Record
 
@@ -72,9 +72,6 @@ class LocalData(Record):
     iota: LocalizationMap
     characters: tuple
     entries: tuple  # PacketEntry per character, aligned
-
-    def entry_for(self, ch: F2Character) -> PacketEntry:
-        return self.entries[self.characters.index(ch)]
 
 
 def prepare_local_data(phi: AParameter, places: list[Place]) -> list[LocalData]:
@@ -174,18 +171,18 @@ def brute_force_count(phi: AParameter, places: list[Place]) -> int:
     locals_ = prepare_local_data(phi, places)
     eps = epsilon_tilde(phi).values
     count = 0
-    for choice in itertools.product(*(ld.characters for ld in locals_)):
+    for choice in itertools.product(*(ld.entries for ld in locals_)):
         ok = True
         for i, sign in enumerate(eps):
             prod = 1
-            for ld, ch in zip(locals_, choice):
-                prod *= ch.on(ld.iota.images[i])
+            for ld, e in zip(locals_, choice):
+                prod *= e.label.on(ld.iota.images[i])
             if prod != sign:
                 ok = False
                 break
         if not ok:
             continue
-        if any(ld.entry_for(ch).is_zero for ld, ch in zip(locals_, choice)):
+        if any(e.is_zero for e in choice):
             continue
         count += 1
     return count

@@ -20,13 +20,19 @@ chi and the even set S(pi) of places where it is the odd elementary Weil
 representation; rank-1 cuspidal representations of type rho x S_1 are
 enumerated through the rank-1 multiplicity condition (product of local
 signs equals the root number of rho).
+
+Each distinct parameter is localized once per place and its local data
+shared by every family that uses it: B-pr and P1-pr share chi x S_4,
+B-HPS and P1-HPS share (chi_1 x S_2) + (chi_2 x S_2), and one P1-SK
+parameter serves all its sign vectors.  B and P2 read the designated
+member; packets are built only for P1 parameters, once each.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .descriptors import Desc, render, sign_str
+from .descriptors import render, sign_str
 from .fields import GlobalElement, Place
 from .localization import localize
 from .packets import designated_l_packet_member, local_packet
@@ -68,19 +74,6 @@ class ResidualConstituent(Record):
         }
 
 
-def _entry(phi: AParameter, place: Place, label: tuple) -> Desc:
-    lp, _, _ = localize(phi, place)
-    for e in local_packet(lp):
-        if e.label.values == label:
-            return e.member
-    raise KeyError(f"label {label} not found at {place.id}")
-
-
-def _designated(phi: AParameter, place: Place) -> Desc:
-    lp, _, _ = localize(phi, place)
-    return designated_l_packet_member(lp)
-
-
 def residual_spectrum(
     places: list[Place],
     elements: list[GlobalElement],
@@ -89,8 +82,25 @@ def residual_spectrum(
 ) -> list[ResidualConstituent]:
     """All residual constituents the declared data generate, deterministically ordered."""
     places = sorted(places, key=lambda p: p.id)
-    by_name = {e.name: e for e in elements}
     out: list[ResidualConstituent] = []
+    local_params: dict = {}  # basis labels -> LocalParam per place
+    packets: dict = {}  # basis labels -> {label: member} per place
+
+    def localized(phi):
+        key = phi.basis_labels()
+        if key not in local_params:
+            local_params[key] = [localize(phi, p)[0] for p in places]
+        return local_params[key]
+
+    def designated(phi):
+        return [(p.id, designated_l_packet_member(lp)) for p, lp in zip(places, localized(phi))]
+
+    def at_labels(phi, labels):
+        """The packet member at each place's label (one label per place)."""
+        key = phi.basis_labels()
+        if key not in packets:
+            packets[key] = [{e.label.values: e.member for e in local_packet(lp)} for lp in localized(phi)]
+        return [(p.id, members[label]) for p, members, label in zip(places, packets[key], labels)]
 
     def add(name, support, phi, members):
         out.append(
@@ -106,12 +116,10 @@ def residual_spectrum(
     # Borel family: one constituent per character, one per unordered distinct pair
     for chi in sorted(elements, key=lambda e: e.name):
         phi = AParameter.of([(chi, 4)])
-        members = [(p.id, _designated(phi, p)) for p in places]
-        add(f"B-pr[{chi.name}]", "B", phi, members)
+        add(f"B-pr[{chi.name}]", "B", phi, designated(phi))
     for e1, e2 in itertools.combinations(sorted(elements, key=lambda e: e.name), 2):
         phi = AParameter.of([(e1, 2), (e2, 2)])
-        members = [(p.id, _designated(phi, p)) for p in places]
-        add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, members)
+        add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, designated(phi))
 
     # P2 family: dihedral data with nontrivial quadratic central character
     for rho in sorted(cuspidal, key=lambda d: d.name):
@@ -120,8 +128,7 @@ def residual_spectrum(
         if rho.central_char in ("1", "trivial"):
             continue
         phi = AParameter.of([(rho, 2)])
-        members = [(p.id, _designated(phi, p)) for p in places]
-        add(f"P2[{rho.name}]", "P2", phi, members)
+        add(f"P2[{rho.name}]", "P2", phi, designated(phi))
 
     # P1, principal family: Weil-type pi with parameter chi x S_2
     for chi in sorted(elements, key=lambda e: e.name):
@@ -129,11 +136,8 @@ def residual_spectrum(
         for pi in sorted(mp2_weil, key=lambda w: w.name):
             if pi.chi != chi.name:
                 continue
-            members = []
-            for p in places:
-                label = (-1,) if p.id in pi.s_places else (1,)
-                members.append((p.id, _entry(phi, p, label)))
-            add(f"P1-pr[{chi.name};{pi.name}]", "P1", phi, members)
+            labels = [(-1,) if p.id in pi.s_places else (1,) for p in places]
+            add(f"P1-pr[{chi.name};{pi.name}]", "P1", phi, at_labels(phi, labels))
 
     # P1, Saito-Kurokawa family: pairs (chi, rho) with L(1/2, rho x chi) != 0
     for rho in sorted(cuspidal, key=lambda d: d.name):
@@ -151,9 +155,9 @@ def residual_spectrum(
                 if prod != rho.global_root:
                     continue
                 eps1 = dict(zip((p.id for p in irr), signs))
-                members = [(p.id, _entry(phi, p, (eps1.get(p.id, 1), 1))) for p in places]
+                labels = [(eps1.get(p.id, 1), 1) for p in places]
                 sig = "".join(sign_str(eps1.get(p.id, 1)) for p in places)
-                add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, members)
+                add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, at_labels(phi, labels))
 
     # P1, Howe-PS family: ordered pairs with chi_{1,v} != chi_{2,v} on S(pi)
     for e1 in sorted(elements, key=lambda e: e.name):
@@ -168,17 +172,12 @@ def residual_spectrum(
                 ):
                     continue
                 phi = AParameter.of([(e1, 2), (e2, 2)])
-                lab1 = {p.id: 1 for p in places}
-                lab2 = {p.id: (-1 if p.id in pi.s_places else 1) for p in places}
-                members = []
+                # label order follows the canonical summand order of phi
+                e1_first = phi.summands[0][0].name == e1.name
+                labels = []
                 for p in places:
-                    # label order follows the canonical summand order of phi
-                    first, _ = phi.summands[0]
-                    if first.name == e1.name:
-                        label = (lab1[p.id], lab2[p.id])
-                    else:
-                        label = (lab2[p.id], lab1[p.id])
-                    members.append((p.id, _entry(phi, p, label)))
-                add(f"P1-HPS[{e1.name},{e2.name};{pi.name}]", "P1", phi, members)
+                    sign = -1 if p.id in pi.s_places else 1
+                    labels.append((1, sign) if e1_first else (sign, 1))
+                add(f"P1-HPS[{e1.name},{e2.name};{pi.name}]", "P1", phi, at_labels(phi, labels))
 
     return out

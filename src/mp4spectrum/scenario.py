@@ -295,7 +295,7 @@ def scenario_from_dict(data: Any) -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError("$", "scenario must be a JSON object")
     version = data.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise SchemaError("$.version", f"unsupported schema version {version!r}")
 
     places_raw = _require(data, "places", "$")
@@ -306,8 +306,8 @@ def scenario_from_dict(data: Any) -> Scenario:
         path = f"$.places[{i}]"
         if not isinstance(praw, dict):
             raise SchemaError(path, "expected an object")
-        pid = str(_require(praw, "id", path))
-        kind = str(_require(praw, "kind", path))
+        pid = _as_str(_require(praw, "id", path), f"{path}.id")
+        kind = _as_str(_require(praw, "kind", path), f"{path}.kind")
         if kind not in KINDS:
             raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}; one of {sorted(KINDS)}")
         if any(p.id == pid for p in places):
@@ -319,7 +319,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         path = f"$.elements[{i}]"
         if not isinstance(eraw, dict):
             raise SchemaError(path, "expected an object")
-        name = str(_require(eraw, "name", path))
+        name = _as_str(_require(eraw, "name", path), f"{path}.name")
         if any(e.name == name for e in elements):
             raise SchemaError(f"{path}.name", f"element {name!r} already defined")
         classes_raw = _as_object(_require(eraw, "classes", path), f"{path}.classes")
@@ -327,7 +327,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         for p in places:
             if p.id not in classes_raw:
                 raise SchemaError(f"{path}.classes", f"no class at place {p.id!r} (closed world)")
-            label = str(classes_raw[p.id])
+            label = _as_str(classes_raw[p.id], f"{path}.classes.{p.id}")
             try:
                 classes[p.id] = p.class_from_label(label)
             except ValueError as exc:
@@ -344,7 +344,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         path = f"$.cuspidal[{i}]"
         if not isinstance(draw, dict):
             raise SchemaError(path, "expected an object")
-        name = str(_require(draw, "name", path))
+        name = _as_str(_require(draw, "name", path), f"{path}.name")
         local_raw = _require(draw, "local", path)
         if not isinstance(local_raw, dict):
             raise SchemaError(f"{path}.local", "expected an object keyed by place id")
@@ -356,14 +356,14 @@ def scenario_from_dict(data: Any) -> Scenario:
         twisted_raw = _as_object(draw.get("twisted_roots", {}), f"{path}.twisted_roots")
         for k in twisted_raw:
             _require_element(k, element_names, f"{path}.twisted_roots.{k}")
-        central_char = str(draw.get("central_char", "1"))
+        central_char = _as_str(draw.get("central_char", "1"), f"{path}.central_char")
         if central_char != "trivial":
             _require_element(central_char, element_names, f"{path}.central_char")
         try:
             datum = CuspidalDatum(
                 name=name,
                 gl_rank=_as_int(draw.get("gl_rank", 2), f"{path}.gl_rank"),
-                duality=str(_require(draw, "duality", path)),
+                duality=_as_str(_require(draw, "duality", path), f"{path}.duality"),
                 global_root=_as_sign(draw.get("global_root", 1), f"{path}.global_root"),
                 local=local,
                 twisted_roots={
@@ -387,13 +387,11 @@ def scenario_from_dict(data: Any) -> Scenario:
         path = f"$.mp2_weil[{i}]"
         if not isinstance(wraw, dict):
             raise SchemaError(path, "expected an object")
-        mp2.append(
-            Mp2CuspidalWeil(
-                name=str(_require(wraw, "name", path)),
-                chi=str(_require(wraw, "chi", path)),
-                s_places=frozenset(str(x) for x in _as_list(_require(wraw, "s_places", path), f"{path}.s_places")),
-            )
-        )
+        name = _as_str(_require(wraw, "name", path), f"{path}.name")
+        chi = _as_str(_require(wraw, "chi", path), f"{path}.chi")
+        s_places = _as_list(_require(wraw, "s_places", path), f"{path}.s_places")
+        s_places = frozenset(_as_str(x, f"{path}.s_places[{j}]") for j, x in enumerate(s_places))
+        mp2.append(Mp2CuspidalWeil(name=name, chi=chi, s_places=s_places))
 
     parameter = None
     if "parameter" in data and data["parameter"] is not None:
@@ -407,10 +405,11 @@ def scenario_from_dict(data: Any) -> Scenario:
             if (
                 not isinstance(item, (list, tuple))
                 or len(item) != 2
+                or isinstance(item[1], bool)
                 or not isinstance(item[1], int)
             ):
                 raise SchemaError(ipath, "expected [name, d]")
-            name, d = str(item[0]), item[1]
+            name, d = _as_str(item[0], f"{ipath}[0]"), item[1]
             datum = next((c for c in cuspidal if c.name == name), None)
             if datum is None:
                 datum = next((e for e in elements if e.name == name), None)

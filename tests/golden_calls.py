@@ -1,6 +1,8 @@
 """The CLI calls whose stdout is pinned under tests/golden/.
 
-Scenario calls are named ``<fixture>.<variant>.<ext>``, packet tables
+Scenario calls are named ``<fixture>.<variant>.<ext>`` (the generated
+scenarios under tests/scenarios/ likewise, for the variants listed in
+``GENERATED``), packet tables
 ``<fixture>.packet-<place>.<ext>``, and calls without a scenario
 ``<name>.<ext>``; ``.json`` files hold the ``--format json`` output and
 ``.txt`` files the ``--format text`` output.  Kept free of pytest so that
@@ -13,6 +15,7 @@ import os
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "fixtures")
 GOLDEN = os.path.join(HERE, "golden")
+SCENARIOS = os.path.join(HERE, "scenarios")
 
 FIXTURE_NAMES = ("hps", "hps_degenerate", "principal", "sk", "sk_steinberg", "soudry", "tempered")
 
@@ -35,6 +38,12 @@ VARIANTS = {
     "residual.txt": ["residual", "--format", "text"],
     "self-test.txt": ["self-test", "--format", "text"],
 }
+
+# generated scenarios pinned beside the fixtures, with their variants:
+# residual_wide_1_06 is perfbench.scengen.residual_scenarios(1)[6], the
+# one input with constituents of all six residual families (8 B-pr,
+# 28 B-HPS, 1 P2, 2 P1-pr, 4 P1-SK and 6 P1-HPS)
+GENERATED = {"residual_wide_1_06": ("residual-verbose.json", "residual-verbose.txt")}
 
 # calls that take no scenario, by stem: the table export and the accepted
 # queries of tests/test_scenario_cli.py; each is pinned in both formats
@@ -75,6 +84,8 @@ def _places(fixture):
 
 SCENARIO_FREE = [f"{stem}.{ext}" for stem in SCENARIO_FREE_CALLS for ext in FORMATS]
 
+GENERATED_GOLDENS = [f"{stem}.{variant}" for stem, variants in GENERATED.items() for variant in variants]
+
 PACKETS = [(fixture, pid) for fixture in FIXTURE_NAMES for pid in _places(fixture)]
 
 
@@ -84,6 +95,9 @@ def golden_calls():
     for fixture in FIXTURE_NAMES:
         for variant, argv in VARIANTS.items():
             calls[f"{fixture}.{variant}"] = argv + ["--scenario", _scenario(fixture)]
+    for stem, variants in GENERATED.items():
+        for variant in variants:
+            calls[f"{stem}.{variant}"] = VARIANTS[variant] + ["--scenario", os.path.join(SCENARIOS, f"{stem}.json")]
     for ext, fmt in FORMATS.items():
         for fixture, pid in PACKETS:
             argv = ["packet", "--place", pid, "--format", fmt, "--scenario", _scenario(fixture)]

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from golden_calls import FIXTURE_NAMES, GOLDEN, PACKETS, SCENARIO_FREE, VARIANTS, golden_calls
+from golden_calls import FIXTURE_NAMES, GENERATED_GOLDENS, GOLDEN, PACKETS, SCENARIO_FREE, VARIANTS, golden_calls
 from mp4spectrum import cli
 from mp4spectrum.cli import COMMANDS, main
 from mp4spectrum.reports import Report
@@ -27,6 +27,11 @@ def _check(name, argv, capsys):
 @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
 def test_cli_output_matches_golden(fixture, variant, capsys):
     _check(f"{fixture}.{variant}", golden_calls()[f"{fixture}.{variant}"], capsys)
+
+
+@pytest.mark.parametrize("name", GENERATED_GOLDENS)
+def test_cli_generated_scenario_matches_golden(name, capsys):
+    _check(name, golden_calls()[name], capsys)
 
 
 @pytest.mark.parametrize("fixture,place", PACKETS)

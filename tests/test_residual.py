@@ -1,7 +1,11 @@
 """Residual spectrum enumeration and its cross-checks."""
 
+import os
+import sys
+
 import pytest
 
+from mp4spectrum import localization, packets
 from mp4spectrum.descriptors import render
 from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
 from mp4spectrum.localization import localize
@@ -17,8 +21,10 @@ from mp4spectrum.parameters import (
     classify,
 )
 from mp4spectrum.residual import Mp2CuspidalWeil, residual_spectrum
+from mp4spectrum.scenario import load_scenario
 
 from conftest import make_places
+from golden_calls import SCENARIOS
 
 
 def _base():
@@ -150,3 +156,37 @@ def test_residual_members_appear_in_enumeration(family):
         }
         assert eta_signs in spectrum
         assert spectrum[eta_signs] == {pid: repr(m) for pid, m in c.descriptor}
+
+
+def _record_calls(monkeypatch, module, name):
+    """Wrap every mp4spectrum binding of module.name; return the list of call arguments.
+
+    ``from .x import y`` copies the name into each importing module, so
+    each copy is replaced.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "mp4spectrum" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
+def test_residual_builds_each_local_parameter_once(monkeypatch):
+    # the generated scenario has constituents of all six families; B-pr and
+    # P1-pr, B-HPS and P1-HPS, and the P1-SK sign vectors share parameters
+    sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    localized = _record_calls(monkeypatch, localization, "localize")
+    built = _record_calls(monkeypatch, packets, "local_packet")
+    cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    assert {c.name.split("[")[0] for c in cons} == {"B-pr", "B-HPS", "P2", "P1-pr", "P1-SK", "P1-HPS"}
+    keys = [(phi.basis_labels(), place.id) for phi, place in localized]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {(c.parameter.basis_labels(), pid) for c in cons for pid, _ in c.descriptor}
+    p1_parameters = {c.parameter.basis_labels() for c in cons if c.support == "P1"}
+    assert len(built) <= len(p1_parameters) * len(sc.places)

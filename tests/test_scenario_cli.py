@@ -190,6 +190,55 @@ SCHEMA_MUTATIONS = {
         lambda d: d["cuspidal"][0].__setitem__("global_root", -1.0),
         "$.cuspidal[0].global_root",
     ),
+    # names and labels must be JSON strings; those in LOAD_ESCAPES loaded as
+    # their str(): null as the name "None", the number 1 as the class or
+    # element "1"; true passed as the index d = 1 (printed as "S True") and
+    # as version 1
+    "datum_and_summand_name_null": (
+        "sk.json",
+        lambda d: (d["cuspidal"][0].__setitem__("name", None), d["parameter"]["summands"][0].__setitem__(0, None)),
+        "$.cuspidal[0].name",
+    ),
+    "summand_name_number": (
+        "sk.json",
+        lambda d: d["parameter"]["summands"][1].__setitem__(0, 1),
+        "$.parameter.summands[1][0]",
+    ),
+    "summand_index_true": (
+        "sk.json",
+        lambda d: d["parameter"]["summands"][0].__setitem__(1, True),
+        "$.parameter.summands[0]",
+    ),
+    "version_true": ("sk.json", lambda d: d.__setitem__("version", True), "$.version"),
+    "element_name_null": ("sk.json", lambda d: d["elements"][0].__setitem__("name", None), "$.elements[0].name"),
+    "element_class_number": (
+        "sk.json",
+        lambda d: d["elements"][0]["classes"].__setitem__("v1", 1),
+        "$.elements[0].classes.v1",
+    ),
+    "place_id_number": ("sk.json", lambda d: d["places"][0].__setitem__("id", 1), "$.places[0].id"),
+    "place_kind_null": ("sk.json", lambda d: d["places"][0].__setitem__("kind", None), "$.places[0].kind"),
+    "duality_null": ("sk.json", lambda d: d["cuspidal"][0].__setitem__("duality", None), "$.cuspidal[0].duality"),
+    "central_char_null": (
+        "soudry.json",
+        lambda d: d["cuspidal"][0].__setitem__("central_char", None),
+        "$.cuspidal[0].central_char",
+    ),
+    "mp2_weil_name_null": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": None, "chi": "t", "s_places": ["v2", "v3"]}]),
+        "$.mp2_weil[0].name",
+    ),
+    "mp2_weil_chi_number": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": 1, "s_places": ["v2", "v3"]}]),
+        "$.mp2_weil[0].chi",
+    ),
+    "s_places_item_number": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": ["v2", 3]}]),
+        "$.mp2_weil[0].s_places[1]",
+    ),
 }
 LOAD_ESCAPES = (
     "steinberg_unknown_class",
@@ -197,6 +246,13 @@ LOAD_ESCAPES = (
     "shape_tag_null",
     "global_root_true",
     "global_root_float",
+    "datum_and_summand_name_null",
+    "element_name_null",
+    "element_class_number",
+    "mp2_weil_name_null",
+    "mp2_weil_chi_number",
+    "summand_index_true",
+    "version_true",
 )
 
 
