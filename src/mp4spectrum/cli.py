@@ -32,6 +32,7 @@ import sys
 from . import tables
 from .descriptors import render, sign_label, sign_str
 from .ktypes import (
+    HARMONICS_RANK_CAP,
     DiscreteSeriesQuery,
     KTypeO,
     LanglandsBQuery,
@@ -53,7 +54,7 @@ from .packets import (
     local_packet,
     reducibility_oracle,
 )
-from .parameters import InvalidParameter, MissingSignData, classify, component_group, epsilon_tilde
+from .parameters import InvalidParameter, MissingSignData, classify, epsilon_tilde
 from .reports import Report, dumps
 from .residual import residual_spectrum
 from .scenario import (
@@ -131,11 +132,11 @@ def cmd_component_group(args) -> Report:
     sc = _load(args)
     sc.validate()
     phi = _need_parameter(sc)
-    group = component_group(phi)
     eps = epsilon_tilde(phi)
+    group = eps.group
     locs = {}
     for p in sorted(sc.places, key=lambda p: p.id):
-        lp, g, iota = localize(phi, p)
+        _, g, iota = localize(phi, p)
         locs[p.id] = {
             "rank": g.rank,
             "characters": g.order(),
@@ -341,7 +342,10 @@ def cmd_ktype(args) -> Report:
         mu = _ktype_o(q)
         data = {"degree": degree_o(mu)}
         if op == "harmonics":
-            mp = joint_harmonics(mu, _as_int(q.get("n", 2), "$.query.n"))
+            n = _as_int(q.get("n", 2), "$.query.n")
+            if n > HARMONICS_RANK_CAP:
+                raise NotInHarmonics(f"$.query.n: rank {n} is above the cap of {HARMONICS_RANK_CAP}")
+            mp = joint_harmonics(mu, n)
             data["kprime"] = [str(w) for w in mp.weights]
         return Report("ktype", data, _ktype_text)
     if op == "catalog":

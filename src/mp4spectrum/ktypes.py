@@ -127,6 +127,10 @@ def degree_o(mu: KTypeO) -> int:
     return sum(mu.a) + sum(mu.b) + mu.k_prime + mu.l_prime
 
 
+# the largest symplectic rank n whose joint harmonics the CLI will build
+HARMONICS_RANK_CAP = 1000
+
+
 def joint_harmonics(mu: KTypeO, n: int) -> KTypeMp:
     """The K'-type matched with mu in the joint harmonics of signature (p, q), rank n."""
     k, l = mu.k, mu.l

@@ -19,6 +19,11 @@ Each global generator maps to the sum of the local generators of the
 constituents its summand splits into.  Relations and images are masks
 in the convention of ``chargroups``: local generator 0 is the most
 significant bit.
+
+A ``LocalParam`` is a place and a local shape; the shape classes name
+the family, so the local parameter carries no separate family tag.  The
+global parameter is classified (and validated) once per instance by
+``parameters.classify``, however many places it is localized at.
 """
 
 from __future__ import annotations
@@ -163,8 +168,9 @@ LocalShape = Union[ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQua
 
 
 class LocalParam(Record):
+    """A local parameter: its place and its local shape, which fixes the family."""
+
     place: Place
-    ptype: ParamType
     shape: LocalShape
 
 
@@ -201,7 +207,7 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
 
     def result(shape, images):
         group = local_group(shape)
-        lp = LocalParam(place=place, ptype=ptype, shape=shape)
+        lp = LocalParam(place, shape)
         return lp, group, LocalizationMap(target=group, images=tuple(images))
 
     if ptype is ParamType.PRINCIPAL:

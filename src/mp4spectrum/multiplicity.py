@@ -70,16 +70,14 @@ class LocalData(Record):
     param: LocalParam
     group: ComponentGroup
     iota: LocalizationMap
-    characters: tuple
-    entries: tuple  # PacketEntry per character, aligned
+    entries: tuple  # PacketEntry per character of group, in character order
 
 
 def prepare_local_data(phi: AParameter, places: list[Place]) -> list[LocalData]:
     out = []
     for place in sorted(places, key=lambda p: p.id):
         lp, group, iota = localize(phi, place)
-        entries = tuple(local_packet(lp))
-        out.append(LocalData(place, lp, group, iota, tuple(e.label for e in entries), entries))
+        out.append(LocalData(place, lp, group, iota, tuple(local_packet(lp))))
     return out
 
 
@@ -127,7 +125,7 @@ def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]):
         n = len(ld.group.basis)
         rows = [row | (img << width) for row, img in zip(rows, ld.iota.images)]
         relations += [r << width for r in ld.group.relations]
-        slices.append((width, (1 << n) - 1, {ch.bits: i for i, ch in enumerate(ld.characters)}))
+        slices.append((width, (1 << n) - 1, {e.label.bits: i for i, e in enumerate(ld.entries)}))
         width += n
     slices.reverse()
     solved = solve_affine(rows + relations, eps.bits << len(relations), width)
@@ -154,7 +152,7 @@ def enumerate_constituents(
     AdelicCharacter.sort_key order.
     """
     locals_ = prepare_local_data(phi, places)
-    eta_pairs = [tuple((ld.place.id, ch) for ch in ld.characters) for ld in locals_]
+    eta_pairs = [tuple((ld.place.id, e.label) for e in ld.entries) for ld in locals_]
     member_pairs = [tuple((ld.place.id, e.member) for e in ld.entries) for ld in locals_]
     picked = []
     for choice in _solutions_by_linear_algebra(phi, locals_):

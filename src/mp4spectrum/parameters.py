@@ -274,7 +274,11 @@ class ParamType(enum.Enum):
 
 
 class AParameter(Record):
-    """Formal unordered sum of (datum, d) summands; kept in canonical order."""
+    """Formal unordered sum of (datum, d) summands; kept in canonical order.
+
+    ``classify`` keeps the parameter's type on the instance, outside the
+    fields, so ``==``, ``hash`` and ``repr`` do not see it.
+    """
 
     summands: tuple  # of (Summand, int)
 
@@ -283,32 +287,29 @@ class AParameter(Record):
         ordered = tuple(sorted(summands, key=lambda sd: (sd[1], summand_name(sd[0]))))
         return AParameter(ordered)
 
-    def validate(self) -> None:
-        total = 0
-        seen = set()
-        for datum, d in self.summands:
-            if d < 1:
-                raise InvalidParameter("S_d index must be positive")
-            total += summand_dim(datum) * d
-            key = (summand_name(datum), d)
-            if key in seen:
-                raise InvalidParameter(f"repeated summand {key}")
-            seen.add(key)
-            dual = summand_duality(datum)
-            if d % 2 == 1 and dual != "symplectic":
-                raise InvalidParameter(f"{summand_name(datum)} x S_{d}: odd d needs a symplectic datum")
-            if d % 2 == 0 and dual != "orthogonal":
-                raise InvalidParameter(f"{summand_name(datum)} x S_{d}: even d needs an orthogonal datum")
-        if total != 4:
-            raise InvalidParameter(f"summand dimensions total {total}, need 4")
-
     def basis_labels(self) -> tuple[str, ...]:
         return tuple(f"{summand_name(s)}&S{d}" for s, d in self.summands)
 
 
-def classify(phi: AParameter) -> ParamType:
-    """The unique matching type of a valid parameter."""
-    phi.validate()
+def _validated_type(phi: AParameter) -> ParamType:
+    """Check the summand rules and match the profile to the one type that fits."""
+    total = 0
+    seen = set()
+    for datum, d in phi.summands:
+        if d < 1:
+            raise InvalidParameter("S_d index must be positive")
+        total += summand_dim(datum) * d
+        key = (summand_name(datum), d)
+        if key in seen:
+            raise InvalidParameter(f"repeated summand {key}")
+        seen.add(key)
+        dual = summand_duality(datum)
+        if d % 2 == 1 and dual != "symplectic":
+            raise InvalidParameter(f"{summand_name(datum)} x S_{d}: odd d needs a symplectic datum")
+        if d % 2 == 0 and dual != "orthogonal":
+            raise InvalidParameter(f"{summand_name(datum)} x S_{d}: even d needs an orthogonal datum")
+    if total != 4:
+        raise InvalidParameter(f"summand dimensions total {total}, need 4")
     profile = sorted((summand_dim(s), d) for s, d in phi.summands)
     if all(d == 1 for _, d in profile):
         return ParamType.TEMPERED
@@ -329,9 +330,22 @@ def classify(phi: AParameter) -> ParamType:
     raise InvalidParameter(f"no elliptic shape matches profile {profile}")
 
 
+def classify(phi: AParameter) -> ParamType:
+    """The unique matching type of a valid parameter, worked out once per instance.
+
+    An invalid parameter stores nothing and raises on every call.
+    """
+    try:
+        return phi._ptype
+    except AttributeError:
+        ptype = _validated_type(phi)
+        object.__setattr__(phi, "_ptype", ptype)
+        return ptype
+
+
 def component_group(phi: AParameter) -> ComponentGroup:
     """Free Z/2-module with one generator per summand (no global relations)."""
-    phi.validate()
+    classify(phi)
     return ComponentGroup(basis=phi.basis_labels(), relations=())
 
 

@@ -21,11 +21,12 @@ representation; rank-1 cuspidal representations of type rho x S_1 are
 enumerated through the rank-1 multiplicity condition (product of local
 signs equals the root number of rho).
 
-Each distinct parameter is localized once per place and its local data
-shared by every family that uses it: B-pr and P1-pr share chi x S_4,
-B-HPS and P1-HPS share (chi_1 x S_2) + (chi_2 x S_2), and one P1-SK
-parameter serves all its sign vectors.  B and P2 read the designated
-member; packets are built only for P1 parameters, once each.
+Each distinct parameter is built (so classified) once, localized once
+per place, and its local data shared by every family that uses it: B-pr
+and P1-pr share chi x S_4, B-HPS and P1-HPS share (chi_1 x S_2) +
+(chi_2 x S_2), and one P1-SK parameter serves all its sign vectors.  B and P2 read the designated
+member; packets are built only for P1 parameters, once each, and P1
+reads a member by the mask of its local character.
 """
 
 from __future__ import annotations
@@ -83,8 +84,14 @@ def residual_spectrum(
     """All residual constituents the declared data generate, deterministically ordered."""
     places = sorted(places, key=lambda p: p.id)
     out: list[ResidualConstituent] = []
+    shared: dict = {}  # basis labels -> the call's one instance of that parameter
     local_params: dict = {}  # basis labels -> LocalParam per place
-    packets: dict = {}  # basis labels -> {label: member} per place
+    packets: dict = {}  # basis labels -> {label mask: member} per place
+
+    def parameter(summands):
+        """The shared instance, so that each parameter is classified once."""
+        phi = AParameter.of(summands)
+        return shared.setdefault(phi.basis_labels(), phi)
 
     def localized(phi):
         key = phi.basis_labels()
@@ -96,10 +103,10 @@ def residual_spectrum(
         return [(p.id, designated_l_packet_member(lp)) for p, lp in zip(places, localized(phi))]
 
     def at_labels(phi, labels):
-        """The packet member at each place's label (one label per place)."""
+        """The packet member at each place's label, a character mask (one per place)."""
         key = phi.basis_labels()
         if key not in packets:
-            packets[key] = [{e.label.values: e.member for e in local_packet(lp)} for lp in localized(phi)]
+            packets[key] = [{e.label.bits: e.member for e in local_packet(lp)} for lp in localized(phi)]
         return [(p.id, members[label]) for p, members, label in zip(places, packets[key], labels)]
 
     def add(name, support, phi, members):
@@ -115,10 +122,10 @@ def residual_spectrum(
 
     # Borel family: one constituent per character, one per unordered distinct pair
     for chi in sorted(elements, key=lambda e: e.name):
-        phi = AParameter.of([(chi, 4)])
+        phi = parameter([(chi, 4)])
         add(f"B-pr[{chi.name}]", "B", phi, designated(phi))
     for e1, e2 in itertools.combinations(sorted(elements, key=lambda e: e.name), 2):
-        phi = AParameter.of([(e1, 2), (e2, 2)])
+        phi = parameter([(e1, 2), (e2, 2)])
         add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, designated(phi))
 
     # P2 family: dihedral data with nontrivial quadratic central character
@@ -127,16 +134,16 @@ def residual_spectrum(
             continue
         if rho.central_char in ("1", "trivial"):
             continue
-        phi = AParameter.of([(rho, 2)])
+        phi = parameter([(rho, 2)])
         add(f"P2[{rho.name}]", "P2", phi, designated(phi))
 
     # P1, principal family: Weil-type pi with parameter chi x S_2
     for chi in sorted(elements, key=lambda e: e.name):
-        phi = AParameter.of([(chi, 4)])
+        phi = parameter([(chi, 4)])
         for pi in sorted(mp2_weil, key=lambda w: w.name):
             if pi.chi != chi.name:
                 continue
-            labels = [(-1,) if p.id in pi.s_places else (1,) for p in places]
+            labels = [1 if p.id in pi.s_places else 0 for p in places]
             add(f"P1-pr[{chi.name};{pi.name}]", "P1", phi, at_labels(phi, labels))
 
     # P1, Saito-Kurokawa family: pairs (chi, rho) with L(1/2, rho x chi) != 0
@@ -146,7 +153,7 @@ def residual_spectrum(
         for chi in sorted(elements, key=lambda e: e.name):
             if not rho.l_half_nonzero.get(chi.name, False):
                 continue
-            phi = AParameter.of([(rho, 1), (chi, 2)])
+            phi = parameter([(rho, 1), (chi, 2)])
             irr = [p for p in places if rho_is_irreducible(rho.local[p.id])]
             for signs in itertools.product((1, -1), repeat=len(irr)):
                 prod = 1
@@ -155,7 +162,7 @@ def residual_spectrum(
                 if prod != rho.global_root:
                     continue
                 eps1 = dict(zip((p.id for p in irr), signs))
-                labels = [(eps1.get(p.id, 1), 1) for p in places]
+                labels = [0b10 if eps1.get(p.id, 1) == -1 else 0 for p in places]
                 sig = "".join(sign_str(eps1.get(p.id, 1)) for p in places)
                 add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, at_labels(phi, labels))
 
@@ -171,13 +178,10 @@ def residual_spectrum(
                     e1.local(p) == e2.local(p) for p in places if p.id in pi.s_places
                 ):
                     continue
-                phi = AParameter.of([(e1, 2), (e2, 2)])
-                # label order follows the canonical summand order of phi
-                e1_first = phi.summands[0][0].name == e1.name
-                labels = []
-                for p in places:
-                    sign = -1 if p.id in pi.s_places else 1
-                    labels.append((1, sign) if e1_first else (sign, 1))
+                phi = parameter([(e1, 2), (e2, 2)])
+                # the sign sits on the generator of e2, in the canonical summand order of phi
+                bit = 0b01 if phi.summands[0][0].name == e1.name else 0b10
+                labels = [bit if p.id in pi.s_places else 0 for p in places]
                 add(f"P1-HPS[{e1.name},{e2.name};{pi.name}]", "P1", phi, at_labels(phi, labels))
 
     return out

@@ -58,7 +58,6 @@ from .packets import (
     shimura_row,
 )
 from .parameters import (
-    ParamType,
     RhoDihedralSupercuspidal,
     RhoIrreducibleSymplectic,
     RhoPrincipalSeries,
@@ -132,14 +131,17 @@ def shimura_row_from_query(q) -> SCRow:
     def text(key):
         return _text(row, key, path)
 
+    def square_class(key, default=None):
+        """The square class at the place that the label ``row[key]`` names."""
+        value = text(key) if default is None else _as_str(row.get(key, default), f"{path}.{key}")
+        try:
+            return place.class_from_label(value)
+        except ValueError as exc:
+            raise SchemaError(f"{path}.{key}", str(exc)) from None
+
     t = row.get("type")
     if t == "steinberg-S4":
-        label = _as_str(row.get("a", "1"), f"{path}.a")
-        try:
-            a = place.class_from_label(label)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.a", str(exc)) from None
-        return principal_shimura_row(place, a)
+        return principal_shimura_row(place, square_class("a", "1"))
     if t == "orthogonal-S2":
         return orthogonal_shimura_row(text("tau"))
     if t == "4dim":
@@ -157,15 +159,15 @@ def shimura_row_from_query(q) -> SCRow:
         shape = ShTempered((PieceSC(tag), PieceSC(tag)))
         return shimura_row(place, shape)
     if t == "double-steinberg":
-        a = text("a")
+        a = square_class("a").label
         shape = ShTempered((PieceSt(a), PieceSt(a)))
         return shimura_row(place, shape)
     if t == "steinberg-pair":
-        a, b = text("a"), text("b")
+        a, b = square_class("a").label, square_class("b").label
         pieces = tuple(sorted((PieceSt(a), PieceSt(b)), key=repr))
         return shimura_row(place, ShTempered(pieces))
     if t == "sc-plus-S2":
-        tag, a = text("tag"), text("a")
+        tag, a = text("tag"), square_class("a").label
         eps0 = _as_sign(row.get("eps", 1), f"{path}.eps")
         tw = _as_sign(row.get("eps_twist", 1), f"{path}.eps_twist")
         pieces = tuple(sorted((PieceSC(tag), PieceSt(a)), key=repr))
@@ -195,67 +197,28 @@ def _hilbert_tables() -> dict:
 
 def _sample_shapes(place: Place) -> list[tuple[str, LocalParam]]:
     """Representative local shapes of every family at one place kind."""
-    out = []
     classes = place.square_classes()
     a0 = classes[0]
     a1 = classes[1] if len(classes) > 1 else classes[0]
-    for c in classes:
-        out.append((f"principal chi[{c.label}]", LocalParam(place, ParamType.PRINCIPAL, ShPrincipal(c))))
+    out = [(f"principal chi[{c.label}]", ShPrincipal(c)) for c in classes]
     if place.is_nonarch:
         sc = RhoIrreducibleSymplectic("rho0", -1, {c.label: 1 for c in classes})
         for c in classes:
-            out.append(
-                (f"SK sc twist chi[{c.label}]", LocalParam(place, ParamType.SAITO_KUROKAWA, ShSK("rho", sc, c)))
-            )
-            out.append(
-                (
-                    f"SK steinberg[{c.label}] twist chi[{c.label}]",
-                    LocalParam(place, ParamType.SAITO_KUROKAWA,
-                               ShSK("rho", RhoSteinberg(c.label, -1, {}), c)),
-                )
-            )
-        out.append(
-            (
-                "soudry dihedral",
-                LocalParam(place, ParamType.SOUDRY, ShSoudryIrreducible("rho", RhoDihedralSupercuspidal("tau"))),
-            )
-        )
+            out.append((f"SK sc twist chi[{c.label}]", ShSK("rho", sc, c)))
+            st = RhoSteinberg(c.label, -1, {})
+            out.append((f"SK steinberg[{c.label}] twist chi[{c.label}]", ShSK("rho", st, c)))
+        out.append(("soudry dihedral", ShSoudryIrreducible("rho", RhoDihedralSupercuspidal("tau"))))
     if place.is_real:
         for kappa in (1, 2):
-            out.append(
-                (
-                    f"SK real-discrete kappa={kappa} twist chi[{a1.label}]",
-                    LocalParam(place, ParamType.SAITO_KUROKAWA, ShSK("rho", RhoRealDiscrete(kappa), a1)),
-                )
-            )
-            out.append(
-                (
-                    f"SK real-discrete kappa={kappa} twist chi[{a0.label}]",
-                    LocalParam(place, ParamType.SAITO_KUROKAWA, ShSK("rho", RhoRealDiscrete(kappa), a0)),
-                )
-            )
-        out.append(
-            (
-                "soudry real-orthogonal kappa=1",
-                LocalParam(place, ParamType.SOUDRY, ShSoudryIrreducible("rho", RhoRealOrthogonalDiscrete(1))),
-            )
-        )
+            rho = RhoRealDiscrete(kappa)
+            out += [(f"SK real-discrete kappa={kappa} twist chi[{a.label}]", ShSK("rho", rho, a)) for a in (a1, a0)]
+        out.append(("soudry real-orthogonal kappa=1", ShSoudryIrreducible("rho", RhoRealOrthogonalDiscrete(1))))
     ps = RhoPrincipalSeries("mu", Fraction(1, 4), 1)
-    out.append(
-        (f"SK principal-series twist chi[{a1.label}]",
-         LocalParam(place, ParamType.SAITO_KUROKAWA, ShSK("rho", ps, a1)))
-    )
-    for x in classes:
-        for y in classes:
-            if x.label <= y.label:
-                out.append(
-                    (f"HPS chi[{x.label}], chi[{y.label}]",
-                     LocalParam(place, ParamType.HOWE_PS, ShHPS(x, y)))
-                )
-    out.append(
-        ("soudry non-quadratic", LocalParam(place, ParamType.SOUDRY, ShSoudryNonQuadratic("mu")))
-    )
-    return out
+    out.append((f"SK principal-series twist chi[{a1.label}]", ShSK("rho", ps, a1)))
+    pairs = [(x, y) for x in classes for y in classes if x.label <= y.label]
+    out += [(f"HPS chi[{x.label}], chi[{y.label}]", ShHPS(x, y)) for x, y in pairs]
+    out.append(("soudry non-quadratic", ShSoudryNonQuadratic("mu")))
+    return [(name, LocalParam(place, shape)) for name, shape in out]
 
 
 def _packet_tables() -> dict:

@@ -151,7 +151,7 @@ def _expected_l_labels(lp, entries):
     from mp4spectrum.localization import ShSK
     from mp4spectrum.parameters import RhoPrincipalSeries
 
-    if lp.ptype is ParamType.TEMPERED:
+    if isinstance(lp.shape, ShTempered):
         return {e.label.values for e in entries}
     if isinstance(lp.shape, ShSK) and not isinstance(lp.shape.rho, RhoPrincipalSeries):
         return {(1, 1), (-1, 1)}
@@ -174,7 +174,7 @@ def test_criterion_5_table_integrity():
             for e in entries:
                 if e.in_l_packet:
                     assert not e.is_zero
-            if lp.ptype is not ParamType.TEMPERED:
+            if not isinstance(lp.shape, ShTempered):
                 all_plus = entries[0]
                 assert all_plus.label.is_trivial
                 assert all_plus.member == designated_l_packet_member(lp)

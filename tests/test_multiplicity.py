@@ -185,7 +185,7 @@ def test_enumeration_order_matches_brute_force_list(ptype):
         locals_ = prepare_local_data(phi, places)
         eps = epsilon_tilde(phi)
         expected = []
-        for choice in itertools.product(*(ld.characters for ld in locals_)):
+        for choice in itertools.product(*(ld.group.characters() for ld in locals_)):
             if all(
                 math.prod(ch.on(ld.iota.images[i]) for ld, ch in zip(locals_, choice)) == sign
                 for i, sign in enumerate(eps.values)
@@ -288,7 +288,7 @@ def test_pullback_is_homomorphism(rng):
     for i in range(10):
         places, elements, phi = random_scenario_parameter(rng, PTYPES[i % len(PTYPES)])
         locals_ = prepare_local_data(phi, places)
-        chars = [ld.characters for ld in locals_]
+        chars = [ld.group.characters() for ld in locals_]
         # two random-ish adelic characters: first and last of each local list
         eta1 = AdelicCharacter(tuple((ld.place.id, cs[0]) for ld, cs in zip(locals_, chars)))
         eta2 = AdelicCharacter(tuple((ld.place.id, cs[-1]) for ld, cs in zip(locals_, chars)))
@@ -308,11 +308,11 @@ def test_local_wiggle_preserves_multiplicity(rng):
         places, elements, phi = random_scenario_parameter(rng, PTYPES[i % len(PTYPES)])
         locals_ = prepare_local_data(phi, places)
         eta = AdelicCharacter(
-            tuple((ld.place.id, ld.characters[0]) for ld in locals_)
+            tuple((ld.place.id, ld.group.trivial_character()) for ld in locals_)
         )
         base = multiplicity(phi, places, eta)
         for k, ld in enumerate(locals_):
-            for kappa in ld.characters:
+            for kappa in ld.group.characters():
                 if not all(kappa.on(m) == 1 for m in ld.iota.images):
                     continue
                 comps = list(eta.components)

@@ -63,7 +63,6 @@ from mp4spectrum.packets import (
     theta_o3_nonvanishing,
 )
 from mp4spectrum.parameters import (
-    ParamType,
     RhoDihedralSupercuspidal,
     RhoIrreducibleSymplectic,
     RhoPrincipalSeries,
@@ -133,7 +132,7 @@ def test_theta_o3_nonvanishing():
 @pytest.mark.parametrize("place", [ODD1, ODD3, REAL, CPLX], ids=lambda p: p.kind)
 def test_principal_packet(place):
     for cls in place.square_classes():
-        lp = LocalParam(place, ParamType.PRINCIPAL, ShPrincipal(cls))
+        lp = LocalParam(place, ShPrincipal(cls))
         ent = entries_by_label(lp)
         assert set(ent) == {(1,), (-1,)}
         assert ent[(1,)].member == elementary_weil(2, 1, cls.label)
@@ -149,7 +148,7 @@ def test_principal_packet(place):
 def test_sk_packet_supercuspidal_rho():
     rho = RhoIrreducibleSymplectic("sc", -1, {"u": 1, "p": 1, "up": 1})
     a = ODD3.class_from_label("u")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SAITO_KUROKAWA, ShSK("rho", rho, a)))
+    ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert ent[(1, 1)].member == lq(MP4, [seg("u", H)], Mp2Member("sc", 1))
     assert ent[(-1, 1)].member == lq(MP4, [seg("u", H)], Mp2Member("sc", -1))
     assert not any(e.is_zero for e in ent.values())
@@ -160,7 +159,7 @@ def test_sk_packet_steinberg_same_class_nontrivial():
     # rho_v = chi_a x S_2 with chi_a != 1: zero exactly at (+, -)
     rho = RhoSteinberg("u", -1, {})
     a = ODD3.class_from_label("u")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SAITO_KUROKAWA, ShSK("rho", rho, a)))
+    ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert ent[(1, -1)].is_zero
     assert not ent[(-1, -1)].is_zero
     assert ent[(-1, -1)].member == MpGenNG(St2("u"), False)
@@ -172,7 +171,7 @@ def test_sk_packet_steinberg_same_class_trivial():
     # rho_v = 1 x S_2: zero exactly at (-, -), and (+, -) is the generic member
     rho = RhoSteinberg("1", -1, {})
     a = ODD3.class_from_label("1")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SAITO_KUROKAWA, ShSK("rho", rho, a)))
+    ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert ent[(-1, -1)].is_zero
     assert ent[(1, -1)].member == MpGenNG(St2("1"), True)
 
@@ -180,7 +179,7 @@ def test_sk_packet_steinberg_same_class_trivial():
 def test_sk_packet_steinberg_other_class():
     rho = RhoSteinberg("p", -1, {})
     a = ODD3.class_from_label("u")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SAITO_KUROKAWA, ShSK("rho", rho, a)))
+    ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert not any(e.is_zero for e in ent.values())
     assert ent[(1, -1)].member == MpStPair("u", WeilOdd("p")) or not ent[(1, -1)].is_zero
 
@@ -189,18 +188,18 @@ def test_sk_packet_real_discrete_vanishing():
     # kappa = 1 and eps1 = -chi_a(-1) vanishes; kappa > 1 never does
     a_neg = REAL.class_from_label("-1")
     ent = entries_by_label(
-        LocalParam(REAL, ParamType.SAITO_KUROKAWA, ShSK("rho", RhoRealDiscrete(1), a_neg))
+        LocalParam(REAL, ShSK("rho", RhoRealDiscrete(1), a_neg))
     )
     assert ent[(1, -1)].is_zero  # chi_a(-1) = -1 here
     assert not ent[(-1, -1)].is_zero
     a_pos = REAL.class_from_label("1")
     ent = entries_by_label(
-        LocalParam(REAL, ParamType.SAITO_KUROKAWA, ShSK("rho", RhoRealDiscrete(1), a_pos))
+        LocalParam(REAL, ShSK("rho", RhoRealDiscrete(1), a_pos))
     )
     assert ent[(-1, -1)].is_zero
     assert not ent[(1, -1)].is_zero
     ent = entries_by_label(
-        LocalParam(REAL, ParamType.SAITO_KUROKAWA, ShSK("rho", RhoRealDiscrete(2), a_neg))
+        LocalParam(REAL, ShSK("rho", RhoRealDiscrete(2), a_neg))
     )
     assert not any(e.is_zero for e in ent.values())
 
@@ -210,7 +209,7 @@ def test_sk_packet_real_discrete_members():
     # of D_{3/2} + D_{1/2} labeled (eps1, +1)
     a = REAL.class_from_label("1")
     ent = entries_by_label(
-        LocalParam(REAL, ParamType.SAITO_KUROKAWA, ShSK("rho", RhoRealDiscrete(2), a))
+        LocalParam(REAL, ShSK("rho", RhoRealDiscrete(2), a))
     )
     assert ent[(1, -1)].member == RealLKT((Fraction(5, 2), -H))
     assert ent[(-1, -1)].member == RealLKT((Fraction(-5, 2), Fraction(-5, 2)))
@@ -220,7 +219,7 @@ def test_sk_packet_real_discrete_members():
 def test_sk_packet_reducible_rho():
     rho = RhoPrincipalSeries("mu", Fraction(1, 4), 1)
     a = ODD3.class_from_label("u")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SAITO_KUROKAWA, ShSK("rho", rho, a)))
+    ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert set(ent) == {(1, 1), (1, -1)}
     assert not any(e.is_zero for e in ent.values())
     assert ent[(1, 1)].member == lq(MP4, [seg("u", H), Seg(TagChar("mu"), Fraction(1, 4))])
@@ -234,7 +233,7 @@ def test_sk_packet_reducible_rho():
 
 def test_hps_packet_distinct_nonarch():
     a, b = ODD3.class_from_label("1"), ODD3.class_from_label("u")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.HOWE_PS, ShHPS(a, b)))
+    ent = entries_by_label(LocalParam(ODD3, ShHPS(a, b)))
     assert ent[(1, 1)].member == lq(MP4, [seg("1", H), seg("u", H)])
     assert ent[(1, -1)].member == lq(MP4, [seg("1", H)], WeilOdd("u"))
     assert ent[(-1, 1)].member == lq(MP4, [seg("u", H)], WeilOdd("1"))
@@ -244,31 +243,31 @@ def test_hps_packet_distinct_nonarch():
 
 def test_hps_packet_distinct_real_vanishing():
     a, b = REAL.class_from_label("1"), REAL.class_from_label("-1")
-    ent = entries_by_label(LocalParam(REAL, ParamType.HOWE_PS, ShHPS(a, b)))
+    ent = entries_by_label(LocalParam(REAL, ShHPS(a, b)))
     assert ent[(-1, -1)].is_zero
     assert [lab for lab, e in ent.items() if e.is_zero] == [(-1, -1)]
 
 
 def test_hps_packet_equal_nonarch():
     a = ODD3.class_from_label("u")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.HOWE_PS, ShHPS(a, a)))
+    ent = entries_by_label(LocalParam(ODD3, ShHPS(a, a)))
     assert set(ent) == {(1, 1), (-1, -1)}
     assert ent[(-1, -1)].member == lq(MP4, [seg("u", H)], MpSt2("u"))
 
 
 def test_hps_packet_equal_real_dual_weil():
     a = REAL.class_from_label("1")
-    ent = entries_by_label(LocalParam(REAL, ParamType.HOWE_PS, ShHPS(a, a)))
+    ent = entries_by_label(LocalParam(REAL, ShHPS(a, a)))
     # (omega^-_{psi_a})^dual = omega^-_{psi_{-a}}
     assert ent[(-1, -1)].member == lq(MP4, [seg("1", H)], WeilOdd("-1"))
     b = REAL.class_from_label("-1")
-    ent = entries_by_label(LocalParam(REAL, ParamType.HOWE_PS, ShHPS(b, b)))
+    ent = entries_by_label(LocalParam(REAL, ShHPS(b, b)))
     assert ent[(-1, -1)].member == lq(MP4, [seg("-1", H)], WeilOdd("1"))
 
 
 def test_hps_packet_equal_complex_zero():
     a = CPLX.class_from_label("1")
-    ent = entries_by_label(LocalParam(CPLX, ParamType.HOWE_PS, ShHPS(a, a)))
+    ent = entries_by_label(LocalParam(CPLX, ShHPS(a, a)))
     assert set(ent) == {(1, 1), (-1, -1)}
     assert ent[(-1, -1)].is_zero
     assert ent[(1, 1)].member == lq(MP4, [seg("1", H), seg("1", H)])
@@ -280,7 +279,7 @@ def test_hps_packet_equal_complex_zero():
 
 def test_soudry_packet_nonarch_irreducible():
     shape = ShSoudryIrreducible("rho", RhoDihedralSupercuspidal("tau"))
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SOUDRY, shape))
+    ent = entries_by_label(LocalParam(ODD3, shape))
     assert ent[(1,)].member == lq(MP4, [GL2Seg(SC2("tau"), H)])
     assert not ent[(-1,)].is_zero
     assert {lab for lab, e in ent.items() if e.in_l_packet} == {(1,)}
@@ -288,7 +287,7 @@ def test_soudry_packet_nonarch_irreducible():
 
 def test_soudry_packet_real_direct_sum():
     shape = ShSoudryIrreducible("rho", RhoRealOrthogonalDiscrete(2))
-    ent = entries_by_label(LocalParam(REAL, ParamType.SOUDRY, shape))
+    ent = entries_by_label(LocalParam(REAL, shape))
     assert ent[(1,)].member == lq(MP4, [GL2Seg(RealD(Fraction(2)), H)])
     minus = ent[(-1,)].member
     expected = dsum(
@@ -300,7 +299,7 @@ def test_soudry_packet_real_direct_sum():
 
 def test_soudry_packet_nonquadratic():
     shape = ShSoudryNonQuadratic("mu")
-    ent = entries_by_label(LocalParam(ODD3, ParamType.SOUDRY, shape))
+    ent = entries_by_label(LocalParam(ODD3, shape))
     assert set(ent) == {()}
     member = ent[()].member
     assert member == lq(MP4, [Seg(TagChar("mu"), H), Seg(TagChar("mu", True), H)])
@@ -331,7 +330,7 @@ def test_l_packet_members_nonzero_and_designated(rng):
         for e in entries:
             if e.in_l_packet:
                 assert not e.is_zero
-        if lp.ptype is not ParamType.TEMPERED:
+        if not isinstance(lp.shape, ShTempered):
             all_plus = entries[0]
             assert all_plus.label.is_trivial
             assert all_plus.member == designated_l_packet_member(lp)

@@ -213,3 +213,61 @@ def test_l_half_nonzero_forces_positive_root():
             twisted_roots={"t": -1},
             l_half_nonzero={"t": True},
         )
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The parameters validated so far, one entry per validation."""
+    import mp4spectrum.parameters as parameters
+
+    seen = []
+    original = parameters._validated_type
+
+    def counted(phi):
+        seen.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(parameters, "_validated_type", counted)
+    return seen
+
+
+def test_classify_validates_a_parameter_once(validations):
+    places = _places()
+    chi = trivial_element(places)
+    rho = symplectic_datum("rho", places, _ps_shapes(places), [chi])
+    phi = AParameter.of([(rho, 1), (chi, 2)])
+    assert classify(phi) is ParamType.SAITO_KUROKAWA
+    assert classify(phi) is ParamType.SAITO_KUROKAWA
+    component_group(phi)
+    epsilon_tilde(phi)
+    assert validations == [phi]
+    # the stored type is not a field: an unclassified copy is equal and reads the same
+    fresh = AParameter.of([(rho, 1), (chi, 2)])
+    assert fresh == phi and repr(fresh) == repr(phi)
+
+
+def test_classify_stores_no_failure(validations):
+    places = _places()
+    phi = AParameter.of([(trivial_element(places), 2)])
+    for _ in range(3):
+        with pytest.raises(InvalidParameter):
+            classify(phi)
+    with pytest.raises(InvalidParameter):
+        component_group(phi)
+    assert validations == [phi] * 4
+
+
+@pytest.mark.parametrize("fixture", ["sk_steinberg.json", "tempered.json", "soudry.json"])
+def test_localize_validates_once_over_a_scenario(fixture, validations):
+    import os
+
+    from mp4spectrum.localization import localize
+    from mp4spectrum.multiplicity import enumerate_constituents
+    from mp4spectrum.scenario import load_scenario
+
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "..", "fixtures", fixture))
+    for place in sc.places:
+        localize(sc.parameter, place)
+    sc.validate()
+    enumerate_constituents(sc.parameter, sc.places)
+    assert validations == [sc.parameter]

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from mp4spectrum.cli import main
+from mp4spectrum.ktypes import HARMONICS_RANK_CAP
 from mp4spectrum.scenario import (
     ScenarioValidationError,
     SchemaError,
@@ -454,6 +455,22 @@ MALFORMED_QUERIES = {
         "$.query.chi.class",
     ),
     "correspond_tau_null": ("correspond", {"row": {"type": "orthogonal-S2", "tau": None}}, "$.query.row.tau"),
+    # class labels are checked at the row's place kind, as steinberg-S4 always did
+    "correspond_steinberg_pair_unknown_class": (
+        "correspond",
+        {"row": {"type": "steinberg-pair", "a": "u", "b": "zz9"}},
+        "$.query.row.b",
+    ),
+    "correspond_sc_plus_S2_unknown_class": (
+        "correspond",
+        {"row": {"type": "sc-plus-S2", "tag": "t", "a": "zz9"}},
+        "$.query.row.a",
+    ),
+    "correspond_double_steinberg_unknown_class": (
+        "correspond",
+        {"row": {"type": "double-steinberg", "a": "zz9"}},
+        "$.query.row.a",
+    ),
 }
 
 
@@ -462,3 +479,18 @@ def test_cli_malformed_query_exit_typed(name, capsys):
     sub, query, json_path = MALFORMED_QUERIES[name]
     assert main([sub, "--query", json.dumps(query)]) == 4
     assert json_path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [10**30, 10**8])
+def test_cli_ktype_harmonics_rank_is_capped(n, capsys):
+    # refused before the weight list is built: 10**30 overflowed and 10**8
+    # built a list of that many weights
+    q = json.dumps({"op": "harmonics", "p": 2, "q": 1, "a": [0], "eps": 1, "b": [], "delta": 1, "n": n})
+    assert main(["ktype", "--query", q]) == 3
+    assert "$.query.n" in capsys.readouterr().err
+
+
+def test_cli_ktype_harmonics_at_the_cap(capsys):
+    q = {"op": "harmonics", "p": 2, "q": 1, "a": [0], "eps": 1, "b": [], "delta": 1, "n": HARMONICS_RANK_CAP}
+    assert main(["ktype", "--query", json.dumps(q)]) == 0
+    assert capsys.readouterr().out.count("1/2") == HARMONICS_RANK_CAP
