@@ -17,7 +17,8 @@ Subcommands:
 
 Each subcommand builds its result dict once.  ``--format json`` prints
 that dict; ``--format text`` renders it through the command's ``_*_text``
-function, which is called only then.
+function, which is called only then.  enumerate's constituent array is an
+``Encoded`` value, likewise joined only under ``--format json``.
 
 Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error.
 """
@@ -28,6 +29,7 @@ import argparse
 import functools
 import json
 import sys
+from operator import getitem
 
 from . import tables
 from .descriptors import render, sign_label, sign_str
@@ -45,7 +47,7 @@ from .ktypes import (
     lowest_kprime_catalog,
 )
 from .localization import localize
-from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents
+from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents, listed_tuples
 from .packets import (
     REDUCTIONS,
     RowNotFound,
@@ -55,7 +57,7 @@ from .packets import (
     reducibility_oracle,
 )
 from .parameters import InvalidParameter, MissingSignData, classify, epsilon_tilde
-from .reports import Report, dumps
+from .reports import Encoded, Report, dumps
 from .residual import residual_spectrum
 from .scenario import (
     ScenarioValidationError,
@@ -162,36 +164,59 @@ def cmd_enumerate(args) -> Report:
     sc = _load(args)
     sc.validate()
     phi = _need_parameter(sc)
-    cons = enumerate_constituents(phi, sc.places, include_vanishing=args.verbose)
-    shown = []
-    count = 0
-    # the member at a place is a function of the local character there, so
-    # each (place, character) pair is rendered once per call
-    rendered = {}
-    for c in cons:
-        eta, members = {}, {}
-        for (pid, ch), (_, d) in zip(c.eta.components, c.local_members):
-            key = (pid, ch.bits)
-            if key not in rendered:
-                rendered[key] = (sign_label(ch.values), render(d))
-            eta[pid], members[pid] = rendered[key]
-        vanishing = c.has_zero_member
-        shown.append({"eta": eta, "members": members, "vanishing": vanishing})
-        if not vanishing:
-            count += 1
-    data = {"count": count, "constituents": shown}
-    return Report("enumerate", data, functools.partial(_enumerate_text, verbose=args.verbose))
+    locals_, listed = listed_tuples(phi, sc.places, include_vanishing=args.verbose)
+    # the label and member at a place are functions of the local character
+    # there, so each (place, character index) pair is rendered once and a
+    # constituent is joined from its index tuple
+    places = [
+        (ld.place.id, [sign_label(e.label.values) for e in ld.entries], [render(e.member) for e in ld.entries])
+        for ld in locals_
+    ]
+    data = {
+        "count": sum(not vanishing for _, vanishing in listed),
+        "constituents": Encoded(functools.partial(_constituents_json, places, listed)),
+    }
+    text = functools.partial(_enumerate_text, places=places, listed=listed, verbose=args.verbose)
+    return Report("enumerate", data, text)
 
 
-def _enumerate_text(d, verbose):
+def _constituents_json(places, listed) -> str:
+    """enumerate's "constituents" array as reports.dumps would lay it out under a top-level key."""
+    last = len(places) - 1
+
+    def lines(k, pid, texts):
+        key = "        " + json.dumps(pid, ensure_ascii=False) + ": "
+        end = ",\n" if k < last else "\n"
+        return [key + json.dumps(t, ensure_ascii=False) + end for t in texts]
+
+    etas = [lines(k, pid, labels) for k, (pid, labels, _) in enumerate(places)]
+    members = [lines(k, pid, rendered) for k, (pid, _, rendered) in enumerate(places)]
+    head = ',\n    {\n      "eta": {\n'
+    middle = '      },\n      "members": {\n'
+    tails = ('      },\n      "vanishing": false\n    }', '      },\n      "vanishing": true\n    }')
+    parts = []
+    for choice, vanishing in listed:
+        parts.append(head)
+        parts += map(getitem, etas, choice)
+        parts.append(middle)
+        parts += map(getitem, members, choice)
+        parts.append(tails[vanishing])
+    if not parts:
+        return "[]"
+    parts[0] = "[" + head[1:]  # the first constituent follows the bracket, not a comma
+    parts.append("\n  ]")
+    return "".join(parts)
+
+
+def _enumerate_text(d, places, listed, verbose):
     yield f"{d['count']} constituents"
-    for entry in d["constituents"]:
-        eta = " ".join(f"{pid}:{lab}" for pid, lab in sorted(entry["eta"].items()))
-        flag = "  [vanishing member]" if entry["vanishing"] else ""
-        yield f"  {eta}{flag}"
+    etas = [[f"{pid}:{label}" for label in labels] for pid, labels, _ in places]
+    members = [[f"      {pid}: {member}" for member in rendered] for pid, _, rendered in places]
+    for choice, vanishing in listed:
+        flag = "  [vanishing member]" if vanishing else ""
+        yield "  " + " ".join(map(getitem, etas, choice)) + flag
         if verbose:
-            for pid, member in sorted(entry["members"].items()):
-                yield f"      {pid}: {member}"
+            yield from map(getitem, members, choice)
 
 
 def cmd_packet(args) -> Report:

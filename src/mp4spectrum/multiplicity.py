@@ -8,10 +8,11 @@ image of a_i under the localization map.  The multiplicity of pi_eta is
 
 Two counting routes are kept deliberately independent:
 
-  * enumerate_constituents solves the F2-affine system cut out by the
-    pullback condition (one affine solve over the concatenated local
-    character masks, kernel enumeration) and then filters out tuples
-    with a vanishing local member;
+  * listed_tuples solves the F2-affine system cut out by the pullback
+    condition (one affine solve over the concatenated local character
+    masks, kernel enumeration) and drops, by character index, the tuples
+    with a vanishing local member; enumerate_constituents and the CLI's
+    enumerate both read its index tuples;
   * brute_force_count iterates the full product of local packet entries
     and applies the definitional test tuple by tuple.
 
@@ -36,6 +37,9 @@ class ScenarioTooLarge(ValueError):
 
 
 BRUTE_FORCE_PLACE_CAP = 6
+# most multiplicity-one tuples listed_tuples lists; a scenario with more is
+# refused before any of them is built
+ENUMERATE_LIMIT = 1 << 17
 
 
 class AdelicCharacter(Record):
@@ -105,7 +109,7 @@ def _constituent(eta_pairs: list, member_pairs: list, choice: tuple) -> Constitu
     return Constituent(eta, tuple(map(getitem, member_pairs, choice)), multiplicity=1)
 
 
-def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]):
+def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]) -> list[tuple]:
     """Index tuples of all adelic characters with Delta^* eta = eps~, in order.
 
     The unknown is the concatenation of the local character masks, the
@@ -114,7 +118,8 @@ def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]):
     parity per global generator (eta on the images of that generator has
     product eps~) and one per local relation (eta is trivial on it).
     The affine solve runs once and the global kernel is a basis, so no
-    solution repeats.
+    solution repeats.  More than ENUMERATE_LIMIT solutions raise
+    ScenarioTooLarge before any is listed.
     """
     eps = epsilon_tilde(phi)
     rows = [0] * len(eps.group.basis)
@@ -130,13 +135,36 @@ def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]):
     slices.reverse()
     solved = solve_affine(rows + relations, eps.bits << len(relations), width)
     if solved is None:
-        return
+        return []
     x0, kernel = solved
+    if 1 << len(kernel) > ENUMERATE_LIMIT:
+        raise ScenarioTooLarge(
+            f"{1 << len(kernel)} multiplicity-one tuples to list, above the limit of {ENUMERATE_LIMIT}"
+        )
     span = [x0]
     for b in kernel:
         span += [v ^ b for v in span]
-    for x in sorted(span):
-        yield tuple(index[(x >> shift) & mask] for shift, mask, index in slices)
+    span.sort()
+    return list(zip(*([index[(x >> shift) & mask] for x in span] for shift, mask, index in slices)))
+
+
+def listed_tuples(
+    phi: AParameter, places: list[Place], include_vanishing: bool = False
+) -> tuple[list[LocalData], list[tuple[tuple, bool]]]:
+    """The local data and the multiplicity-one tuples, as character indexes.
+
+    Returns (locals_, [(choice, vanishing), ...]) in AdelicCharacter.sort_key
+    order: choice[k] indexes locals_[k].entries, and vanishing says whether
+    a local member of the tuple is zero.  Without include_vanishing those
+    tuples are dropped, by index against each place's zero members.
+    """
+    locals_ = prepare_local_data(phi, places)
+    zeros = [{i for i, e in enumerate(ld.entries) if e.is_zero} for ld in locals_]
+    zeros = [(k, z) for k, z in enumerate(zeros) if z]
+    listed = [(c, any(c[k] in z for k, z in zeros)) for c in _solutions_by_linear_algebra(phi, locals_)]
+    if not include_vanishing:
+        listed = [pair for pair in listed if not pair[1]]
+    return locals_, listed
 
 
 def enumerate_constituents(
@@ -145,21 +173,17 @@ def enumerate_constituents(
     """Discrete-spectrum constituents, in deterministic order.
 
     With include_vanishing=True the multiplicity-one tuples whose member
-    vanishes locally are appended (flagged by has_zero_member), mirroring
-    the distinction between the character condition and nonvanishing.
+    vanishes locally are kept too, each in its place in that order
+    (flagged by has_zero_member), mirroring the distinction between the
+    character condition and nonvanishing.
 
-    Places are ordered by id, so the solutions come in
+    Places are ordered by id, so the constituents come in
     AdelicCharacter.sort_key order.
     """
-    locals_ = prepare_local_data(phi, places)
+    locals_, listed = listed_tuples(phi, places, include_vanishing)
     eta_pairs = [tuple((ld.place.id, e.label) for e in ld.entries) for ld in locals_]
     member_pairs = [tuple((ld.place.id, e.member) for e in ld.entries) for ld in locals_]
-    picked = []
-    for choice in _solutions_by_linear_algebra(phi, locals_):
-        cons = _constituent(eta_pairs, member_pairs, choice)
-        if include_vanishing or not cons.has_zero_member:
-            picked.append(cons)
-    return picked
+    return [_constituent(eta_pairs, member_pairs, choice) for choice, _ in listed]
 
 
 def brute_force_count(phi: AParameter, places: list[Place]) -> int:

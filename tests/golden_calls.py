@@ -42,8 +42,13 @@ VARIANTS = {
 # generated scenarios pinned beside the fixtures, with their variants:
 # residual_wide_1_06 is perfbench.scengen.residual_scenarios(1)[6], the
 # one input with constituents of all six residual families (8 B-pr,
-# 28 B-HPS, 1 P2, 2 P1-pr, 4 P1-SK and 6 P1-HPS)
-GENERATED = {"residual_wide_1_06": ("residual-verbose.json", "residual-verbose.txt")}
+# 28 B-HPS, 1 P2, 2 P1-pr, 4 P1-SK and 6 P1-HPS); escaped_names is the sk
+# fixture with place ids, element, datum and tag names holding '"', '\\',
+# 'é' and U+0001, which the JSON form must escape as json.dumps does
+GENERATED = {
+    "residual_wide_1_06": ("residual-verbose.json", "residual-verbose.txt"),
+    "escaped_names": ("enumerate.json", "enumerate-verbose.json", "enumerate.txt", "enumerate-verbose.txt"),
+}
 
 # calls that take no scenario, by stem: the table export and the accepted
 # queries of tests/test_scenario_cli.py; each is pinned in both formats

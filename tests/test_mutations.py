@@ -2,10 +2,11 @@
 
 Each example starts from an accepted input and applies one to three
 mutations at nodes of its JSON tree: a value swapped for one of another
-type, a deleted key or list item, an unknown square-class label, or a
-huge integer.  Whatever comes out, ``cli.main`` must return one of the
-documented exit codes (0, or the typed failures 2, 3 and 4) and must not
-raise.  The examples are derandomized, so every run replays the same ones.
+type, a deleted key or list item, a list item given twice (a place,
+element or datum then repeats its id or name), an unknown square-class
+label, or a huge integer.  Whatever comes out, ``cli.main`` must return
+one of the documented exit codes (0, or the typed failures 2, 3 and 4)
+and must not raise.  The examples are derandomized, so every run replays the same ones.
 
 The query inputs are the accepted queries of ``golden_calls``, a
 ``ktype`` harmonics query, one query per ``correspond`` row type and one
@@ -106,17 +107,21 @@ def mutated(draw, doc):
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
-        kind = draw(st.sampled_from(("swap", "delete", "label", "huge")))
-        pool = {"swap": SWAPS, "delete": (None,), "label": UNKNOWN_LABELS, "huge": HUGE}[kind]
+        kind = draw(st.sampled_from(("swap", "delete", "duplicate", "label", "huge")))
+        pool = {"swap": SWAPS, "delete": (None,), "duplicate": (None,), "label": UNKNOWN_LABELS, "huge": HUGE}[kind]
         value = draw(st.sampled_from(pool))
         if not path:
-            doc = {} if kind == "delete" else copy.deepcopy(value)
+            if kind != "duplicate":
+                doc = {} if kind == "delete" else copy.deepcopy(value)
             continue
         parent = doc
         for step in path[:-1]:
             parent = parent[step]
         if kind == "delete":
             del parent[path[-1]]
+        elif kind == "duplicate":
+            if isinstance(parent, list):
+                parent.append(copy.deepcopy(parent[path[-1]]))
         else:
             parent[path[-1]] = copy.deepcopy(value)
     return doc

@@ -3,6 +3,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -240,7 +242,20 @@ SCHEMA_MUTATIONS = {
         lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": ["v2", 3]}]),
         "$.mp2_weil[0].s_places[1]",
     ),
+    # an id or name given twice
+    "duplicate_place_id": ("sk.json", lambda d: d["places"].append({"id": "v2", "kind": "real"}), "$.places[3].id"),
+    "duplicate_element_name": (
+        "sk.json",
+        lambda d: d["elements"].append(copy.deepcopy(d["elements"][0])),
+        "$.elements[1].name",
+    ),
+    "duplicate_datum_name": (
+        "sk.json",
+        lambda d: d["cuspidal"].append(copy.deepcopy(d["cuspidal"][0])),
+        "$.cuspidal[1].name",
+    ),
 }
+DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name")
 LOAD_ESCAPES = (
     "steinberg_unknown_class",
     "quadratic_pair_unknown_class",
@@ -277,6 +292,18 @@ def test_cli_schema_escapes_fail_validate(name, tmp_path, capsys):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(data))
     assert main(["validate", "--scenario", str(path)]) == 4
+    assert json_path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "enumerate", "residual", "self-test", "component-group"])
+@pytest.mark.parametrize("name", DUPLICATES)
+def test_cli_duplicate_ids_are_schema_errors(name, command, tmp_path, capsys):
+    fixture, mutate, json_path = SCHEMA_MUTATIONS[name]
+    data = copy.deepcopy(fixture_data(fixture))
+    mutate(data)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(path)]) == 4
     assert json_path in capsys.readouterr().err
 
 
@@ -349,6 +376,53 @@ def test_cli_enumerate_verbose_flags_vanishing(capsys):
     assert sum(1 for c in data["constituents"] if c["vanishing"]) == 4
     assert main(["enumerate", "--scenario", fixture_path("sk.json"), "--verbose"]) == 0
     assert "[vanishing member]" in capsys.readouterr().out
+
+
+def test_cli_enumerate_refuses_above_the_limit(tmp_path):
+    # a principal parameter at 20 places, all nonarch-odd-1mod4, has 2^19
+    # multiplicity-one tuples; listing them would take gigabytes.  The
+    # child reports its time in main and its peak RSS in KiB, as the VmHWM
+    # of Linux's /proc/self/status (ru_maxrss would carry this process's
+    # RSS over the fork)
+    doc = {
+        "version": 1,
+        "places": [{"id": f"v{i:02d}", "kind": "nonarch-odd-1mod4"} for i in range(1, 21)],
+        "elements": [],
+        "parameter": {"summands": [["1", 4]]},
+    }
+    path = tmp_path / "principal20.json"
+    path.write_text(json.dumps(doc))
+    probe = (
+        "import sys, time\n"
+        "from mp4spectrum.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "seconds = time.perf_counter() - t0\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(code, seconds, *peak)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["enumerate", "--format", "json", "--scenario", str(path)]
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
+    code, seconds, rss_kib = proc.stdout.split()
+    assert code == "3"
+    assert "524288 multiplicity-one tuples" in proc.stderr
+    assert float(seconds) < 0.1
+    assert int(rss_kib) < 30 * 1024
+
+
+def test_cli_enumerate_limit_counts_every_tuple(monkeypatch, capsys):
+    # sk has 16 multiplicity-one tuples, 4 of them vanishing: the limit is on
+    # the 16, whether or not --verbose lists the vanishing ones
+    multiplicity = sys.modules["mp4spectrum.multiplicity"]
+    monkeypatch.setattr(multiplicity, "ENUMERATE_LIMIT", 15)
+    assert main(["enumerate", "--scenario", fixture_path("sk.json")]) == 3
+    assert "16 multiplicity-one tuples" in capsys.readouterr().err
+    assert main(["self-test", "--scenario", fixture_path("sk.json")]) == 3
+    monkeypatch.setattr(multiplicity, "ENUMERATE_LIMIT", 16)
+    assert main(["enumerate", "--verbose", "--scenario", fixture_path("sk.json")]) == 0
+    assert main(["self-test", "--scenario", fixture_path("sk.json")]) == 0
 
 
 def test_cli_packet_requires_place(capsys):
