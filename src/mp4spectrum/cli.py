@@ -393,7 +393,8 @@ def cmd_residual(args) -> Report:
     sc = _load(args)
     sc.validate()
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    data = {"count": len(cons), "constituents": [c.rendered() for c in cons]}
+    shown: dict = {}  # id(member) -> rendering; cons keeps every member alive
+    data = {"count": len(cons), "constituents": [c.rendered(shown) for c in cons]}
     return Report("residual", data, functools.partial(_residual_text, verbose=args.verbose))
 
 

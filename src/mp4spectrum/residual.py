@@ -24,9 +24,11 @@ signs equals the root number of rho).
 Each distinct parameter is built (so classified) once, localized once
 per place, and its local data shared by every family that uses it: B-pr
 and P1-pr share chi x S_4, B-HPS and P1-HPS share (chi_1 x S_2) +
-(chi_2 x S_2), and one P1-SK parameter serves all its sign vectors.  B and P2 read the designated
-member; packets are built only for P1 parameters, once each, and P1
-reads a member by the mask of its local character.
+(chi_2 x S_2), and one P1-SK parameter serves all its sign vectors.  B
+and P2 read the designated member, built once per local parameter and
+shared by every parameter that localizes to it; packets are built only
+for P1 parameters, once each, and P1 reads a member by the mask of its
+local character.  Each shared member object is rendered once per report.
 """
 
 from __future__ import annotations
@@ -66,13 +68,15 @@ class ResidualConstituent(Record):
     descriptor: tuple  # ordered (place_id, Desc) pairs
     parameter: AParameter
 
-    def rendered(self) -> dict:
-        return {
-            "name": self.name,
-            "support": self.support,
-            "family": self.family,
-            "members": {pid: render(d) for pid, d in self.descriptor},
-        }
+    def rendered(self, shown: dict) -> dict:
+        """The report dict; ``shown`` maps id(member) -> rendering across one call."""
+        members = {}
+        for pid, d in self.descriptor:
+            text = shown.get(id(d))
+            if text is None:
+                text = shown[id(d)] = render(d)
+            members[pid] = text
+        return {"name": self.name, "support": self.support, "family": self.family, "members": members}
 
 
 def residual_spectrum(
@@ -87,6 +91,7 @@ def residual_spectrum(
     shared: dict = {}  # basis labels -> the call's one instance of that parameter
     local_params: dict = {}  # basis labels -> LocalParam per place
     packets: dict = {}  # basis labels -> {label mask: member} per place
+    members: dict = {}  # LocalParam -> designated member, shared by the parameters localizing to it
 
     def parameter(summands):
         """The shared instance, so that each parameter is classified once."""
@@ -100,7 +105,13 @@ def residual_spectrum(
         return local_params[key]
 
     def designated(phi):
-        return [(p.id, designated_l_packet_member(lp)) for p, lp in zip(places, localized(phi))]
+        out = []
+        for p, lp in zip(places, localized(phi)):
+            member = members.get(lp)
+            if member is None:
+                member = members[lp] = designated_l_packet_member(lp)
+            out.append((p.id, member))
+        return out
 
     def at_labels(phi, labels):
         """The packet member at each place's label, a character mask (one per place)."""

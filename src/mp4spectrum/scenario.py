@@ -388,10 +388,16 @@ def scenario_from_dict(data: Any) -> Scenario:
         if not isinstance(wraw, dict):
             raise SchemaError(path, "expected an object")
         name = _as_str(_require(wraw, "name", path), f"{path}.name")
+        if any(w.name == name for w in mp2):
+            raise SchemaError(f"{path}.name", f"mp2_weil {name!r} already defined")
         chi = _as_str(_require(wraw, "chi", path), f"{path}.chi")
-        s_places = _as_list(_require(wraw, "s_places", path), f"{path}.s_places")
-        s_places = frozenset(_as_str(x, f"{path}.s_places[{j}]") for j, x in enumerate(s_places))
-        mp2.append(Mp2CuspidalWeil(name=name, chi=chi, s_places=s_places))
+        s_places: list = []
+        for j, x in enumerate(_as_list(_require(wraw, "s_places", path), f"{path}.s_places")):
+            pid = _as_str(x, f"{path}.s_places[{j}]")
+            if pid in s_places:
+                raise SchemaError(f"{path}.s_places[{j}]", f"place {pid!r} listed twice")
+            s_places.append(pid)
+        mp2.append(Mp2CuspidalWeil(name=name, chi=chi, s_places=frozenset(s_places)))
 
     parameter = None
     if "parameter" in data and data["parameter"] is not None:

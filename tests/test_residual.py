@@ -1,11 +1,13 @@
 """Residual spectrum enumeration and its cross-checks."""
 
+import json
 import os
 import sys
 
 import pytest
 
-from mp4spectrum import localization, packets
+from mp4spectrum import descriptors, localization, packets
+from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render
 from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
 from mp4spectrum.localization import localize
@@ -190,3 +192,25 @@ def test_residual_builds_each_local_parameter_once(monkeypatch):
     assert set(keys) == {(c.parameter.basis_labels(), pid) for c in cons for pid, _ in c.descriptor}
     p1_parameters = {c.parameter.basis_labels() for c in cons if c.support == "P1"}
     assert len(built) <= len(p1_parameters) * len(sc.places)
+
+
+def test_residual_builds_each_designated_member_once(monkeypatch):
+    # B-pr and B-HPS parameters of different elements often localize to the
+    # same local parameter; its designated member is built once and shared
+    sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    built = _record_calls(monkeypatch, packets, "designated_l_packet_member")
+    cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    assert len(built) == len(set(built))
+    shared = [c.descriptor for c in cons if c.support != "P1"]
+    assert len(built) < sum(map(len, shared))
+    assert len({id(d) for members in shared for _, d in members}) == len(built)
+
+
+def test_residual_renders_each_member_once(monkeypatch, capsys):
+    path = os.path.join(SCENARIOS, "residual_wide_1_06.json")
+    shown = _record_calls(monkeypatch, descriptors, "render")
+    assert main(["residual", "--scenario", path, "--format", "json"]) == 0
+    rendered = [id(d) for (d,) in shown]
+    assert len(rendered) == len(set(rendered))
+    members = json.loads(capsys.readouterr().out)["constituents"]
+    assert len(rendered) < sum(len(c["members"]) for c in members)

@@ -254,8 +254,19 @@ SCHEMA_MUTATIONS = {
         lambda d: d["cuspidal"].append(copy.deepcopy(d["cuspidal"][0])),
         "$.cuspidal[1].name",
     ),
+    "duplicate_mp2_weil_name": (
+        "hps.json",
+        lambda d: d["mp2_weil"].append(copy.deepcopy(d["mp2_weil"][0])),
+        "$.mp2_weil[1].name",
+    ),
+    # S(pi) is a set, so a place listed twice is refused rather than merged
+    "s_places_item_repeated": (
+        "hps.json",
+        lambda d: d["mp2_weil"][0].__setitem__("s_places", ["v1", "v1", "v3", "v3"]),
+        "$.mp2_weil[0].s_places[1]",
+    ),
 }
-DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name")
+DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name", "duplicate_mp2_weil_name")
 LOAD_ESCAPES = (
     "steinberg_unknown_class",
     "quadratic_pair_unknown_class",
@@ -267,6 +278,7 @@ LOAD_ESCAPES = (
     "element_class_number",
     "mp2_weil_name_null",
     "mp2_weil_chi_number",
+    "s_places_item_repeated",
     "summand_index_true",
     "version_true",
 )
