@@ -269,7 +269,7 @@ Desc = Union[
 
 def seg(label_or_char, s) -> Seg:
     char = QuadChar(label_or_char) if isinstance(label_or_char, str) else label_or_char
-    return Seg(char, Fraction(s))
+    return Seg(char, s if type(s) is Fraction else Fraction(s))
 
 
 def _seg_sort_key(sg) -> tuple:
@@ -355,12 +355,6 @@ def _render_gl2(rep: GL2Rep) -> str:
     if isinstance(rep, SC2):
         return f"sc[{rep.tag}]"
     return f"D_{rep.a}"
-
-
-def _render_group(group: tuple) -> str:
-    if group[0] == "Mp":
-        return f"Mp{2 * group[1]}"
-    return f"SO{2 * group[1] + 1}{'+' if group[2] == 1 else '-'}"
 
 
 def _render_parabolic(group: tuple, blocks: tuple) -> str:

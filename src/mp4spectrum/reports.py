@@ -9,6 +9,7 @@ a rendering of the same dict, built only when it is asked for.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Callable, Iterable
 
 from .record import Record
@@ -23,18 +24,44 @@ class Encoded(Record):
 def dumps(data) -> str:
     """The package's one JSON writer: two-space indent, non-ASCII kept.
 
-    The text of a top-level value given as Encoded is spliced in as it is,
-    and the rest of the object is encoded around it.
+    Byte for byte ``json.dumps(data, indent=2, ensure_ascii=False)``, whose
+    indented form runs json's pure-Python encoder.  The text is joined from
+    its pieces once, so an Encoded value's text is copied once.
     """
-    if not isinstance(data, dict) or not any(isinstance(v, Encoded) for v in data.values()):
-        return json.dumps(data, indent=2, ensure_ascii=False)
-    parts = []
-    for k, v in data.items():
-        text = v.encode() if isinstance(v, Encoded) else dumps(v).replace("\n", "\n  ")
-        parts += (",\n  ", json.dumps(k, ensure_ascii=False), ": ", text)
-    parts[0] = "{\n  "
-    parts.append("\n}")
-    return "".join(parts)
+    out: list = []
+    _write(data, "\n", out)
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the pieces of o's JSON text to out; nl is the newline and indent at o's depth."""
+    if isinstance(o, str):
+        out.append(encode_basestring(o))
+        return
+    inner = nl + "  "
+    if isinstance(o, dict):
+        sep = "{" + inner
+        for k, v in o.items():
+            # json converts an int, float, bool or None key to str, and refuses others
+            key = encode_basestring(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+            if type(v) is str:  # most of a report: one piece per entry
+                out.append(f"{sep}{key}: {encode_basestring(v)}")
+            else:
+                out.append(f"{sep}{key}: ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if o else "[]")
+    elif isinstance(o, Encoded):
+        out.append(o.encode())
+    else:
+        out.append(json.dumps(o))  # numbers, booleans and None; anything else raises TypeError
 
 
 class Report(Record):

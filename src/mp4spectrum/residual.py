@@ -21,23 +21,26 @@ representation; rank-1 cuspidal representations of type rho x S_1 are
 enumerated through the rank-1 multiplicity condition (product of local
 signs equals the root number of rho).
 
-Each distinct parameter is built (so classified) once, localized once
-per place, and its local data shared by every family that uses it: B-pr
-and P1-pr share chi x S_4, B-HPS and P1-HPS share (chi_1 x S_2) +
-(chi_2 x S_2), and one P1-SK parameter serves all its sign vectors.  B
-and P2 read the designated member, built once per local parameter and
-shared by every parameter that localizes to it; packets are built only
-for P1 parameters, once each, and P1 reads a member by the mask of its
-local character.  Each shared member object is rendered once per report.
+Each distinct parameter is built (so classified) once.  Local work is
+keyed by the place id and, per summand of phi in canonical order, d with
+the element's class bits or the datum's name, which fix the local
+parameter.  Each key is localized once, shared by every parameter and
+family reaching it, and read by P1 through its packet, built once, at
+the mask of the local character.  B and P2 read the designated member,
+built once per distinct local parameter (a Soudry split place and an HPS
+pair share one).  Each shared member object is rendered once per report.
+More than multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .descriptors import render, sign_str
 from .fields import GlobalElement, Place
-from .localization import localize
+from .localization import LocalParam, localize
+from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge
 from .packets import designated_l_packet_member, local_packet
 from .parameters import AParameter, CuspidalDatum, InvalidParameter, classify, rho_is_irreducible
 from .record import Record
@@ -79,6 +82,21 @@ class ResidualConstituent(Record):
         return {"name": self.name, "support": self.support, "family": self.family, "members": members}
 
 
+class _Local(Record, frozen=False):
+    """One local key of a residual_spectrum call, with what was built from it so far."""
+
+    param: LocalParam
+    member: object = None  # the designated member
+    packet: object = None  # label mask -> packet member
+
+
+def _sign_vectors(k: int, root: int) -> list:
+    """The sign vectors of length k with product root, in itertools.product order."""
+    if k == 0:
+        return [()] if root == 1 else []
+    return [(*head, root * math.prod(head)) for head in itertools.product((1, -1), repeat=k - 1)]
+
+
 def residual_spectrum(
     places: list[Place],
     elements: list[GlobalElement],
@@ -87,11 +105,21 @@ def residual_spectrum(
 ) -> list[ResidualConstituent]:
     """All residual constituents the declared data generate, deterministically ordered."""
     places = sorted(places, key=lambda p: p.id)
+    sk_pairs = [
+        (rho, chi, [p for p in places if rho_is_irreducible(rho.local[p.id])])
+        for rho in sorted(cuspidal, key=lambda d: d.name)
+        if rho.duality == "symplectic" and rho.gl_rank == 2
+        for chi in sorted(elements, key=lambda e: e.name)
+        if rho.l_half_nonzero.get(chi.name, False)
+    ]
+    sk_count = sum(1 << (len(irr) - 1) if irr else rho.global_root == 1 for rho, _, irr in sk_pairs)
+    if sk_count > ENUMERATE_LIMIT:
+        raise ScenarioTooLarge(f"{sk_count} P1-SK constituents to list, above the limit of {ENUMERATE_LIMIT}")
     out: list[ResidualConstituent] = []
     shared: dict = {}  # basis labels -> the call's one instance of that parameter
-    local_params: dict = {}  # basis labels -> LocalParam per place
-    packets: dict = {}  # basis labels -> {label mask: member} per place
-    members: dict = {}  # LocalParam -> designated member, shared by the parameters localizing to it
+    at_places: dict = {}  # id of a shared parameter -> its _Local per place
+    by_key: dict = {}  # local key -> _Local
+    members: dict = {}  # LocalParam -> designated member, one per distinct local parameter
 
     def parameter(summands):
         """The shared instance, so that each parameter is classified once."""
@@ -99,37 +127,37 @@ def residual_spectrum(
         return shared.setdefault(phi.basis_labels(), phi)
 
     def localized(phi):
-        key = phi.basis_labels()
-        if key not in local_params:
-            local_params[key] = [localize(phi, p)[0] for p in places]
-        return local_params[key]
+        """phi's _Local at each place; each local key is localized once per call."""
+        if id(phi) not in at_places:
+            at_places[id(phi)] = []
+            for p in places:
+                data = [(d, s.name if type(s) is CuspidalDatum else s.classes[p.id].bits) for s, d in phi.summands]
+                key = (p.id, *data)
+                if key not in by_key:
+                    by_key[key] = _Local(localize(phi, p)[0])
+                at_places[id(phi)].append(by_key[key])
+        return at_places[id(phi)]
 
     def designated(phi):
         out = []
-        for p, lp in zip(places, localized(phi)):
-            member = members.get(lp)
-            if member is None:
-                member = members[lp] = designated_l_packet_member(lp)
-            out.append((p.id, member))
+        for p, at in zip(places, localized(phi)):
+            if at.member is None:
+                lp = at.param
+                at.member = members.get(lp) or members.setdefault(lp, designated_l_packet_member(lp))
+            out.append((p.id, at.member))
         return out
 
     def at_labels(phi, labels):
         """The packet member at each place's label, a character mask (one per place)."""
-        key = phi.basis_labels()
-        if key not in packets:
-            packets[key] = [{e.label.bits: e.member for e in local_packet(lp)} for lp in localized(phi)]
-        return [(p.id, members[label]) for p, members, label in zip(places, packets[key], labels)]
+        out = []
+        for p, at, label in zip(places, localized(phi), labels):
+            if at.packet is None:
+                at.packet = {e.label.bits: e.member for e in local_packet(at.param)}
+            out.append((p.id, at.packet[label]))
+        return out
 
     def add(name, support, phi, members):
-        out.append(
-            ResidualConstituent(
-                name=name,
-                support=support,
-                family=classify(phi).value,
-                descriptor=tuple(members),
-                parameter=phi,
-            )
-        )
+        out.append(ResidualConstituent(name, support, classify(phi).value, tuple(members), phi))
 
     # Borel family: one constituent per character, one per unordered distinct pair
     for chi in sorted(elements, key=lambda e: e.name):
@@ -158,24 +186,13 @@ def residual_spectrum(
             add(f"P1-pr[{chi.name};{pi.name}]", "P1", phi, at_labels(phi, labels))
 
     # P1, Saito-Kurokawa family: pairs (chi, rho) with L(1/2, rho x chi) != 0
-    for rho in sorted(cuspidal, key=lambda d: d.name):
-        if rho.duality != "symplectic" or rho.gl_rank != 2:
-            continue
-        for chi in sorted(elements, key=lambda e: e.name):
-            if not rho.l_half_nonzero.get(chi.name, False):
-                continue
-            phi = parameter([(rho, 1), (chi, 2)])
-            irr = [p for p in places if rho_is_irreducible(rho.local[p.id])]
-            for signs in itertools.product((1, -1), repeat=len(irr)):
-                prod = 1
-                for s in signs:
-                    prod *= s
-                if prod != rho.global_root:
-                    continue
-                eps1 = dict(zip((p.id for p in irr), signs))
-                labels = [0b10 if eps1.get(p.id, 1) == -1 else 0 for p in places]
-                sig = "".join(sign_str(eps1.get(p.id, 1)) for p in places)
-                add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, at_labels(phi, labels))
+    for rho, chi, irr in sk_pairs:
+        phi = parameter([(rho, 1), (chi, 2)])
+        for signs in _sign_vectors(len(irr), rho.global_root):
+            eps1 = dict(zip((p.id for p in irr), signs))
+            labels = [0b10 if eps1.get(p.id, 1) == -1 else 0 for p in places]
+            sig = "".join(sign_str(eps1.get(p.id, 1)) for p in places)
+            add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, at_labels(phi, labels))
 
     # P1, Howe-PS family: ordered pairs with chi_{1,v} != chi_{2,v} on S(pi)
     for e1 in sorted(elements, key=lambda e: e.name):

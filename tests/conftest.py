@@ -10,7 +10,9 @@ valid by construction.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -41,6 +43,16 @@ from mp4spectrum.parameters import (
     local_eps,
     local_eps_twist,
 )
+
+
+def load_scengen():
+    """perfbench/scengen.py, the benchmark's scenario generator, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "scengen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_scengen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 NONARCH_KINDS = ("nonarch-odd-1mod4", "nonarch-odd-3mod4", "nonarch-dyadic")
 ALL_KINDS = NONARCH_KINDS + ("real", "complex")

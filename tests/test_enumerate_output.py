@@ -12,13 +12,13 @@ constituent and on names that need escaping, plain and ``--verbose``.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import random
 
 import pytest
 
+from conftest import load_scengen
 from golden_calls import FIXTURE_NAMES, FIXTURES, SCENARIOS
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render, sign_label
@@ -26,7 +26,6 @@ from mp4spectrum.multiplicity import enumerate_constituents
 from mp4spectrum.parameters import ParamType, classify
 from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
-ROOT = os.path.join(os.path.dirname(__file__), "..")
 FAMILIES = ("principal", "saito-kurokawa", "howe-ps", "soudry", "tempered")
 DRAWS_PER_FAMILY = 4
 
@@ -50,16 +49,9 @@ EMPTY = {
 }
 
 
-def _scengen():
-    spec = importlib.util.spec_from_file_location("perfbench_scengen", os.path.join(ROOT, "perfbench", "scengen.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _generated():
     """(name, document) pairs: DRAWS_PER_FAMILY enumerate-scaled draws of each family, 2-5 places."""
-    scengen = _scengen()
+    scengen = load_scengen()
     rng = random.Random("enumerate-output")
     docs = []
     for family in FAMILIES:

@@ -1,6 +1,8 @@
 """Residual spectrum enumeration and its cross-checks."""
 
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -21,12 +23,13 @@ from mp4spectrum.parameters import (
     RhoIrreducibleSymplectic,
     RhoRealDiscrete,
     classify,
+    rho_is_irreducible,
 )
-from mp4spectrum.residual import Mp2CuspidalWeil, residual_spectrum
-from mp4spectrum.scenario import load_scenario
+from mp4spectrum.residual import Mp2CuspidalWeil, _sign_vectors, residual_spectrum
+from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
-from conftest import make_places
-from golden_calls import SCENARIOS
+from conftest import load_scengen, make_places
+from golden_calls import FIXTURES, SCENARIOS
 
 
 def _base():
@@ -179,19 +182,46 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
+def _distinct(values) -> list:
+    """values without repeats by ==, in first-seen order (Saito-Kurokawa local parameters do not hash)."""
+    out = []
+    for v in values:
+        if v not in out:
+            out.append(v)
+    return out
+
+
 def test_residual_builds_each_local_parameter_once(monkeypatch):
     # the generated scenario has constituents of all six families; B-pr and
-    # P1-pr, B-HPS and P1-HPS, and the P1-SK sign vectors share parameters
+    # P1-pr, B-HPS and P1-HPS, the P1-SK sign vectors, and parameters of
+    # elements with equal classes at a place share local parameters there.
+    # Local work is keyed by local data, so no local parameter is localized
+    # twice, except that a Soudry split place repeats an HPS pair's local
+    # parameter under its own key (the two then share one member)
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    original = localization.localize
     localized = _record_calls(monkeypatch, localization, "localize")
-    built = _record_calls(monkeypatch, packets, "local_packet")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
     assert {c.name.split("[")[0] for c in cons} == {"B-pr", "B-HPS", "P2", "P1-pr", "P1-SK", "P1-HPS"}
-    keys = [(phi.basis_labels(), place.id) for phi, place in localized]
-    assert len(keys) == len(set(keys))
-    assert set(keys) == {(c.parameter.basis_labels(), pid) for c in cons for pid, _ in c.descriptor}
-    p1_parameters = {c.parameter.basis_labels() for c in cons if c.support == "P1"}
-    assert len(built) <= len(p1_parameters) * len(sc.places)
+    built = [(classify(phi), original(phi, place)[0]) for phi, place in localized]
+    repeats = [{t1, t2} for (t1, a), (t2, b) in itertools.combinations(built, 2) if a == b]
+    assert all(pair == {ParamType.SOUDRY, ParamType.HOWE_PS} for pair in repeats)
+    lps = [lp for _, lp in built]
+    assert all(original(c.parameter, p)[0] in lps for c in cons for p in sc.places)
+    assert len(lps) < len({(c.parameter.basis_labels(), p.id) for c in cons for p in sc.places})
+
+
+def test_residual_builds_each_packet_once(monkeypatch):
+    # local_packet runs once per distinct P1 local parameter, not once per
+    # P1 parameter and place
+    sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    original = localization.localize
+    built = _record_calls(monkeypatch, packets, "local_packet")
+    cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    p1 = _distinct(original(c.parameter, p)[0] for c in cons if c.support == "P1" for p in sc.places)
+    assert [lp for (lp,) in built] == _distinct(lp for (lp,) in built)
+    assert len(built) == len(p1)
+    assert len(built) < len({c.parameter.basis_labels() for c in cons if c.support == "P1"}) * len(sc.places)
 
 
 def test_residual_builds_each_designated_member_once(monkeypatch):
@@ -214,3 +244,60 @@ def test_residual_renders_each_member_once(monkeypatch, capsys):
     assert len(rendered) == len(set(rendered))
     members = json.loads(capsys.readouterr().out)["constituents"]
     assert len(rendered) < sum(len(c["members"]) for c in members)
+
+
+def _flag_plus_twists(doc: dict) -> dict:
+    """doc with L(1/2, rho x chi) != 0 declared wherever rho's twisted root by chi is +1."""
+    names = [e.name for e in scenario_from_dict(doc).elements]
+    for datum in doc.get("cuspidal", []):
+        if datum["duality"] == "symplectic" and datum["gl_rank"] == 2:
+            twisted = datum.get("twisted_roots", {})
+            datum["l_half_nonzero"] = {n: True for n in names if twisted.get(n, 1) == 1}
+    return doc
+
+
+def _sk_names_by_filtered_walk(sc) -> list:
+    """The P1-SK names of residual_spectrum, listed by walking all 2^k sign vectors."""
+    places = sorted(sc.places, key=lambda p: p.id)
+    names = []
+    for rho in sorted(sc.cuspidal, key=lambda d: d.name):
+        if rho.duality != "symplectic" or rho.gl_rank != 2:
+            continue
+        for chi in sorted(sc.elements, key=lambda e: e.name):
+            if not rho.l_half_nonzero.get(chi.name, False):
+                continue
+            irr = [p.id for p in places if rho_is_irreducible(rho.local[p.id])]
+            for signs in itertools.product((1, -1), repeat=len(irr)):
+                if math.prod(signs) == rho.global_root:
+                    eps = dict(zip(irr, signs))
+                    sig = "".join("+" if eps.get(p.id, 1) == 1 else "-" for p in places)
+                    names.append(f"P1-SK[{chi.name};{rho.name};{sig}]")
+    return names
+
+
+def test_sign_vectors_are_the_filtered_product():
+    # k = 0 included: one empty vector for root +1, none for -1
+    for k in range(8):
+        for root in (1, -1):
+            walked = [s for s in itertools.product((1, -1), repeat=k) if math.prod(s) == root]
+            assert _sign_vectors(k, root) == walked
+
+
+def test_sk_constituents_match_the_filtered_walk():
+    # every generated residual-wide input of seeds 1-3, and the Saito-Kurokawa
+    # fixtures with every +1 twisted root flagged
+    scengen = load_scengen()
+    docs = [doc for seed in (1, 2, 3) for _, doc in scengen.residual_scenarios(seed)]
+    for name in ("sk.json", "sk_steinberg.json"):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            docs.append(_flag_plus_twists(json.load(fh)))
+    listed = 0
+    for doc in docs:
+        sc = scenario_from_dict(doc)
+        # only the flagged elements, and no Weil reps: the other families stay small
+        flagged = [e for e in sc.elements if any(d.l_half_nonzero.get(e.name) for d in sc.cuspidal)]
+        cons = residual_spectrum(sc.places, flagged, sc.cuspidal, [])
+        expected = _sk_names_by_filtered_walk(sc)
+        assert [c.name for c in cons if c.name.startswith("P1-SK[")] == expected
+        listed += len(expected)
+    assert listed > len(docs)

@@ -3,11 +3,13 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from conftest import load_scengen
 from mp4spectrum.cli import main
 from mp4spectrum.ktypes import HARMONICS_RANK_CAP
 from mp4spectrum.scenario import (
@@ -390,20 +392,12 @@ def test_cli_enumerate_verbose_flags_vanishing(capsys):
     assert "[vanishing member]" in capsys.readouterr().out
 
 
-def test_cli_enumerate_refuses_above_the_limit(tmp_path):
-    # a principal parameter at 20 places, all nonarch-odd-1mod4, has 2^19
-    # multiplicity-one tuples; listing them would take gigabytes.  The
-    # child reports its time in main and its peak RSS in KiB, as the VmHWM
-    # of Linux's /proc/self/status (ru_maxrss would carry this process's
-    # RSS over the fork)
-    doc = {
-        "version": 1,
-        "places": [{"id": f"v{i:02d}", "kind": "nonarch-odd-1mod4"} for i in range(1, 21)],
-        "elements": [],
-        "parameter": {"summands": [["1", 4]]},
-    }
-    path = tmp_path / "principal20.json"
-    path.write_text(json.dumps(doc))
+def _refused_in_child(command: str, path) -> tuple:
+    """(exit code, seconds in main, peak RSS in KiB, stderr) of ``command --format json`` in a child.
+
+    The child reports its peak RSS as the VmHWM of Linux's /proc/self/status
+    (ru_maxrss would carry this process's RSS over the fork).
+    """
     probe = (
         "import sys, time\n"
         "from mp4spectrum.cli import main\n"
@@ -415,13 +409,41 @@ def test_cli_enumerate_refuses_above_the_limit(tmp_path):
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["enumerate", "--format", "json", "--scenario", str(path)]
+    argv = [command, "--format", "json", "--scenario", str(path)]
     proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
     code, seconds, rss_kib = proc.stdout.split()
-    assert code == "3"
-    assert "524288 multiplicity-one tuples" in proc.stderr
-    assert float(seconds) < 0.1
-    assert int(rss_kib) < 30 * 1024
+    return int(code), float(seconds), int(rss_kib), proc.stderr
+
+
+def test_cli_enumerate_refuses_above_the_limit(tmp_path):
+    # a principal parameter at 20 places, all nonarch-odd-1mod4, has 2^19
+    # multiplicity-one tuples; listing them would take gigabytes
+    doc = {
+        "version": 1,
+        "places": [{"id": f"v{i:02d}", "kind": "nonarch-odd-1mod4"} for i in range(1, 21)],
+        "elements": [],
+        "parameter": {"summands": [["1", 4]]},
+    }
+    path = tmp_path / "principal20.json"
+    path.write_text(json.dumps(doc))
+    code, seconds, rss_kib, err = _refused_in_child("enumerate", path)
+    assert code == 3
+    assert "524288 multiplicity-one tuples" in err
+    assert seconds < 0.1
+    assert rss_kib < 30 * 1024
+
+
+def test_cli_residual_refuses_above_the_limit(tmp_path):
+    # a symplectic datum irreducible at all 20 places, with one flagged
+    # character, has 2^19 P1-SK constituents, counted before any is built
+    doc = load_scengen().residual_scenario(random.Random("residual-limit"), (20, 4, 1, 20))
+    path = tmp_path / "sk20.json"
+    path.write_text(json.dumps(doc))
+    code, seconds, rss_kib, err = _refused_in_child("residual", path)
+    assert code == 3
+    assert "524288 P1-SK constituents" in err
+    assert seconds < 0.1
+    assert rss_kib < 30 * 1024
 
 
 def test_cli_enumerate_limit_counts_every_tuple(monkeypatch, capsys):
