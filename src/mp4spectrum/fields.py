@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .record import Record
+from .record import FrozenMap, Record
 
 Sign = int  # +1 or -1
 
@@ -195,7 +195,7 @@ class GlobalElement(Record):
             raise PlaceMismatch("elements live over different place sets")
         return GlobalElement(
             name=f"{self.name}*{other.name}",
-            classes={pid: self.classes[pid] * other.classes[pid] for pid in self.classes},
+            classes=FrozenMap({pid: self.classes[pid] * other.classes[pid] for pid in self.classes}),
         )
 
     def is_trivial(self) -> bool:
@@ -203,11 +203,11 @@ class GlobalElement(Record):
 
 
 def trivial_element(places: Sequence[Place]) -> GlobalElement:
-    return GlobalElement("1", {p.id: p.trivial_class() for p in places})
+    return GlobalElement("1", FrozenMap({p.id: p.trivial_class() for p in places}))
 
 
 def minus_one_element(places: Sequence[Place]) -> GlobalElement:
-    return GlobalElement("-1", {p.id: p.minus_one() for p in places})
+    return GlobalElement("-1", FrozenMap({p.id: p.minus_one() for p in places}))
 
 
 def global_pairing(places: Sequence[Place], a: GlobalElement, b: GlobalElement) -> Sign:
@@ -224,18 +224,21 @@ class ReciprocityReport(Record):
 
 
 def validate_reciprocity(places: Sequence[Place], elements: Iterable[GlobalElement]) -> ReciprocityReport:
-    """Check prod_v (a_v, b_v) = +1 for every ordered pair of elements.
+    """Check prod_v (a, b)_v = +1 for every ordered pair of elements.
 
-    Returns a report naming the first violating pair, if any.  The check
-    includes diagonal pairs (a, a); by (x, -x) = 1 these are equivalent to
-    the pairs against -1 but are cheap and keep the contract literal.
+    Returns a report naming the first violating pair, if any, in the order
+    (a_0, a_0), (a_0, a_1), ...; ``checked_pairs`` counts the ordered pairs
+    up to it.  The pairing is symmetric, so each unordered pair is computed
+    once: a pair (a_i, a_j) with j < i was reached as (a_j, a_i) in an
+    earlier row, and did not fail there.  The diagonal pairs (a, a) are
+    checked too; by (x, -x) = 1 they are equivalent to the pairs against
+    -1, but they are cheap and keep the contract literal.
     """
     elts = list(elements)
-    checked = 0
-    for a in elts:
-        for b in elts:
-            checked += 1
-            prod = global_pairing(places, a, b)
+    n = len(elts)
+    for i, a in enumerate(elts):
+        for j in range(i, n):
+            prod = global_pairing(places, a, elts[j])
             if prod != 1:
-                return ReciprocityReport(False, checked, (a.name, b.name, prod))
-    return ReciprocityReport(True, checked, None)
+                return ReciprocityReport(False, i * n + j + 1, (a.name, elts[j].name, prod))
+    return ReciprocityReport(True, n * n, None)

@@ -50,7 +50,7 @@ from .parameters import (
     SymplecticShape,
     classify,
 )
-from .record import Record
+from .record import FrozenMap, Record
 
 # ---------------------------------------------------------------------------
 # tempered constituents
@@ -99,8 +99,7 @@ def _shape_pieces(shape, sc_signs: dict) -> list[TemperedPiece]:
     # supercuspidal tags are global to the place: equal tags mean equal local
     # representations, which is what lets two summands collide locally
     if isinstance(shape, RhoIrreducibleSymplectic):
-        prior = sc_signs.setdefault(shape.tag, (shape.eps, dict(shape.eps_twists)))
-        if prior != (shape.eps, dict(shape.eps_twists)):
+        if sc_signs.setdefault(shape.tag, shape) != shape:
             raise ValueError(f"conflicting sign data for supercuspidal tag {shape.tag!r}")
         return [PieceSC(shape.tag)]
     if isinstance(shape, RhoSteinberg):
@@ -161,7 +160,7 @@ class ShSoudryNonQuadratic(Record):
 
 class ShTempered(Record):
     pieces: tuple  # ordered TemperedPiece entries (generators first)
-    sc_signs: tuple = ()  # ((tag, eps, ((label, sign), ...)), ...) for supercuspidal pieces
+    sc_signs: FrozenMap = FrozenMap()  # tag -> its RhoIrreducibleSymplectic, for supercuspidal pieces
 
 
 LocalShape = Union[ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQuadratic, ShTempered]
@@ -251,7 +250,4 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
     gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
     images = [to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands))]
     ordered_pieces = tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr))
-    packed_signs = tuple(
-        (tag, eps, tuple(sorted(twists.items()))) for tag, (eps, twists) in sorted(sc_signs.items())
-    )
-    return result(ShTempered(ordered_pieces, packed_signs), images)
+    return result(ShTempered(ordered_pieces, FrozenMap(sc_signs)), images)

@@ -13,7 +13,9 @@ All tables are compiled in; lookups are pure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
 from .chargroups import F2Character
 from .descriptors import (
     MP4,
@@ -201,27 +203,29 @@ def _tau_of_piece(piece) -> Desc:
     raise UnsupportedShape(f"no GL(2) datum behind {piece!r}")
 
 
-def mp_ds4(piece_sign_pairs) -> Desc:
-    """Tempered Mp(4) member named by (constituent, sign) pairs, canonically sorted.
+def _square_integrable(pairs, gen_ng, ds) -> Desc:
+    """The member named by (constituent, sign) pairs, canonically sorted.
 
     A doubled constituent with its (necessarily diagonal) label is the
-    generic or nongeneric summand of the corresponding I_{P2,psi}(tau).
+    generic or nongeneric summand ``gen_ng`` of the corresponding
+    parabolic induction from tau; any other is the ``ds`` member.
     """
-    ordered = sorted(piece_sign_pairs, key=lambda ps: (repr(ps[0]), ps[1]))
+    ordered = sorted(pairs, key=lambda ps: (repr(ps[0]), ps[1]))
     if len(ordered) == 2 and ordered[0][0] == ordered[1][0]:
         if ordered[0][1] != ordered[1][1]:
             raise UnsupportedShape("mixed label on a doubled constituent indexes no member")
-        return MpGenNG(_tau_of_piece(ordered[0][0]), ordered[0][1] == 1)
-    return MpDS4(lparam=tuple(p for p, _ in ordered), label=tuple(s for _, s in ordered))
+        return gen_ng(_tau_of_piece(ordered[0][0]), ordered[0][1] == 1)
+    return ds(lparam=tuple(p for p, _ in ordered), label=tuple(s for _, s in ordered))
+
+
+def mp_ds4(piece_sign_pairs) -> Desc:
+    """Tempered Mp(4) member named by (constituent, sign) pairs."""
+    return _square_integrable(piece_sign_pairs, MpGenNG, MpDS4)
 
 
 def so_ds(piece_sign_pairs) -> Desc:
-    ordered = sorted(piece_sign_pairs, key=lambda ps: (repr(ps[0]), ps[1]))
-    if len(ordered) == 2 and ordered[0][0] == ordered[1][0]:
-        if ordered[0][1] != ordered[1][1]:
-            raise UnsupportedShape("mixed label on a doubled constituent indexes no member")
-        return SOGenNG(_tau_of_piece(ordered[0][0]), ordered[0][1] == 1)
-    return SODS(lparam=tuple(p for p, _ in ordered), label=tuple(s for _, s in ordered))
+    """Tempered SO(5) member named by (constituent, sign) pairs."""
+    return _square_integrable(piece_sign_pairs, SOGenNG, SODS)
 
 
 def _real_ds_member(a: Fraction, b: Fraction, eps1: Sign, eps2: Sign) -> Desc:
@@ -463,17 +467,18 @@ class SCRow(Record):
 
 def _sc_row(name: str, quads) -> SCRow:
     entries = sorted(
-        (SCEntry(label, mp, _prod(label), so) for label, mp, so in quads),
+        (SCEntry(label, mp, math.prod(label), so) for label, mp, so in quads),
         key=lambda e: tuple(0 if s == 1 else 1 for s in e.label),
     )
     return SCRow(name, tuple(entries))
 
 
-def _prod(label: tuple) -> Sign:
-    out = 1
-    for s in label:
-        out *= s
-    return out
+def _double_row(name: str, tau: Desc) -> SCRow:
+    """The row of a doubled constituent tau + tau: diagonal labels only."""
+    return _sc_row(
+        name,
+        [((1, 1), MpGenNG(tau, True), SOGenNG(tau, True)), ((-1, -1), MpGenNG(tau, False), SOGenNG(tau, False))],
+    )
 
 
 def shimura_correspondence(row: SCRow, direction: str, key):
@@ -500,7 +505,6 @@ def shimura_row(place: Place, shape: ShTempered) -> SCRow:
     pieces = list(shape.pieces)
     if any(isinstance(p, PiecePS) for p in pieces):
         raise RowNotFound("principal-series constituents are outside the table")
-    sc_signs = {tag: (eps, dict(tw)) for tag, eps, tw in shape.sc_signs}
 
     def chim1(label: str) -> Sign:
         return chi_minus_one(place, place.class_from_label(label))
@@ -518,14 +522,7 @@ def shimura_row(place: Place, shape: ShTempered) -> SCRow:
     if len(pieces) == 2 and all(isinstance(p, PieceSC) for p in pieces):
         t1, t2 = pieces[0].tag, pieces[1].tag
         if t1 == t2:
-            tau = SC2(t1)
-            return _sc_row(
-                "double-supercuspidal",
-                [
-                    ((1, 1), MpGenNG(tau, True), SOGenNG(tau, True)),
-                    ((-1, -1), MpGenNG(tau, False), SOGenNG(tau, False)),
-                ],
-            )
+            return _double_row("double-supercuspidal", SC2(t1))
         quads = []
         for e1 in (1, -1):
             for e2 in (1, -1):
@@ -537,9 +534,10 @@ def shimura_row(place: Place, shape: ShTempered) -> SCRow:
         sc = next(p for p in pieces if isinstance(p, PieceSC))
         st = next(p for p in pieces if isinstance(p, PieceSt))
         tag, a = sc.tag, st.label
-        if tag not in sc_signs:
+        rho = shape.sc_signs.get(tag)
+        if rho is None:
             raise RowNotFound(f"no sign data for supercuspidal tag {tag!r}")
-        eps0, twists = sc_signs[tag]
+        eps0, twists = rho.eps, rho.eps_twists
         sigma0 = lambda e: Opaque("sigma0", (tag, e))
         pi0 = lambda e: Mp2Member(tag, e)
         # label order in the table: (sign on the supercuspidal, sign on chi_a x S_2);
@@ -579,14 +577,7 @@ def shimura_row(place: Place, shape: ShTempered) -> SCRow:
     if len(pieces) == 2 and all(isinstance(p, PieceSt) for p in pieces):
         a, b = pieces[0].label, pieces[1].label
         if a == b:
-            tau = St2(a)
-            return _sc_row(
-                "double-steinberg",
-                [
-                    ((1, 1), MpGenNG(tau, True), SOGenNG(tau, True)),
-                    ((-1, -1), MpGenNG(tau, False), SOGenNG(tau, False)),
-                ],
-            )
+            return _double_row("double-steinberg", St2(a))
         if "1" in (a, b):
             c = a if b == "1" else b  # the nontrivial class
             one_first = a == "1"
@@ -624,18 +615,8 @@ def principal_shimura_row(place: Place, a: SquareClass) -> SCRow:
     """The chi_a x S_4 row (tempered L-parameter with one Steinberg-type block)."""
     if not place.is_nonarch:
         raise RowNotFound("rows are tabulated at nonarchimedean places only")
-    lab = a.label
-    if a.is_trivial:
-        rows = [
-            ((1,), MpStTwist("1", -1), SOStTwist(1, "1")),
-            ((-1,), MpStTwist("1", 1), SOStTwist(-1, "1")),
-        ]
-    else:
-        rows = [
-            ((1,), MpStTwist(lab, 1), SOStTwist(1, lab)),
-            ((-1,), MpStTwist(lab, -1), SOStTwist(-1, lab)),
-        ]
-    return _sc_row("steinberg-S4", rows)
+    flip = -1 if a.is_trivial else 1  # at the trivial class the Mp sign is the opposite one
+    return _sc_row("steinberg-S4", [((e,), MpStTwist(a.label, flip * e), SOStTwist(e, a.label)) for e in (1, -1)])
 
 
 def orthogonal_shimura_row(tau_tag: str) -> SCRow:
@@ -661,10 +642,6 @@ class ReductionResult(Record):
 IRREDUCIBLE = ReductionResult(False)
 
 
-def _is_quad(char) -> bool:
-    return isinstance(char, QuadChar)
-
-
 def reduce_mp4_p1(char, s: Fraction, inner: Desc) -> ReductionResult:
     """Composition series of I_{P1,psi}(chi|.|^s, pi) on Mp(W_2), s >= 0.
 
@@ -675,7 +652,7 @@ def reduce_mp4_p1(char, s: Fraction, inner: Desc) -> ReductionResult:
         raise UnsupportedInduction("normalize to s >= 0")
     if not isinstance(inner, (Mp2Member, WeilOdd, WeilEven, MpSt2)):
         raise UnsupportedInduction(f"unsupported inducing representation {inner!r}")
-    if not _is_quad(char):
+    if not isinstance(char, QuadChar):
         return IRREDUCIBLE
     c = char.label
     if s == HALF:
@@ -740,7 +717,7 @@ def reduce_so5_plus_q1(char, s: Fraction, inner: Desc) -> ReductionResult:
         raise UnsupportedInduction("normalize to s >= 0")
     if not isinstance(inner, (Opaque, St2)):
         raise UnsupportedInduction(f"unsupported inducing representation {inner!r}")
-    if not _is_quad(char):
+    if not isinstance(char, QuadChar):
         return IRREDUCIBLE
     so5p = ("SO", 2, 1)
     c = char.label
@@ -779,7 +756,7 @@ def reduce_so5_minus_q1(char, s: Fraction, inner: Desc) -> ReductionResult:
         raise UnsupportedInduction("normalize to s >= 0")
     if not isinstance(inner, (Opaque, NuChar)):
         raise UnsupportedInduction(f"unsupported inducing representation {inner!r}")
-    if not _is_quad(char):
+    if not isinstance(char, QuadChar):
         return IRREDUCIBLE
     so5m = ("SO", 2, -1)
     c = char.label

@@ -32,7 +32,7 @@ from typing import Mapping, Union
 
 from .chargroups import ComponentGroup, F2Character
 from .fields import GlobalElement, Place, Sign, SquareClass, chi_minus_one
-from .record import Record, field
+from .record import FrozenMap, Record
 
 
 class InvalidParameter(ValueError):
@@ -57,7 +57,7 @@ class RhoIrreducibleSymplectic(Record):
 
     tag: str
     eps: Sign
-    eps_twists: Mapping[str, Sign] = field(default_factory=dict)
+    eps_twists: Mapping[str, Sign] = FrozenMap()
 
 
 class RhoSteinberg(Record):
@@ -65,7 +65,7 @@ class RhoSteinberg(Record):
 
     label: str  # square-class label of c at the place
     eps: Sign
-    eps_twists: Mapping[str, Sign] = field(default_factory=dict)  # keyed by class label
+    eps_twists: Mapping[str, Sign] = FrozenMap()  # keyed by class label
 
 
 class RhoPrincipalSeries(Record):
@@ -231,8 +231,8 @@ class CuspidalDatum(Record):
     duality: str  # "symplectic" | "orthogonal"
     global_root: Sign
     local: Mapping[str, LocalRhoShape]  # keyed by place id
-    twisted_roots: Mapping[str, Sign] = field(default_factory=dict)
-    l_half_nonzero: Mapping[str, bool] = field(default_factory=dict)
+    twisted_roots: Mapping[str, Sign] = FrozenMap()
+    l_half_nonzero: Mapping[str, bool] = FrozenMap()
     dihedral: bool = False
     central_char: str = "1"
 
@@ -248,6 +248,10 @@ class CuspidalDatum(Record):
                 raise InvalidParameter(
                     f"{self.name}: L(1/2, rho x chi_{a}) != 0 forces root number +1"
                 )
+
+    @property
+    def trivial_central_char(self) -> bool:
+        return self.central_char in ("1", "trivial")
 
 
 Summand = Union[GlobalElement, CuspidalDatum]
@@ -324,7 +328,7 @@ def _validated_type(phi: AParameter) -> ParamType:
         assert isinstance(datum, CuspidalDatum)
         if not datum.dihedral:
             raise InvalidParameter("rho x S_2 requires a dihedral datum")
-        if datum.central_char in ("1", "trivial"):
+        if datum.trivial_central_char:
             raise InvalidParameter("rho x S_2 requires a nontrivial quadratic central character")
         return ParamType.SOUDRY
     raise InvalidParameter(f"no elliptic shape matches profile {profile}")

@@ -12,21 +12,21 @@ shared base gives the classes their behaviour:
         char: CharAtom
         s: Fraction
 
-Fields are the annotated class attributes, in order; a class attribute
-gives a default and ``field(default_factory=...)`` a fresh default per
-instance.  The behaviour is that of ``@dataclass(frozen=True)`` (or
-``frozen=False``, ``order=True`` as class keywords):
+Fields are the annotated class attributes, in order, and a class
+attribute gives a default.  Every field value is immutable, so a default
+is one value shared by all instances (a map default is a ``FrozenMap``,
+the package's one mapping type inside records).  The behaviour is that
+of a frozen dataclass, with ``order=True`` the one class keyword:
 
 * ``__init__`` takes the fields positionally or by keyword, fills the
   defaults, then calls ``__post_init__`` if the class defines one;
-* frozen instances raise ``AttributeError`` on assignment and deletion
+* instances raise ``AttributeError`` on assignment and deletion
   (``__post_init__`` may still write through ``object.__setattr__``);
-  mutable ones are unhashable;
 * ``==`` holds only between instances of the same class with equal fields,
   ``hash`` is the hash of the field tuple, and ordered classes compare
   their field tuples, raising ``TypeError`` against any other class;
-* ``repr`` is ``Name(field=value, ...)`` without the ``repr=False`` fields,
-  byte for byte the dataclass text (canonical sort keys are built on it).
+* ``repr`` is ``Name(field=value, ...)``, byte for byte the dataclass
+  text (canonical sort keys are built on it).
 
 ``hash`` and the orderings, which the package hardly calls, are shared
 functions that read the fields with ``operator.attrgetter``.
@@ -55,38 +55,35 @@ _MISSING = object()
 _set = object.__setattr__
 
 
-class Field:
-    """A field declared with ``field()``: a default factory, repr flag."""
+class FrozenMap(dict):
+    """A dict that cannot change once built, so it hashes; its repr is dict's."""
 
-    __slots__ = ("name", "default", "default_factory", "repr")
+    __slots__ = ()
 
-    def __init__(self, name, default, default_factory, repr):
-        self.name = name
-        self.default = default
-        self.default_factory = default_factory
-        self.repr = repr
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
 
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a FrozenMap cannot be changed")
 
-def field(*, default_factory, repr: bool = True) -> Field:
-    """A field whose default is ``default_factory()``, made per instance."""
-    return Field(None, _MISSING, default_factory, repr)
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
 
 
 _TEMPLATES: dict = {}
 
 
-def _template(kind: str, n: int, finish: str = "pass"):
+def _template(kind: str, n: int, post_init: bool = False):
     """Code of method ``kind`` for ``n`` fields named ``_0 .. _{n-1}``.
 
-    ``finish`` ends ``__init__``: ``pass``, a call of ``__post_init__``, or
-    of ``_fill_defaults`` for classes with default factories.
+    ``__init__`` ends with a call of ``__post_init__`` when ``post_init``.
     """
-    key = (kind, n, finish)
+    key = (kind, n, post_init)
     if key not in _TEMPLATES:
         x = [f"_{i}" for i in range(n)]
         if kind == "__init__":
             lines = [f"def __init__({', '.join(['self', *x])}):"]
-            lines += [f"    _set(self, {a!r}, {a})" for a in x] + [f"    {finish}"]
+            lines += [f"    _set(self, {a!r}, {a})" for a in x]
+            lines.append("    self.__post_init__()" if post_init else "    pass")
         elif kind == "__eq__":
             mine, theirs = ("(" + "".join(f"{obj}.{a}, " for a in x) + ")" for obj in ("self", "other"))
             lines = [
@@ -104,7 +101,7 @@ def _template(kind: str, n: int, finish: str = "pass"):
     return _TEMPLATES[key]
 
 
-def _renaming(names: list) -> dict:
+def _renaming(names: tuple) -> dict:
     """Placeholder -> field name, for identifiers and the repr pieces."""
     rename = {}
     for i, name in enumerate(names):
@@ -127,19 +124,19 @@ def _method(cls, template, rename: dict, defaults=None) -> FunctionType:
     return method
 
 
-def _defaults(cls, fields: tuple):
+def _defaults(cls, names: tuple):
+    """The defaults of ``__init__``: the class attributes of the trailing fields."""
     defaults = []
-    for f in fields:
-        if f.default is not _MISSING:
-            defaults.append(f.default)
-        elif f.default_factory is not None:
-            defaults.append(f)  # marks "not given": _fill_defaults replaces it
+    for name in names:
+        value = getattr(cls, name, _MISSING)
+        if value is not _MISSING:
+            defaults.append(value)
         elif defaults:
-            raise TypeError(f"{cls.__qualname__}: field {f.name!r} without a default follows one with a default")
+            raise TypeError(f"{cls.__qualname__}: field {name!r} without a default follows one with a default")
     return tuple(defaults) or None
 
 
-def _astuple(names: list):
+def _astuple(names: tuple):
     """A function from an instance to the tuple of its field values."""
     if len(names) == 1:
         get = attrgetter(names[0])
@@ -163,50 +160,22 @@ _ORDERING = {f"__{op.__name__}__": _ordering(op) for op in (lt, le, gt, ge)}
 class Record:
     """Base of the package's value classes; see the module docstring."""
 
-    __record_fields__: tuple = ()
-    __record_frozen__ = True
+    __record_fields__: tuple = ()  # the field names, in order
     __record_order__ = False
 
-    def __init_subclass__(cls, *, frozen: bool = True, order: bool = False) -> None:
-        fields = list(cls.__record_fields__)
-        for name in cls.__dict__.get("__annotations__", {}):
-            value = cls.__dict__.get(name, _MISSING)
-            if isinstance(value, Field):
-                value.name = name
-                delattr(cls, name)
-                fields.append(value)
-            else:
-                fields.append(Field(name, value, None, True))
-        cls.__record_fields__ = fields = tuple(fields)
-        cls.__record_frozen__ = frozen
+    def __init_subclass__(cls, *, order: bool = False) -> None:
+        names = (*cls.__record_fields__, *cls.__dict__.get("__annotations__", {}))
+        cls.__record_fields__ = names
         cls.__record_order__ = order
-        names = [f.name for f in fields]
-        if any(f.default_factory is not None for f in fields):
-            finish = "self._fill_defaults()"
-        elif hasattr(cls, "__post_init__"):
-            finish = "self.__post_init__()"
-        else:
-            finish = "pass"
         rename = _renaming(names)
-        cls.__init__ = _method(cls, _template("__init__", len(names), finish), rename, _defaults(cls, fields))
+        init = _template("__init__", len(names), hasattr(cls, "__post_init__"))
+        cls.__init__ = _method(cls, init, rename, _defaults(cls, names))
         cls.__eq__ = _method(cls, _template("__eq__", len(names)), rename)
-        shown = [f.name for f in fields if f.repr]
-        cls.__repr__ = _method(cls, _template("__repr__", len(shown)), _renaming(shown))
+        cls.__repr__ = _method(cls, _template("__repr__", len(names)), rename)
         cls._astuple = staticmethod(_astuple(names))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
         if order:
             for name, method in _ORDERING.items():
                 setattr(cls, name, method)
-
-    def _fill_defaults(self) -> None:
-        for f in self.__record_fields__:
-            if getattr(self, f.name) is f:
-                _set(self, f.name, f.default_factory())
-        if hasattr(self, "__post_init__"):
-            self.__post_init__()
 
     def __hash__(self) -> int:
         return hash(self._astuple(self))

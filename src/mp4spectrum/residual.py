@@ -82,12 +82,15 @@ class ResidualConstituent(Record):
         return {"name": self.name, "support": self.support, "family": self.family, "members": members}
 
 
-class _Local(Record, frozen=False):
+class _Local:
     """One local key of a residual_spectrum call, with what was built from it so far."""
 
-    param: LocalParam
-    member: object = None  # the designated member
-    packet: object = None  # label mask -> packet member
+    __slots__ = ("param", "member", "packet")
+
+    def __init__(self, param: LocalParam):
+        self.param = param
+        self.member = None  # the designated member
+        self.packet = None  # label mask -> packet member
 
 
 def _sign_vectors(k: int, root: int) -> list:
@@ -105,11 +108,14 @@ def residual_spectrum(
 ) -> list[ResidualConstituent]:
     """All residual constituents the declared data generate, deterministically ordered."""
     places = sorted(places, key=lambda p: p.id)
+    elements = sorted(elements, key=lambda e: e.name)
+    cuspidal = sorted(cuspidal, key=lambda d: d.name)
+    mp2_weil = sorted(mp2_weil, key=lambda w: w.name)
     sk_pairs = [
         (rho, chi, [p for p in places if rho_is_irreducible(rho.local[p.id])])
-        for rho in sorted(cuspidal, key=lambda d: d.name)
+        for rho in cuspidal
         if rho.duality == "symplectic" and rho.gl_rank == 2
-        for chi in sorted(elements, key=lambda e: e.name)
+        for chi in elements
         if rho.l_half_nonzero.get(chi.name, False)
     ]
     sk_count = sum(1 << (len(irr) - 1) if irr else rho.global_root == 1 for rho, _, irr in sk_pairs)
@@ -160,26 +166,24 @@ def residual_spectrum(
         out.append(ResidualConstituent(name, support, classify(phi).value, tuple(members), phi))
 
     # Borel family: one constituent per character, one per unordered distinct pair
-    for chi in sorted(elements, key=lambda e: e.name):
+    for chi in elements:
         phi = parameter([(chi, 4)])
         add(f"B-pr[{chi.name}]", "B", phi, designated(phi))
-    for e1, e2 in itertools.combinations(sorted(elements, key=lambda e: e.name), 2):
+    for e1, e2 in itertools.combinations(elements, 2):
         phi = parameter([(e1, 2), (e2, 2)])
         add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, designated(phi))
 
     # P2 family: dihedral data with nontrivial quadratic central character
-    for rho in sorted(cuspidal, key=lambda d: d.name):
-        if rho.duality != "orthogonal" or not rho.dihedral:
-            continue
-        if rho.central_char in ("1", "trivial"):
+    for rho in cuspidal:
+        if rho.duality != "orthogonal" or not rho.dihedral or rho.trivial_central_char:
             continue
         phi = parameter([(rho, 2)])
         add(f"P2[{rho.name}]", "P2", phi, designated(phi))
 
     # P1, principal family: Weil-type pi with parameter chi x S_2
-    for chi in sorted(elements, key=lambda e: e.name):
+    for chi in elements:
         phi = parameter([(chi, 4)])
-        for pi in sorted(mp2_weil, key=lambda w: w.name):
+        for pi in mp2_weil:
             if pi.chi != chi.name:
                 continue
             labels = [1 if p.id in pi.s_places else 0 for p in places]
@@ -195,11 +199,11 @@ def residual_spectrum(
             add(f"P1-SK[{chi.name};{rho.name};{sig}]", "P1", phi, at_labels(phi, labels))
 
     # P1, Howe-PS family: ordered pairs with chi_{1,v} != chi_{2,v} on S(pi)
-    for e1 in sorted(elements, key=lambda e: e.name):
-        for e2 in sorted(elements, key=lambda e: e.name):
+    for e1 in elements:
+        for e2 in elements:
             if e1.name == e2.name:
                 continue
-            for pi in sorted(mp2_weil, key=lambda w: w.name):
+            for pi in mp2_weil:
                 if pi.chi != e2.name:
                     continue
                 if any(

@@ -46,7 +46,7 @@ from .parameters import (
     local_eps_twist,
     shape_allowed,
 )
-from .record import Record
+from .record import FrozenMap, Record
 from .residual import Mp2CuspidalWeil
 
 SCHEMA_VERSION = 1
@@ -62,11 +62,11 @@ class ScenarioValidationError(ValueError):
     pass
 
 
-class Scenario(Record, frozen=False):
-    places: list[Place]
-    elements: list[GlobalElement]  # includes the built-ins "1" and "-1"
-    cuspidal: list[CuspidalDatum]
-    mp2_weil: list[Mp2CuspidalWeil]
+class Scenario(Record):
+    places: tuple[Place, ...]
+    elements: tuple[GlobalElement, ...]  # includes the built-ins "1" and "-1"
+    cuspidal: tuple[CuspidalDatum, ...]
+    mp2_weil: tuple[Mp2CuspidalWeil, ...]
     parameter: AParameter | None
 
     def element(self, name: str) -> GlobalElement:
@@ -138,8 +138,7 @@ class Scenario(Record, frozen=False):
                 )
 
     def _validate_central_char(self, datum: CuspidalDatum) -> None:
-        cc = datum.central_char
-        cc_elem = None if cc in ("1", "trivial") else self.element(cc)
+        cc_elem = None if datum.trivial_central_char else self.element(datum.central_char)
         for p in self.places:
             shape = datum.local[p.id]
             cls = cc_elem.local(p) if cc_elem is not None else p.trivial_class()
@@ -222,9 +221,10 @@ def _as_fraction(value: Any, path: str) -> Fraction:
         raise SchemaError(path, f"not a rational number: {value!r}") from None
 
 
-def _parse_twists(obj: dict, path: str) -> dict:
-    raw = _as_object(obj.get("eps_twists", {}), f"{path}.eps_twists")
-    return {str(k): _as_sign(v, f"{path}.eps_twists.{k}") for k, v in raw.items()}
+def _as_map(value: Any, path: str, as_value) -> FrozenMap:
+    """An object whose every value passes ``as_value``, frozen."""
+    raw = _as_object(value, path)
+    return FrozenMap({str(k): as_value(v, f"{path}.{k}") for k, v in raw.items()})
 
 
 def _as_class(obj: dict, key: str, place: Place, path: str) -> str:
@@ -247,14 +247,14 @@ def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
 
     try:
         if kind == "irreducible-symplectic":
-            twists = _parse_twists(obj, path)
+            twists = _as_map(obj.get("eps_twists", {}), f"{path}.eps_twists", _as_sign)
             return RhoIrreducibleSymplectic(
                 tag=text("tag"),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
                 eps_twists=twists,
             )
         if kind == "steinberg":
-            twists = _parse_twists(obj, path)
+            twists = _as_map(obj.get("eps_twists", {}), f"{path}.eps_twists", _as_sign)
             return RhoSteinberg(
                 label=_as_class(obj, "class", place, path),
                 eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
@@ -335,7 +335,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         extra = set(classes_raw) - {p.id for p in places}
         if extra:
             raise SchemaError(f"{path}.classes", f"unknown places {sorted(extra)}")
-        elements.append(GlobalElement(name, classes))
+        elements.append(GlobalElement(name, FrozenMap(classes)))
 
     cuspidal: list[CuspidalDatum] = []
     element_names = {e.name for e in elements}
@@ -365,14 +365,9 @@ def scenario_from_dict(data: Any) -> Scenario:
                 gl_rank=_as_int(draw.get("gl_rank", 2), f"{path}.gl_rank"),
                 duality=_as_str(_require(draw, "duality", path), f"{path}.duality"),
                 global_root=_as_sign(draw.get("global_root", 1), f"{path}.global_root"),
-                local=local,
-                twisted_roots={
-                    str(k): _as_sign(v, f"{path}.twisted_roots.{k}") for k, v in twisted_raw.items()
-                },
-                l_half_nonzero={
-                    str(k): _as_bool(v, f"{path}.l_half_nonzero.{k}")
-                    for k, v in _as_object(draw.get("l_half_nonzero", {}), f"{path}.l_half_nonzero").items()
-                },
+                local=FrozenMap(local),
+                twisted_roots=_as_map(twisted_raw, f"{path}.twisted_roots", _as_sign),
+                l_half_nonzero=_as_map(draw.get("l_half_nonzero", {}), f"{path}.l_half_nonzero", _as_bool),
                 dihedral=_as_bool(draw.get("dihedral", False), f"{path}.dihedral"),
                 central_char=central_char,
             )
@@ -424,13 +419,7 @@ def scenario_from_dict(data: Any) -> Scenario:
             summands.append((datum, d))
         parameter = AParameter.of(summands)
 
-    return Scenario(
-        places=places,
-        elements=elements,
-        cuspidal=cuspidal,
-        mp2_weil=mp2,
-        parameter=parameter,
-    )
+    return Scenario(tuple(places), tuple(elements), tuple(cuspidal), tuple(mp2), parameter)
 
 
 def load_scenario(path: str) -> Scenario:

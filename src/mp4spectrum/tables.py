@@ -65,6 +65,7 @@ from .parameters import (
     RhoRealOrthogonalDiscrete,
     RhoSteinberg,
 )
+from .record import FrozenMap
 from .scenario import SchemaError, _as_bool, _as_fraction, _as_list, _as_object, _as_sign, _as_str, _require
 
 HALF = Fraction(1, 2)
@@ -144,36 +145,29 @@ def shimura_row_from_query(q) -> SCRow:
         return principal_shimura_row(place, square_class("a", "1"))
     if t == "orthogonal-S2":
         return orthogonal_shimura_row(text("tau"))
+    signs = FrozenMap()  # sign data of the supercuspidal constituent, if a row reads it
     if t == "4dim":
-        shape = ShTempered((Piece4SC(text("tag")),))
-        return shimura_row(place, shape)
-    if t == "pair-supercuspidal":
+        pieces = (Piece4SC(text("tag")),)
+    elif t == "pair-supercuspidal":
         tags = _as_list(_require(row, "tags", path), f"{path}.tags")
         if len(tags) != 2:
             raise SchemaError(f"{path}.tags", f"expected two tags, got {tags!r}")
-        t1, t2 = (_as_str(x, f"{path}.tags[{i}]") for i, x in enumerate(tags))
-        shape = ShTempered(tuple(sorted((PieceSC(t1), PieceSC(t2)), key=repr)))
-        return shimura_row(place, shape)
-    if t == "double-supercuspidal":
-        tag = text("tag")
-        shape = ShTempered((PieceSC(tag), PieceSC(tag)))
-        return shimura_row(place, shape)
-    if t == "double-steinberg":
-        a = square_class("a").label
-        shape = ShTempered((PieceSt(a), PieceSt(a)))
-        return shimura_row(place, shape)
-    if t == "steinberg-pair":
-        a, b = square_class("a").label, square_class("b").label
-        pieces = tuple(sorted((PieceSt(a), PieceSt(b)), key=repr))
-        return shimura_row(place, ShTempered(pieces))
-    if t == "sc-plus-S2":
+        pieces = tuple(PieceSC(_as_str(x, f"{path}.tags[{i}]")) for i, x in enumerate(tags))
+    elif t == "double-supercuspidal":
+        pieces = (PieceSC(text("tag")),) * 2
+    elif t == "double-steinberg":
+        pieces = (PieceSt(square_class("a").label),) * 2
+    elif t == "steinberg-pair":
+        pieces = (PieceSt(square_class("a").label), PieceSt(square_class("b").label))
+    elif t == "sc-plus-S2":
         tag, a = text("tag"), square_class("a").label
         eps0 = _as_sign(row.get("eps", 1), f"{path}.eps")
         tw = _as_sign(row.get("eps_twist", 1), f"{path}.eps_twist")
-        pieces = tuple(sorted((PieceSC(tag), PieceSt(a)), key=repr))
-        shape = ShTempered(pieces, ((tag, eps0, ((a, tw),)),))
-        return shimura_row(place, shape)
-    raise SchemaError("$.query.row.type", f"unknown row type {t!r}")
+        pieces = (PieceSC(tag), PieceSt(a))
+        signs = FrozenMap({tag: RhoIrreducibleSymplectic(tag, eps0, FrozenMap({a: tw}))})
+    else:
+        raise SchemaError("$.query.row.type", f"unknown row type {t!r}")
+    return shimura_row(place, ShTempered(tuple(sorted(pieces, key=repr)), signs))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +196,10 @@ def _sample_shapes(place: Place) -> list[tuple[str, LocalParam]]:
     a1 = classes[1] if len(classes) > 1 else classes[0]
     out = [(f"principal chi[{c.label}]", ShPrincipal(c)) for c in classes]
     if place.is_nonarch:
-        sc = RhoIrreducibleSymplectic("rho0", -1, {c.label: 1 for c in classes})
+        sc = RhoIrreducibleSymplectic("rho0", -1, FrozenMap({c.label: 1 for c in classes}))
         for c in classes:
             out.append((f"SK sc twist chi[{c.label}]", ShSK("rho", sc, c)))
-            st = RhoSteinberg(c.label, -1, {})
+            st = RhoSteinberg(c.label, -1)
             out.append((f"SK steinberg[{c.label}] twist chi[{c.label}]", ShSK("rho", st, c)))
         out.append(("soudry dihedral", ShSoudryIrreducible("rho", RhoDihedralSupercuspidal("tau"))))
     if place.is_real:
@@ -231,33 +225,25 @@ def _packet_tables() -> dict:
     return out
 
 
+# the correspondence rows of the atlas, as `correspond` queries at a
+# nonarchimedean odd place with q = 3 mod 4
+_SHIMURA_ROWS = (
+    {"type": "steinberg-S4", "a": "1"},
+    {"type": "steinberg-S4", "a": "u"},
+    {"type": "orthogonal-S2", "tau": "tau"},
+    {"type": "4dim", "tag": "vr"},
+    {"type": "pair-supercuspidal", "tags": ["r1", "r2"]},
+    {"type": "double-supercuspidal", "tag": "r0"},
+    {"type": "sc-plus-S2", "tag": "r0", "a": "u", "eps": -1, "eps_twist": 1},
+    {"type": "sc-plus-S2", "tag": "r0", "a": "1", "eps": -1},
+    {"type": "steinberg-pair", "a": "u", "b": "p"},
+    {"type": "steinberg-pair", "a": "1", "b": "u"},
+    {"type": "double-steinberg", "a": "u"},
+)
+
+
 def _shimura_tables() -> list:
-    place = Place("v", "nonarch-odd-3mod4")
-    rows = [
-        principal_shimura_row(place, place.class_from_label("1")),
-        principal_shimura_row(place, place.class_from_label("u")),
-        orthogonal_shimura_row("tau"),
-        shimura_row(place, ShTempered((Piece4SC("vr"),))),
-        shimura_row(place, ShTempered(tuple(sorted((PieceSC("r1"), PieceSC("r2")), key=repr)))),
-        shimura_row(place, ShTempered((PieceSC("r0"), PieceSC("r0")))),
-        shimura_row(
-            place,
-            ShTempered(
-                tuple(sorted((PieceSC("r0"), PieceSt("u")), key=repr)),
-                (("r0", -1, (("u", 1),)),),
-            ),
-        ),
-        shimura_row(
-            place,
-            ShTempered(
-                tuple(sorted((PieceSC("r0"), PieceSt("1")), key=repr)),
-                (("r0", -1, ()),),
-            ),
-        ),
-        shimura_row(place, ShTempered(tuple(sorted((PieceSt("u"), PieceSt("p")), key=repr)))),
-        shimura_row(place, ShTempered(tuple(sorted((PieceSt("1"), PieceSt("u")), key=repr)))),
-        shimura_row(place, ShTempered((PieceSt("u"), PieceSt("u")))),
-    ]
+    rows = [shimura_row_from_query({"row": row}) for row in _SHIMURA_ROWS]
     return [{"name": r.name, "entries": [e.rendered() for e in r.entries]} for r in rows]
 
 

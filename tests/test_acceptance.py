@@ -52,7 +52,8 @@ from mp4spectrum.packets import (
     reduce_mp4_p2,
     shimura_row,
 )
-from mp4spectrum.parameters import AParameter, ParamType, classify
+from mp4spectrum.parameters import AParameter, ParamType, RhoIrreducibleSymplectic, classify
+from mp4spectrum.record import FrozenMap
 from mp4spectrum.residual import residual_spectrum
 from mp4spectrum.scenario import load_scenario, scenario_from_dict
 from mp4spectrum.fields import trivial_element
@@ -201,7 +202,7 @@ def _all_shimura_rows():
                 place,
                 ShTempered(
                     tuple(sorted((PieceSC("r0"), PieceSt("u")), key=repr)),
-                    (("r0", eps0, (("u", tw),)),),
+                    FrozenMap({"r0": RhoIrreducibleSymplectic("r0", eps0, FrozenMap({"u": tw}))}),
                 ),
             )
         )
@@ -210,7 +211,7 @@ def _all_shimura_rows():
                 place,
                 ShTempered(
                     tuple(sorted((PieceSC("r0"), PieceSt("1")), key=repr)),
-                    (("r0", eps0, ()),),
+                    FrozenMap({"r0": RhoIrreducibleSymplectic("r0", eps0)}),
                 ),
             )
         )

@@ -10,14 +10,16 @@ from mp4spectrum.fields import (
     GlobalElement,
     Place,
     PlaceMismatch,
+    ReciprocityReport,
     chi_minus_one,
+    global_pairing,
     hilbert,
     minus_one_element,
     trivial_element,
     validate_reciprocity,
 )
 
-from conftest import make_places, random_element
+from conftest import make_places, random_element, random_places
 import random
 
 
@@ -142,6 +144,36 @@ def test_reciprocity_detects_single_flip():
     a, b, prod = report.violation
     assert prod == -1
     assert "t" in (a, b)
+
+
+def _ordered_reciprocity(places, elements):
+    """The reference: every ordered pair, in order, up to the first violation."""
+    checked = 0
+    for a in elements:
+        for b in elements:
+            checked += 1
+            prod = global_pairing(places, a, b)
+            if prod != 1:
+                return ReciprocityReport(False, checked, (a.name, b.name, prod))
+    return ReciprocityReport(True, checked, None)
+
+
+def test_reciprocity_report_matches_the_ordered_loop():
+    outcomes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        places = random_places(rng, rng.randint(1, 5))
+        elems = [trivial_element(places), minus_one_element(places)]
+        for k in range(rng.randint(0, 6)):
+            if rng.random() < 0.6:
+                elems.append(random_element(rng, places, elems, f"e{k}"))
+            else:  # any classes at all, so reciprocity may fail anywhere
+                elems.append(GlobalElement(f"x{k}", {p.id: rng.choice(p.square_classes()) for p in places}))
+        rng.shuffle(elems)
+        report = validate_reciprocity(places, elems)
+        assert report == _ordered_reciprocity(places, elems), seed
+        outcomes.add(report.ok)
+    assert outcomes == {True, False}
 
 
 def _hilbert_conic_oracle(a: int, b: int, p: int, prec: int) -> int:

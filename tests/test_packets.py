@@ -70,6 +70,7 @@ from mp4spectrum.parameters import (
     RhoRealOrthogonalDiscrete,
     RhoSteinberg,
 )
+from mp4spectrum.record import FrozenMap
 
 from conftest import PTYPES, random_scenario_parameter
 
@@ -402,7 +403,7 @@ def _all_rows():
                 ODD3,
                 ShTempered(
                     tuple(sorted((PieceSC("r0"), PieceSt("u")), key=repr)),
-                    (("r0", eps0, (("u", tw),)),),
+                    FrozenMap({"r0": RhoIrreducibleSymplectic("r0", eps0, FrozenMap({"u": tw}))}),
                 ),
             )
         )
@@ -411,7 +412,7 @@ def _all_rows():
                 ODD3,
                 ShTempered(
                     tuple(sorted((PieceSC("r0"), PieceSt("1")), key=repr)),
-                    (("r0", eps0, ()),),
+                    FrozenMap({"r0": RhoIrreducibleSymplectic("r0", eps0)}),
                 ),
             )
         )

@@ -1,10 +1,13 @@
 """The record base behaves as the dataclass it replaced, class by class.
 
-Every record class of the package is compared with a ``dataclasses``
-twin built here from the same fields, defaults, options and methods:
-``repr`` text, equality, hashing, ordering, frozenness, default factories
-and ``__post_init__``.  A last test checks that importing the CLI loads
-neither ``dataclasses`` nor ``inspect``, which is what makes start-up cheap.
+Every record class of the package is compared with a frozen
+``dataclasses`` twin built here from the same fields, ordering option and
+methods: ``repr`` text, equality, hashing, ordering, frozenness and
+``__post_init__``.  Defaults are shared immutable values, so every one of
+them hashes, and so do the values loaded from every fixture.  ``FrozenMap``,
+the mapping inside records, is a dict that hashes and cannot change.  A
+last test checks that importing the CLI loads neither ``dataclasses`` nor
+``inspect``, which is what makes start-up cheap.
 """
 
 import dataclasses
@@ -20,7 +23,11 @@ from fractions import Fraction
 import pytest
 
 import mp4spectrum
-from mp4spectrum.record import _MISSING, Record
+from mp4spectrum.localization import localize
+from mp4spectrum.record import _MISSING, FrozenMap, Record
+from mp4spectrum.scenario import load_scenario
+
+from golden_calls import FIXTURE_NAMES
 
 MODULES = [importlib.import_module(f"mp4spectrum.{m.name}") for m in pkgutil.iter_modules(mp4spectrum.__path__)]
 
@@ -38,7 +45,7 @@ RECORD_CLASSES = sorted(
 RECORD_ATTRS = {
     "__module__", "__qualname__", "__doc__", "__dict__", "__weakref__", "__annotations__",
     "__init__", "__setattr__", "__delattr__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__",
-    "__record_fields__", "__record_frozen__", "__record_order__", "__repr__", "__eq__", "_astuple",
+    "__record_fields__", "__record_order__", "__repr__", "__eq__", "_astuple",
 }
 
 
@@ -48,8 +55,8 @@ def _place():
     return Place("v1", "nonarch-odd-3mod4")
 
 
-# valid arguments for the classes whose __post_init__ checks them; every
-# other class takes any values
+# valid arguments, every field given, for the classes whose __post_init__
+# checks them; every other class takes any values
 SAMPLES = {
     "Place": lambda: [("v1", "real"), ("v1", "nonarch-dyadic")],
     "SquareClass": lambda: [(_place(), (0, 1)), (_place(), (1, 0))],
@@ -59,8 +66,8 @@ SAMPLES = {
     "RhoRealDiscrete": lambda: [(2,), (3,)],
     "RhoRealOrthogonalDiscrete": lambda: [(1,), (4,)],
     "CuspidalDatum": lambda: [
-        ("rho", 2, "symplectic", 1, {"v1": "shape"}),
-        ("rho", 4, "symplectic", -1, {"v1": "shape"}, {"t": -1}, {"t": False}),
+        ("rho", 2, "symplectic", 1, FrozenMap({"v1": "shape"}), FrozenMap(), FrozenMap(), False, "1"),
+        ("rho", 4, "symplectic", -1, FrozenMap({"v1": "shape"}), FrozenMap({"t": -1}), FrozenMap({"t": False}), True, "e"),
     ],
 }
 
@@ -69,8 +76,12 @@ def _fields(cls):
     return cls.__record_fields__
 
 
+def _default(cls, name):
+    return getattr(cls, name, _MISSING)
+
+
 def _required(cls):
-    return [f for f in _fields(cls) if f.default_factory is None and f.default is _MISSING]
+    return [name for name in _fields(cls) if _default(cls, name) is _MISSING]
 
 
 def _samples(cls):
@@ -84,30 +95,27 @@ def _samples(cls):
 
 
 def _twin(cls):
-    names = {f.name for f in _fields(cls)}
-    specs = []
-    for f in _fields(cls):
-        if f.default_factory is not None:
-            spec = dataclasses.field(default_factory=f.default_factory, repr=f.repr)
-        elif f.default is not _MISSING:
-            spec = dataclasses.field(default=f.default, repr=f.repr)
-        else:
-            spec = dataclasses.field(repr=f.repr)
-        specs.append((f.name, "object", spec))
+    """The frozen dataclass with the same fields, given in full by every test here.
+
+    Defaults are left out: the Python 3.10 dataclass refuses any dict
+    default, a FrozenMap included.  test_every_field_default_is_hashable
+    checks the defaults of the records themselves.
+    """
+    names = _fields(cls)
     namespace = {k: v for k, v in vars(cls).items() if k not in RECORD_ATTRS and k not in names}
     return dataclasses.make_dataclass(
-        cls.__name__, specs, namespace=namespace, frozen=cls.__record_frozen__, order=cls.__record_order__
+        cls.__name__, [(name, "object") for name in names], namespace=namespace, frozen=True, order=cls.__record_order__
     )
 
 
 def _other(cls):
     """A record class with the same fields and options under another name."""
-    ns = {"__annotations__": {f.name: "object" for f in _fields(cls)}}
-    return type("Other", (Record,), ns, frozen=cls.__record_frozen__, order=cls.__record_order__)
+    ns = {"__annotations__": {name: "object" for name in _fields(cls)}}
+    return type("Other", (Record,), ns, order=cls.__record_order__)
 
 
 def _values(obj, cls):
-    return tuple(getattr(obj, f.name) for f in _fields(cls))
+    return tuple(getattr(obj, name) for name in _fields(cls))
 
 
 def _hash(obj):
@@ -128,7 +136,7 @@ def test_record_matches_dataclass_twin(cls):
     assert cls.__name__ in SAMPLES or "__post_init__" not in vars(cls)
     twin = _twin(cls)
     samples = _samples(cls)
-    names = [f.name for f in _fields(cls)]
+    names = _fields(cls)
     for vals in samples:
         r, t = cls(*vals), twin(*vals)
         assert repr(r) == repr(t)
@@ -137,15 +145,12 @@ def test_record_matches_dataclass_twin(cls):
         assert r == cls(*vals) and not (r != cls(*vals))
         assert r != t and t != r
         assert r != _other(cls)(*_values(r, cls))
-        if cls.__record_frozen__:
-            assert _hash(r) == _hash(_values(r, cls)) == _hash(t)
-            attr = names[0] if names else "x"
-            with pytest.raises(AttributeError):
-                setattr(r, attr, 0)
-            with pytest.raises(AttributeError):
-                delattr(r, attr)
-        else:
-            assert cls.__hash__ is None and twin.__hash__ is None
+        assert _hash(r) == _hash(_values(r, cls)) == _hash(t)
+        attr = names[0] if names else "x"
+        with pytest.raises(AttributeError):
+            setattr(r, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, attr)
         with pytest.raises(TypeError):
             cls(*_values(r, cls), "one too many")
     for a, b in itertools.product(samples, repeat=2):
@@ -164,18 +169,59 @@ def test_record_matches_dataclass_twin(cls):
                 r < other
 
 
-@pytest.mark.parametrize(
-    "cls",
-    [c for c in RECORD_CLASSES if any(f.default_factory is not None for f in _fields(c))],
-    ids=lambda c: c.__qualname__,
-)
-def test_default_factory_gives_a_fresh_object(cls):
-    required = _samples(cls)[0][: len(_required(cls))]
-    a, b, t = cls(*required), cls(*required), _twin(cls)(*required)
-    for f in _fields(cls):
-        if f.default_factory is not None:
-            assert getattr(a, f.name) == f.default_factory() == getattr(t, f.name)
-            assert getattr(a, f.name) is not getattr(b, f.name)
+def test_every_field_default_is_hashable():
+    checked = 0
+    for cls in RECORD_CLASSES:
+        names = _fields(cls)
+        required = _samples(cls)[0][: len(_required(cls))]
+        r = cls(*required)
+        for name in names[len(required) :]:
+            default = _default(cls, name)
+            assert getattr(r, name) is default, (cls, name)
+            hash(default)
+            checked += 1
+    assert checked >= 10
+
+
+def test_frozen_map_is_a_dict_that_hashes_and_cannot_change():
+    items = {"u": -1, "p": 1}
+    m = FrozenMap(items)
+    assert m == items and items == m and isinstance(m, dict)
+    assert FrozenMap(items) is not m and hash(FrozenMap({"p": 1, "u": -1})) == hash(m)
+    assert repr(m) == repr(items) and str(FrozenMap()) == "{}"
+    assert FrozenMap({"u": 1}) != m
+    mutations = [
+        lambda: m.__setitem__("u", 1),
+        lambda: m.__delitem__("u"),
+        lambda: m.__ior__({"x": 1}),
+        m.clear,
+        lambda: m.pop("u"),
+        m.popitem,
+        lambda: m.setdefault("x", 1),
+        lambda: m.update(x=1),
+    ]
+    for mutate in mutations:
+        with pytest.raises(TypeError):
+            mutate()
+    with pytest.raises(TypeError):
+        m |= {"x": 1}
+    assert m == items
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_values_hash_and_two_loads_are_equal(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", f"{name}.json")
+    a, b = load_scenario(path), load_scenario(path)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a.parameter) == hash(b.parameter)
+    for value in (*a.places, *a.elements, *a.cuspidal, *a.mp2_weil):
+        hash(value)
+    for datum, _ in a.parameter.summands:
+        hash(datum)
+    for place in a.places:
+        lp, _, _ = localize(a.parameter, place)
+        assert lp == localize(b.parameter, place)[0]
+        assert hash(lp) == hash(localize(b.parameter, place)[0])
 
 
 @pytest.mark.parametrize(

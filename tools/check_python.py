@@ -11,15 +11,20 @@ counts what ``enumerate_constituents`` lists on every fixture (with and
 without the vanishing tuples), and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
 byte for byte.  Prints one line per check and exits 1 if any fails.
+An info line, which never fails, gives the line count of
+``src/mp4spectrum`` and the in-process ``compile()`` time of its modules
+(best of 5), since every CLI child without a bytecode cache pays it.
 Uses the standard library only, for interpreters that have no pytest.
 """
 
 import contextlib
+import glob
 import importlib.util
 import io
 import os
 import subprocess
 import sys
+import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "tests"))
@@ -77,8 +82,25 @@ def check_goldens():
     return not differ, f"{len(calls) - len(differ)} of {len(calls)} golden files identical, differ: {differ}"
 
 
+def source_info():
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "mp4spectrum", "*.py")))
+    sources = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        for path, text in zip(paths, sources):
+            compile(text, path, "exec")
+        best = min(best, time.perf_counter() - start)
+    lines = sum(text.count("\n") for text in sources)
+    return f"INFO src: {lines} lines in {len(paths)} modules, compile() {best * 1e3:.1f} ms"
+
+
 def main_check() -> int:
     print(f"python {sys.version.split()[0]}")
+    print(source_info())
     ok = True
     for check in (check_imports, check_self_test, check_character_sum, check_goldens):
         passed, detail = check()
