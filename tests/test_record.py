@@ -4,7 +4,8 @@ Every record class of the package is compared with a frozen
 ``dataclasses`` twin built here from the same fields, ordering option and
 methods: ``repr`` text, equality, hashing, ordering, frozenness and
 ``__post_init__``.  Defaults are shared immutable values, so every one of
-them hashes, and so do the values loaded from every fixture.  ``FrozenMap``,
+them hashes, a map default shared by two records refuses every change, and
+the values loaded from every fixture hash too.  ``FrozenMap``,
 the mapping inside records, is a dict that hashes and cannot change.  A
 last test checks that importing the CLI loads neither ``dataclasses`` nor
 ``inspect``, which is what makes start-up cheap.
@@ -181,6 +182,30 @@ def test_every_field_default_is_hashable():
             hash(default)
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in RECORD_CLASSES if any(isinstance(_default(c, name), FrozenMap) for name in _fields(c))],
+    ids=lambda c: c.__qualname__,
+)
+def test_default_factory_gives_a_fresh_object(cls):
+    """A map default shared by two records cannot carry a change from one to the other.
+
+    The defaults that were fresh dicts from a factory are one empty FrozenMap
+    each; it equals the dict a factory gave and refuses every change.
+    """
+    required = _samples(cls)[0][: len(_required(cls))]
+    a, b = cls(*required), cls(*required)
+    for name in _fields(cls):
+        default = _default(cls, name)
+        if isinstance(default, FrozenMap):
+            assert getattr(a, name) == {} == getattr(b, name)
+            with pytest.raises(TypeError):
+                getattr(a, name)["x"] = 1
+            with pytest.raises(TypeError):
+                getattr(a, name).update(x=1)
+            assert getattr(b, name) == {} and a == b
 
 
 def test_frozen_map_is_a_dict_that_hashes_and_cannot_change():
