@@ -12,7 +12,8 @@ implicitly:
     quotient (induction in stages);
   * an even elementary Weil representation in inducing position is
     rewritten to its Borel quotient form before flattening;
-  * GL(1) segments with equal exponents are sorted canonically;
+  * GL(1) segments are sorted by decreasing exponent, equal exponents by
+    the repr of their character (two stable sorts, none for one segment);
   * the contragredient of an odd elementary Weil representation is
     rewritten via psi -> psi_{-1}.
 
@@ -24,6 +25,7 @@ Sp(W_2) and (1,), (2,) are P_1, P_2.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .record import Record
@@ -272,12 +274,6 @@ def seg(label_or_char, s) -> Seg:
     return Seg(char, s if type(s) is Fraction else Fraction(s))
 
 
-def _seg_sort_key(sg) -> tuple:
-    if isinstance(sg, Seg):
-        return (-sg.s, 0, repr(sg.char))
-    return (-sg.s, 1, repr(sg.rep))
-
-
 def lq(group: tuple, segs: list, inner: Desc | None = None) -> Desc:
     """Build a normalized Langlands quotient.
 
@@ -295,14 +291,22 @@ def lq(group: tuple, segs: list, inner: Desc | None = None) -> Desc:
     if isinstance(inner, LQ) and inner.group[0] == "Mp":
         segs.extend(inner.segs)
         inner = inner.inner
-    gl1 = sorted((s for s in segs if isinstance(s, Seg)), key=_seg_sort_key)
-    gl2 = [s for s in segs if isinstance(s, GL2Seg)]
+    gl1 = [s for s in segs if type(s) is Seg]
+    gl2 = [s for s in segs if type(s) is GL2Seg]
+    if len(gl1) > 1:
+        # two stable sorts give the order of the key (-s, repr(char))
+        gl1.sort(key=_char_repr)
+        gl1.sort(key=attrgetter("s"), reverse=True)
     ordered = gl2 + gl1 if not gl1 or (gl2 and gl2[0].s >= gl1[0].s) else gl1 + gl2
-    exps = [s.s for s in ordered]
-    if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
-        raise ValueError(f"segments are not in standard-module order: {ordered}")
-    blocks = tuple(2 if isinstance(s, GL2Seg) else 1 for s in ordered)
+    for left, right in zip(ordered, ordered[1:]):
+        if left.s < right.s:
+            raise ValueError(f"segments are not in standard-module order: {ordered}")
+    blocks = tuple(2 if type(s) is GL2Seg else 1 for s in ordered)
     return LQ(group=group, blocks=blocks, segs=tuple(ordered), inner=inner)
+
+
+def _char_repr(sg: Seg) -> str:
+    return repr(sg.char)
 
 
 def dsum(*parts: Desc) -> Desc:
@@ -350,11 +354,7 @@ def _render_char(ch: CharAtom) -> str:
 
 
 def _render_gl2(rep: GL2Rep) -> str:
-    if isinstance(rep, St2):
-        return f"st_chi[{rep.label}]"
-    if isinstance(rep, SC2):
-        return f"sc[{rep.tag}]"
-    return f"D_{rep.a}"
+    return _FORMATS[type(rep)](rep)
 
 
 def _render_parabolic(group: tuple, blocks: tuple) -> str:
@@ -384,70 +384,65 @@ def sign_label(values) -> str:
     return "(" + ",".join(map(sign_str, values)) + ")"
 
 
+def _render_lq(d: LQ) -> str:
+    parts = []
+    for s in d.segs:
+        if type(s) is Seg:
+            base = _render_char(s.char)
+            parts.append(f"|.|^{s.s}" if base == "1" else f"{base}|.|^{s.s}")
+        else:
+            parts.append(f"{_render_gl2(s.rep)}|det|^{s.s}")
+    if d.inner is not None:
+        parts.append(render(d.inner))
+    psi = ",psi" if d.group[0] == "Mp" else ""
+    return f"J_{{{_render_parabolic(d.group, d.blocks)}{psi}}}({', '.join(parts)})"
+
+
+def _render_theta(d: ThetaLift) -> str:
+    tgt = f"W{d.n}" if d.to_metaplectic else f"V{d.r}{sign_str(d.space_eps)}"
+    src = f"V{d.r}{sign_str(d.space_eps)}" if d.to_metaplectic else f"W{d.n}"
+    return f"theta[{src}->{tgt}, psi_{d.twist}]({render(d.source)})"
+
+
+def _render_opaque(d: Opaque) -> str:
+    inside = ",".join(str(x) for x in d.data)
+    return f"{d.head}({inside})" if inside else d.head
+
+
+# one formatter per descriptor class (and GL(2) representation), looked up by type(d)
+_FORMATS = {
+    LQ: _render_lq,
+    DSum: lambda d: " (+) ".join(map(render, d.parts)),
+    St2: lambda d: f"st_chi[{d.label}]",
+    SC2: lambda d: f"sc[{d.tag}]",
+    RealD: lambda d: f"D_{d.a}",
+    Zero: lambda d: "0",
+    WeilOdd: lambda d: f"omega^-[psi_{d.label}]",
+    WeilEven: lambda d: f"omega^+[psi_{d.label}]",
+    MpSt2: lambda d: f"st~_chi[{d.label}]",
+    MpRealDS2: lambda d: f"D~_{d.a}",
+    Mp2Member: lambda d: f"pi0^{sign_str(d.eps)}[{d.tag}]",
+    MpDS4: lambda d: f"pi^{sign_label(d.label)}[{'+'.join(map(_render_piece, d.lparam))}]",
+    SODS: lambda d: f"sigma^{sign_label(d.label)}[{'+'.join(map(_render_piece, d.lparam))}]",
+    RealLKT: lambda d: "pi_LKT(" + ",".join(map(str, d.weights)) + ")",
+    MpStPair: lambda d: f"St~(chi[{d.label}], {render(d.inner)})",
+    MpStTwist: lambda d: f"St~^{sign_str(d.sign)}_chi[{d.label}]",
+    MpStTau: lambda d: f"St~({_render_gl2(d.tau)})",
+    MpGenNG: lambda d: f"pi_{'gen' if d.generic else 'ng'}({_render_gl2(d.tau)})",
+    NuChar: lambda d: f"nu[{d.label}]",
+    SOStPair: lambda d: f"St^{sign_str(d.space_eps)}(chi[{d.label}], {render(d.inner)})",
+    SOStTwist: lambda d: f"St^{sign_str(d.space_eps)}_chi[{d.label}]",
+    SOStTau: lambda d: f"St^+({_render_gl2(d.tau)})",
+    SOGenNG: lambda d: f"sigma_{'gen' if d.generic else 'ng'}({_render_gl2(d.tau)})",
+    OExt: lambda d: f"({render(d.base)})^{sign_str(d.sign)}",
+    ThetaLift: _render_theta,
+    TwistNu: lambda d: f"{render(d.base)} (x) nu[{d.label}]",
+    Opaque: _render_opaque,
+}
+
+
 def render(d: Desc) -> str:
-    if isinstance(d, (St2, SC2, RealD)):
-        return _render_gl2(d)
-    if isinstance(d, Zero):
-        return "0"
-    if isinstance(d, WeilOdd):
-        return f"omega^-[psi_{d.label}]"
-    if isinstance(d, WeilEven):
-        return f"omega^+[psi_{d.label}]"
-    if isinstance(d, MpSt2):
-        return f"st~_chi[{d.label}]"
-    if isinstance(d, MpRealDS2):
-        return f"D~_{d.a}"
-    if isinstance(d, Mp2Member):
-        return f"pi0^{sign_str(d.eps)}[{d.tag}]"
-    if isinstance(d, MpDS4):
-        par = "+".join(_render_piece(p) for p in d.lparam)
-        return f"pi^{sign_label(d.label)}[{par}]"
-    if isinstance(d, SODS):
-        par = "+".join(_render_piece(p) for p in d.lparam)
-        return f"sigma^{sign_label(d.label)}[{par}]"
-    if isinstance(d, RealLKT):
-        return "pi_LKT(" + ",".join(map(str, d.weights)) + ")"
-    if isinstance(d, MpStPair):
-        return f"St~(chi[{d.label}], {render(d.inner)})"
-    if isinstance(d, MpStTwist):
-        return f"St~^{sign_str(d.sign)}_chi[{d.label}]"
-    if isinstance(d, MpStTau):
-        return f"St~({_render_gl2(d.tau)})"
-    if isinstance(d, MpGenNG):
-        return f"pi_{'gen' if d.generic else 'ng'}({_render_gl2(d.tau)})"
-    if isinstance(d, NuChar):
-        return f"nu[{d.label}]"
-    if isinstance(d, SOStPair):
-        return f"St^{sign_str(d.space_eps)}(chi[{d.label}], {render(d.inner)})"
-    if isinstance(d, SOStTwist):
-        return f"St^{sign_str(d.space_eps)}_chi[{d.label}]"
-    if isinstance(d, SOStTau):
-        return f"St^+({_render_gl2(d.tau)})"
-    if isinstance(d, SOGenNG):
-        return f"sigma_{'gen' if d.generic else 'ng'}({_render_gl2(d.tau)})"
-    if isinstance(d, OExt):
-        return f"({render(d.base)})^{sign_str(d.sign)}"
-    if isinstance(d, ThetaLift):
-        tgt = f"W{d.n}" if d.to_metaplectic else f"V{d.r}{sign_str(d.space_eps)}"
-        src = f"V{d.r}{sign_str(d.space_eps)}" if d.to_metaplectic else f"W{d.n}"
-        return f"theta[{src}->{tgt}, psi_{d.twist}]({render(d.source)})"
-    if isinstance(d, TwistNu):
-        return f"{render(d.base)} (x) nu[{d.label}]"
-    if isinstance(d, Opaque):
-        inside = ",".join(str(x) for x in d.data)
-        return f"{d.head}({inside})" if inside else d.head
-    if isinstance(d, LQ):
-        parts = []
-        for s in d.segs:
-            if isinstance(s, Seg):
-                base = _render_char(s.char)
-                parts.append(f"|.|^{s.s}" if base == "1" else f"{base}|.|^{s.s}")
-            else:
-                parts.append(f"{_render_gl2(s.rep)}|det|^{s.s}")
-        if d.inner is not None:
-            parts.append(render(d.inner))
-        psi = ",psi" if d.group[0] == "Mp" else ""
-        return f"J_{{{_render_parabolic(d.group, d.blocks)}{psi}}}({', '.join(parts)})"
-    if isinstance(d, DSum):
-        return " (+) ".join(render(p) for p in d.parts)
-    raise TypeError(f"unknown descriptor {d!r}")
+    fmt = _FORMATS.get(type(d))
+    if fmt is None:
+        raise TypeError(f"unknown descriptor {d!r}")
+    return fmt(d)

@@ -28,7 +28,9 @@ parameter.  Each key is localized once, shared by every parameter and
 family reaching it, and read by P1 through its packet, built once, at
 the mask of the local character.  B and P2 read the designated member,
 built once per distinct local parameter (a Soudry split place and an HPS
-pair share one).  Each shared member object is rendered once per report.
+pair share one), and so does P1 at the all-plus character, whose packet
+entry equals it; a packet is built only where some P1 constituent reads
+another character.  Each shared member object is rendered once per report.
 More than multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
 """
 
@@ -125,7 +127,7 @@ def residual_spectrum(
     shared: dict = {}  # basis labels -> the call's one instance of that parameter
     at_places: dict = {}  # id of a shared parameter -> its _Local per place
     by_key: dict = {}  # local key -> _Local
-    members: dict = {}  # LocalParam -> designated member, one per distinct local parameter
+    members: dict = {}  # LocalParam -> the first _Local of it, which holds its designated member
 
     def parameter(summands):
         """The shared instance, so that each parameter is classified once."""
@@ -144,19 +146,27 @@ def residual_spectrum(
                 at_places[id(phi)].append(by_key[key])
         return at_places[id(phi)]
 
+    def member(at):
+        """at's designated member, built once per distinct local parameter."""
+        if at.member is None:
+            first = members.setdefault(at.param, at)  # one hash of the LocalParam
+            at.member = designated_l_packet_member(at.param) if first is at else first.member
+        return at.member
+
     def designated(phi):
-        out = []
-        for p, at in zip(places, localized(phi)):
-            if at.member is None:
-                lp = at.param
-                at.member = members.get(lp) or members.setdefault(lp, designated_l_packet_member(lp))
-            out.append((p.id, at.member))
-        return out
+        return [(p.id, member(at)) for p, at in zip(places, localized(phi))]
 
     def at_labels(phi, labels):
-        """The packet member at each place's label, a character mask (one per place)."""
+        """The packet member at each place's label, a character mask (one per place).
+
+        Label 0, the all-plus character, reads the designated member, which
+        equals the packet's all-plus entry; only other labels build the packet.
+        """
         out = []
         for p, at, label in zip(places, localized(phi), labels):
+            if not label:
+                out.append((p.id, member(at)))
+                continue
             if at.packet is None:
                 at.packet = {e.label.bits: e.member for e in local_packet(at.param)}
             out.append((p.id, at.packet[label]))

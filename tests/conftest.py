@@ -10,9 +10,7 @@ valid by construction.
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import os
 import random
 from fractions import Fraction
 
@@ -43,16 +41,7 @@ from mp4spectrum.parameters import (
     local_eps,
     local_eps_twist,
 )
-
-
-def load_scengen():
-    """perfbench/scengen.py, the benchmark's scenario generator, loaded from its file."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "scengen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_scengen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from mp4spectrum.record import FrozenMap
 
 NONARCH_KINDS = ("nonarch-odd-1mod4", "nonarch-odd-3mod4", "nonarch-dyadic")
 ALL_KINDS = NONARCH_KINDS + ("real", "complex")
@@ -116,7 +105,7 @@ def random_element(rng: random.Random, places, existing, name: str) -> GlobalEle
     for p in places:
         off = offsets[p.id]
         classes[p.id] = SquareClass(p, tuple(x[off : off + p.rank]))
-    return GlobalElement(name, classes)
+    return GlobalElement(name, FrozenMap(classes))
 
 
 def nontrivial_class_labels(place: Place):
@@ -141,7 +130,7 @@ def random_symplectic_shape(rng: random.Random, place: Place):
         return RhoPrincipalSeries("mu", Fraction(rng.choice((0, 1)), 4), rng.choice((1, -1)))
     roll = rng.random()
     labels = [c.label for c in place.square_classes()]
-    twists = {lab: rng.choice((1, -1)) for lab in labels if lab != "1"}
+    twists = FrozenMap({lab: rng.choice((1, -1)) for lab in labels if lab != "1"})
     if roll < 0.4:
         return RhoIrreducibleSymplectic(_fresh_tag("sc"), rng.choice((1, -1)), twists)
     if roll < 0.8:
@@ -166,9 +155,9 @@ def symplectic_datum(name: str, places, shapes, elements) -> CuspidalDatum:
         gl_rank=2,
         duality="symplectic",
         global_root=root,
-        local=local,
-        twisted_roots=twisted,
-        l_half_nonzero={e: False for e in twisted},
+        local=FrozenMap(local),
+        twisted_roots=FrozenMap(twisted),
+        l_half_nonzero=FrozenMap({e: False for e in twisted}),
     )
 
 
@@ -192,7 +181,7 @@ def random_orthogonal_shape(rng: random.Random, place: Place, cc_class: SquareCl
 
 
 def soudry_datum(rng: random.Random, name: str, places, central: GlobalElement) -> CuspidalDatum:
-    local = {p.id: random_orthogonal_shape(rng, p, central.local(p)) for p in places}
+    local = FrozenMap({p.id: random_orthogonal_shape(rng, p, central.local(p)) for p in places})
     return CuspidalDatum(
         name=name,
         gl_rank=2,
@@ -253,7 +242,7 @@ def random_scenario_parameter(rng: random.Random, ptype: str):
             for p in places:
                 root *= local_eps(local[p.id], p)
             datum = CuspidalDatum(
-                name="Pi4", gl_rank=4, duality="symplectic", global_root=root, local=local
+                name="Pi4", gl_rank=4, duality="symplectic", global_root=root, local=FrozenMap(local)
             )
             return places, elements, AParameter.of([(datum, 1)])
         shapes1 = {p.id: random_symplectic_shape(rng, p) for p in places}

@@ -7,10 +7,17 @@ scenarios under tests/scenarios/ likewise, for the variants listed in
 ``<name>.<ext>``; ``.json`` files hold the ``--format json`` output and
 ``.txt`` files the ``--format text`` output.  Kept free of pytest so that
 ``tools/check_python.py`` can replay them on interpreters without it.
+
+Beside the files, ``RESIDUAL_WIDE_SHA256`` pins one digest of ``residual``
+output on the 100 seed-1 inputs of the benchmark's residual-wide workload
+(see ``residual_wide_digest``), too many outputs to keep as files.
 """
 
+import hashlib
+import importlib.util
 import json
 import os
+import tempfile
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -110,3 +117,38 @@ def golden_calls():
         for stem, argv in SCENARIO_FREE_CALLS.items():
             calls[f"{stem}.{ext}"] = argv + ["--format", fmt]
     return calls
+
+
+def load_scengen():
+    """perfbench/scengen.py, the benchmark's scenario generator, loaded from its file."""
+    path = os.path.join(HERE, "..", "perfbench", "scengen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_scengen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RESIDUAL_WIDE_FORMATS = (["--format", "json"], ["--format", "text", "--verbose"])
+
+# computed before residual built and rendered each descriptor once per
+# distinct value, a change that had to leave every output byte as it was
+RESIDUAL_WIDE_SHA256 = "59c68a2506bf5a76b732e73da27c66a6565747c3b317d78b46771a29897da6c0"
+
+
+def residual_wide_digest(run) -> str:
+    """SHA-256 of ``residual`` on ``scengen.residual_scenarios(1)``, in JSON and verbose text.
+
+    ``run(argv)`` calls the CLI and returns its exit code and stdout bytes;
+    each call adds its input index, format, exit code and stdout to the digest.
+    """
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (_, doc) in enumerate(load_scengen().residual_scenarios(1)):
+            path = os.path.join(tmp, f"{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for fmt in RESIDUAL_WIDE_FORMATS:
+                code, out = run(["residual", "--scenario", path, *fmt])
+                digest.update(f"{i} {' '.join(fmt)} exit {code}\n".encode())
+                digest.update(out)
+    return digest.hexdigest()

@@ -1,19 +1,27 @@
 """The symbolic term language: normalization, elementary Weil forms, rendering."""
 
+import typing
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mp4spectrum import descriptors
 from mp4spectrum.descriptors import (
     MP4,
+    SC2,
     DSum,
+    GL2Seg,
     LQ,
     QuadChar,
+    RealD,
     Seg,
+    St2,
     TagChar,
     WeilEven,
     WeilOdd,
     ZERO,
+    Zero,
     dsum,
     elementary_weil,
     lq,
@@ -90,3 +98,80 @@ def test_tag_characters_distinct_from_quadratic():
 def test_render_is_deterministic():
     d = lq(MP4, [seg("u", Fraction(3, 2))], WeilOdd("u"))
     assert render(d) == "J_{P1,psi}(chi[u]|.|^3/2, omega^-[psi_u])"
+
+
+def _seg_sort_key(sg) -> tuple:
+    if isinstance(sg, Seg):
+        return (-sg.s, 0, repr(sg.char))
+    return (-sg.s, 1, repr(sg.rep))
+
+
+def _reference_lq(group, segs, inner=None):
+    """lq as it was written with one sort key per segment, the reference for its ordering."""
+    if isinstance(inner, Zero):
+        return ZERO
+    segs = list(segs)
+    if isinstance(inner, WeilEven):
+        segs.append(seg(inner.label, Fraction(1, 2)))
+        inner = None
+    if isinstance(inner, LQ) and inner.group[0] == "Mp":
+        segs.extend(inner.segs)
+        inner = inner.inner
+    gl1 = sorted((s for s in segs if isinstance(s, Seg)), key=_seg_sort_key)
+    gl2 = [s for s in segs if isinstance(s, GL2Seg)]
+    ordered = gl2 + gl1 if not gl1 or (gl2 and gl2[0].s >= gl1[0].s) else gl1 + gl2
+    exps = [s.s for s in ordered]
+    if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
+        raise ValueError(f"segments are not in standard-module order: {ordered}")
+    blocks = tuple(2 if isinstance(s, GL2Seg) else 1 for s in ordered)
+    return LQ(group=group, blocks=blocks, segs=tuple(ordered), inner=inner)
+
+
+def _outcome(build, segs, inner):
+    try:
+        return build(MP4, segs, inner)
+    except ValueError as err:
+        return str(err)
+
+
+_LABELS = st.sampled_from(["1", "-1", "u", "p", "up"])
+_CHARS = st.one_of(st.builds(QuadChar, _LABELS), st.builds(TagChar, st.sampled_from(["mu", "nu"]), st.booleans()))
+# few exponents, so that equal ones are common
+_EXPONENTS = st.sampled_from([Fraction(0), Fraction(1, 4), H, Fraction(1), Fraction(3, 2), Fraction(5, 2)])
+_GL2_REPS = st.one_of(
+    st.builds(St2, _LABELS), st.builds(SC2, st.sampled_from(["t1", "t2"])), st.builds(RealD, _EXPONENTS)
+)
+_SEGS = st.one_of(st.builds(Seg, _CHARS, _EXPONENTS), st.builds(GL2Seg, _GL2_REPS, _EXPONENTS))
+
+
+def _nested(group, segs, inner):
+    return LQ(group=group, blocks=tuple(2 if isinstance(s, GL2Seg) else 1 for s in segs), segs=tuple(segs), inner=inner)
+
+
+_INNER = st.one_of(
+    st.none(),
+    st.just(ZERO),
+    st.builds(WeilEven, _LABELS),
+    st.builds(WeilOdd, _LABELS),
+    st.builds(
+        _nested,
+        st.sampled_from([("Mp", 1), ("Mp", 2), ("SO", 2, 1)]),
+        st.lists(_SEGS, max_size=3),
+        st.one_of(st.none(), st.builds(WeilOdd, _LABELS)),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_SEGS, max_size=5), _INNER)
+def test_lq_orders_segments_as_the_sort_key_did(segs, inner):
+    # the same quotient, or the same ValueError text, as sorting by (-s, 0, repr(char))
+    assert _outcome(lq, segs, inner) == _outcome(_reference_lq, segs, inner)
+
+
+def test_render_has_one_formatter_per_descriptor_class():
+    assert set(descriptors._FORMATS) == {*typing.get_args(descriptors.Desc), St2, SC2, RealD}
+    for value in (3, "0", (ZERO,), None, Seg(QuadChar("u"), H)):
+        with pytest.raises(TypeError) as err:
+            render(value)
+        assert str(err.value) == f"unknown descriptor {value!r}"

@@ -18,8 +18,7 @@ import random
 
 import pytest
 
-from conftest import load_scengen
-from golden_calls import FIXTURE_NAMES, FIXTURES, SCENARIOS
+from golden_calls import FIXTURE_NAMES, FIXTURES, SCENARIOS, load_scengen
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render, sign_label
 from mp4spectrum.multiplicity import enumerate_constituents

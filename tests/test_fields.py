@@ -18,6 +18,7 @@ from mp4spectrum.fields import (
     trivial_element,
     validate_reciprocity,
 )
+from mp4spectrum.record import FrozenMap
 
 from conftest import make_places, random_element, random_places
 import random
@@ -127,17 +128,17 @@ def test_reciprocity_detects_single_flip():
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     elems = [trivial_element(places), minus_one_element(places), t]
     assert validate_reciprocity(places, elems).ok
     flipped = GlobalElement(
         "t",
-        {**t.classes, "v2": places[1].class_from_label("1")},
+        FrozenMap({**t.classes, "v2": places[1].class_from_label("1")}),
     )
     report = validate_reciprocity(places, [trivial_element(places), minus_one_element(places), flipped])
     assert not report.ok
@@ -168,7 +169,7 @@ def test_reciprocity_report_matches_the_ordered_loop():
             if rng.random() < 0.6:
                 elems.append(random_element(rng, places, elems, f"e{k}"))
             else:  # any classes at all, so reciprocity may fail anywhere
-                elems.append(GlobalElement(f"x{k}", {p.id: rng.choice(p.square_classes()) for p in places}))
+                elems.append(GlobalElement(f"x{k}", FrozenMap({p.id: rng.choice(p.square_classes()) for p in places})))
         rng.shuffle(elems)
         report = validate_reciprocity(places, elems)
         assert report == _ordered_reciprocity(places, elems), seed

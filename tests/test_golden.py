@@ -10,7 +10,17 @@ import os
 
 import pytest
 
-from golden_calls import FIXTURE_NAMES, GENERATED_GOLDENS, GOLDEN, PACKETS, SCENARIO_FREE, VARIANTS, golden_calls
+from golden_calls import (
+    FIXTURE_NAMES,
+    GENERATED_GOLDENS,
+    GOLDEN,
+    PACKETS,
+    RESIDUAL_WIDE_SHA256,
+    SCENARIO_FREE,
+    VARIANTS,
+    golden_calls,
+    residual_wide_digest,
+)
 from mp4spectrum import cli
 from mp4spectrum.cli import COMMANDS, main
 from mp4spectrum.reports import Report
@@ -49,6 +59,15 @@ def test_cli_packet_text_matches_golden(fixture, place, capsys):
 @pytest.mark.parametrize("name", sorted(SCENARIO_FREE))
 def test_cli_scenario_free_output_matches_golden(name, capsys):
     _check(name, golden_calls()[name], capsys)
+
+
+def test_residual_output_on_generated_inputs_is_pinned(capsys):
+    # residual in JSON and verbose text on the 100 seed-1 residual-wide inputs
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out.encode("utf-8")
+
+    assert residual_wide_digest(run) == RESIDUAL_WIDE_SHA256
 
 
 def _refuse_text(monkeypatch):

@@ -25,6 +25,7 @@ from mp4spectrum.parameters import (
     RhoReducibleOrthogonal,
     RhoSteinberg,
 )
+from mp4spectrum.record import FrozenMap
 
 from conftest import PTYPES, make_places, random_scenario_parameter
 
@@ -33,19 +34,19 @@ def _sk_parameter(shape_v1):
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     rho = CuspidalDatum(
         name="rho",
         gl_rank=2,
         duality="symplectic",
         global_root=-1,
-        local={"v1": shape_v1, "v2": RhoRealDiscrete(2), "v3": RhoRealDiscrete(1)},
-        twisted_roots={},
+        local=FrozenMap({"v1": shape_v1, "v2": RhoRealDiscrete(2), "v3": RhoRealDiscrete(1)}),
+        twisted_roots=FrozenMap(),
     )
     return places, AParameter.of([(rho, 1), (t, 2)])
 
@@ -65,7 +66,7 @@ def test_sk_reducible_place_kills_first_generator():
 
 
 def test_sk_irreducible_place_is_free():
-    shape = RhoIrreducibleSymplectic("sc", -1, {"u": 1, "p": 1, "up": 1})
+    shape = RhoIrreducibleSymplectic("sc", -1, FrozenMap({"u": 1, "p": 1, "up": 1}))
     places, phi = _sk_parameter(shape)
     lp, group, iota = localize(phi, places[0])
     assert group.relations == ()
@@ -76,10 +77,10 @@ def test_sk_irreducible_place_is_free():
 def _hps_parameter(cls1, cls2):
     places = make_places(["nonarch-odd-3mod4", "nonarch-odd-3mod4"])
     e1 = GlobalElement(
-        "s", {"v1": places[0].class_from_label(cls1[0]), "v2": places[1].class_from_label(cls1[1])}
+        "s", FrozenMap({"v1": places[0].class_from_label(cls1[0]), "v2": places[1].class_from_label(cls1[1])})
     )
     e2 = GlobalElement(
-        "t", {"v1": places[0].class_from_label(cls2[0]), "v2": places[1].class_from_label(cls2[1])}
+        "t", FrozenMap({"v1": places[0].class_from_label(cls2[0]), "v2": places[1].class_from_label(cls2[1])})
     )
     return places, AParameter.of([(e1, 2), (e2, 2)])
 
@@ -103,11 +104,11 @@ def _soudry_parameter(shape_v1):
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     from mp4spectrum.parameters import RhoRealOrthogonalDiscrete
 
@@ -116,11 +117,11 @@ def _soudry_parameter(shape_v1):
         gl_rank=2,
         duality="orthogonal",
         global_root=1,
-        local={
+        local=FrozenMap({
             "v1": shape_v1,
             "v2": RhoRealOrthogonalDiscrete(1),
             "v3": RhoRealOrthogonalDiscrete(2),
-        },
+        }),
         dihedral=True,
         central_char="t",
     )
@@ -145,11 +146,11 @@ def test_soudry_nonquadratic_place_trivial_group():
     places2 = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places2[0].class_from_label("1"),
             "v2": places2[1].class_from_label("-1"),
             "v3": places2[2].class_from_label("-1"),
-        },
+        }),
     )
     from mp4spectrum.parameters import RhoRealOrthogonalDiscrete
 
@@ -158,11 +159,11 @@ def test_soudry_nonquadratic_place_trivial_group():
         gl_rank=2,
         duality="orthogonal",
         global_root=1,
-        local={
+        local=FrozenMap({
             "v1": RhoReducibleOrthogonal("mu"),
             "v2": RhoRealOrthogonalDiscrete(1),
             "v3": RhoRealOrthogonalDiscrete(2),
-        },
+        }),
         dihedral=True,
         central_char="t",
     )
@@ -175,15 +176,15 @@ def test_soudry_nonquadratic_place_trivial_group():
 
 def test_tempered_pieces_and_relations():
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
-    sc = RhoIrreducibleSymplectic("sc", -1, {"u": 1, "p": 1, "up": 1})
-    st = RhoSteinberg("u", 1, {"u": 1, "p": 1, "up": 1})
+    sc = RhoIrreducibleSymplectic("sc", -1, FrozenMap({"u": 1, "p": 1, "up": 1}))
+    st = RhoSteinberg("u", 1, FrozenMap({"u": 1, "p": 1, "up": 1}))
     rho1 = CuspidalDatum(
         "rho1", 2, "symplectic", -1,
-        {"v1": sc, "v2": RhoRealDiscrete(2), "v3": RhoRealDiscrete(1)},
+        FrozenMap({"v1": sc, "v2": RhoRealDiscrete(2), "v3": RhoRealDiscrete(1)}),
     )
     rho2 = CuspidalDatum(
         "rho2", 2, "symplectic", -1,
-        {"v1": st, "v2": RhoRealDiscrete(1), "v3": RhoRealDiscrete(1)},
+        FrozenMap({"v1": st, "v2": RhoRealDiscrete(1), "v3": RhoRealDiscrete(1)}),
     )
     phi = AParameter.of([(rho1, 1), (rho2, 1)])
     lp, group, iota = localize(phi, places[0])
@@ -218,3 +219,13 @@ def test_localization_maps_are_linear_everywhere(rng):
                 for b in chars:
                     assert iota.pullback(a * b) == iota.pullback(a) ^ iota.pullback(b)
             assert len(chars) in (1, 2, 4)
+
+
+@pytest.mark.parametrize("ptype", PTYPES)
+def test_generated_parameters_and_their_local_parameters_hash(rng, ptype):
+    # conftest passes FrozenMap maps, so a generated parameter can key a memo,
+    # as residual_spectrum keys designated members by LocalParam
+    places, elements, phi = random_scenario_parameter(rng, ptype)
+    hash(phi)
+    for place in places:
+        assert hash(localize(phi, place)[0]) == hash(localize(phi, place)[0])

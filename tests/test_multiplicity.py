@@ -31,6 +31,7 @@ from mp4spectrum.parameters import (
     classify,
     epsilon_tilde,
 )
+from mp4spectrum.record import FrozenMap
 
 from conftest import PTYPES, make_places, random_scenario_parameter
 
@@ -75,22 +76,22 @@ def _soudry_split_fixture():
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     rho = CuspidalDatum(
         "rho",
         2,
         "orthogonal",
         1,
-        {
+        FrozenMap({
             "v1": RhoQuadraticPair("1", "u"),
             "v2": RhoRealOrthogonalDiscrete(1),
             "v3": RhoRealOrthogonalDiscrete(2),
-        },
+        }),
         dihedral=True,
         central_char="t",
     )
@@ -110,7 +111,7 @@ def test_multiplicity_hps_all_trivial():
     places = make_places(["nonarch-odd-1mod4", "nonarch-odd-3mod4"])
     one = trivial_element(places)
     t = GlobalElement(
-        "t", {"v1": places[0].class_from_label("u"), "v2": places[1].class_from_label("1")}
+        "t", FrozenMap({"v1": places[0].class_from_label("u"), "v2": places[1].class_from_label("1")})
     )
     phi = AParameter.of([(one, 2), (t, 2)])
     eta = _trivial_eta(phi, places)
@@ -201,23 +202,23 @@ def test_multiplicity_sk_wrong_parity_is_zero():
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     rho = CuspidalDatum(
         "rho",
         2,
         "symplectic",
         1,
-        {
-            "v1": RhoIrreducibleSymplectic("sc1", -1, {"u": 1, "p": -1, "up": 1}),
+        FrozenMap({
+            "v1": RhoIrreducibleSymplectic("sc1", -1, FrozenMap({"u": 1, "p": -1, "up": 1})),
             "v2": RhoRealDiscrete(2),
             "v3": RhoRealDiscrete(1),
-        },
-        twisted_roots={"t": -1},
+        }),
+        twisted_roots=FrozenMap({"t": -1}),
     )
     phi = AParameter.of([(rho, 1), (t, 2)])
     assert multiplicity(phi, places, _trivial_eta(phi, places)) == 0
@@ -226,7 +227,7 @@ def test_multiplicity_sk_wrong_parity_is_zero():
 def test_sk_enumeration_can_be_empty_with_vanishing_member():
     # one place, forced character, and the forced member is the vanishing one
     places = make_places(["nonarch-odd-3mod4"])
-    t = GlobalElement("t", {"v1": places[0].class_from_label("u")})
+    t = GlobalElement("t", FrozenMap({"v1": places[0].class_from_label("u")}))
     from mp4spectrum.parameters import RhoSteinberg
 
     rho = CuspidalDatum(
@@ -234,8 +235,8 @@ def test_sk_enumeration_can_be_empty_with_vanishing_member():
         2,
         "symplectic",
         -1,
-        {"v1": RhoSteinberg("u", -1, {"u": -1, "p": 1, "up": 1})},
-        twisted_roots={"t": -1},
+        FrozenMap({"v1": RhoSteinberg("u", -1, FrozenMap({"u": -1, "p": 1, "up": 1}))}),
+        twisted_roots=FrozenMap({"t": -1}),
     )
     phi = AParameter.of([(rho, 1), (t, 2)])
     # eps~ = (+1, -1) forces eta = ((+,-)) whose member is Zero
@@ -259,23 +260,23 @@ def test_verbose_mode_includes_vanishing_tuples():
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     rho = CuspidalDatum(
         "rho",
         2,
         "symplectic",
         1,
-        {
-            "v1": RhoIrreducibleSymplectic("sc1", -1, {"u": 1, "p": -1, "up": 1}),
+        FrozenMap({
+            "v1": RhoIrreducibleSymplectic("sc1", -1, FrozenMap({"u": 1, "p": -1, "up": 1})),
             "v2": RhoRealDiscrete(2),
             "v3": RhoRealDiscrete(1),
-        },
-        twisted_roots={"t": -1},
+        }),
+        twisted_roots=FrozenMap({"t": -1}),
     )
     phi = AParameter.of([(rho, 1), (t, 2)])
     plain = enumerate_constituents(phi, places)

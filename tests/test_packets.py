@@ -147,7 +147,7 @@ def test_principal_packet(place):
 
 
 def test_sk_packet_supercuspidal_rho():
-    rho = RhoIrreducibleSymplectic("sc", -1, {"u": 1, "p": 1, "up": 1})
+    rho = RhoIrreducibleSymplectic("sc", -1, FrozenMap({"u": 1, "p": 1, "up": 1}))
     a = ODD3.class_from_label("u")
     ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert ent[(1, 1)].member == lq(MP4, [seg("u", H)], Mp2Member("sc", 1))
@@ -158,7 +158,7 @@ def test_sk_packet_supercuspidal_rho():
 
 def test_sk_packet_steinberg_same_class_nontrivial():
     # rho_v = chi_a x S_2 with chi_a != 1: zero exactly at (+, -)
-    rho = RhoSteinberg("u", -1, {})
+    rho = RhoSteinberg("u", -1, FrozenMap())
     a = ODD3.class_from_label("u")
     ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert ent[(1, -1)].is_zero
@@ -170,7 +170,7 @@ def test_sk_packet_steinberg_same_class_nontrivial():
 
 def test_sk_packet_steinberg_same_class_trivial():
     # rho_v = 1 x S_2: zero exactly at (-, -), and (+, -) is the generic member
-    rho = RhoSteinberg("1", -1, {})
+    rho = RhoSteinberg("1", -1, FrozenMap())
     a = ODD3.class_from_label("1")
     ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert ent[(-1, -1)].is_zero
@@ -178,7 +178,7 @@ def test_sk_packet_steinberg_same_class_trivial():
 
 
 def test_sk_packet_steinberg_other_class():
-    rho = RhoSteinberg("p", -1, {})
+    rho = RhoSteinberg("p", -1, FrozenMap())
     a = ODD3.class_from_label("u")
     ent = entries_by_label(LocalParam(ODD3, ShSK("rho", rho, a)))
     assert not any(e.is_zero for e in ent.values())

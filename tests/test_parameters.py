@@ -17,6 +17,7 @@ from mp4spectrum.parameters import (
     component_group,
     epsilon_tilde,
 )
+from mp4spectrum.record import FrozenMap
 
 from conftest import (
     PTYPES,
@@ -34,7 +35,7 @@ def _places():
 def _ps_shapes(places):
     from fractions import Fraction
 
-    return {p.id: RhoPrincipalSeries("mu", Fraction(0), 1) for p in places}
+    return FrozenMap({p.id: RhoPrincipalSeries("mu", Fraction(0), 1) for p in places})
 
 
 def test_classify_principal():
@@ -139,11 +140,11 @@ def _sk_with_roots(global_root, twisted):
     places = make_places(["nonarch-odd-3mod4", "real", "real"])
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("-1"),
             "v3": places[2].class_from_label("-1"),
-        },
+        }),
     )
     from mp4spectrum.parameters import RhoIrreducibleSymplectic, RhoRealDiscrete
 
@@ -152,12 +153,12 @@ def _sk_with_roots(global_root, twisted):
         gl_rank=2,
         duality="symplectic",
         global_root=global_root,
-        local={
-            "v1": RhoIrreducibleSymplectic("sc", global_root, {"u": twisted, "p": 1, "up": 1}),
+        local=FrozenMap({
+            "v1": RhoIrreducibleSymplectic("sc", global_root, FrozenMap({"u": twisted, "p": 1, "up": 1})),
             "v2": RhoRealDiscrete(2),
             "v3": RhoRealDiscrete(2),
-        },
-        twisted_roots={"t": twisted},
+        }),
+        twisted_roots=FrozenMap({"t": twisted}),
     )
     return AParameter.of([(rho, 1), (t, 2)])
 
@@ -210,8 +211,8 @@ def test_l_half_nonzero_forces_positive_root():
             duality="symplectic",
             global_root=1,
             local=_ps_shapes(places),
-            twisted_roots={"t": -1},
-            l_half_nonzero={"t": True},
+            twisted_roots=FrozenMap({"t": -1}),
+            l_half_nonzero=FrozenMap({"t": True}),
         )
 
 

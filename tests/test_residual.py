@@ -25,11 +25,12 @@ from mp4spectrum.parameters import (
     classify,
     rho_is_irreducible,
 )
+from mp4spectrum.record import FrozenMap
 from mp4spectrum.residual import Mp2CuspidalWeil, _sign_vectors, residual_spectrum
 from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
-from conftest import load_scengen, make_places
-from golden_calls import FIXTURES, SCENARIOS
+from conftest import make_places
+from golden_calls import FIXTURES, SCENARIOS, load_scengen
 
 
 def _base():
@@ -38,12 +39,12 @@ def _base():
     m1 = minus_one_element(places)
     t = GlobalElement(
         "t",
-        {
+        FrozenMap({
             "v1": places[0].class_from_label("u"),
             "v2": places[1].class_from_label("1"),
             "v3": places[2].class_from_label("-1"),
             "v4": places[3].class_from_label("-1"),
-        },
+        }),
     )
     return places, [one, m1, t]
 
@@ -99,14 +100,14 @@ def _sk_datum(places, l_half):
         2,
         "symplectic",
         1,
-        {
-            "v1": RhoIrreducibleSymplectic("sc1", -1, {"u": -1, "p": 1, "up": -1}),
-            "v2": RhoIrreducibleSymplectic("sc2", -1, {"u": 1, "p": 1, "up": 1}),
+        FrozenMap({
+            "v1": RhoIrreducibleSymplectic("sc1", -1, FrozenMap({"u": -1, "p": 1, "up": -1})),
+            "v2": RhoIrreducibleSymplectic("sc2", -1, FrozenMap({"u": 1, "p": 1, "up": 1})),
             "v3": RhoRealDiscrete(2),
             "v4": RhoRealDiscrete(2),
-        },
-        twisted_roots={"t": 1, "1": 1},
-        l_half_nonzero=l_half,
+        }),
+        twisted_roots=FrozenMap({"t": 1, "1": 1}),
+        l_half_nonzero=FrozenMap(l_half),
     )
 
 
@@ -163,18 +164,22 @@ def test_residual_members_appear_in_enumeration(family):
         assert spectrum[eta_signs] == {pid: repr(m) for pid, m in c.descriptor}
 
 
-def _record_calls(monkeypatch, module, name):
+def _record_calls(monkeypatch, module, name, results=None):
     """Wrap every mp4spectrum binding of module.name; return the list of call arguments.
 
     ``from .x import y`` copies the name into each importing module, so
-    each copy is replaced.
+    each copy is replaced.  Each call's result is appended to ``results``
+    when a list is given.
     """
     original = getattr(module, name)
     calls = []
 
     def recorded(*args):
         calls.append(args)
-        return original(*args)
+        result = original(*args)
+        if results is not None:
+            results.append(result)
+        return result
 
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "mp4spectrum" and getattr(mod, name, None) is original:
@@ -183,12 +188,8 @@ def _record_calls(monkeypatch, module, name):
 
 
 def _distinct(values) -> list:
-    """values without repeats by ==, in first-seen order (Saito-Kurokawa local parameters do not hash)."""
-    out = []
-    for v in values:
-        if v not in out:
-            out.append(v)
-    return out
+    """values without repeats, in first-seen order."""
+    return list(dict.fromkeys(values))
 
 
 def test_residual_builds_each_local_parameter_once(monkeypatch):
@@ -211,29 +212,68 @@ def test_residual_builds_each_local_parameter_once(monkeypatch):
     assert len(lps) < len({(c.parameter.basis_labels(), p.id) for c in cons for p in sc.places})
 
 
+def _member_slots(sc, cons, localize_, designate):
+    """(constituent, local parameter, member, reads the designated member) per constituent and place.
+
+    A slot reads the designated member when its member equals it: B and P2
+    always do, and a P1 slot does exactly at the all-plus label, since the
+    members of one packet differ.
+    """
+    place = {p.id: p for p in sc.places}
+    slots = []
+    for c in cons:
+        for pid, d in c.descriptor:
+            lp = localize_(c.parameter, place[pid])[0]
+            slots.append((c, lp, d, d == designate(lp)))
+    return slots
+
+
 def test_residual_builds_each_packet_once(monkeypatch):
-    # local_packet runs once per distinct P1 local parameter, not once per
-    # P1 parameter and place
+    # local_packet runs at most once per distinct local parameter, and only
+    # where some P1 constituent reads a label other than the all-plus one
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
-    original = localization.localize
+    localize_, designate = localization.localize, packets.designated_l_packet_member
     built = _record_calls(monkeypatch, packets, "local_packet")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    p1 = _distinct(original(c.parameter, p)[0] for c in cons if c.support == "P1" for p in sc.places)
+    slots = _member_slots(sc, cons, localize_, designate)
+    p1 = _distinct(lp for c, lp, _, _ in slots if c.support == "P1")
+    other_labels = _distinct(lp for c, lp, _, all_plus in slots if c.support == "P1" and not all_plus)
     assert [lp for (lp,) in built] == _distinct(lp for (lp,) in built)
-    assert len(built) == len(p1)
-    assert len(built) < len({c.parameter.basis_labels() for c in cons if c.support == "P1"}) * len(sc.places)
+    assert set(built) == {(lp,) for lp in other_labels}
+    assert len(built) < len(p1)
+    assert all(c.support == "P1" for c, _, _, all_plus in slots if not all_plus)
 
 
 def test_residual_builds_each_designated_member_once(monkeypatch):
     # B-pr and B-HPS parameters of different elements often localize to the
-    # same local parameter; its designated member is built once and shared
+    # same local parameter, and a P1 constituent reads the designated member
+    # at each all-plus place; it is built once per local parameter and shared
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    localize_, designate = localization.localize, packets.designated_l_packet_member
     built = _record_calls(monkeypatch, packets, "designated_l_packet_member")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    reads = [(c, lp, d) for c, lp, d, all_plus in _member_slots(sc, cons, localize_, designate) if all_plus]
     assert len(built) == len(set(built))
-    shared = [c.descriptor for c in cons if c.support != "P1"]
-    assert len(built) < sum(map(len, shared))
-    assert len({id(d) for members in shared for _, d in members}) == len(built)
+    assert set(built) == {(lp,) for _, lp, _ in reads}
+    assert len(built) < len(reads)
+    assert len({id(d) for _, _, d in reads}) == len(built)
+    # P1 reads local parameters that no B or P2 constituent reaches, and builds their members too
+    assert len(built) > len({lp for c, lp, _ in reads if c.support != "P1"})
+
+
+def test_p1_all_plus_member_is_the_designated_member(monkeypatch):
+    # the designated member equals the all-plus packet entry, so P1 shares
+    # the object B and P2 read, and the render memo renders it once
+    sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    localize_, designate = localization.localize, packets.designated_l_packet_member
+    members = []
+    built = _record_calls(monkeypatch, packets, "designated_l_packet_member", members)
+    cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    designated = {lp: m for (lp,), m in zip(built, members)}
+    slots = _member_slots(sc, cons, localize_, designate)
+    p1_all_plus = [(lp, d) for c, lp, d, all_plus in slots if all_plus and c.support == "P1"]
+    assert p1_all_plus
+    assert all(d is designated[lp] for lp, d in p1_all_plus)
 
 
 def test_residual_renders_each_member_once(monkeypatch, capsys):

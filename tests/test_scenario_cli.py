@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import load_scengen
+from golden_calls import load_scengen
 from mp4spectrum.cli import main
 from mp4spectrum.ktypes import HARMONICS_RANK_CAP
 from mp4spectrum.scenario import (

@@ -10,7 +10,9 @@ bundled fixture, that the character sum of ``perfbench/oracle.py``
 counts what ``enumerate_constituents`` lists on every fixture (with and
 without the vanishing tuples), and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
-byte for byte.  Prints one line per check and exits 1 if any fails.
+byte for byte, and that ``residual`` on the benchmark's seed-1
+residual-wide inputs hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``.
+Prints one line per check and exits 1 if any fails.
 An info line, which never fails, gives the line count of
 ``src/mp4spectrum`` and the in-process ``compile()`` time of its modules
 (best of 5), since every CLI child without a bytecode cache pays it.
@@ -29,7 +31,13 @@ import time
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from golden_calls import FIXTURE_NAMES, GOLDEN, golden_calls
+from golden_calls import (
+    FIXTURE_NAMES,
+    GOLDEN,
+    RESIDUAL_WIDE_SHA256,
+    golden_calls,
+    residual_wide_digest,
+)
 from mp4spectrum.cli import main
 from mp4spectrum.multiplicity import enumerate_constituents
 from mp4spectrum.scenario import load_scenario
@@ -82,6 +90,11 @@ def check_goldens():
     return not differ, f"{len(calls) - len(differ)} of {len(calls)} golden files identical, differ: {differ}"
 
 
+def check_residual_digest():
+    digest = residual_wide_digest(_run)
+    return digest == RESIDUAL_WIDE_SHA256, f"residual on the 100 seed-1 residual-wide inputs hashes to {digest}"
+
+
 def source_info():
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "mp4spectrum", "*.py")))
     sources = []
@@ -102,7 +115,7 @@ def main_check() -> int:
     print(f"python {sys.version.split()[0]}")
     print(source_info())
     ok = True
-    for check in (check_imports, check_self_test, check_character_sum, check_goldens):
+    for check in (check_imports, check_self_test, check_character_sum, check_goldens, check_residual_digest):
         passed, detail = check()
         ok &= passed
         print(f"{'PASS' if passed else 'FAIL'} {check.__name__}: {detail}")
