@@ -71,6 +71,7 @@ from .scenario import (
     _as_str,
     _require,
     load_scenario,
+    read_file,
 )
 
 EXIT_OK = 0
@@ -250,8 +251,7 @@ def _query_of(args) -> dict:
         raise SchemaError("$", "this subcommand needs --query '<json>'")
     text = args.query
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_file(text[1:], "$.query")
     try:
         q = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -410,8 +410,11 @@ def _residual_text(d, verbose):
 def cmd_export_tables(args) -> Report:
     data = tables.export_all()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps(data))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(dumps(data))
+        except OSError as exc:
+            raise SchemaError("$", f"cannot write {args.output!r}: {exc.strerror or exc}") from None
     return Report("export-tables", data, functools.partial(_export_tables_text, output=args.output))
 
 

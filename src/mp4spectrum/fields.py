@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .record import FrozenMap, Record
+from .record import FrozenMap, Record, frozen_maps
 
 Sign = int  # +1 or -1
 
@@ -183,6 +183,7 @@ class GlobalElement(Record):
 
     name: str
     classes: Mapping[str, SquareClass]  # keyed by place id
+    __post_init__ = frozen_maps("classes")
 
     def local(self, place: Place) -> SquareClass:
         try:

@@ -50,7 +50,7 @@ from .parameters import (
     SymplecticShape,
     classify,
 )
-from .record import FrozenMap, Record
+from .record import FrozenMap, Record, frozen_maps
 
 # ---------------------------------------------------------------------------
 # tempered constituents
@@ -161,6 +161,7 @@ class ShSoudryNonQuadratic(Record):
 class ShTempered(Record):
     pieces: tuple  # ordered TemperedPiece entries (generators first)
     sc_signs: FrozenMap = FrozenMap()  # tag -> its RhoIrreducibleSymplectic, for supercuspidal pieces
+    __post_init__ = frozen_maps("sc_signs")
 
 
 LocalShape = Union[ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQuadratic, ShTempered]

@@ -423,6 +423,17 @@ def designated_l_packet_member(lp: LocalParam) -> Desc:
     raise UnsupportedShape("tempered shapes have no single designated member")
 
 
+def designated_key(lp: LocalParam):
+    """The labels and data designated_l_packet_member(lp) reads, never the place: equal keys, equal members."""
+    shape = lp.shape
+    if isinstance(shape, ShPrincipal):
+        return shape.a.label
+    if isinstance(shape, ShSK):
+        return (shape.a.label, shape.rho_name, shape.rho)
+    # lq sorts an HPS pair's segments; the Soudry shapes hold no square class
+    return _sorted_pair(shape.a.label, shape.b.label) if isinstance(shape, ShHPS) else shape
+
+
 # ---------------------------------------------------------------------------
 # the local Shimura correspondence table (nonarchimedean, all summands symplectic)
 

@@ -32,7 +32,7 @@ from typing import Mapping, Union
 
 from .chargroups import ComponentGroup, F2Character
 from .fields import GlobalElement, Place, Sign, SquareClass, chi_minus_one
-from .record import FrozenMap, Record
+from .record import FrozenMap, Record, frozen_maps
 
 
 class InvalidParameter(ValueError):
@@ -58,6 +58,7 @@ class RhoIrreducibleSymplectic(Record):
     tag: str
     eps: Sign
     eps_twists: Mapping[str, Sign] = FrozenMap()
+    __post_init__ = frozen_maps("eps_twists")
 
 
 class RhoSteinberg(Record):
@@ -66,6 +67,7 @@ class RhoSteinberg(Record):
     label: str  # square-class label of c at the place
     eps: Sign
     eps_twists: Mapping[str, Sign] = FrozenMap()  # keyed by class label
+    __post_init__ = frozen_maps("eps_twists")
 
 
 class RhoPrincipalSeries(Record):
@@ -235,8 +237,10 @@ class CuspidalDatum(Record):
     l_half_nonzero: Mapping[str, bool] = FrozenMap()
     dihedral: bool = False
     central_char: str = "1"
+    _frozen_maps = frozen_maps("local", "twisted_roots", "l_half_nonzero")
 
     def __post_init__(self) -> None:
+        self._frozen_maps()
         if self.gl_rank not in (2, 4):
             raise InvalidParameter(f"gl_rank must be 2 or 4, got {self.gl_rank}")
         if self.duality not in ("symplectic", "orthogonal"):

@@ -14,9 +14,10 @@ shared base gives the classes their behaviour:
 
 Fields are the annotated class attributes, in order, and a class
 attribute gives a default.  Every field value is immutable, so a default
-is one value shared by all instances (a map default is a ``FrozenMap``,
-the package's one mapping type inside records).  The behaviour is that
-of a frozen dataclass, with ``order=True`` the one class keyword:
+is one value shared by all instances (a map is a ``FrozenMap``, the one
+mapping type inside records, which a class's ``__post_init__`` built by
+``frozen_maps`` enforces).  The behaviour is that of a frozen dataclass,
+with ``order=True`` the one class keyword:
 
 * ``__init__`` takes the fields positionally or by keyword, fills the
   defaults, then calls ``__post_init__`` if the class defines one;
@@ -67,6 +68,18 @@ class FrozenMap(dict):
         raise TypeError("a FrozenMap cannot be changed")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+
+def frozen_maps(*names: str):
+    """A ``__post_init__`` refusing a map field that is not a ``FrozenMap``, which would fail only when hashed."""
+
+    def __post_init__(self) -> None:
+        for name in names:
+            if not isinstance(getattr(self, name), FrozenMap):
+                kind = type(getattr(self, name)).__name__
+                raise TypeError(f"{type(self).__qualname__}.{name} must be a FrozenMap, not {kind}")
+
+    return __post_init__
 
 
 _TEMPLATES: dict = {}

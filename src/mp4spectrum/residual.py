@@ -21,13 +21,13 @@ representation; rank-1 cuspidal representations of type rho x S_1 are
 enumerated through the rank-1 multiplicity condition (product of local
 signs equals the root number of rho).
 
-Each distinct parameter is built (so classified) once.  Local work is
-keyed by the place id and, per summand of phi in canonical order, d with
-the element's class bits or the datum's name, which fix the local
-parameter.  Each key is localized once, shared by every parameter and
-family reaching it, and read by P1 through its packet, built once, at
-the mask of the local character.  B and P2 read the designated member,
-built once per distinct local parameter (a Soudry split place and an HPS
+Each distinct parameter is built (so classified) once.  Local work sees
+a place only through its kind: it is keyed by the kind and, per summand
+of phi in canonical order, d with the element's class bits or the datum's
+name and local shape, localized at the first place reaching the key, and
+read by P1 through its packet, built once, at the mask of the local
+character.  B and P2 read the designated member, built once per
+packets.designated_key (labels and data: a Soudry split place and an HPS
 pair share one), and so does P1 at the all-plus character, whose packet
 entry equals it; a packet is built only where some P1 constituent reads
 another character.  Each shared member object is rendered once per report.
@@ -43,7 +43,7 @@ from .descriptors import render, sign_str
 from .fields import GlobalElement, Place
 from .localization import LocalParam, localize
 from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge
-from .packets import designated_l_packet_member, local_packet
+from .packets import designated_key, designated_l_packet_member, local_packet
 from .parameters import AParameter, CuspidalDatum, InvalidParameter, classify, rho_is_irreducible
 from .record import Record
 
@@ -127,7 +127,7 @@ def residual_spectrum(
     shared: dict = {}  # basis labels -> the call's one instance of that parameter
     at_places: dict = {}  # id of a shared parameter -> its _Local per place
     by_key: dict = {}  # local key -> _Local
-    members: dict = {}  # LocalParam -> the first _Local of it, which holds its designated member
+    members: dict = {}  # designated key -> the designated member
 
     def parameter(summands):
         """The shared instance, so that each parameter is classified once."""
@@ -139,18 +139,20 @@ def residual_spectrum(
         if id(phi) not in at_places:
             at_places[id(phi)] = []
             for p in places:
-                data = [(d, s.name if type(s) is CuspidalDatum else s.classes[p.id].bits) for s, d in phi.summands]
-                key = (p.id, *data)
-                if key not in by_key:
-                    by_key[key] = _Local(localize(phi, p)[0])
-                at_places[id(phi)].append(by_key[key])
+                data = [(d, s.name, s.local[p.id]) if type(s) is CuspidalDatum else (d, s.classes[p.id].bits)
+                        for s, d in phi.summands]
+                key = (p.kind, *data)
+                at = by_key.get(key)
+                if at is None:
+                    at = by_key[key] = _Local(localize(phi, p)[0])
+                at_places[id(phi)].append(at)
         return at_places[id(phi)]
 
     def member(at):
-        """at's designated member, built once per distinct local parameter."""
+        """at's designated member, built once per designated key."""
         if at.member is None:
-            first = members.setdefault(at.param, at)  # one hash of the LocalParam
-            at.member = designated_l_packet_member(at.param) if first is at else first.member
+            key = designated_key(at.param)
+            at.member = members.get(key) or members.setdefault(key, designated_l_packet_member(at.param))
         return at.member
 
     def designated(phi):
@@ -216,9 +218,7 @@ def residual_spectrum(
             for pi in mp2_weil:
                 if pi.chi != e2.name:
                     continue
-                if any(
-                    e1.local(p) == e2.local(p) for p in places if p.id in pi.s_places
-                ):
+                if any(e1.local(p) == e2.local(p) for p in places if p.id in pi.s_places):
                     continue
                 phi = parameter([(e1, 2), (e2, 2)])
                 # the sign sits on the generator of e2, in the canonical summand order of phi

@@ -242,45 +242,33 @@ def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
         raise SchemaError(path, "shape must be an object")
     kind = _require(obj, "shape", path)
 
-    def text(key):
-        return _as_str(_require(obj, key, path), f"{path}.{key}")
+    def field(key, as_value=_as_str):
+        return as_value(_require(obj, key, path), f"{path}.{key}")
 
     try:
-        if kind == "irreducible-symplectic":
+        if kind in ("irreducible-symplectic", "steinberg"):
             twists = _as_map(obj.get("eps_twists", {}), f"{path}.eps_twists", _as_sign)
-            return RhoIrreducibleSymplectic(
-                tag=text("tag"),
-                eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
-                eps_twists=twists,
-            )
-        if kind == "steinberg":
-            twists = _as_map(obj.get("eps_twists", {}), f"{path}.eps_twists", _as_sign)
-            return RhoSteinberg(
-                label=_as_class(obj, "class", place, path),
-                eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
-                eps_twists=twists,
-            )
+            if kind == "steinberg":
+                return RhoSteinberg(_as_class(obj, "class", place, path), field("eps", _as_sign), twists)
+            return RhoIrreducibleSymplectic(field("tag"), field("eps", _as_sign), twists)
         if kind == "principal-series":
             return RhoPrincipalSeries(
-                chi=text("chi"),
+                chi=field("chi"),
                 s=_as_fraction(obj.get("s", 0), f"{path}.s"),
                 chi_parity=_as_sign(obj.get("chi_parity", 1), f"{path}.chi_parity"),
             )
         if kind == "real-discrete":
-            return RhoRealDiscrete(kappa=_as_int(_require(obj, "kappa", path), f"{path}.kappa"))
+            return RhoRealDiscrete(field("kappa", _as_int))
         if kind == "dihedral-supercuspidal":
-            return RhoDihedralSupercuspidal(tag=text("tag"))
+            return RhoDihedralSupercuspidal(field("tag"))
         if kind == "real-orthogonal-discrete":
-            return RhoRealOrthogonalDiscrete(kappa=_as_int(_require(obj, "kappa", path), f"{path}.kappa"))
+            return RhoRealOrthogonalDiscrete(field("kappa", _as_int))
         if kind == "quadratic-pair":
             return RhoQuadraticPair(a=_as_class(obj, "a", place, path), b=_as_class(obj, "b", place, path))
         if kind == "reducible-orthogonal":
-            return RhoReducibleOrthogonal(chi=text("chi"))
+            return RhoReducibleOrthogonal(field("chi"))
         if kind == "gl4-irreducible":
-            return Rho4Irreducible(
-                tag=text("tag"),
-                eps=_as_sign(_require(obj, "eps", path), f"{path}.eps"),
-            )
+            return Rho4Irreducible(field("tag"), field("eps", _as_sign))
         if kind == "gl4-split":
             parts = _require(obj, "parts", path)
             if not isinstance(parts, list) or not parts:
@@ -403,17 +391,11 @@ def scenario_from_dict(data: Any) -> Scenario:
         summands = []
         for i, item in enumerate(_as_list(_require(praw, "summands", path), f"{path}.summands")):
             ipath = f"{path}.summands[{i}]"
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or isinstance(item[1], bool)
-                or not isinstance(item[1], int)
-            ):
+            d = item[1] if isinstance(item, (list, tuple)) and len(item) == 2 else None
+            if isinstance(d, bool) or not isinstance(d, int):
                 raise SchemaError(ipath, "expected [name, d]")
-            name, d = _as_str(item[0], f"{ipath}[0]"), item[1]
-            datum = next((c for c in cuspidal if c.name == name), None)
-            if datum is None:
-                datum = next((e for e in elements if e.name == name), None)
+            name = _as_str(item[0], f"{ipath}[0]")
+            datum = next((x for x in (*cuspidal, *elements) if x.name == name), None)
             if datum is None:
                 raise SchemaError(ipath, f"unknown summand {name!r}")
             summands.append((datum, d))
@@ -422,10 +404,18 @@ def scenario_from_dict(data: Any) -> Scenario:
     return Scenario(tuple(places), tuple(elements), tuple(cuspidal), tuple(mp2), parameter)
 
 
+def read_file(path: str, json_path: str = "$") -> str:
+    """The text of a UTF-8 file; one that cannot be opened or decoded is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(json_path, f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    try:
+        data = json.loads(read_file(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"invalid JSON: {exc}") from exc
     return scenario_from_dict(data)

@@ -61,13 +61,25 @@ def test_cli_scenario_free_output_matches_golden(name, capsys):
     _check(name, golden_calls()[name], capsys)
 
 
-def test_residual_output_on_generated_inputs_is_pinned(capsys):
-    # residual in JSON and verbose text on the 100 seed-1 residual-wide inputs
+def _digest_runner(capsys):
+    """run(argv) for residual_wide_digest: one CLI call's exit code and stdout bytes."""
+
     def run(argv):
         code = main(argv)
         return code, capsys.readouterr().out.encode("utf-8")
 
-    assert residual_wide_digest(run) == RESIDUAL_WIDE_SHA256
+    return run
+
+
+def test_residual_output_on_generated_inputs_is_pinned(capsys):
+    # residual in JSON and verbose text on the 100 seed-1 residual-wide inputs
+    assert residual_wide_digest(_digest_runner(capsys)) == RESIDUAL_WIDE_SHA256[1]
+
+
+def test_residual_output_on_seed_2_inputs_is_pinned(capsys):
+    # seed 2 mixes the place kinds differently from seed 1, which matters
+    # now that residual shares local work across places of one kind
+    assert residual_wide_digest(_digest_runner(capsys), 2) == RESIDUAL_WIDE_SHA256[2]
 
 
 def _refuse_text(monkeypatch):

@@ -66,6 +66,10 @@ SAMPLES = {
     "RhoPrincipalSeries": lambda: [("chi", Fraction(1, 4), -1), ("chi", Fraction(0), 1)],
     "RhoRealDiscrete": lambda: [(2,), (3,)],
     "RhoRealOrthogonalDiscrete": lambda: [(1,), (4,)],
+    "GlobalElement": lambda: [("a", FrozenMap({"v1": "class"})), ("b", FrozenMap())],
+    "RhoIrreducibleSymplectic": lambda: [("sc", 1, FrozenMap({"u": -1})), ("sd", -1, FrozenMap())],
+    "RhoSteinberg": lambda: [("u", -1, FrozenMap({"1": 1})), ("1", 1, FrozenMap())],
+    "ShTempered": lambda: [(("piece",), FrozenMap({"t": "sign data"})), ((), FrozenMap())],
     "CuspidalDatum": lambda: [
         ("rho", 2, "symplectic", 1, FrozenMap({"v1": "shape"}), FrozenMap(), FrozenMap(), False, "1"),
         ("rho", 4, "symplectic", -1, FrozenMap({"v1": "shape"}), FrozenMap({"t": -1}), FrozenMap({"t": False}), True, "e"),
@@ -263,6 +267,40 @@ def test_post_init_runs(cls, monkeypatch):
     monkeypatch.setattr(cls, "__post_init__", spy)
     r = cls(*_samples(cls)[0])
     assert seen == [r] and seen[0] is r
+
+
+# every map field of a record: a record is a hashable value only if each is a FrozenMap
+MAP_FIELDS = [
+    ("GlobalElement", "classes"),
+    ("CuspidalDatum", "local"),
+    ("CuspidalDatum", "twisted_roots"),
+    ("CuspidalDatum", "l_half_nonzero"),
+    ("RhoIrreducibleSymplectic", "eps_twists"),
+    ("RhoSteinberg", "eps_twists"),
+    ("ShTempered", "sc_signs"),
+]
+
+
+def test_map_fields_are_the_mapping_annotated_fields():
+    annotated = {
+        (cls.__name__, name)
+        for cls in RECORD_CLASSES
+        for name, note in vars(cls).get("__annotations__", {}).items()
+        if "Mapping" in str(note) or "FrozenMap" in str(note)
+    }
+    assert annotated == set(MAP_FIELDS)
+
+
+@pytest.mark.parametrize("cls_name,name", MAP_FIELDS)
+def test_map_field_refuses_a_plain_dict(cls_name, name):
+    # a dict would build a record that raises only when hashed later, as
+    # residual_spectrum's local keys hash the local shapes of a datum
+    (cls,) = [c for c in RECORD_CLASSES if c.__name__ == cls_name]
+    values = dict(zip(_fields(cls), _samples(cls)[0]))
+    hash(cls(**values))
+    values[name] = dict(values[name])
+    with pytest.raises(TypeError, match=rf"^{cls_name}\.{name} must be a FrozenMap, not dict$"):
+        cls(**values)
 
 
 def test_post_init_rejects_bad_values():

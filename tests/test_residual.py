@@ -11,10 +11,10 @@ import pytest
 from mp4spectrum import descriptors, localization, packets
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render
-from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
-from mp4spectrum.localization import localize
+from mp4spectrum.fields import KINDS, GlobalElement, Place, minus_one_element, trivial_element
+from mp4spectrum.localization import LocalParam, ShHPS, ShPrincipal, localize
 from mp4spectrum.multiplicity import enumerate_constituents
-from mp4spectrum.packets import local_packet
+from mp4spectrum.packets import designated_key, local_packet
 from mp4spectrum.parameters import (
     AParameter,
     CuspidalDatum,
@@ -25,12 +25,13 @@ from mp4spectrum.parameters import (
     classify,
     rho_is_irreducible,
 )
-from mp4spectrum.record import FrozenMap
+from mp4spectrum.record import FrozenMap, Record
 from mp4spectrum.residual import Mp2CuspidalWeil, _sign_vectors, residual_spectrum
 from mp4spectrum.scenario import load_scenario, scenario_from_dict
+from mp4spectrum.tables import _sample_shapes
 
 from conftest import make_places
-from golden_calls import FIXTURES, SCENARIOS, load_scengen
+from golden_calls import FIXTURE_NAMES, FIXTURES, SCENARIOS, load_scengen
 
 
 def _base():
@@ -192,24 +193,44 @@ def _distinct(values) -> list:
     return list(dict.fromkeys(values))
 
 
+def _placeless(value):
+    """value with every Place in it replaced by its kind.
+
+    Local packets and members see a place only through its kind, so two
+    local parameters with equal placeless forms have equal packets.
+    """
+    if isinstance(value, Place):
+        return value.kind
+    if isinstance(value, Record):
+        return (type(value), *(_placeless(getattr(value, name)) for name in value.__record_fields__))
+    if isinstance(value, tuple):
+        return tuple(map(_placeless, value))
+    return value
+
+
 def test_residual_builds_each_local_parameter_once(monkeypatch):
-    # the generated scenario has constituents of all six families; B-pr and
-    # P1-pr, B-HPS and P1-HPS, the P1-SK sign vectors, and parameters of
-    # elements with equal classes at a place share local parameters there.
-    # Local work is keyed by local data, so no local parameter is localized
-    # twice, except that a Soudry split place repeats an HPS pair's local
-    # parameter under its own key (the two then share one member)
+    # the generated scenario has constituents of all six families and two
+    # places of each of its two kinds; B-pr and P1-pr, B-HPS and P1-HPS,
+    # the P1-SK sign vectors, parameters of elements with equal classes at
+    # a place, and equal local data at places of one kind share local
+    # parameters.  Local work is keyed by kind and local data, so no local
+    # data is localized twice, except that a Soudry split place repeats an
+    # HPS pair's local data under its own key (the two share one member)
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
+    assert len({p.kind for p in sc.places}) < len(sc.places)
     original = localization.localize
     localized = _record_calls(monkeypatch, localization, "localize")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
     assert {c.name.split("[")[0] for c in cons} == {"B-pr", "B-HPS", "P2", "P1-pr", "P1-SK", "P1-HPS"}
-    built = [(classify(phi), original(phi, place)[0]) for phi, place in localized]
+    built = [(classify(phi), _placeless(original(phi, place)[0])) for phi, place in localized]
     repeats = [{t1, t2} for (t1, a), (t2, b) in itertools.combinations(built, 2) if a == b]
     assert all(pair == {ParamType.SOUDRY, ParamType.HOWE_PS} for pair in repeats)
-    lps = [lp for _, lp in built]
-    assert all(original(c.parameter, p)[0] in lps for c in cons for p in sc.places)
-    assert len(lps) < len({(c.parameter.basis_labels(), p.id) for c in cons for p in sc.places})
+    # every (parameter, place) slot is covered by value
+    lps = {lp for _, lp in built}
+    slots = {(c.parameter.basis_labels(), p.id): original(c.parameter, p)[0] for c in cons for p in sc.places}
+    assert {_placeless(lp) for lp in slots.values()} <= lps
+    # and sharing across places of one kind builds fewer than one per distinct place-bound local parameter
+    assert len(built) < len(set(slots.values())) < len(slots)
 
 
 def _member_slots(sc, cons, localize_, designate):
@@ -229,36 +250,39 @@ def _member_slots(sc, cons, localize_, designate):
 
 
 def test_residual_builds_each_packet_once(monkeypatch):
-    # local_packet runs at most once per distinct local parameter, and only
-    # where some P1 constituent reads a label other than the all-plus one
+    # local_packet runs at most once per distinct local data, and only where
+    # some P1 constituent reads a label other than the all-plus one
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
     localize_, designate = localization.localize, packets.designated_l_packet_member
-    built = _record_calls(monkeypatch, packets, "local_packet")
+    calls = _record_calls(monkeypatch, packets, "local_packet")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    built = [_placeless(lp) for (lp,) in calls]
     slots = _member_slots(sc, cons, localize_, designate)
     p1 = _distinct(lp for c, lp, _, _ in slots if c.support == "P1")
     other_labels = _distinct(lp for c, lp, _, all_plus in slots if c.support == "P1" and not all_plus)
-    assert [lp for (lp,) in built] == _distinct(lp for (lp,) in built)
-    assert set(built) == {(lp,) for lp in other_labels}
-    assert len(built) < len(p1)
+    assert built == _distinct(built)
+    assert set(built) == {_placeless(lp) for lp in other_labels}
+    assert len(built) < len(other_labels) < len(p1)
     assert all(c.support == "P1" for c, _, _, all_plus in slots if not all_plus)
 
 
 def test_residual_builds_each_designated_member_once(monkeypatch):
-    # B-pr and B-HPS parameters of different elements often localize to the
-    # same local parameter, and a P1 constituent reads the designated member
-    # at each all-plus place; it is built once per local parameter and shared
+    # B-pr and B-HPS parameters of different elements, and places of one
+    # kind, often share the labels a designated member is built from, and a
+    # P1 constituent reads the designated member at each all-plus place; it
+    # is built once per designated key and shared
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
     localize_, designate = localization.localize, packets.designated_l_packet_member
-    built = _record_calls(monkeypatch, packets, "designated_l_packet_member")
+    calls = _record_calls(monkeypatch, packets, "designated_l_packet_member")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    built = [designated_key(lp) for (lp,) in calls]
     reads = [(c, lp, d) for c, lp, d, all_plus in _member_slots(sc, cons, localize_, designate) if all_plus]
     assert len(built) == len(set(built))
-    assert set(built) == {(lp,) for _, lp, _ in reads}
-    assert len(built) < len(reads)
+    assert set(built) == {designated_key(lp) for _, lp, _ in reads}
+    assert len(built) < len({lp for _, lp, _ in reads}) < len(reads)
     assert len({id(d) for _, _, d in reads}) == len(built)
-    # P1 reads local parameters that no B or P2 constituent reaches, and builds their members too
-    assert len(built) > len({lp for c, lp, _ in reads if c.support != "P1"})
+    # P1 reads designated keys that no B or P2 constituent reaches, and builds their members too
+    assert len(built) > len({designated_key(lp) for c, lp, _ in reads if c.support != "P1"})
 
 
 def test_p1_all_plus_member_is_the_designated_member(monkeypatch):
@@ -269,11 +293,11 @@ def test_p1_all_plus_member_is_the_designated_member(monkeypatch):
     members = []
     built = _record_calls(monkeypatch, packets, "designated_l_packet_member", members)
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    designated = {lp: m for (lp,), m in zip(built, members)}
+    designated = {designated_key(lp): m for (lp,), m in zip(built, members)}
     slots = _member_slots(sc, cons, localize_, designate)
     p1_all_plus = [(lp, d) for c, lp, d, all_plus in slots if all_plus and c.support == "P1"]
     assert p1_all_plus
-    assert all(d is designated[lp] for lp, d in p1_all_plus)
+    assert all(d is designated[designated_key(lp)] for lp, d in p1_all_plus)
 
 
 def test_residual_renders_each_member_once(monkeypatch, capsys):
@@ -341,3 +365,85 @@ def test_sk_constituents_match_the_filtered_walk():
         assert [c.name for c in cons if c.name.startswith("P1-SK[")] == expected
         listed += len(expected)
     assert listed > len(docs)
+
+
+# --- soundness of the keys residual_spectrum shares local work by ---------
+
+
+def _local_params(place):
+    """Every tables sample shape at place, and every principal shape and HPS label pair, both orders."""
+    classes = place.square_classes()
+    shapes = [lp.shape for _, lp in _sample_shapes(place)]
+    shapes += [ShPrincipal(a) for a in classes] + [ShHPS(a, b) for a in classes for b in classes]
+    return [LocalParam(place, shape) for shape in shapes]
+
+
+def _designated(lp):
+    """(designated key, member), or None for a shape without a designated member."""
+    try:
+        return designated_key(lp), packets.designated_l_packet_member(lp)
+    except packets.UnsupportedShape:
+        return None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_places_of_one_kind_give_equal_packets_and_members(kind):
+    # residual_spectrum localizes a local key at the first place of its kind
+    # and shares the result with every place of that kind
+    at_v, at_w = _local_params(Place("v1", kind)), _local_params(Place("w9", kind))
+    for lv, lw in zip(at_v, at_w):
+        assert _placeless(lv) == _placeless(lw)
+        assert [e.rendered() for e in local_packet(lv)] == [e.rendered() for e in local_packet(lw)]
+        assert _designated(lv) == _designated(lw) is not None
+
+
+def test_equal_designated_keys_give_equal_members():
+    # across all five kinds, two places each and both orders of every HPS pair
+    by_key: dict = {}
+    for kind in KINDS:
+        for pid in ("v1", "w9"):
+            for lp in _local_params(Place(pid, kind)):
+                key, member = _designated(lp)
+                by_key.setdefault(key, []).append((lp, member))
+    for key, built in by_key.items():
+        assert all(member == built[0][1] for _, member in built), key
+    shared = [built for built in by_key.values() if len({lp.place.kind for lp, _ in built}) > 1]
+    assert len(shared) > len(KINDS)
+    # a key is read from labels and data, never through the place
+    assert not any("Place(" in repr(key) for key in by_key)
+
+
+def _map_ids(value, mapping):
+    """value with every dict key and string equal to a key of mapping replaced by its image."""
+    if isinstance(value, dict):
+        return {mapping.get(k, k): _map_ids(v, mapping) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_map_ids(v, mapping) for v in value]
+    return mapping.get(value, value) if isinstance(value, str) else value
+
+
+def _residual_json(doc, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["residual", "--scenario", str(path), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_renaming_place_ids_in_order_keeps_the_residual_output(tmp_path, capsys):
+    # an order-preserving renaming of the place ids changes no place kind and
+    # no place order, so the output maps back to the original byte for byte
+    docs = []
+    for name in FIXTURE_NAMES:
+        with open(os.path.join(FIXTURES, f"{name}.json"), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    docs += [doc for _, doc in load_scengen().residual_scenarios(1)]
+    for doc in docs:
+        ids = sorted(p["id"] for p in doc["places"])
+        rename = {pid: f"place-{i:02d}" for i, pid in enumerate(ids)}
+        renamed = _map_ids(doc, rename)
+        assert _map_ids(renamed, dict.fromkeys(ids, "old id")) == renamed  # none is left
+        before = _residual_json(doc, tmp_path, capsys)
+        after = _residual_json(renamed, tmp_path, capsys)
+        assert after != before or not before["constituents"]
+        mapped_back = _map_ids(after, {new: old for old, new in rename.items()})
+        assert json.dumps(mapped_back) == json.dumps(before)

@@ -534,6 +534,31 @@ def test_cli_export_tables(tmp_path, capsys):
     assert out_path.read_text() == out_path2.read_text()
 
 
+# files that cannot be read or written: (argv with {tmp} for the test's
+# directory, JSON path); a file holding b"\xff{}" is not UTF-8
+FILE_ERRORS = {
+    "scenario_missing": (["residual", "--scenario", "{tmp}/missing.json"], "$"),
+    "scenario_is_a_directory": (["classify", "--scenario", "{tmp}"], "$"),
+    "scenario_not_utf8": (["validate", "--scenario", "{tmp}/latin.json"], "$"),
+    "query_file_missing": (["correspond", "--query", "@{tmp}/missing.json"], "$.query"),
+    "query_file_not_utf8": (["reduce", "--query", "@{tmp}/latin.json"], "$.query"),
+    "export_into_a_missing_directory": (["export-tables", "-o", "{tmp}/missing/x.json"], "$"),
+    "export_onto_a_directory": (["export-tables", "-o", "{tmp}"], "$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_ERRORS))
+def test_cli_file_errors_exit_typed(name, tmp_path, capsys):
+    # a schema error at the JSON path, naming the file, not a traceback
+    (tmp_path / "latin.json").write_bytes(b"\xff{}")
+    argv, json_path = FILE_ERRORS[name]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {json_path}: ")
+    assert repr(argv[-1].lstrip("@")) in err
+
+
 MALFORMED_QUERIES = {
     "ktype_degree_without_p": ("ktype", {"op": "degree"}, "$.query.p"),
     "ktype_catalog_without_a": ("ktype", {"op": "catalog", "query": {"type": "discrete"}}, "$.query.query.a"),

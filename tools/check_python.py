@@ -10,8 +10,8 @@ bundled fixture, that the character sum of ``perfbench/oracle.py``
 counts what ``enumerate_constituents`` lists on every fixture (with and
 without the vanishing tuples), and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
-byte for byte, and that ``residual`` on the benchmark's seed-1
-residual-wide inputs hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``.
+byte for byte, and that ``residual`` on the benchmark's residual-wide
+inputs of seeds 1 and 2 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``.
 Prints one line per check and exits 1 if any fails.
 An info line, which never fails, gives the line count of
 ``src/mp4spectrum`` and the in-process ``compile()`` time of its modules
@@ -91,8 +91,9 @@ def check_goldens():
 
 
 def check_residual_digest():
-    digest = residual_wide_digest(_run)
-    return digest == RESIDUAL_WIDE_SHA256, f"residual on the 100 seed-1 residual-wide inputs hashes to {digest}"
+    digests = {seed: residual_wide_digest(_run, seed) for seed in RESIDUAL_WIDE_SHA256}
+    shown = ", ".join(f"seed {seed} {digest}" for seed, digest in digests.items())
+    return digests == RESIDUAL_WIDE_SHA256, f"residual on the 100 residual-wide inputs per seed hashes to {shown}"
 
 
 def source_info():
