@@ -104,11 +104,18 @@ class ComponentGroup(Record):
         """The character with the given sign on each basis element."""
         if len(values) != len(self.basis):
             raise ValueError("character length does not match basis")
-        bits = to_mask(0 if v == 1 else 1 for v in values)
+        return self.at_mask(to_mask(0 if v == 1 else 1 for v in values))
+
+    def at_mask(self, bits: int) -> "F2Character":
+        """The character of the given mask, refused unless it is one of characters()."""
+        width = len(self.basis)
+        if not 0 <= bits < 1 << width:
+            raise ValueError(f"mask {bits} is not a character of a group with {width} generators")
+        ch = F2Character(self, bits)
         for r in self.relations:
             if (bits & r).bit_count() & 1:
-                raise ValueError(f"character {tuple(values)} violates relation {r:0{len(self.basis)}b}")
-        return F2Character(self, bits)
+                raise ValueError(f"character {ch.values} violates relation {r:0{width}b}")
+        return ch
 
     def trivial_character(self) -> "F2Character":
         return F2Character(self, 0)

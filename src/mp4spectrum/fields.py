@@ -24,8 +24,11 @@ pairings = +1) is validated pairwise, never assumed.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
 from typing import Iterable, Mapping, Sequence
 
+from .chargroups import to_mask
 from .record import FrozenMap, Record, frozen_maps
 
 Sign = int  # +1 or -1
@@ -67,6 +70,24 @@ _LABELS = {
     "nonarch-dyadic": _DYADIC_LABELS,
     "real": _REAL_LABELS,
     "complex": _COMPLEX_LABELS,
+}
+
+# the Hilbert symbol is (a, b)_v = (-1)^(a G b) on the bit vectors above, G a
+# symmetric Gram matrix over F2 per kind, given by one row mask per basis bit
+# (bit 0 the most significant, as in chargroups); the dyadic one is the
+# classical Q_2 formula with eps(u) = s, omega(u) = f for u = (-1)^s 5^f
+_GRAM = {
+    "nonarch-odd-1mod4": (0b01, 0b10),  # u.p + p.u
+    "nonarch-odd-3mod4": (0b01, 0b11),  # and p.p: -1 = u is not a square
+    "nonarch-dyadic": (0b100, 0b001, 0b010),  # s.s + f.t + t.f
+    "real": (0b1,),
+    "complex": (),
+}
+
+# kind -> class bits -> (the class's mask, its image under G: the sum of the rows of its bits)
+_PAIRING = {
+    kind: {bits: (to_mask(bits), reduce(xor, (row for row, b in zip(rows, bits) if b), 0)) for bits in _LABELS[kind]}
+    for kind, rows in _GRAM.items()
 }
 
 
@@ -149,23 +170,8 @@ def hilbert(place: Place, a: SquareClass, b: SquareClass) -> Sign:
     """Quadratic Hilbert symbol (a, b)_v on square classes."""
     if a.place != place or b.place != place:
         raise PlaceMismatch(f"classes not at place {place.id}")
-    kind = place.kind
-    if kind == "complex":
-        return 1
-    if kind == "real":
-        return -1 if (a.bits[0] and b.bits[0]) else 1
-    if kind == "nonarch-dyadic":
-        s1, f1, t1 = a.bits
-        s2, f2, t2 = b.bits
-        # classical Q_2 formula: eps(u) = s, omega(u) = f for u = (-1)^s 5^f
-        e = (s1 * s2 + t1 * f2 + t2 * f1) % 2
-        return -1 if e else 1
-    # odd residue characteristic: a = u^{i1} p^{j1}, b = u^{i2} p^{j2}
-    i1, j1 = a.bits
-    i2, j2 = b.bits
-    minus_one_nonsquare = 1 if kind == "nonarch-odd-3mod4" else 0
-    e = (minus_one_nonsquare * j1 * j2 + i1 * j2 + i2 * j1) % 2
-    return -1 if e else 1
+    pairing = _PAIRING[place.kind]
+    return -1 if (pairing[a.bits][1] & pairing[b.bits][0]).bit_count() & 1 else 1
 
 
 def chi(a: SquareClass, b: SquareClass) -> Sign:
@@ -234,12 +240,32 @@ def validate_reciprocity(places: Sequence[Place], elements: Iterable[GlobalEleme
     earlier row, and did not fail there.  The diagonal pairs (a, a) are
     checked too; by (x, -x) = 1 they are equivalent to the pairs against
     -1, but they are cheap and keep the contract literal.
+
+    Each element's classes at all places are read once, as one mask with
+    its image under the Gram tables of the places, when the first row
+    reaches it; a pair's global pairing is then the parity of one AND.
     """
     elts = list(elements)
     n = len(elts)
+    masks, images = [], []
     for i, a in enumerate(elts):
         for j in range(i, n):
-            prod = global_pairing(places, a, elts[j])
-            if prod != 1:
-                return ReciprocityReport(False, i * n + j + 1, (a.name, elts[j].name, prod))
+            if not i:
+                mask, image = _global_masks(places, elts[j])
+                masks.append(mask)
+                images.append(image)
+            if (images[i] & masks[j]).bit_count() & 1:
+                return ReciprocityReport(False, i * n + j + 1, (a.name, elts[j].name, -1))
     return ReciprocityReport(True, n * n, None)
+
+
+def _global_masks(places: Sequence[Place], a: GlobalElement) -> tuple[int, int]:
+    """a's classes at every place as one mask, and its image: (a, b) = parity of image(a) & mask(b)."""
+    mask = image = 0
+    for p in places:
+        c = a.local(p)
+        if c.place != p:
+            raise PlaceMismatch(f"classes not at place {p.id}")
+        m, i = _PAIRING[p.kind][c.bits]
+        mask, image = mask << p.rank | m, image << p.rank | i
+    return mask, image

@@ -248,152 +248,129 @@ def _wald_member(rho, rho_name: str, eps1: Sign) -> Desc:
 # the packet tables
 
 
-def _principal_entries(place: Place, a: SquareClass, chars) -> list[PacketEntry]:
-    out = []
-    for ch in chars:
-        (eps,) = ch.values
-        member = elementary_weil(2, eps, a.label)
-        out.append(PacketEntry(ch, member, in_l_packet=(eps == 1)))
-    return out
+def _principal(place: Place, shape: ShPrincipal, ch: F2Character) -> PacketEntry:
+    (eps,) = ch.values
+    return PacketEntry(ch, elementary_weil(2, eps, shape.a.label), in_l_packet=(eps == 1))
 
 
-def _sk_entries(place: Place, shape: ShSK, chars) -> list[PacketEntry]:
-    a = shape.a
-    rho = shape.rho
-    out = []
+def _sk(place: Place, shape: ShSK, ch: F2Character) -> PacketEntry:
+    a, rho = shape.a, shape.rho
+    eps1, eps2 = ch.values
     if isinstance(rho, RhoPrincipalSeries):
-        for ch in chars:
-            eps1, eps2 = ch.values
-            assert eps1 == 1
-            if eps2 == 1:
-                member = lq(MP4, [seg(a.label, HALF), Seg(TagChar(rho.chi), rho.s)])
-            else:
-                member = lq(MP4, [Seg(TagChar(rho.chi), rho.s)], WeilOdd(a.label))
-            out.append(PacketEntry(ch, member, in_l_packet=(eps2 == 1)))
-        return out
-    for ch in chars:
-        eps1, eps2 = ch.values
+        assert eps1 == 1
         if eps2 == 1:
-            member = lq(MP4, [seg(a.label, HALF)], _wald_member(rho, shape.rho_name, eps1))
-            out.append(PacketEntry(ch, member, in_l_packet=True))
-            continue
-        if isinstance(rho, RhoRealDiscrete):
-            ca = chi_minus_one(place, a)
-            if rho.kappa > 1 or eps1 == ca:
-                member = _real_ds_member(Fraction(2 * rho.kappa - 1, 2), HALF, eps1, ca)
-            else:
-                member = ZERO
-        elif isinstance(rho, RhoSteinberg) and place.class_from_label(rho.label) == a:
-            if not a.is_trivial:
-                member = ZERO if eps1 == 1 else mp_ds4([(PieceSt(a.label), -1), (PieceSt(a.label), -1)])
-            else:
-                member = mp_ds4([(PieceSt(a.label), 1), (PieceSt(a.label), 1)]) if eps1 == 1 else ZERO
+            member = lq(MP4, [seg(a.label, HALF), Seg(TagChar(rho.chi), rho.s)])
         else:
-            piece = PieceSC(rho.tag) if isinstance(rho, RhoIrreducibleSymplectic) else PieceSt(rho.label)
-            member = mp_ds4([(piece, eps1), (PieceSt(a.label), -1)])
-        out.append(PacketEntry(ch, member, in_l_packet=False))
-    return out
+            member = lq(MP4, [Seg(TagChar(rho.chi), rho.s)], WeilOdd(a.label))
+        return PacketEntry(ch, member, in_l_packet=(eps2 == 1))
+    if eps2 == 1:
+        return PacketEntry(ch, lq(MP4, [seg(a.label, HALF)], _wald_member(rho, shape.rho_name, eps1)), in_l_packet=True)
+    if isinstance(rho, RhoRealDiscrete):
+        ca = chi_minus_one(place, a)
+        if rho.kappa > 1 or eps1 == ca:
+            member = _real_ds_member(Fraction(2 * rho.kappa - 1, 2), HALF, eps1, ca)
+        else:
+            member = ZERO
+    elif isinstance(rho, RhoSteinberg) and place.class_from_label(rho.label) == a:
+        if not a.is_trivial:
+            member = ZERO if eps1 == 1 else mp_ds4([(PieceSt(a.label), -1), (PieceSt(a.label), -1)])
+        else:
+            member = mp_ds4([(PieceSt(a.label), 1), (PieceSt(a.label), 1)]) if eps1 == 1 else ZERO
+    else:
+        piece = PieceSC(rho.tag) if isinstance(rho, RhoIrreducibleSymplectic) else PieceSt(rho.label)
+        member = mp_ds4([(piece, eps1), (PieceSt(a.label), -1)])
+    return PacketEntry(ch, member, in_l_packet=False)
 
 
-def _hps_entries(place: Place, shape: ShHPS, chars) -> list[PacketEntry]:
+def _hps(place: Place, shape: ShHPS, ch: F2Character) -> PacketEntry:
     a, b = shape.a, shape.b
-    out = []
+    eps1, eps2 = ch.values
     if a == b:
-        for ch in chars:
-            eps1, eps2 = ch.values
-            if eps1 == 1:
-                member = lq(MP4, [seg(a.label, HALF), seg(a.label, HALF)])
-            elif place.is_complex:
-                member = ZERO
-            elif place.is_real:
-                minus_a = a * place.minus_one()
-                member = lq(MP4, [seg(a.label, HALF)], WeilOdd(minus_a.label))
-            else:
-                member = lq(MP4, [seg(a.label, HALF)], MpSt2(a.label))
-            out.append(PacketEntry(ch, member, in_l_packet=(eps1 == 1)))
-        return out
-    for ch in chars:
-        eps1, eps2 = ch.values
-        if (eps1, eps2) == (1, 1):
-            member = lq(MP4, [seg(a.label, HALF), seg(b.label, HALF)])
-        elif (eps1, eps2) == (1, -1):
-            member = lq(MP4, [seg(a.label, HALF)], WeilOdd(b.label))
-        elif (eps1, eps2) == (-1, 1):
-            member = lq(MP4, [seg(b.label, HALF)], WeilOdd(a.label))
+        if eps1 == 1:
+            member = lq(MP4, [seg(a.label, HALF), seg(a.label, HALF)])
+        elif place.is_complex:
+            member = ZERO
+        elif place.is_real:
+            member = lq(MP4, [seg(a.label, HALF)], WeilOdd((a * place.minus_one()).label))
         else:
-            if place.is_real:
-                member = ZERO
-            else:
-                member = mp_ds4([(PieceSt(a.label), -1), (PieceSt(b.label), -1)])
-        out.append(PacketEntry(ch, member, in_l_packet=((eps1, eps2) == (1, 1))))
-    return out
+            member = lq(MP4, [seg(a.label, HALF)], MpSt2(a.label))
+        return PacketEntry(ch, member, in_l_packet=(eps1 == 1))
+    if (eps1, eps2) == (1, 1):
+        member = lq(MP4, [seg(a.label, HALF), seg(b.label, HALF)])
+    elif (eps1, eps2) == (1, -1):
+        member = lq(MP4, [seg(a.label, HALF)], WeilOdd(b.label))
+    elif (eps1, eps2) == (-1, 1):
+        member = lq(MP4, [seg(b.label, HALF)], WeilOdd(a.label))
+    elif place.is_real:
+        member = ZERO
+    else:
+        member = mp_ds4([(PieceSt(a.label), -1), (PieceSt(b.label), -1)])
+    return PacketEntry(ch, member, in_l_packet=((eps1, eps2) == (1, 1)))
 
 
-def _soudry_entries(place: Place, shape, chars) -> list[PacketEntry]:
+def _soudry(place: Place, shape, ch: F2Character) -> PacketEntry:
     if isinstance(shape, ShSoudryNonQuadratic):
         member = lq(MP4, [Seg(TagChar(shape.chi), HALF), Seg(TagChar(shape.chi, True), HALF)])
-        return [PacketEntry(chars[0], member, in_l_packet=True)]
+        return PacketEntry(ch, member, in_l_packet=True)
     rho = shape.rho
-    out = []
-    for ch in chars:
-        (eps,) = ch.values
-        if isinstance(rho, RhoDihedralSupercuspidal):
-            if eps == 1:
-                member = lq(MP4, [GL2Seg(SC2(rho.tag), HALF)])
-            else:
-                member = mp_ds4([(("orthS2", rho.tag), -1)])
+    (eps,) = ch.values
+    if isinstance(rho, RhoDihedralSupercuspidal):
+        member = lq(MP4, [GL2Seg(SC2(rho.tag), HALF)]) if eps == 1 else mp_ds4([(("orthS2", rho.tag), -1)])
+    else:
+        assert isinstance(rho, RhoRealOrthogonalDiscrete)
+        kappa = Fraction(rho.kappa)
+        if eps == 1:
+            member = lq(MP4, [GL2Seg(RealD(kappa), HALF)])
         else:
-            assert isinstance(rho, RhoRealOrthogonalDiscrete)
-            kappa = Fraction(rho.kappa)
-            if eps == 1:
-                member = lq(MP4, [GL2Seg(RealD(kappa), HALF)])
-            else:
-                member = dsum(
-                    _real_ds_member(kappa + HALF, kappa - HALF, 1, -1),
-                    _real_ds_member(kappa + HALF, kappa - HALF, -1, 1),
-                )
-        out.append(PacketEntry(ch, member, in_l_packet=(eps == 1)))
-    return out
+            member = dsum(
+                _real_ds_member(kappa + HALF, kappa - HALF, 1, -1),
+                _real_ds_member(kappa + HALF, kappa - HALF, -1, 1),
+            )
+    return PacketEntry(ch, member, in_l_packet=(eps == 1))
 
 
-def _tempered_entries(place: Place, shape: ShTempered, chars) -> list[PacketEntry]:
+def _tempered(place: Place, shape: ShTempered, ch: F2Character) -> PacketEntry:
     gens = [p for p in shape.pieces if not isinstance(p, PiecePS)]
-    all_gen = len(gens) == len(shape.pieces)
-    if place.is_real and all_gen and len(gens) == 2 and all(isinstance(p, PieceD) for p in gens):
-        a, b = gens[0].a, gens[1].a  # sorted descending by the localization order
-        out = []
-        for ch in chars:
-            eps1, eps2 = ch.values
-            out.append(PacketEntry(ch, _real_ds_member(a, b, eps1, eps2), in_l_packet=True))
-        return out
-    if place.is_nonarch and all_gen and len(gens) == 1 and isinstance(gens[0], Piece4SC):
-        return [PacketEntry(ch, mp_ds4([(gens[0], ch.values[0])]), in_l_packet=True) for ch in chars]
-    if place.is_nonarch and all_gen and len(gens) == 2 and all(
-        isinstance(p, (PieceSC, PieceSt)) for p in gens
-    ):
-        out = []
-        for ch in chars:
-            member = mp_ds4(list(zip(gens, ch.values)))
-            out.append(PacketEntry(ch, member, in_l_packet=True))
-        return out
+    if len(gens) == len(shape.pieces):
+        if place.is_real and len(gens) == 2 and all(isinstance(p, PieceD) for p in gens):
+            # sorted descending by the localization order
+            return PacketEntry(ch, _real_ds_member(gens[0].a, gens[1].a, *ch.values), in_l_packet=True)
+        if place.is_nonarch and (
+            (len(gens) == 1 and isinstance(gens[0], Piece4SC))
+            or (len(gens) == 2 and all(isinstance(p, (PieceSC, PieceSt)) for p in gens))
+        ):
+            return PacketEntry(ch, mp_ds4(list(zip(gens, ch.values))), in_l_packet=True)
     key = tuple(repr(p) for p in shape.pieces)
-    return [PacketEntry(ch, Opaque("tempered-member", (key, ch.values)), in_l_packet=True) for ch in chars]
+    return PacketEntry(ch, Opaque("tempered-member", (key, ch.values)), in_l_packet=True)
+
+
+# the packet rule of each local shape class: (place, shape, character) -> its entry
+_RULES = {
+    ShPrincipal: _principal,
+    ShSK: _sk,
+    ShHPS: _hps,
+    ShSoudryIrreducible: _soudry,
+    ShSoudryNonQuadratic: _soudry,
+    ShTempered: _tempered,
+}
 
 
 def local_packet(lp: LocalParam) -> list[PacketEntry]:
-    """The packet entries at a local parameter, one per admissible character."""
-    shape = lp.shape
-    chars = local_group(shape).characters()
-    if isinstance(shape, ShPrincipal):
-        return _principal_entries(lp.place, shape.a, chars)
-    if isinstance(shape, ShSK):
-        return _sk_entries(lp.place, shape, chars)
-    if isinstance(shape, ShHPS):
-        return _hps_entries(lp.place, shape, chars)
-    if isinstance(shape, (ShSoudryIrreducible, ShSoudryNonQuadratic)):
-        return _soudry_entries(lp.place, shape, chars)
-    # local_group has already rejected anything that is not a local shape
-    return _tempered_entries(lp.place, shape, chars)
+    """The packet entries at a local parameter, one per admissible character, in mask order.
+
+    Each entry comes from the shape's rule for one character, the rule
+    packet_entry applies to a single one.
+    """
+    # local_group rejects anything that is not a local shape
+    chars = local_group(lp.shape).characters()
+    rule = _RULES[type(lp.shape)]
+    return [rule(lp.place, lp.shape, ch) for ch in chars]
+
+
+def packet_entry(lp: LocalParam, label: int) -> PacketEntry:
+    """The entry of local_packet(lp) at the character of mask ``label``, built alone."""
+    ch = local_group(lp.shape).at_mask(label)
+    return _RULES[type(lp.shape)](lp.place, lp.shape, ch)
 
 
 def designated_l_packet_member(lp: LocalParam) -> Desc:

@@ -22,16 +22,19 @@ enumerated through the rank-1 multiplicity condition (product of local
 signs equals the root number of rho).
 
 Each distinct parameter is built (so classified) once.  Local work sees
-a place only through its kind: it is keyed by the kind and, per summand
-of phi in canonical order, d with the element's class bits or the datum's
-name and local shape, localized at the first place reaching the key, and
-read by P1 through its packet, built once, at the mask of the local
-character.  B and P2 read the designated member, built once per
-packets.designated_key (labels and data: a Soudry split place and an HPS
-pair share one), and so does P1 at the all-plus character, whose packet
-entry equals it; a packet is built only where some P1 constituent reads
-another character.  Each shared member object is rendered once per report.
-More than multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
+a place only through its kind: it is keyed by the kind, the d of each
+summand of phi in canonical order, and each summand's key part there (an
+element's class bits, or a small int interned per call from a datum's
+name and local shape, so each datum local shape is hashed once per
+place), read from per-summand columns computed once per call; a key is
+localized at the first place reaching it.  B and P2 read the designated
+member, built once per packets.designated_key (labels and data: a Soudry
+split place and an HPS pair share one), and so does P1 at the all-plus
+character, whose packet entry equals it.  At any other character P1
+reads the one packet member it names, built by packets.packet_entry once
+per local key and character; no packet is built whole.  Each shared
+member object is rendered once per report.  More than
+multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .descriptors import render, sign_str
 from .fields import GlobalElement, Place
 from .localization import LocalParam, localize
 from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge
-from .packets import designated_key, designated_l_packet_member, local_packet
+from .packets import designated_key, designated_l_packet_member, packet_entry
 from .parameters import AParameter, CuspidalDatum, InvalidParameter, classify, rho_is_irreducible
 from .record import Record
 
@@ -92,7 +95,7 @@ class _Local:
     def __init__(self, param: LocalParam):
         self.param = param
         self.member = None  # the designated member
-        self.packet = None  # label mask -> packet member
+        self.packet = {}  # label mask -> packet member, built as P1 reads it
 
 
 def _sign_vectors(k: int, root: int) -> list:
@@ -128,25 +131,38 @@ def residual_spectrum(
     at_places: dict = {}  # id of a shared parameter -> its _Local per place
     by_key: dict = {}  # local key -> _Local
     members: dict = {}  # designated key -> the designated member
+    kinds = [p.kind for p in places]
+    columns: dict = {}  # id of an element or datum -> its key part at each place
+    interned: dict = {}  # (datum name, datum local shape) -> a small int
 
     def parameter(summands):
         """The shared instance, so that each parameter is classified once."""
         phi = AParameter.of(summands)
         return shared.setdefault(phi.basis_labels(), phi)
 
+    def column(s):
+        """s's key part at each place: an element's class bits, or a datum's interned name and local shape."""
+        col = columns.get(id(s))
+        if col is None:
+            if type(s) is CuspidalDatum:
+                col = [interned.setdefault((s.name, s.local[p.id]), len(interned)) for p in places]
+            else:
+                col = [s.classes[p.id].bits for p in places]
+            columns[id(s)] = col
+        return col
+
     def localized(phi):
         """phi's _Local at each place; each local key is localized once per call."""
-        if id(phi) not in at_places:
-            at_places[id(phi)] = []
-            for p in places:
-                data = [(d, s.name, s.local[p.id]) if type(s) is CuspidalDatum else (d, s.classes[p.id].bits)
-                        for s, d in phi.summands]
-                key = (p.kind, *data)
-                at = by_key.get(key)
-                if at is None:
-                    at = by_key[key] = _Local(localize(phi, p)[0])
-                at_places[id(phi)].append(at)
-        return at_places[id(phi)]
+        at = at_places.get(id(phi))
+        if at is None:
+            at = at_places[id(phi)] = []
+            ds = itertools.repeat(tuple(d for _, d in phi.summands))
+            for p, key in zip(places, zip(kinds, ds, *(column(s) for s, _ in phi.summands))):
+                local = by_key.get(key)
+                if local is None:
+                    local = by_key[key] = _Local(localize(phi, p)[0])
+                at.append(local)
+        return at
 
     def member(at):
         """at's designated member, built once per designated key."""
@@ -162,16 +178,18 @@ def residual_spectrum(
         """The packet member at each place's label, a character mask (one per place).
 
         Label 0, the all-plus character, reads the designated member, which
-        equals the packet's all-plus entry; only other labels build the packet.
+        equals the packet's all-plus entry; another label builds its one
+        entry, once per local key.
         """
         out = []
         for p, at, label in zip(places, localized(phi), labels):
             if not label:
                 out.append((p.id, member(at)))
                 continue
-            if at.packet is None:
-                at.packet = {e.label.bits: e.member for e in local_packet(at.param)}
-            out.append((p.id, at.packet[label]))
+            read = at.packet.get(label)
+            if read is None:
+                read = at.packet[label] = packet_entry(at.param, label).member
+            out.append((p.id, read))
         return out
 
     def add(name, support, phi, members):

@@ -10,8 +10,8 @@ scenarios under tests/scenarios/ likewise, for the variants listed in
 
 Beside the files, ``RESIDUAL_WIDE_SHA256`` pins one digest of ``residual``
 output per seed on the 100 inputs of the benchmark's residual-wide workload
-of seeds 1 and 2 (see ``residual_wide_digest``), too many outputs to keep
-as files; the two seeds mix the place kinds differently.
+of seeds 1, 2 and 3 (see ``residual_wide_digest``), too many outputs to keep
+as files; the seeds mix the place kinds differently.
 """
 
 import hashlib
@@ -132,12 +132,14 @@ def load_scengen():
 RESIDUAL_WIDE_FORMATS = (["--format", "json"], ["--format", "text", "--verbose"])
 
 # by seed; seed 1 was computed before residual built and rendered each
-# descriptor once per distinct value, and seed 2 before residual shared
-# local work across places of one kind, changes that had to leave every
-# output byte as it was
+# descriptor once per distinct value, seed 2 before residual shared local
+# work across places of one kind, and seed 3 before residual built packet
+# members one character at a time, changes that had to leave every output
+# byte as it was
 RESIDUAL_WIDE_SHA256 = {
     1: "59c68a2506bf5a76b732e73da27c66a6565747c3b317d78b46771a29897da6c0",
     2: "f95dd794eccb287d9e8940b54d55772944542b67e700cf0b908b9a3c14537453",
+    3: "9328f4dfb6389709f39ccc9fd61d05234704faccb4c1d96aca3af4c45b7328f4",
 }
 
 

@@ -34,7 +34,6 @@ from mp4spectrum.fields import Place
 from mp4spectrum.ktypes import (
     KTypeO,
     degree_o,
-    fock_degree_oracle,
     joint_harmonics,
     lowest_kprime_discrete,
     lowest_kprime_catalog,
@@ -59,6 +58,7 @@ from mp4spectrum.scenario import load_scenario, scenario_from_dict
 from mp4spectrum.fields import trivial_element
 
 from conftest import PTYPES, make_places, random_scenario_parameter
+from ktype_oracles import fock_degree_oracle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 H = Fraction(1, 2)

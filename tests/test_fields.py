@@ -35,6 +35,59 @@ def test_hilbert_symmetric_and_bilinear(kind):
         assert hilbert(place, a * b, c) == hilbert(place, a, c) * hilbert(place, b, c)
 
 
+def _hilbert_closed_form(place, a, b):
+    """The Hilbert symbol by the closed formula of each kind, on the class bit vectors."""
+    if place.kind == "complex":
+        return 1
+    if place.kind == "real":
+        return -1 if (a.bits[0] and b.bits[0]) else 1
+    if place.kind == "nonarch-dyadic":
+        (s1, f1, t1), (s2, f2, t2) = a.bits, b.bits
+        # classical Q_2 formula: eps(u) = s, omega(u) = f for u = (-1)^s 5^f
+        return -1 if (s1 * s2 + t1 * f2 + t2 * f1) % 2 else 1
+    # odd residue characteristic: a = u^i1 p^j1, b = u^i2 p^j2
+    (i1, j1), (i2, j2) = a.bits, b.bits
+    minus_one_nonsquare = 1 if place.kind == "nonarch-odd-3mod4" else 0
+    return -1 if (minus_one_nonsquare * j1 * j2 + i1 * j2 + i2 * j1) % 2 else 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hilbert_table_matches_the_closed_formulas(kind):
+    place = Place("v", kind)
+    pairs = list(itertools.product(place.square_classes(), repeat=2))
+    assert len(pairs) == 4 ** place.rank
+    for a, b in pairs:
+        assert hilbert(place, a, b) == _hilbert_closed_form(place, a, b), (a.label, b.label)
+
+
+def test_reciprocity_reads_each_class_once_and_calls_no_hilbert(monkeypatch):
+    import mp4spectrum.fields as fields
+
+    monkeypatch.setattr(fields, "hilbert", lambda *args: pytest.fail("hilbert called"))
+    places = make_places(["nonarch-odd-3mod4", "real", "nonarch-dyadic", "nonarch-odd-1mod4"])
+    elems = [trivial_element(places), minus_one_element(places)]
+    rng = random.Random(5)
+    for k in range(4):
+        elems.append(random_element(rng, places, elems, f"e{k}"))
+    assert validate_reciprocity(places, elems) == ReciprocityReport(True, 36, None)
+
+
+def test_reciprocity_refuses_a_missing_or_misplaced_class_when_reached():
+    places = make_places(["real", "real"])
+    other = Place("w", "real")
+    missing = GlobalElement("m", FrozenMap({"v1": places[0].minus_one()}))
+    misplaced = GlobalElement("x", FrozenMap({"v1": places[0].minus_one(), "v2": other.minus_one()}))
+    with pytest.raises(KeyError, match="no class at place 'v2'"):
+        validate_reciprocity(places, [trivial_element(places), missing])
+    with pytest.raises(PlaceMismatch):
+        validate_reciprocity(places, [trivial_element(places), misplaced])
+    # a violation the first row meets before an unreadable element is reported, as the pairwise loop did
+    one_real = make_places(["real", "nonarch-odd-1mod4"])
+    late = GlobalElement("m", FrozenMap({"v1": one_real[0].minus_one()}))
+    report = validate_reciprocity(one_real, [minus_one_element(one_real), late])
+    assert report == ReciprocityReport(False, 1, ("-1", "-1", -1))
+
+
 def test_real_definite_pair():
     place = Place("v", "real")
     m1 = place.class_from_label("-1")

@@ -82,6 +82,12 @@ def test_residual_output_on_seed_2_inputs_is_pinned(capsys):
     assert residual_wide_digest(_digest_runner(capsys), 2) == RESIDUAL_WIDE_SHA256[2]
 
 
+def test_residual_output_on_seed_3_inputs_is_pinned(capsys):
+    # every P1 slot reading a nonzero label reads one member built for that
+    # character alone, so a third seed pins more of those members
+    assert residual_wide_digest(_digest_runner(capsys), 3) == RESIDUAL_WIDE_SHA256[3]
+
+
 def _refuse_text(monkeypatch):
     """Make every text renderer fail the test if it is called.
 

@@ -15,12 +15,12 @@ from mp4spectrum.ktypes import (
     NotInHarmonics,
     UncataloguedShape,
     degree_o,
-    fock_degree_oracle,
-    inverse_joint_harmonics,
     joint_harmonics,
     lowest_kprime_catalog,
     lowest_kprime_discrete,
 )
+
+from ktype_oracles import fock_degree_oracle, fock_min_degree, inverse_joint_harmonics
 
 H = Fraction(1, 2)
 
@@ -152,8 +152,6 @@ def test_fock_oracle_agrees_with_formula():
 
 def test_fock_oracle_occurrence_needs_rank():
     # (0; -1) on O(2) needs two columns of variables
-    from mp4spectrum.ktypes import fock_min_degree
-
     assert fock_min_degree(2, (0,), -1, n=1) is None
     assert fock_min_degree(2, (0,), -1, n=2) == 2
 

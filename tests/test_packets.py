@@ -1,6 +1,7 @@
 """The packet tables: members, vanishing rules, correspondence, composition series."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,8 @@ from mp4spectrum.descriptors import (
     render,
     seg,
 )
-from mp4spectrum.fields import Place, chi_minus_one
+from mp4spectrum import residual
+from mp4spectrum.fields import KINDS, Place, chi_minus_one
 from mp4spectrum.localization import (
     Piece4SC,
     PieceSC,
@@ -43,6 +45,7 @@ from mp4spectrum.localization import (
     ShSoudryNonQuadratic,
     ShTempered,
     LocalParam,
+    local_group,
     localize,
 )
 from mp4spectrum.packets import (
@@ -51,6 +54,7 @@ from mp4spectrum.packets import (
     hps_quaternion_data,
     local_packet,
     mp_st_pair,
+    packet_entry,
     orthogonal_shimura_row,
     principal_shimura_row,
     reduce_mp4_p1,
@@ -71,8 +75,11 @@ from mp4spectrum.parameters import (
     RhoSteinberg,
 )
 from mp4spectrum.record import FrozenMap
+from mp4spectrum.scenario import load_scenario, scenario_from_dict
+from mp4spectrum.tables import _sample_shapes
 
 from conftest import PTYPES, random_scenario_parameter
+from golden_calls import FIXTURE_NAMES, FIXTURES, load_scengen
 
 H = Fraction(1, 2)
 TH = Fraction(3, 2)
@@ -598,3 +605,40 @@ def test_oracle_rejects_unknown_shapes():
         reduce_mp4_p1(QuadChar("u"), H, RealLKT((H, H)))
     with pytest.raises(UnsupportedInduction):
         reduce_mp4_p2(SC2("tau"), H)  # central character unspecified
+
+
+def _reached_local_params(monkeypatch) -> list:
+    """The tables samples at every kind, the fixtures' local parameters, and those residual reaches on seeds 1-3."""
+    lps = [lp for kind in KINDS for _, lp in _sample_shapes(Place("v", kind))]
+    for name in FIXTURE_NAMES:
+        sc = load_scenario(os.path.join(FIXTURES, f"{name}.json"))
+        lps += [localize(sc.parameter, p)[0] for p in sc.places]
+
+    def recorded(phi, place):
+        out = localize(phi, place)
+        lps.append(out[0])
+        return out
+
+    monkeypatch.setattr(residual, "localize", recorded)
+    for seed in (1, 2, 3):
+        for _, doc in load_scengen().residual_scenarios(seed):
+            sc = scenario_from_dict(doc)
+            residual.residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    return list(dict.fromkeys(lps))
+
+
+def test_packet_entry_is_the_local_packet_entry(monkeypatch):
+    # packet_entry builds one entry by the rule local_packet maps over the
+    # characters, and refuses every mask that is not a character
+    lps = _reached_local_params(monkeypatch)
+    refused = 0
+    for lp in lps:
+        packet = local_packet(lp)
+        assert [packet_entry(lp, e.label.bits) for e in packet] == packet
+        characters = {e.label.bits for e in packet}
+        for mask in range(-1, 2 << len(local_group(lp.shape).basis)):
+            if mask not in characters:
+                with pytest.raises(ValueError):
+                    packet_entry(lp, mask)
+                refused += 0 <= mask < 1 << len(local_group(lp.shape).basis)
+    assert len(lps) > 2000 and refused  # some masks in range break a relation

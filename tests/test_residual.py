@@ -250,19 +250,28 @@ def _member_slots(sc, cons, localize_, designate):
 
 
 def test_residual_builds_each_packet_once(monkeypatch):
-    # local_packet runs at most once per distinct local data, and only where
-    # some P1 constituent reads a label other than the all-plus one
+    # no packet is built whole: one member is built at most once per local
+    # data and label, only where some P1 constituent reads that label, never
+    # at the all-plus label (that is the designated member), and it is the
+    # local_packet entry at that label
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
     localize_, designate = localization.localize, packets.designated_l_packet_member
-    calls = _record_calls(monkeypatch, packets, "local_packet")
+    whole = _record_calls(monkeypatch, packets, "local_packet")
+    entries = []
+    calls = _record_calls(monkeypatch, packets, "packet_entry", entries)
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    built = [_placeless(lp) for (lp,) in calls]
+    assert not whole
+    built = [(_placeless(lp), label) for lp, label in calls]
+    assert built == _distinct(built) and all(label for _, label in built)
+    for (lp, label), entry in zip(calls, entries):
+        assert entry == next(e for e in local_packet(lp) if e.label.bits == label)
+    # the label a slot reads is the one of its member in the local packet, whose members differ
     slots = _member_slots(sc, cons, localize_, designate)
-    p1 = _distinct(lp for c, lp, _, _ in slots if c.support == "P1")
-    other_labels = _distinct(lp for c, lp, _, all_plus in slots if c.support == "P1" and not all_plus)
-    assert built == _distinct(built)
-    assert set(built) == {_placeless(lp) for lp in other_labels}
-    assert len(built) < len(other_labels) < len(p1)
+    reads = [(lp, d) for c, lp, d, all_plus in slots if c.support == "P1" and not all_plus]
+    labels = [next(e.label.bits for e in local_packet(lp) if e.member == d) for lp, d in reads]
+    assert set(built) == {(_placeless(lp), label) for (lp, _), label in zip(reads, labels)}
+    assert len(built) < len({(lp, label) for (lp, _), label in zip(reads, labels)}) < len(reads)
+    assert {id(d) for _, d in reads} == {id(e.member) for e in entries}
     assert all(c.support == "P1" for c, _, _, all_plus in slots if not all_plus)
 
 
