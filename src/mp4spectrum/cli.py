@@ -17,8 +17,8 @@ Subcommands:
 
 Each subcommand builds its result dict once.  ``--format json`` prints
 that dict; ``--format text`` renders it through the command's ``_*_text``
-function, which is called only then.  enumerate's constituent array is an
-``Encoded`` value, likewise joined only under ``--format json``.
+function, which is called only then.  The constituent arrays of enumerate
+and residual are ``Encoded`` values, likewise joined only under ``--format json``.
 
 Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error.
 """
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring
 from operator import getitem
 
 from . import tables
@@ -57,7 +57,7 @@ from .packets import (
     reducibility_oracle,
 )
 from .parameters import InvalidParameter, MissingSignData, classify, epsilon_tilde
-from .reports import Encoded, Report, dumps
+from .reports import FIELD, MAP_END, OBJECT, OBJECT_END, Encoded, Report, array, dumps, entry
 from .residual import residual_spectrum
 from .scenario import (
     ScenarioValidationError,
@@ -71,6 +71,7 @@ from .scenario import (
     _as_str,
     _require,
     load_scenario,
+    parse_json,
     read_file,
 )
 
@@ -183,18 +184,12 @@ def cmd_enumerate(args) -> Report:
 
 def _constituents_json(places, listed) -> str:
     """enumerate's "constituents" array as reports.dumps would lay it out under a top-level key."""
-    last = len(places) - 1
-
-    def lines(k, pid, texts):
-        key = "        " + json.dumps(pid, ensure_ascii=False) + ": "
-        end = ",\n" if k < last else "\n"
-        return [key + json.dumps(t, ensure_ascii=False) + end for t in texts]
-
-    etas = [lines(k, pid, labels) for k, (pid, labels, _) in enumerate(places)]
-    members = [lines(k, pid, rendered) for k, (pid, _, rendered) in enumerate(places)]
-    head = ',\n    {\n      "eta": {\n'
-    middle = '      },\n      "members": {\n'
-    tails = ('      },\n      "vanishing": false\n    }', '      },\n      "vanishing": true\n    }')
+    # every place's entry but the first follows a comma
+    etas = [[("," if k else "") + entry(pid, t) for t in labels] for k, (pid, labels, _) in enumerate(places)]
+    members = [[("," if k else "") + entry(pid, t) for t in rendered] for k, (pid, _, rendered) in enumerate(places)]
+    head = f'{OBJECT}{FIELD}"eta": {{'
+    middle = f'{MAP_END},{FIELD}"members": {{'
+    tails = tuple(f'{MAP_END},{FIELD}"vanishing": {v}{OBJECT_END}' for v in ("false", "true"))
     parts = []
     for choice, vanishing in listed:
         parts.append(head)
@@ -202,11 +197,7 @@ def _constituents_json(places, listed) -> str:
         parts.append(middle)
         parts += map(getitem, members, choice)
         parts.append(tails[vanishing])
-    if not parts:
-        return "[]"
-    parts[0] = "[" + head[1:]  # the first constituent follows the bracket, not a comma
-    parts.append("\n  ]")
-    return "".join(parts)
+    return array(parts)
 
 
 def _enumerate_text(d, places, listed, verbose):
@@ -252,10 +243,7 @@ def _query_of(args) -> dict:
     text = args.query
     if text.startswith("@"):
         text = read_file(text[1:], "$.query")
-    try:
-        q = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$.query", f"invalid JSON: {exc}") from None
+    q = parse_json(text, "$.query")
     if not isinstance(q, dict):
         raise SchemaError("$.query", "query must be an object")
     return q
@@ -393,18 +381,34 @@ def cmd_residual(args) -> Report:
     sc = _load(args)
     sc.validate()
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    shown: dict = {}  # id(member) -> rendering; cons keeps every member alive
-    data = {"count": len(cons), "constituents": [c.rendered(shown) for c in cons]}
-    return Report("residual", data, functools.partial(_residual_text, verbose=args.verbose))
+    # id(member) -> rendering, each distinct member object rendered once; cons keeps every member alive
+    shown = {key: render(d) for key, d in {id(d): d for c in cons for _, d in c.descriptor}.items()}
+    data = {"count": len(cons), "constituents": Encoded(functools.partial(_residual_json, cons, shown))}
+    return Report("residual", data, functools.partial(_residual_text, cons=cons, shown=shown, verbose=args.verbose))
 
 
-def _residual_text(d, verbose):
+def _residual_json(cons, shown) -> str:
+    """residual's "constituents" array as reports.dumps would lay it out; shown maps id(member) -> rendering."""
+    encoded = functools.cache(encode_basestring)  # a support and a family repeat across constituents
+    member_entry = functools.cache(lambda pid, key: entry(pid, shown[key]))  # encoded once per (place, member)
+    parts = []
+    for c in cons:
+        members = [member_entry(pid, id(d)) for pid, d in c.descriptor]
+        members = "{" + ",".join(members) + MAP_END if members else "{}"
+        parts.append(
+            f'{OBJECT}{FIELD}"name": {encode_basestring(c.name)},{FIELD}"support": {encoded(c.support)},'
+            f'{FIELD}"family": {encoded(c.family)},{FIELD}"members": {members}{OBJECT_END}'
+        )
+    return array(parts)
+
+
+def _residual_text(d, cons, shown, verbose):
     yield f"{d['count']} residual constituents"
-    for c in d["constituents"]:
-        yield f"  [{c['support']}] {c['name']}  ({c['family']})"
+    for c in cons:
+        yield f"  [{c.support}] {c.name}  ({c.family})"
         if verbose:
-            for pid, member in c["members"].items():
-                yield f"      {pid}: {member}"
+            for pid, member in c.descriptor:
+                yield f"      {pid}: {shown[id(member)]}"
 
 
 def cmd_export_tables(args) -> Report:

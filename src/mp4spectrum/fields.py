@@ -41,14 +41,6 @@ KINDS = (
     "complex",
 )
 
-_RANK = {
-    "nonarch-odd-1mod4": 2,
-    "nonarch-odd-3mod4": 2,
-    "nonarch-dyadic": 3,
-    "real": 1,
-    "complex": 0,
-}
-
 # bit vectors: odd = (u, p); dyadic = (s, f, t) for (-1)^s 5^f 2^t; real = (s,)
 _ODD_LABELS = {(0, 0): "1", (1, 0): "u", (0, 1): "p", (1, 1): "up"}
 _DYADIC_LABELS = {
@@ -71,6 +63,12 @@ _LABELS = {
     "real": _REAL_LABELS,
     "complex": _COMPLEX_LABELS,
 }
+
+# read off the tables: each kind's label -> bits, and its rank, the length of the bit vectors
+_BITS = {kind: {label: bits for bits, label in labels.items()} for kind, labels in _LABELS.items()}
+_RANK = {kind: len(next(iter(labels))) for kind, labels in _LABELS.items()}
+# the bits of the class of -1: "1", "u", "-1", "-1" and "1"
+_MINUS_ONE = dict(zip(KINDS, ((0, 0), (1, 0), (1, 0, 0), (1,), ())))
 
 # the Hilbert symbol is (a, b)_v = (-1)^(a G b) on the bit vectors above, G a
 # symmetric Gram matrix over F2 per kind, given by one row mask per basis bit
@@ -124,21 +122,14 @@ class Place(Record, order=True):
         return [SquareClass(self, bits) for bits in _LABELS[self.kind]]
 
     def class_from_label(self, label: str) -> "SquareClass":
-        for bits, lab in _LABELS[self.kind].items():
-            if lab == label:
-                return SquareClass(self, bits)
-        raise ValueError(f"no square class {label!r} at {self.kind} place {self.id!r}")
+        bits = _BITS[self.kind].get(label)
+        if bits is None:
+            raise ValueError(f"no square class {label!r} at {self.kind} place {self.id!r}")
+        return SquareClass(self, bits)
 
     def minus_one(self) -> "SquareClass":
         """The class of -1, determined by the kind."""
-        label = {
-            "nonarch-odd-1mod4": "1",
-            "nonarch-odd-3mod4": "u",
-            "nonarch-dyadic": "-1",
-            "real": "-1",
-            "complex": "1",
-        }[self.kind]
-        return self.class_from_label(label)
+        return SquareClass(self, _MINUS_ONE[self.kind])
 
     def trivial_class(self) -> "SquareClass":
         return SquareClass(self, (0,) * self.rank)
@@ -215,13 +206,6 @@ def trivial_element(places: Sequence[Place]) -> GlobalElement:
 
 def minus_one_element(places: Sequence[Place]) -> GlobalElement:
     return GlobalElement("-1", FrozenMap({p.id: p.minus_one() for p in places}))
-
-
-def global_pairing(places: Sequence[Place], a: GlobalElement, b: GlobalElement) -> Sign:
-    prod = 1
-    for p in places:
-        prod *= hilbert(p, a.local(p), b.local(p))
-    return prod
 
 
 class ReciprocityReport(Record):

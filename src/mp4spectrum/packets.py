@@ -400,13 +400,16 @@ def designated_l_packet_member(lp: LocalParam) -> Desc:
     raise UnsupportedShape("tempered shapes have no single designated member")
 
 
-def designated_key(lp: LocalParam):
+def designated_key(lp: LocalParam, datum=None):
     """The labels and data designated_l_packet_member(lp) reads, never the place: equal keys, equal members."""
+    # a datum given stands for an SK or irreducible Soudry shape's datum name and local shape, so none is hashed
     shape = lp.shape
     if isinstance(shape, ShPrincipal):
         return shape.a.label
     if isinstance(shape, ShSK):
-        return (shape.a.label, shape.rho_name, shape.rho)
+        return (shape.a.label, shape.rho_name, shape.rho) if datum is None else (shape.a.label, datum)
+    if isinstance(shape, ShSoudryIrreducible) and datum is not None:
+        return datum
     # lq sorts an HPS pair's segments; the Soudry shapes hold no square class
     return _sorted_pair(shape.a.label, shape.b.label) if isinstance(shape, ShHPS) else shape
 

@@ -289,6 +289,7 @@ class AParameter(Record):
     """
 
     summands: tuple  # of (Summand, int)
+    _ptype = None  # not a field: classify stores the type on the instance
 
     @staticmethod
     def of(summands) -> "AParameter":
@@ -303,10 +304,12 @@ def _validated_type(phi: AParameter) -> ParamType:
     """Check the summand rules and match the profile to the one type that fits."""
     total = 0
     seen = set()
+    profile = []
     for datum, d in phi.summands:
         if d < 1:
             raise InvalidParameter("S_d index must be positive")
-        total += summand_dim(datum) * d
+        dim = summand_dim(datum)
+        total += dim * d
         key = (summand_name(datum), d)
         if key in seen:
             raise InvalidParameter(f"repeated summand {key}")
@@ -316,9 +319,10 @@ def _validated_type(phi: AParameter) -> ParamType:
             raise InvalidParameter(f"{summand_name(datum)} x S_{d}: odd d needs a symplectic datum")
         if d % 2 == 0 and dual != "orthogonal":
             raise InvalidParameter(f"{summand_name(datum)} x S_{d}: even d needs an orthogonal datum")
+        profile.append((dim, d))
     if total != 4:
         raise InvalidParameter(f"summand dimensions total {total}, need 4")
-    profile = sorted((summand_dim(s), d) for s, d in phi.summands)
+    profile.sort()
     if all(d == 1 for _, d in profile):
         return ParamType.TEMPERED
     if profile == [(1, 4)]:
@@ -343,12 +347,11 @@ def classify(phi: AParameter) -> ParamType:
 
     An invalid parameter stores nothing and raises on every call.
     """
-    try:
-        return phi._ptype
-    except AttributeError:
+    ptype = phi._ptype
+    if ptype is None:
         ptype = _validated_type(phi)
         object.__setattr__(phi, "_ptype", ptype)
-        return ptype
+    return ptype
 
 
 def component_group(phi: AParameter) -> ComponentGroup:

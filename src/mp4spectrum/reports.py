@@ -64,6 +64,25 @@ def _write(o, nl: str, out: list) -> None:
         out.append(json.dumps(o))  # numbers, booleans and None; anything else raises TypeError
 
 
+# a top-level key's array of objects with string, boolean and string-map fields, in pieces
+# laid out as dumps lays them out: an object opens with OBJECT, a field starts with FIELD
+OBJECT, FIELD, MAP_END, OBJECT_END = ",\n    {", "\n      ", "\n      }", "\n    }"
+
+
+def entry(key: str, value: str) -> str:
+    """A map field's entry "key": "value", from its newline to before its comma."""
+    return f"\n        {encode_basestring(key)}: {encode_basestring(value)}"
+
+
+def array(parts: list) -> str:
+    """The array joined from its objects' pieces; the first object's comma becomes the bracket."""
+    if not parts:
+        return "[]"
+    parts[0] = "[" + parts[0][1:]
+    parts.append("\n  ]")
+    return "".join(parts)
+
+
 class Report(Record):
     command: str
     data: dict

@@ -28,12 +28,13 @@ element's class bits, or a small int interned per call from a datum's
 name and local shape, so each datum local shape is hashed once per
 place), read from per-summand columns computed once per call; a key is
 localized at the first place reaching it.  B and P2 read the designated
-member, built once per packets.designated_key (labels and data: a Soudry
-split place and an HPS pair share one), and so does P1 at the all-plus
-character, whose packet entry equals it.  At any other character P1
-reads the one packet member it names, built by packets.packet_entry once
-per local key and character; no packet is built whole.  Each shared
-member object is rendered once per report.  More than
+member, built once per packets.designated_key (labels, and a datum's
+interned int: a Soudry split place and an HPS pair share one), and so
+does P1 at the all-plus character, whose packet entry equals it.  At any
+other character P1 reads the one packet member it names, built by
+packets.packet_entry once per local key and character; no packet is
+built whole.  The CLI renders each shared member object once, and
+encodes its JSON line once per place.  More than
 multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .descriptors import render, sign_str
+from .descriptors import sign_str
 from .fields import GlobalElement, Place
 from .localization import LocalParam, localize
 from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge
@@ -76,24 +77,15 @@ class ResidualConstituent(Record):
     descriptor: tuple  # ordered (place_id, Desc) pairs
     parameter: AParameter
 
-    def rendered(self, shown: dict) -> dict:
-        """The report dict; ``shown`` maps id(member) -> rendering across one call."""
-        members = {}
-        for pid, d in self.descriptor:
-            text = shown.get(id(d))
-            if text is None:
-                text = shown[id(d)] = render(d)
-            members[pid] = text
-        return {"name": self.name, "support": self.support, "family": self.family, "members": members}
-
 
 class _Local:
     """One local key of a residual_spectrum call, with what was built from it so far."""
 
-    __slots__ = ("param", "member", "packet")
+    __slots__ = ("param", "datum", "member", "packet")
 
-    def __init__(self, param: LocalParam):
+    def __init__(self, param: LocalParam, datum):
         self.param = param
+        self.datum = datum  # the key part of the first summand: a datum's interned int in SK and Soudry keys
         self.member = None  # the designated member
         self.packet = {}  # label mask -> packet member, built as P1 reads it
 
@@ -131,6 +123,7 @@ def residual_spectrum(
     at_places: dict = {}  # id of a shared parameter -> its _Local per place
     by_key: dict = {}  # local key -> _Local
     members: dict = {}  # designated key -> the designated member
+    pids = [p.id for p in places]
     kinds = [p.kind for p in places]
     columns: dict = {}  # id of an element or datum -> its key part at each place
     interned: dict = {}  # (datum name, datum local shape) -> a small int
@@ -160,19 +153,21 @@ def residual_spectrum(
             for p, key in zip(places, zip(kinds, ds, *(column(s) for s, _ in phi.summands))):
                 local = by_key.get(key)
                 if local is None:
-                    local = by_key[key] = _Local(localize(phi, p)[0])
+                    local = by_key[key] = _Local(localize(phi, p)[0], key[2])
                 at.append(local)
         return at
 
     def member(at):
         """at's designated member, built once per designated key."""
         if at.member is None:
-            key = designated_key(at.param)
-            at.member = members.get(key) or members.setdefault(key, designated_l_packet_member(at.param))
+            key = designated_key(at.param, at.datum)
+            at.member = members.get(key)
+            if at.member is None:
+                at.member = members[key] = designated_l_packet_member(at.param)
         return at.member
 
     def designated(phi):
-        return [(p.id, member(at)) for p, at in zip(places, localized(phi))]
+        return tuple(zip(pids, map(member, localized(phi))))
 
     def at_labels(phi, labels):
         """The packet member at each place's label, a character mask (one per place).
@@ -182,18 +177,18 @@ def residual_spectrum(
         entry, once per local key.
         """
         out = []
-        for p, at, label in zip(places, localized(phi), labels):
+        for pid, at, label in zip(pids, localized(phi), labels):
             if not label:
-                out.append((p.id, member(at)))
+                out.append((pid, member(at)))
                 continue
             read = at.packet.get(label)
             if read is None:
                 read = at.packet[label] = packet_entry(at.param, label).member
-            out.append((p.id, read))
-        return out
+            out.append((pid, read))
+        return tuple(out)
 
-    def add(name, support, phi, members):
-        out.append(ResidualConstituent(name, support, classify(phi).value, tuple(members), phi))
+    def add(name, support, phi, descriptor):
+        out.append(ResidualConstituent(name, support, classify(phi).value, descriptor, phi))
 
     # Borel family: one constituent per character, one per unordered distinct pair
     for chi in elements:

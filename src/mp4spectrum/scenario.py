@@ -21,6 +21,7 @@ from .fields import (
     GlobalElement,
     Place,
     ReciprocityReport,
+    SquareClass,
     minus_one_element,
     trivial_element,
     validate_reciprocity,
@@ -227,14 +228,13 @@ def _as_map(value: Any, path: str, as_value) -> FrozenMap:
     return FrozenMap({str(k): as_value(v, f"{path}.{k}") for k, v in raw.items()})
 
 
-def _as_class(obj: dict, key: str, place: Place, path: str) -> str:
-    """A required square-class label that names a class at the place."""
+def _as_class(obj: dict, key: str, place: Place, path: str) -> SquareClass:
+    """The square class at the place that a required label names."""
     label = _as_str(_require(obj, key, path), f"{path}.{key}")
     try:
-        place.class_from_label(label)
+        return place.class_from_label(label)
     except ValueError as exc:
         raise SchemaError(f"{path}.{key}", str(exc)) from None
-    return label
 
 
 def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
@@ -249,7 +249,7 @@ def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
         if kind in ("irreducible-symplectic", "steinberg"):
             twists = _as_map(obj.get("eps_twists", {}), f"{path}.eps_twists", _as_sign)
             if kind == "steinberg":
-                return RhoSteinberg(_as_class(obj, "class", place, path), field("eps", _as_sign), twists)
+                return RhoSteinberg(_as_class(obj, "class", place, path).label, field("eps", _as_sign), twists)
             return RhoIrreducibleSymplectic(field("tag"), field("eps", _as_sign), twists)
         if kind == "principal-series":
             return RhoPrincipalSeries(
@@ -264,7 +264,7 @@ def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
         if kind == "real-orthogonal-discrete":
             return RhoRealOrthogonalDiscrete(field("kappa", _as_int))
         if kind == "quadratic-pair":
-            return RhoQuadraticPair(a=_as_class(obj, "a", place, path), b=_as_class(obj, "b", place, path))
+            return RhoQuadraticPair(a=_as_class(obj, "a", place, path).label, b=_as_class(obj, "b", place, path).label)
         if kind == "reducible-orthogonal":
             return RhoReducibleOrthogonal(field("chi"))
         if kind == "gl4-irreducible":
@@ -303,6 +303,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         places.append(Place(pid, kind))
 
     elements: list[GlobalElement] = [trivial_element(places), minus_one_element(places)]
+    squares: dict = {}  # (place id, label) -> its SquareClass, one per load
     for i, eraw in enumerate(_as_list(data.get("elements", []), "$.elements")):
         path = f"$.elements[{i}]"
         if not isinstance(eraw, dict):
@@ -313,13 +314,13 @@ def scenario_from_dict(data: Any) -> Scenario:
         classes_raw = _as_object(_require(eraw, "classes", path), f"{path}.classes")
         classes = {}
         for p in places:
-            if p.id not in classes_raw:
-                raise SchemaError(f"{path}.classes", f"no class at place {p.id!r} (closed world)")
-            label = _as_str(classes_raw[p.id], f"{path}.classes.{p.id}")
-            try:
-                classes[p.id] = p.class_from_label(label)
-            except ValueError as exc:
-                raise SchemaError(f"{path}.classes.{p.id}", str(exc)) from exc
+            label = classes_raw.get(p.id)
+            cls = squares.get((p.id, label)) if type(label) is str else None
+            if cls is None:
+                if p.id not in classes_raw:
+                    raise SchemaError(f"{path}.classes", f"no class at place {p.id!r} (closed world)")
+                cls = squares[p.id, label] = _as_class(classes_raw, p.id, p, f"{path}.classes")
+            classes[p.id] = cls
         extra = set(classes_raw) - {p.id for p in places}
         if extra:
             raise SchemaError(f"{path}.classes", f"unknown places {sorted(extra)}")
@@ -413,9 +414,15 @@ def read_file(path: str, json_path: str = "$") -> str:
         raise SchemaError(json_path, f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def load_scenario(path: str) -> Scenario:
+def parse_json(text: str, path: str) -> Any:
+    """The value of a JSON text; one that does not parse, or nests too deeply to, is a SchemaError at path."""
     try:
-        data = json.loads(read_file(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+        raise SchemaError(path, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(path, "JSON nested too deeply to parse") from None
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_dict(parse_json(read_file(path), "$"))

@@ -10,7 +10,7 @@ scenarios under tests/scenarios/ likewise, for the variants listed in
 
 Beside the files, ``RESIDUAL_WIDE_SHA256`` pins one digest of ``residual``
 output per seed on the 100 inputs of the benchmark's residual-wide workload
-of seeds 1, 2 and 3 (see ``residual_wide_digest``), too many outputs to keep
+of seeds 1 to 4 (see ``residual_wide_digest``), too many outputs to keep
 as files; the seeds mix the place kinds differently.
 """
 
@@ -133,13 +133,15 @@ RESIDUAL_WIDE_FORMATS = (["--format", "json"], ["--format", "text", "--verbose"]
 
 # by seed; seed 1 was computed before residual built and rendered each
 # descriptor once per distinct value, seed 2 before residual shared local
-# work across places of one kind, and seed 3 before residual built packet
-# members one character at a time, changes that had to leave every output
+# work across places of one kind, seed 3 before residual built packet
+# members one character at a time, and seed 4 before residual's JSON array
+# was joined from encoded lines, changes that had to leave every output
 # byte as it was
 RESIDUAL_WIDE_SHA256 = {
     1: "59c68a2506bf5a76b732e73da27c66a6565747c3b317d78b46771a29897da6c0",
     2: "f95dd794eccb287d9e8940b54d55772944542b67e700cf0b908b9a3c14537453",
     3: "9328f4dfb6389709f39ccc9fd61d05234704faccb4c1d96aca3af4c45b7328f4",
+    4: "69b204b2eeda847f27b1b7919ff988f668071d9b392cabc9d92af90d287140fa",
 }
 
 

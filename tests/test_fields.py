@@ -12,7 +12,6 @@ from mp4spectrum.fields import (
     PlaceMismatch,
     ReciprocityReport,
     chi_minus_one,
-    global_pairing,
     hilbert,
     minus_one_element,
     trivial_element,
@@ -198,6 +197,14 @@ def test_reciprocity_detects_single_flip():
     a, b, prod = report.violation
     assert prod == -1
     assert "t" in (a, b)
+
+
+def global_pairing(places, a, b):
+    """The product over the places of the Hilbert symbols (a, b)_v."""
+    prod = 1
+    for p in places:
+        prod *= hilbert(p, a.local(p), b.local(p))
+    return prod
 
 
 def _ordered_reciprocity(places, elements):

@@ -88,6 +88,12 @@ def test_residual_output_on_seed_3_inputs_is_pinned(capsys):
     assert residual_wide_digest(_digest_runner(capsys), 3) == RESIDUAL_WIDE_SHA256[3]
 
 
+def test_residual_output_on_seed_4_inputs_is_pinned(capsys):
+    # every byte of residual's JSON array is joined from encoded lines, not
+    # written by reports.dumps, so a fourth seed pins more of that output
+    assert residual_wide_digest(_digest_runner(capsys), 4) == RESIDUAL_WIDE_SHA256[4]
+
+
 def _refuse_text(monkeypatch):
     """Make every text renderer fail the test if it is called.
 

@@ -1,11 +1,16 @@
-"""reports.dumps, the package's JSON writer, against json.dumps(indent=2, ensure_ascii=False)."""
+"""reports.dumps, the package's JSON writer, against json.dumps(indent=2, ensure_ascii=False).
+
+The constituent arrays that cli joins from encoded pieces are checked against dumps.
+"""
 
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mp4spectrum.cli import _constituents_json, _residual_json
 from mp4spectrum.reports import Encoded, dumps
+from mp4spectrum.residual import ResidualConstituent
 
 
 def reference(x) -> str:
@@ -60,3 +65,58 @@ def test_dumps_refuses_what_json_refuses(bad):
         reference(bad)
     with pytest.raises(TypeError):
         dumps(bad)
+
+
+# --- the constituent arrays cli joins from reports' pieces ----------------
+
+NAMES = TEXT | st.sampled_from(["\u2028", 'q"\\\x01\u2028é𝔽₂'])
+
+
+def _top(key, value):
+    return dumps({"command": "c", "count": 1, key: value})
+
+
+@SETTINGS
+@given(st.data())
+def test_residual_array_is_dumps_of_the_dict_form(data):
+    pids = data.draw(st.lists(NAMES, unique=True, max_size=4))
+    members = [object() for _ in range(data.draw(st.integers(1, 4)))]
+    shown = {id(m): data.draw(NAMES) for m in members}
+    cons = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        places = data.draw(st.lists(st.sampled_from(pids), unique=True)) if pids else []
+        descriptor = tuple((pid, data.draw(st.sampled_from(members))) for pid in places)
+        cons.append(ResidualConstituent(data.draw(NAMES), data.draw(NAMES), data.draw(NAMES), descriptor, None))
+    # the report dicts residual built before its array was Encoded
+    dicts = [
+        {"name": c.name, "support": c.support, "family": c.family, "members": {p: shown[id(d)] for p, d in c.descriptor}}
+        for c in cons
+    ]
+    assert _top("constituents", Encoded(lambda: _residual_json(cons, shown))) == _top("constituents", dicts)
+
+
+@pytest.mark.parametrize("descriptors", [[], [()], [(), ()]])
+def test_residual_array_with_no_constituents_or_members(descriptors):
+    cons = [ResidualConstituent(f"c{i}", "B", "principal", d, None) for i, d in enumerate(descriptors)]
+    dicts = [{"name": c.name, "support": "B", "family": "principal", "members": {}} for c in cons]
+    assert _top("constituents", Encoded(lambda: _residual_json(cons, {}))) == _top("constituents", dicts)
+
+
+@SETTINGS
+@given(st.data())
+def test_enumerate_array_is_dumps_of_the_dict_form(data):
+    pids = data.draw(st.lists(NAMES, unique=True, min_size=1, max_size=4))
+    places = [(pid, data.draw(st.lists(NAMES, min_size=1, max_size=3)), []) for pid in pids]
+    places = [(pid, labels, [data.draw(NAMES) for _ in labels]) for pid, labels, _ in places]
+    listed = data.draw(
+        st.lists(st.tuples(st.tuples(*(st.integers(0, len(labels) - 1) for _, labels, _ in places)), st.booleans()))
+    )
+    dicts = [
+        {
+            "eta": {pid: labels[k] for k, (pid, labels, _) in zip(choice, places)},
+            "members": {pid: rendered[k] for k, (pid, _, rendered) in zip(choice, places)},
+            "vanishing": vanishing,
+        }
+        for choice, vanishing in listed
+    ]
+    assert _top("constituents", Encoded(lambda: _constituents_json(places, listed))) == _top("constituents", dicts)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mp4spectrum import descriptors, localization, packets
+from mp4spectrum import descriptors, localization, packets, parameters
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render
 from mp4spectrum.fields import KINDS, GlobalElement, Place, minus_one_element, trivial_element
@@ -456,3 +456,47 @@ def test_renaming_place_ids_in_order_keeps_the_residual_output(tmp_path, capsys)
         assert after != before or not before["constituents"]
         mapped_back = _map_ids(after, {new: old for old, new in rename.items()})
         assert json.dumps(mapped_back) == json.dumps(before)
+
+
+def test_residual_output_with_names_json_must_escape(tmp_path, capsys):
+    # place ids and names holding quotes, backslashes, control characters,
+    # U+2028 and non-ASCII: the JSON array joined from encoded lines is what
+    # json.dumps writes, and the verbose text lists the same members
+    weird = ['q"', "b\\", "c\x01\x1f", "l\u2028", "é𝔽₂", 'z\u2028\\"é']
+    for name in FIXTURE_NAMES:
+        with open(os.path.join(FIXTURES, f"{name}.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        names = [x["name"] for key in ("elements", "cuspidal", "mp2_weil") for x in doc.get(key, [])]
+        rename = {old: f"{weird[i % len(weird)]}v{i}" for i, old in enumerate(p["id"] for p in doc["places"])}
+        rename.update({old: f"{weird[i % len(weird)]}n{i}" for i, old in enumerate(names)})
+        doc = _map_ids(doc, rename)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["residual", "--scenario", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+        report = json.loads(out)
+        assert main(["residual", "--scenario", str(path), "--verbose"]) == 0
+        lines = [f"{report['count']} residual constituents"]
+        for c in report["constituents"]:
+            lines.append(f"  [{c['support']}] {c['name']}  ({c['family']})")
+            lines += [f"      {pid}: {member}" for pid, member in c["members"].items()]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        escaped = [c for c in report["constituents"] if json.dumps(c["name"], ensure_ascii=False)[1:-1] != c["name"]]
+        assert escaped or not report["count"]
+
+
+def test_designated_member_memo_hashes_no_datum_shape(monkeypatch):
+    # the memo keys SK and Soudry members by the int the local keys intern
+    # for a datum's name and local shape, so residual_spectrum hashes each
+    # datum local shape once per (datum, place), when interning it
+    shapes = [cls for cls in vars(parameters).values() if isinstance(cls, type) and cls.__name__.startswith("Rho")]
+    hashed = []
+    for cls in shapes:
+        monkeypatch.setattr(cls, "__hash__", lambda self, h=cls.__hash__: hashed.append(self) or h(self))
+    for seed in (1, 2, 3):
+        for _, doc in load_scengen().residual_scenarios(seed)[:20]:
+            sc = scenario_from_dict(doc)
+            hashed.clear()
+            residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+            assert len(hashed) <= len(sc.cuspidal) * len(sc.places)

@@ -144,6 +144,9 @@ def _set_local(pid, key, value):
     return lambda d: d["cuspidal"][0]["local"][pid].__setitem__(key, value)
 
 
+# deeper than json.loads parses, on any interpreter
+DEEP = 100_000
+
 # (fixture, mutation, JSON path the error must name); the first six are the
 # single mutations of sk.json that used to end in a traceback
 SCHEMA_MUTATIONS = {
@@ -267,6 +270,9 @@ SCHEMA_MUTATIONS = {
         lambda d: d["mp2_weil"][0].__setitem__("s_places", ["v1", "v1", "v3", "v3"]),
         "$.mp2_weil[0].s_places[1]",
     ),
+    # a mutation returning text writes that text: nesting this deep ended in
+    # json's RecursionError and a traceback (900 levels was a schema error)
+    "places_nested_too_deeply": ("sk.json", lambda d: '{"places": ' + "[" * DEEP + "]" * DEEP + "}", "$"),
 }
 DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name", "duplicate_mp2_weil_name")
 LOAD_ESCAPES = (
@@ -286,39 +292,34 @@ LOAD_ESCAPES = (
 )
 
 
+def _mutated(name, tmp_path) -> str:
+    """The path of a file holding SCHEMA_MUTATIONS[name]'s fixture, mutated, or the text its mutation returns."""
+    fixture, mutate, _ = SCHEMA_MUTATIONS[name]
+    data = copy.deepcopy(fixture_data(fixture))
+    text = mutate(data)
+    path = tmp_path / "mutated.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(data))
+    return str(path)
+
+
 @pytest.mark.parametrize("name", sorted(SCHEMA_MUTATIONS))
 def test_cli_schema_mutations_exit_typed(name, tmp_path, capsys):
-    fixture, mutate, json_path = SCHEMA_MUTATIONS[name]
-    data = copy.deepcopy(fixture_data(fixture))
-    mutate(data)
-    path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(data))
-    assert main(["enumerate", "--scenario", str(path)]) in (2, 4)
-    assert json_path in capsys.readouterr().err
+    assert main(["enumerate", "--scenario", _mutated(name, tmp_path)]) in (2, 4)
+    assert SCHEMA_MUTATIONS[name][2] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", LOAD_ESCAPES)
+@pytest.mark.parametrize("name", (*LOAD_ESCAPES, "places_nested_too_deeply"))
 def test_cli_schema_escapes_fail_validate(name, tmp_path, capsys):
-    # each of these passed validate or raised a raw ValueError there
-    fixture, mutate, json_path = SCHEMA_MUTATIONS[name]
-    data = copy.deepcopy(fixture_data(fixture))
-    mutate(data)
-    path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(data))
-    assert main(["validate", "--scenario", str(path)]) == 4
-    assert json_path in capsys.readouterr().err
+    # each of these passed validate, raised a raw ValueError there or ended in a traceback
+    assert main(["validate", "--scenario", _mutated(name, tmp_path)]) == 4
+    assert SCHEMA_MUTATIONS[name][2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "enumerate", "residual", "self-test", "component-group"])
 @pytest.mark.parametrize("name", DUPLICATES)
 def test_cli_duplicate_ids_are_schema_errors(name, command, tmp_path, capsys):
-    fixture, mutate, json_path = SCHEMA_MUTATIONS[name]
-    data = copy.deepcopy(fixture_data(fixture))
-    mutate(data)
-    path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(data))
-    assert main([command, "--scenario", str(path)]) == 4
-    assert json_path in capsys.readouterr().err
+    assert main([command, "--scenario", _mutated(name, tmp_path)]) == 4
+    assert SCHEMA_MUTATIONS[name][2] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +605,15 @@ MALFORMED_QUERIES = {
         {"row": {"type": "double-steinberg", "a": "zz9"}},
         "$.query.row.a",
     ),
+    # given as text: nesting this deep ended in json's RecursionError and a traceback
+    "correspond_nested_too_deeply": ("correspond", '{"row": ' + "[" * DEEP + "]" * DEEP + "}", "$.query"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_QUERIES))
 def test_cli_malformed_query_exit_typed(name, capsys):
     sub, query, json_path = MALFORMED_QUERIES[name]
-    assert main([sub, "--query", json.dumps(query)]) == 4
+    assert main([sub, "--query", query if isinstance(query, str) else json.dumps(query)]) == 4
     assert json_path in capsys.readouterr().err
 
 

@@ -11,7 +11,7 @@ counts what ``enumerate_constituents`` lists on every fixture (with and
 without the vanishing tuples), and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
 byte for byte, and that ``residual`` on the benchmark's residual-wide
-inputs of seeds 1, 2 and 3 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``.
+inputs of seeds 1 to 4 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``.
 Prints one line per check and exits 1 if any fails.
 An info line, which never fails, gives the line count of
 ``src/mp4spectrum`` and the in-process ``compile()`` time of its modules
