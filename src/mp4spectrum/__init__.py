@@ -3,7 +3,7 @@
 from .fields import GlobalElement, Place, SquareClass, chi_minus_one, hilbert, validate_reciprocity
 from .parameters import AParameter, CuspidalDatum, ParamType, classify, component_group, epsilon_tilde
 from .localization import localize
-from .packets import local_packet, reducibility_oracle, shimura_correspondence, shimura_row
+from .packets import local_packet, reducibility_oracle, shimura_row
 from .multiplicity import brute_force_count, diagonal_pullback, enumerate_constituents, multiplicity
 from .ktypes import KTypeMp, KTypeO, degree_o, joint_harmonics, lowest_kprime_catalog
 from .residual import Mp2CuspidalWeil, residual_spectrum
@@ -40,7 +40,6 @@ __all__ = [
     "reducibility_oracle",
     "residual_spectrum",
     "scenario_from_dict",
-    "shimura_correspondence",
     "shimura_row",
     "validate_reciprocity",
 ]

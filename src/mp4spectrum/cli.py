@@ -46,14 +46,12 @@ from .ktypes import (
     joint_harmonics,
     lowest_kprime_catalog,
 )
-from .localization import localize
-from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents, listed_tuples
+from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents, listed_tuples, local_data
 from .packets import (
     REDUCTIONS,
     RowNotFound,
     UnsupportedInduction,
     UnsupportedShape,
-    local_packet,
     reducibility_oracle,
 )
 from .parameters import InvalidParameter, MissingSignData, classify, epsilon_tilde
@@ -140,11 +138,11 @@ def cmd_component_group(args) -> Report:
     group = eps.group
     locs = {}
     for p in sorted(sc.places, key=lambda p: p.id):
-        _, g, iota = localize(phi, p)
+        ld = local_data(phi, p)
         locs[p.id] = {
-            "rank": g.rank,
-            "characters": g.order(),
-            "map": [list(r) for r in iota.rows],
+            "rank": ld.group.rank,
+            "characters": ld.group.order(),
+            "map": [list(r) for r in ld.iota.rows],
         }
     data = {
         "basis": list(group.basis),
@@ -221,11 +219,10 @@ def cmd_packet(args) -> Report:
         place = sc.place(args.place)
     except KeyError:
         raise SchemaError("$.place", f"unknown place {args.place!r}") from None
-    lp, _, _ = localize(phi, place)
     data = {
         "place": place.id,
         "kind": place.kind,
-        "entries": [e.rendered() for e in local_packet(lp)],
+        "entries": [e.rendered() for e in local_data(phi, place).entries],
     }
     return Report("packet", data, _packet_text)
 

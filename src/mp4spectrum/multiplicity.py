@@ -6,6 +6,11 @@ each global generator a_i as the product over places of eta_v on the
 image of a_i under the localization map.  The multiplicity of pi_eta is
 1 exactly when the pullback equals the sign character of the parameter.
 
+Every route (both counting routes, residual_spectrum, the CLI's packet
+and component-group) reads a parameter's data at a place from one
+LocalData, built only by local_data: the local parameter, the map iota
+from S_phi, and the local packet, its entries built as they are read.
+
 Two counting routes are kept deliberately independent:
 
   * listed_tuples solves the F2-affine system cut out by the pullback
@@ -27,7 +32,7 @@ from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affi
 from .descriptors import Zero
 from .fields import Place
 from .localization import LocalParam, localize
-from .packets import local_packet
+from .packets import PacketEntry, local_packet, packet_entry
 from .parameters import AParameter, component_group, epsilon_tilde
 from .record import Record
 
@@ -69,28 +74,56 @@ class Constituent(Record):
         return any(isinstance(d, Zero) for _, d in self.local_members)
 
 
-class LocalData(Record):
-    place: Place
-    param: LocalParam
-    group: ComponentGroup
-    iota: LocalizationMap
-    entries: tuple  # PacketEntry per character of group, in character order
+class LocalData:
+    """A parameter's local data at one place: param and iota, which give place and group.
+
+    entries (the packet) and entry(label) build each entry once; member is the designated member once built.
+    """
+
+    __slots__ = ("param", "iota", "member", "_entries", "_at")
+
+    def __init__(self, param: LocalParam, iota: LocalizationMap):
+        self.param = param
+        self.iota = iota
+        self.member = None
+        self._entries = None
+        self._at = {}  # label mask -> its packet entry
+
+    @property
+    def place(self) -> Place:
+        return self.param.place
+
+    @property
+    def group(self) -> ComponentGroup:
+        return self.iota.target
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple(local_packet(self.param))
+        return self._entries
+
+    def entry(self, label: int) -> PacketEntry:
+        e = self._at.get(label)
+        if e is None:
+            e = self._at[label] = packet_entry(self.param, label)
+        return e
+
+
+def local_data(phi: AParameter, place: Place) -> LocalData:
+    lp, _, iota = localize(phi, place)
+    return LocalData(lp, iota)
 
 
 def prepare_local_data(phi: AParameter, places: list[Place]) -> list[LocalData]:
-    out = []
-    for place in sorted(places, key=lambda p: p.id):
-        lp, group, iota = localize(phi, place)
-        out.append(LocalData(place, lp, group, iota, tuple(local_packet(lp))))
-    return out
+    return [local_data(phi, place) for place in sorted(places, key=lambda p: p.id)]
 
 
 def diagonal_pullback(phi: AParameter, places: list[Place], eta: AdelicCharacter) -> F2Character:
     """Delta^* eta on the global component group."""
     bits = 0
     for place in places:
-        _, _, iota = localize(phi, place)
-        bits ^= iota.pullback(eta.component(place.id))
+        bits ^= local_data(phi, place).iota.pullback(eta.component(place.id))
     return F2Character(component_group(phi), bits)
 
 

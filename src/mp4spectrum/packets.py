@@ -472,19 +472,6 @@ def _double_row(name: str, tau: Desc) -> SCRow:
     )
 
 
-def shimura_correspondence(row: SCRow, direction: str, key):
-    """Cross the correspondence one member at a time.
-
-    direction "mp->so" takes a character label and returns (space, SO member);
-    direction "so->mp" takes an SO-side descriptor and returns (label, Mp member).
-    """
-    if direction == "mp->so":
-        return row.to_so(key)
-    if direction == "so->mp":
-        return row.to_mp(key)
-    raise ValueError("direction must be 'mp->so' or 'so->mp'")
-
-
 def shimura_row(place: Place, shape: ShTempered) -> SCRow:
     """The correspondence row matching a tempered local shape.
 
@@ -685,8 +672,11 @@ def reduce_mp4_p1(char, s: Fraction, inner: Desc) -> ReductionResult:
     return IRREDUCIBLE
 
 
-def reduce_mp4_p2(tau, s: Fraction, omega_trivial: bool | None = None, self_dual: bool = True) -> ReductionResult:
-    """Composition series of I_{P2,psi}(tau |det|^s) on Mp(W_2), s >= 0."""
+def _reduce_p2(group, gen_ng, st_tau, st_twist, tau, s: Fraction, omega_trivial, self_dual) -> ReductionResult:
+    """Composition series of the induction from tau |det|^s to ``group``, s >= 0.
+
+    The target's members are gen_ng(tau, generic), st_tau(tau) and st_twist(label).
+    """
     if s < 0:
         raise UnsupportedInduction("normalize to s >= 0")
     if isinstance(tau, St2):
@@ -694,12 +684,17 @@ def reduce_mp4_p2(tau, s: Fraction, omega_trivial: bool | None = None, self_dual
     if omega_trivial is None:
         raise UnsupportedInduction("central character of tau must be specified")
     if omega_trivial and s == 0:
-        return ReductionResult(True, (MpGenNG(tau, True), MpGenNG(tau, False)), direct_sum=True)
+        return ReductionResult(True, (gen_ng(tau, True), gen_ng(tau, False)), direct_sum=True)
     if isinstance(tau, SC2) and self_dual and not omega_trivial and s == HALF:
-        return ReductionResult(True, (MpStTau(tau), lq(MP4, [GL2Seg(tau, s)])))
+        return ReductionResult(True, (st_tau(tau), lq(group, [GL2Seg(tau, s)])))
     if isinstance(tau, St2) and s == 1:
-        return ReductionResult(True, (MpStTwist(tau.label, 1), lq(MP4, [GL2Seg(tau, s)])))
+        return ReductionResult(True, (st_twist(tau.label), lq(group, [GL2Seg(tau, s)])))
     return IRREDUCIBLE
+
+
+def reduce_mp4_p2(tau, s: Fraction, omega_trivial: bool | None = None, self_dual: bool = True) -> ReductionResult:
+    """Composition series of I_{P2,psi}(tau |det|^s) on Mp(W_2), s >= 0."""
+    return _reduce_p2(MP4, MpGenNG, MpStTau, lambda c: MpStTwist(c, 1), tau, s, omega_trivial, self_dual)
 
 
 def reduce_so5_plus_q1(char, s: Fraction, inner: Desc) -> ReductionResult:
@@ -725,20 +720,7 @@ def reduce_so5_plus_q1(char, s: Fraction, inner: Desc) -> ReductionResult:
 
 def reduce_so5_plus_q2(tau, s: Fraction, omega_trivial: bool | None = None, self_dual: bool = True) -> ReductionResult:
     """Composition series of I^+_{Q2}(tau |det|^s) on SO(V_2^+), s >= 0."""
-    if s < 0:
-        raise UnsupportedInduction("normalize to s >= 0")
-    so5p = ("SO", 2, 1)
-    if isinstance(tau, St2):
-        omega_trivial = True
-    if omega_trivial is None:
-        raise UnsupportedInduction("central character of tau must be specified")
-    if omega_trivial and s == 0:
-        return ReductionResult(True, (SOGenNG(tau, True), SOGenNG(tau, False)), direct_sum=True)
-    if isinstance(tau, SC2) and self_dual and not omega_trivial and s == HALF:
-        return ReductionResult(True, (SOStTau(tau), lq(so5p, [GL2Seg(tau, s)])))
-    if isinstance(tau, St2) and s == 1:
-        return ReductionResult(True, (SOStTwist(1, tau.label), lq(so5p, [GL2Seg(tau, s)])))
-    return IRREDUCIBLE
+    return _reduce_p2(("SO", 2, 1), SOGenNG, SOStTau, lambda c: SOStTwist(1, c), tau, s, omega_trivial, self_dual)
 
 
 def reduce_so5_minus_q1(char, s: Fraction, inner: Desc) -> ReductionResult:

@@ -26,13 +26,14 @@ a place only through its kind: it is keyed by the kind, the d of each
 summand of phi in canonical order, and each summand's key part there (an
 element's class bits, or a small int interned per call from a datum's
 name and local shape, so each datum local shape is hashed once per
-place), read from per-summand columns computed once per call; a key is
-localized at the first place reaching it.  B and P2 read the designated
-member, built once per packets.designated_key (labels, and a datum's
-interned int: a Soudry split place and an HPS pair share one), and so
-does P1 at the all-plus character, whose packet entry equals it.  At any
-other character P1 reads the one packet member it names, built by
-packets.packet_entry once per local key and character; no packet is
+place), read from per-summand columns computed once per call; a key's
+multiplicity.LocalData comes from local_data at the first place reaching
+it.  B and P2 read the designated member, built once per
+packets.designated_key (labels, and a datum's interned int: a Soudry
+split place and an HPS pair share one) and then held by the LocalData,
+and so does P1 at the all-plus character, whose packet entry equals it.
+At any other character P1 reads the one packet entry it names,
+LocalData.entry, built once per local key and character; no packet is
 built whole.  The CLI renders each shared member object once, and
 encodes its JSON line once per place.  More than
 multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
@@ -45,9 +46,8 @@ import math
 
 from .descriptors import sign_str
 from .fields import GlobalElement, Place
-from .localization import LocalParam, localize
-from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge
-from .packets import designated_key, designated_l_packet_member, packet_entry
+from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge, local_data
+from .packets import designated_key, designated_l_packet_member
 from .parameters import AParameter, CuspidalDatum, InvalidParameter, classify, rho_is_irreducible
 from .record import Record
 
@@ -76,18 +76,6 @@ class ResidualConstituent(Record):
     family: str  # "principal" | "saito-kurokawa" | "howe-piatetski-shapiro" | "soudry"
     descriptor: tuple  # ordered (place_id, Desc) pairs
     parameter: AParameter
-
-
-class _Local:
-    """One local key of a residual_spectrum call, with what was built from it so far."""
-
-    __slots__ = ("param", "datum", "member", "packet")
-
-    def __init__(self, param: LocalParam, datum):
-        self.param = param
-        self.datum = datum  # the key part of the first summand: a datum's interned int in SK and Soudry keys
-        self.member = None  # the designated member
-        self.packet = {}  # label mask -> packet member, built as P1 reads it
 
 
 def _sign_vectors(k: int, root: int) -> list:
@@ -120,8 +108,8 @@ def residual_spectrum(
         raise ScenarioTooLarge(f"{sk_count} P1-SK constituents to list, above the limit of {ENUMERATE_LIMIT}")
     out: list[ResidualConstituent] = []
     shared: dict = {}  # basis labels -> the call's one instance of that parameter
-    at_places: dict = {}  # id of a shared parameter -> its _Local per place
-    by_key: dict = {}  # local key -> _Local
+    at_places: dict = {}  # id of a shared parameter -> what localized(phi) returns
+    by_key: dict = {}  # local key -> LocalData
     members: dict = {}  # designated key -> the designated member
     pids = [p.id for p in places]
     kinds = [p.kind for p in places]
@@ -145,46 +133,42 @@ def residual_spectrum(
         return col
 
     def localized(phi):
-        """phi's _Local at each place; each local key is localized once per call."""
+        """phi's LocalData per place and its first summand's key part per place; one local_data per key."""
         at = at_places.get(id(phi))
         if at is None:
-            at = at_places[id(phi)] = []
+            locals_ = []
             ds = itertools.repeat(tuple(d for _, d in phi.summands))
-            for p, key in zip(places, zip(kinds, ds, *(column(s) for s, _ in phi.summands))):
+            cols = [column(s) for s, _ in phi.summands]
+            for p, key in zip(places, zip(kinds, ds, *cols)):
                 local = by_key.get(key)
                 if local is None:
-                    local = by_key[key] = _Local(localize(phi, p)[0], key[2])
-                at.append(local)
+                    local = by_key[key] = local_data(phi, p)
+                locals_.append(local)
+            at = at_places[id(phi)] = (locals_, cols[0])
         return at
 
-    def member(at):
-        """at's designated member, built once per designated key."""
-        if at.member is None:
-            key = designated_key(at.param, at.datum)
-            at.member = members.get(key)
-            if at.member is None:
-                at.member = members[key] = designated_l_packet_member(at.param)
-        return at.member
+    def member(local, datum):
+        """local's designated member, built once per designated key (datum: the first summand's key part)."""
+        if local.member is None:
+            key = designated_key(local.param, datum)
+            local.member = members.get(key)
+            if local.member is None:
+                local.member = members[key] = designated_l_packet_member(local.param)
+        return local.member
 
     def designated(phi):
-        return tuple(zip(pids, map(member, localized(phi))))
+        return tuple(zip(pids, map(member, *localized(phi))))
 
     def at_labels(phi, labels):
         """The packet member at each place's label, a character mask (one per place).
 
         Label 0, the all-plus character, reads the designated member, which
-        equals the packet's all-plus entry; another label builds its one
-        entry, once per local key.
+        equals the packet's all-plus entry; another label reads its one
+        entry, built once per local key.
         """
         out = []
-        for pid, at, label in zip(pids, localized(phi), labels):
-            if not label:
-                out.append((pid, member(at)))
-                continue
-            read = at.packet.get(label)
-            if read is None:
-                read = at.packet[label] = packet_entry(at.param, label).member
-            out.append((pid, read))
+        for pid, local, datum, label in zip(pids, *localized(phi), labels):
+            out.append((pid, local.entry(label).member if label else member(local, datum)))
         return tuple(out)
 
     def add(name, support, phi, descriptor):

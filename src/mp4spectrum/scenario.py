@@ -237,10 +237,13 @@ def _as_class(obj: dict, key: str, place: Place, path: str) -> SquareClass:
         raise SchemaError(f"{path}.{key}", str(exc)) from None
 
 
-def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
+def _parse_shape(obj: Any, place: Place, path: str, part: bool = False) -> LocalRhoShape:
+    """The shape at ``path``; a ``part`` of a gl4-split is a 2-dim shape, refused before any recursion."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "shape must be an object")
     kind = _require(obj, "shape", path)
+    if part and kind in ("gl4-irreducible", "gl4-split"):
+        raise SchemaError(path, f"a gl4-split part must be a 2-dim shape, not {kind}")
 
     def field(key, as_value=_as_str):
         return as_value(_require(obj, key, path), f"{path}.{key}")
@@ -271,9 +274,9 @@ def _parse_shape(obj: Any, place: Place, path: str) -> LocalRhoShape:
             return Rho4Irreducible(field("tag"), field("eps", _as_sign))
         if kind == "gl4-split":
             parts = _require(obj, "parts", path)
-            if not isinstance(parts, list) or not parts:
-                raise SchemaError(f"{path}.parts", "expected a nonempty list")
-            return Rho4Split(tuple(_parse_shape(s, place, f"{path}.parts[{i}]") for i, s in enumerate(parts)))
+            if not isinstance(parts, list) or len(parts) != 2:
+                raise SchemaError(f"{path}.parts", "expected a list of two 2-dim shapes")
+            return Rho4Split(tuple(_parse_shape(s, place, f"{path}.parts[{i}]", True) for i, s in enumerate(parts)))
     except InvalidParameter as exc:
         raise SchemaError(path, str(exc)) from exc
     raise SchemaError(f"{path}.shape", f"unknown shape kind {kind!r}")

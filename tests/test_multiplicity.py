@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mp4spectrum.chargroups import rref
+from mp4spectrum.cli import main
 from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
 from mp4spectrum.localization import localize
 from mp4spectrum.multiplicity import (
@@ -32,6 +35,8 @@ from mp4spectrum.parameters import (
     epsilon_tilde,
 )
 from mp4spectrum.record import FrozenMap
+from mp4spectrum.residual import residual_spectrum
+from mp4spectrum.scenario import load_scenario
 
 from conftest import PTYPES, make_places, random_scenario_parameter
 
@@ -348,3 +353,44 @@ def test_constraint_rank_law(rng):
             assert count == 2 ** (total_rank - sysrank)
             checked += 1
     assert checked >= 5
+
+
+ROUTES = ("enumerate", "brute_force_count", "multiplicity", "residual_spectrum", "packet", "component-group")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_reads_local_data(route, monkeypatch, capsys):
+    # local_data is the one constructor of LocalData: each route reaches it,
+    # builds no LocalData otherwise, and localizes only through it
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "sk.json")
+    sc = load_scenario(path)
+    phi, places = sc.parameter, sc.places
+    eta = _trivial_eta(phi, places)
+    module = sys.modules["mp4spectrum.multiplicity"]
+    counts = dict.fromkeys(("local_data", "localize", "LocalData"), 0)
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("local_data", "localize"):
+        original = getattr(module, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "mp4spectrum" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted(name, original))
+    monkeypatch.setattr(module.LocalData, "__init__", counted("LocalData", module.LocalData.__init__))
+    if route == "enumerate":
+        enumerate_constituents(phi, places)
+    elif route == "brute_force_count":
+        brute_force_count(phi, places)
+    elif route == "multiplicity":
+        multiplicity(phi, places, eta)
+    elif route == "residual_spectrum":
+        residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
+    else:
+        assert main([route, "--scenario", path] + (["--place", places[0].id] if route == "packet" else [])) == 0
+    assert counts["local_data"] > 0
+    assert counts["LocalData"] == counts["localize"] == counts["local_data"]

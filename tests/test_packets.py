@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -463,19 +464,15 @@ def test_steinberg_pair_row_special_values():
 
 
 def test_shimura_correspondence_directions():
-    from mp4spectrum.packets import shimura_correspondence
-
     row = principal_shimura_row(ODD3, ODD3.class_from_label("u"))
-    space, so = shimura_correspondence(row, "mp->so", (1,))
+    space, so = row.to_so((1,))
     assert (space, so) == (1, SOStTwist(1, "u"))
-    label, mp = shimura_correspondence(row, "so->mp", so)
+    label, mp = row.to_mp(so)
     assert label == (1,) and mp == MpStTwist("u", 1)
-    with pytest.raises(ValueError):
-        shimura_correspondence(row, "sideways", (1,))
     from mp4spectrum.packets import RowNotFound
 
     with pytest.raises(RowNotFound):
-        shimura_correspondence(row, "mp->so", (1, 1))
+        row.to_so((1, 1))
 
 
 def test_double_rows_have_diagonal_labels_only():
@@ -619,7 +616,7 @@ def _reached_local_params(monkeypatch) -> list:
         lps.append(out[0])
         return out
 
-    monkeypatch.setattr(residual, "localize", recorded)
+    monkeypatch.setattr(sys.modules["mp4spectrum.multiplicity"], "localize", recorded)
     for seed in (1, 2, 3):
         for _, doc in load_scengen().residual_scenarios(seed):
             sc = scenario_from_dict(doc)

@@ -147,6 +147,25 @@ def _set_local(pid, key, value):
 # deeper than json.loads parses, on any interpreter
 DEEP = 100_000
 
+SC1 = {"shape": "irreducible-symplectic", "tag": "sc1", "eps": -1, "eps_twists": {"u": 1, "p": 1, "up": -1}}
+GL4_IRREDUCIBLE = {"shape": "gl4-irreducible", "tag": "t4", "eps": 1}
+
+
+def _gl4_split(parts):
+    """Make the parameter of tempered.json one GL(4) datum split into ``parts`` at v1; it is valid otherwise."""
+    local = {"v1": {"shape": "gl4-split", "parts": parts}, "v2": GL4_IRREDUCIBLE}
+    rho4 = {"name": "rho4", "gl_rank": 4, "duality": "symplectic", "global_root": -1, "local": local}
+    return lambda d: (d["cuspidal"].append(rho4), d["parameter"].__setitem__("summands", [["rho4", 1]]))
+
+
+def _nested_split(depth):
+    """A gl4-split whose second part is a gl4-split, ``depth`` levels deep."""
+    shape = SC1
+    for _ in range(depth):
+        shape = {"shape": "gl4-split", "parts": [SC1, shape]}
+    return shape
+
+
 # (fixture, mutation, JSON path the error must name); the first six are the
 # single mutations of sk.json that used to end in a traceback
 SCHEMA_MUTATIONS = {
@@ -270,6 +289,17 @@ SCHEMA_MUTATIONS = {
         lambda d: d["mp2_weil"][0].__setitem__("s_places", ["v1", "v1", "v3", "v3"]),
         "$.mp2_weil[0].s_places[1]",
     ),
+    # a gl4-split has two 2-dim parts; these loaded (the deep one ended in a
+    # RecursionError traceback)
+    "gl4_split_three_parts": ("tempered.json", _gl4_split([SC1, SC1, SC1]), "$.cuspidal[2].local.v1.parts"),
+    "gl4_split_one_part": ("tempered.json", _gl4_split([SC1]), "$.cuspidal[2].local.v1.parts"),
+    "gl4_split_gl4_part": ("tempered.json", _gl4_split([SC1, GL4_IRREDUCIBLE]), "$.cuspidal[2].local.v1.parts[1]"),
+    "gl4_split_nested": ("tempered.json", _gl4_split([SC1, _nested_split(1)]), "$.cuspidal[2].local.v1.parts[1]"),
+    "gl4_split_nested_deeply": (
+        "tempered.json",
+        _gl4_split([SC1, _nested_split(450)]),
+        "$.cuspidal[2].local.v1.parts[1]",
+    ),
     # a mutation returning text writes that text: nesting this deep ended in
     # json's RecursionError and a traceback (900 levels was a schema error)
     "places_nested_too_deeply": ("sk.json", lambda d: '{"places": ' + "[" * DEEP + "]" * DEEP + "}", "$"),
@@ -289,6 +319,11 @@ LOAD_ESCAPES = (
     "s_places_item_repeated",
     "summand_index_true",
     "version_true",
+    "gl4_split_three_parts",
+    "gl4_split_one_part",
+    "gl4_split_gl4_part",
+    "gl4_split_nested",
+    "gl4_split_nested_deeply",
 )
 
 
@@ -471,6 +506,21 @@ def test_cli_self_test(capsys):
     for name in ALL_FIXTURES:
         assert main(["self-test", "--scenario", fixture_path(name)]) == 0
         assert "self-test: OK" in capsys.readouterr().out
+
+
+def test_cli_self_test_refuses_above_the_place_cap(tmp_path, capsys):
+    # brute force refuses more than BRUTE_FORCE_PLACE_CAP places, so self-test
+    # exits 3 on the principal fixture with five more places, which enumerate lists
+    data = fixture_data("principal.json")
+    for k in range(4, 9):
+        data["places"].append({"id": f"v{k}", "kind": "nonarch-odd-1mod4"})
+        data["elements"][0]["classes"][f"v{k}"] = "1"
+    path = tmp_path / "principal8.json"
+    path.write_text(json.dumps(data))
+    assert main(["enumerate", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("128 constituents")
+    assert main(["self-test", "--scenario", str(path)]) == 3
+    assert "more than 6 places" in capsys.readouterr().err
 
 
 def test_cli_correspond_and_unsupported(capsys):

@@ -1,11 +1,13 @@
-"""Check one interpreter without pytest: start-up imports, self-test, character sum, goldens.
+"""Check one interpreter without pytest: imports, tracer paths, self-test, character sum, goldens.
 
 Run from the repository root with the interpreter to check, e.g.
 
     PYTHONPATH=src python3.10 tools/check_python.py
 
 It checks that importing ``mp4spectrum.cli`` under ``-S`` loads neither
-``dataclasses`` nor ``inspect``, that ``self-test`` passes on every
+``dataclasses`` nor ``inspect``, that every ``TARGETS`` and ``COUNTED``
+path of ``perfbench/tracer.py`` still names a function of the package
+(the traced benchmark run patches them), that ``self-test`` passes on every
 bundled fixture, that the character sum of ``perfbench/oracle.py``
 counts what ``enumerate_constituents`` lists on every fixture (with and
 without the vanishing tuples), and that every call of
@@ -64,10 +66,33 @@ def check_self_test():
     return not failed, f"self-test on {len(FIXTURE_NAMES)} fixtures, failed: {failed}"
 
 
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def check_tracer_paths():
+    tracer = _perfbench("tracer")
+    paths = [(mod, path) for _, mod, path, _ in tracer.TARGETS] + [(mod, path) for _, mod, path in tracer.COUNTED]
+    missing = []
+    for mod, path in paths:
+        home = importlib.import_module(f"{tracer.PACKAGE}.{mod}")
+        cls_name, _, attr = path.rpartition(".")
+        if cls_name:
+            # a method is patched on its class, so it must be defined there
+            cls = getattr(home, cls_name, None)
+            found = cls is not None and attr in vars(cls)
+        else:
+            found = callable(getattr(home, attr, None))
+        if not found:
+            missing.append(f"{mod}.{path}")
+    return not missing, f"{len(paths) - len(missing)} of {len(paths)} tracer paths resolve, missing: {missing}"
+
+
 def check_character_sum():
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", os.path.join(ROOT, "perfbench", "oracle.py"))
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
+    oracle = _perfbench("oracle")
     differ = []
     for f in FIXTURE_NAMES:
         sc = load_scenario(os.path.join(ROOT, "fixtures", f"{f}.json"))
@@ -116,7 +141,8 @@ def main_check() -> int:
     print(f"python {sys.version.split()[0]}")
     print(source_info())
     ok = True
-    for check in (check_imports, check_self_test, check_character_sum, check_goldens, check_residual_digest):
+    checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_goldens, check_residual_digest)
+    for check in checks:
         passed, detail = check()
         ok &= passed
         print(f"{'PASS' if passed else 'FAIL'} {check.__name__}: {detail}")
