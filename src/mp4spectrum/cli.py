@@ -20,7 +20,8 @@ that dict; ``--format text`` renders it through the command's ``_*_text``
 function, which is called only then.  The constituent arrays of enumerate
 and residual are ``Encoded`` values, likewise joined only under ``--format json``.
 
-Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error.
+Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error
+(an option the subcommand does not read, per ``OPTIONS``, is one too).
 """
 
 from __future__ import annotations
@@ -458,6 +459,23 @@ COMMANDS = {
 }
 
 
+# the options each subcommand reads besides --format; main refuses any other as a schema error
+OPTIONS = {
+    **dict.fromkeys(("validate", "classify", "component-group", "self-test"), ("scenario",)),
+    **dict.fromkeys(("enumerate", "residual"), ("scenario", "verbose")),
+    "packet": ("scenario", "place"),
+    **dict.fromkeys(("correspond", "reduce", "ktype"), ("query",)),
+    "export-tables": ("output",),
+}
+_ARGUMENTS = {
+    "scenario": (("--scenario",), {"help": "path to a scenario JSON file"}),
+    "verbose": (("--verbose",), {"action": "store_true"}),
+    "place": (("--place",), {"help": "place id"}),
+    "query": (("--query",), {"help": "JSON query string, or @file"}),
+    "output": (("--output", "-o"), {"help": "output file"}),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -468,18 +486,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scenario", help="path to a scenario JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument("--place", help="place id (packet)")
-        p.add_argument("--query", help="JSON query string, or @file (correspond/reduce/ktype)")
-        p.add_argument("--output", "-o", help="output file (export-tables)")
+        for option in OPTIONS[name]:
+            flags, kwargs = _ARGUMENTS[option]
+            p.add_argument(*flags, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise SchemaError("$", f"{args.command} does not read {unread[0]!r}")
         report = COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ implicitly:
   * an even elementary Weil representation in inducing position is
     rewritten to its Borel quotient form before flattening;
   * GL(1) segments are sorted by decreasing exponent, equal exponents by
-    the repr of their character (two stable sorts, none for one segment);
+    the repr of their character (a pair alone, the common case, is
+    compared directly; more take two stable sorts);
   * the contragredient of an odd elementary Weil representation is
     rewritten via psi -> psi_{-1}.
 
@@ -280,17 +281,24 @@ def lq(group: tuple, segs: list, inner: Desc | None = None) -> Desc:
     Flattens quotient-shaped inducing data (induction in stages) and sorts
     GL(1) segments; exponents must end up weakly decreasing.
     """
-    if isinstance(inner, Zero):
-        return ZERO
-    segs = list(segs)
-    # even Weil rep in inducing position is the Borel quotient J(chi_a|.|^{1/2})
-    if isinstance(inner, WeilEven):
-        segs.append(seg(inner.label, Fraction(1, 2)))
-        inner = None
-    # nested quotient of a smaller metaplectic group: merge the segments
-    if isinstance(inner, LQ) and inner.group[0] == "Mp":
-        segs.extend(inner.segs)
-        inner = inner.inner
+    if inner is not None:
+        if isinstance(inner, Zero):
+            return ZERO
+        # even Weil rep in inducing position is the Borel quotient J(chi_a|.|^{1/2})
+        if isinstance(inner, WeilEven):
+            segs = [*segs, seg(inner.label, Fraction(1, 2))]
+            inner = None
+        # nested quotient of a smaller metaplectic group: merge the segments
+        elif isinstance(inner, LQ) and inner.group[0] == "Mp":
+            segs = [*segs, *inner.segs]
+            inner = inner.inner
+    if inner is None and len(segs) == 2:
+        x, y = segs
+        if type(x) is Seg and type(y) is Seg:
+            # two GL(1) segments, put in the order of the key (-s, repr(char)) below
+            if x.s < y.s or (x.s == y.s and repr(y.char) < repr(x.char)):
+                x, y = y, x
+            return LQ(group, (1, 1), (x, y), None)
     gl1 = [s for s in segs if type(s) is Seg]
     gl2 = [s for s in segs if type(s) is GL2Seg]
     if len(gl1) > 1:

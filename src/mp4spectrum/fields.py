@@ -171,8 +171,11 @@ def chi(a: SquareClass, b: SquareClass) -> Sign:
 
 
 def chi_minus_one(place: Place, a: SquareClass) -> Sign:
-    """chi_a(-1) = (a, -1)_v."""
-    return hilbert(place, a, place.minus_one())
+    """chi_a(-1) = (a, -1)_v, with the -1 row read from the tables, not built as a class."""
+    if a.place != place:
+        raise PlaceMismatch(f"classes not at place {place.id}")
+    pairing = _PAIRING[place.kind]
+    return -1 if (pairing[a.bits][1] & pairing[_MINUS_ONE[place.kind]][0]).bit_count() & 1 else 1
 
 
 class GlobalElement(Record):

@@ -20,6 +20,10 @@ constituents its summand splits into.  Relations and images are masks
 in the convention of ``chargroups``: local generator 0 is the most
 significant bit.
 
+The groups of the non-tempered shapes, and their seven (group, images)
+maps, are module constants that every localization shares; only a
+tempered shape builds its own.
+
 A ``LocalParam`` is a place and a local shape; the shape classes name
 the family, so the local parameter carries no separate family tag.  The
 global parameter is classified (and validated) once per instance by
@@ -174,20 +178,37 @@ class LocalParam(Record):
     shape: LocalShape
 
 
+# the groups and maps of the non-tempered shapes are fixed values, built once and shared
+_TRIVIAL = ComponentGroup(())
+_RANK1 = ComponentGroup(("a1",))
+_FREE2 = ComponentGroup(("a1", "a2"))
+_FIRST2 = ComponentGroup(("a1", "a2"), (0b10,))  # modulo the first factor
+_DIAGONAL2 = ComponentGroup(("a1", "a2"), (0b11,))  # modulo the diagonal
+# (id of one of the groups above, images) -> the map
+_MAPS = {
+    (id(group), images): LocalizationMap(group, images)
+    for group, images in (
+        (_RANK1, (0b1,)),  # principal, Soudry irreducible
+        (_FIRST2, (0b10, 0b01)),  # SK, rho_v reducible
+        (_FREE2, (0b10, 0b01)),  # SK, HPS
+        (_DIAGONAL2, (0b10, 0b01)),  # HPS, chi_{a,v} = chi_{b,v}
+        (_TRIVIAL, (0,)),  # Soudry, chi^2 != 1
+        (_FREE2, (0b11,)),  # Soudry, split into two quadratic characters
+        (_DIAGONAL2, (0b11,)),  # or into one twice
+    )
+}
+
+
 def local_group(shape: LocalShape) -> ComponentGroup:
-    """The local component group a shape determines, per the table above."""
+    """The local component group a shape determines, per the table above; shared unless tempered."""
     if isinstance(shape, (ShPrincipal, ShSoudryIrreducible)):
-        return ComponentGroup(("a1",))
+        return _RANK1
     if isinstance(shape, ShSK):
-        if isinstance(shape.rho, RhoPrincipalSeries):
-            return ComponentGroup(("a1", "a2"), (0b10,))
-        return ComponentGroup(("a1", "a2"))
+        return _FIRST2 if isinstance(shape.rho, RhoPrincipalSeries) else _FREE2
     if isinstance(shape, ShHPS):
-        if shape.a == shape.b:
-            return ComponentGroup(("a1", "a2"), (0b11,))
-        return ComponentGroup(("a1", "a2"))
+        return _DIAGONAL2 if shape.a == shape.b else _FREE2
     if isinstance(shape, ShSoudryNonQuadratic):
-        return ComponentGroup(())
+        return _TRIVIAL
     if isinstance(shape, ShTempered):
         gens = [p for p in shape.pieces if contributes_generator(p)]
         n = len(gens)
@@ -202,37 +223,30 @@ def local_group(shape: LocalShape) -> ComponentGroup:
 
 
 def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup, LocalizationMap]:
-    """Local shape, local component group, and the canonical map at one place."""
+    """Local shape, local component group, and the canonical map at one place; shared unless tempered."""
     ptype = classify(phi)
-
-    def result(shape, images):
-        group = local_group(shape)
-        lp = LocalParam(place, shape)
-        return lp, group, LocalizationMap(target=group, images=tuple(images))
-
     if ptype is ParamType.PRINCIPAL:
-        elem = phi.summands[0][0]
-        return result(ShPrincipal(elem.local(place)), [0b1])
-
-    if ptype is ParamType.SAITO_KUROKAWA:
+        shape, images = ShPrincipal(phi.summands[0][0].local(place)), (0b1,)
+    elif ptype is ParamType.SAITO_KUROKAWA:
         (rho, _), (elem, _) = phi.summands
-        return result(ShSK(rho.name, rho.local[place.id], elem.local(place)), [0b10, 0b01])
-
-    if ptype is ParamType.HOWE_PS:
+        shape, images = ShSK(rho.name, rho.local[place.id], elem.local(place)), (0b10, 0b01)
+    elif ptype is ParamType.HOWE_PS:
         (e1, _), (e2, _) = phi.summands
-        return result(ShHPS(e1.local(place), e2.local(place)), [0b10, 0b01])
-
-    if ptype is ParamType.SOUDRY:
+        shape, images = ShHPS(e1.local(place), e2.local(place)), (0b10, 0b01)
+    elif ptype is ParamType.SOUDRY:
         rho = phi.summands[0][0]
-        shape = rho.local[place.id]
-        if isinstance(shape, (RhoDihedralSupercuspidal, RhoRealOrthogonalDiscrete)):
-            return result(ShSoudryIrreducible(rho.name, shape), [0b1])
-        if isinstance(shape, RhoReducibleOrthogonal):
-            return result(ShSoudryNonQuadratic(shape.chi), [0])
-        assert isinstance(shape, RhoQuadraticPair)
-        a = place.class_from_label(min(shape.a, shape.b))
-        b = place.class_from_label(max(shape.a, shape.b))
-        return result(ShHPS(a, b), [0b11])
+        local = rho.local[place.id]
+        if isinstance(local, (RhoDihedralSupercuspidal, RhoRealOrthogonalDiscrete)):
+            shape, images = ShSoudryIrreducible(rho.name, local), (0b1,)
+        elif isinstance(local, RhoReducibleOrthogonal):
+            shape, images = ShSoudryNonQuadratic(local.chi), (0,)
+        else:
+            assert isinstance(local, RhoQuadraticPair)
+            a, b = sorted((local.a, local.b))
+            shape, images = ShHPS(place.class_from_label(a), place.class_from_label(b)), (0b11,)
+    if ptype is not ParamType.TEMPERED:
+        group = local_group(shape)
+        return LocalParam(place, shape), group, _MAPS[id(group), images]
 
     # tempered: generators come from the declared local decomposition
     pieces_by_summand: list[list[TemperedPiece]] = []
@@ -249,6 +263,8 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
             else:
                 tail.append(piece)
     gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
-    images = [to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands))]
+    images = tuple(to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands)))
     ordered_pieces = tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr))
-    return result(ShTempered(ordered_pieces, FrozenMap(sc_signs)), images)
+    shape = ShTempered(ordered_pieces, FrozenMap(sc_signs))
+    group = local_group(shape)
+    return LocalParam(place, shape), group, LocalizationMap(group, images)

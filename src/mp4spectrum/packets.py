@@ -2,11 +2,12 @@
 
 This module is the table engine: given a local shape it lists the packet
 entries (character label, symbolic member, L-packet flag), applying the
-nonvanishing rules at the exceptional shapes.  It also houses the
-quaternionic sign bookkeeping (eps, eps'), the local Shimura
-correspondence table between Mp(W_2) and SO(V_2^+-), the reducibility
-oracle for parabolically induced representations, the elementary Weil
-quotient forms, and the rank-1/rank-2 theta nonvanishing criteria.
+nonvanishing rules at the exceptional shapes.  It also houses the local
+Shimura correspondence table between Mp(W_2) and SO(V_2^+-), the
+reducibility oracle for parabolically induced representations, and the
+elementary Weil quotient forms.  The quaternionic sign bookkeeping
+(eps, eps') and the rank-1/rank-2 theta nonvanishing criteria, which no
+table reads, are test oracles (tests/theta_oracles.py).
 
 All tables are compiled in; lookups are pure.
 """
@@ -117,58 +118,6 @@ class PacketEntry(Record):
             "in_l_packet": self.in_l_packet,
             "zero": self.is_zero,
         }
-
-
-# ---------------------------------------------------------------------------
-# sign bookkeeping for the rank-1 theta construction
-
-
-def sk_quaternion_data(
-    eps1: Sign,
-    eps2: Sign,
-    eps_rho: Sign,
-    eps_rho_twist: Sign,
-    chi_a_minus_one: Sign,
-    rho_reducible: bool = False,
-) -> tuple[Sign, Sign]:
-    """(eps, eps') attached to a Saito-Kurokawa label (eps1, eps2).
-
-    eps  = eps1 . eps(1/2,rho) . eps(1/2,rho x chi_a) . chi_a(-1)
-    eps' = eps1 . eps2 . eps(1/2,rho) . chi_a(-1)
-
-    For reducible rho the three sign factors in eps cancel and eps = eps1.
-    """
-    if rho_reducible:
-        eps = eps1
-    else:
-        eps = eps1 * eps_rho * eps_rho_twist * chi_a_minus_one
-    eps_prime = eps1 * eps2 * eps_rho * chi_a_minus_one
-    return eps, eps_prime
-
-
-def hps_quaternion_data(eps1: Sign, eps2: Sign, chi_ab_minus_one: Sign) -> tuple[Sign, Sign]:
-    """(eps, eps') attached to a Howe-PS label: eps = eps2, eps' = eps1 eps2 chi_ab(-1)."""
-    return eps2, eps1 * eps2 * chi_ab_minus_one
-
-
-def theta_o3_nonvanishing(
-    target_rank: int,
-    *,
-    sigma_is_det: bool,
-    sigma_minus_one: Sign = 1,
-    space_eps: Sign = 1,
-    root_number: Sign = 1,
-) -> bool:
-    """Nonvanishing of the theta lift of an O(V_1^eps) representation.
-
-    Rank 2 is the conservation-relation criterion (everything but det
-    survives); rank 1 is the dichotomy sigma(-1) = eps . eps(1/2, sigma).
-    """
-    if target_rank == 2:
-        return not sigma_is_det
-    if target_rank == 1:
-        return sigma_minus_one == space_eps * root_number
-    raise ValueError("target rank must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +330,16 @@ def designated_l_packet_member(lp: LocalParam) -> Desc:
     all-plus packet entry is a meaningful table invariant.
     """
     shape = lp.shape
+    # the most frequent shapes first; each quadratic character is built once
+    if isinstance(shape, ShHPS):
+        return lq(MP4, [Seg(QuadChar(shape.a.label), HALF), Seg(QuadChar(shape.b.label), HALF)])
     if isinstance(shape, ShPrincipal):
-        lab = shape.a.label
-        return lq(MP4, [seg(lab, THREE_HALF), seg(lab, HALF)])
+        chi = QuadChar(shape.a.label)
+        return lq(MP4, [Seg(chi, THREE_HALF), Seg(chi, HALF)])
     if isinstance(shape, ShSK):
         if isinstance(shape.rho, RhoPrincipalSeries):
-            return lq(MP4, [seg(shape.a.label, HALF), Seg(TagChar(shape.rho.chi), shape.rho.s)])
-        return lq(MP4, [seg(shape.a.label, HALF)], _wald_member(shape.rho, shape.rho_name, 1))
-    if isinstance(shape, ShHPS):
-        return lq(MP4, [seg(shape.a.label, HALF), seg(shape.b.label, HALF)])
+            return lq(MP4, [Seg(QuadChar(shape.a.label), HALF), Seg(TagChar(shape.rho.chi), shape.rho.s)])
+        return lq(MP4, [Seg(QuadChar(shape.a.label), HALF)], _wald_member(shape.rho, shape.rho_name, 1))
     if isinstance(shape, ShSoudryIrreducible):
         rho = shape.rho
         if isinstance(rho, RhoDihedralSupercuspidal):

@@ -21,14 +21,16 @@ representation; rank-1 cuspidal representations of type rho x S_1 are
 enumerated through the rank-1 multiplicity condition (product of local
 signs equals the root number of rho).
 
-Each distinct parameter is built (so classified) once.  Local work sees
-a place only through its kind: it is keyed by the kind, the d of each
-summand of phi in canonical order, and each summand's key part there (an
-element's class bits, or a small int interned per call from a datum's
-name and local shape, so each datum local shape is hashed once per
-place), read from per-summand columns computed once per call; a key's
-multiplicity.LocalData comes from local_data at the first place reaching
-it.  B and P2 read the designated member, built once per
+Each distinct parameter is built (so classified) once, keyed by the
+identities of its summands and their d, which every loop hands over in
+canonical order (the B loops' elements are sorted by name already).
+Local work sees a place only through its kind: it is keyed by the kind,
+the d of each summand of phi in canonical order, and each summand's key
+part there (an element's class bits, or a small int interned per call
+from a datum's name and local shape, so each datum local shape is hashed
+once per place), read from per-summand columns computed once per call; a
+key's multiplicity.LocalData comes from local_data at the first place
+reaching it.  B and P2 read the designated member, built once per
 packets.designated_key (labels, and a datum's interned int: a Soudry
 split place and an HPS pair share one) and then held by the LocalData,
 and so does P1 at the all-plus character, whose packet entry equals it.
@@ -107,7 +109,7 @@ def residual_spectrum(
     if sk_count > ENUMERATE_LIMIT:
         raise ScenarioTooLarge(f"{sk_count} P1-SK constituents to list, above the limit of {ENUMERATE_LIMIT}")
     out: list[ResidualConstituent] = []
-    shared: dict = {}  # basis labels -> the call's one instance of that parameter
+    shared: dict = {}  # (id of each summand, d) -> the call's one instance of that parameter
     at_places: dict = {}  # id of a shared parameter -> what localized(phi) returns
     by_key: dict = {}  # local key -> LocalData
     members: dict = {}  # designated key -> the designated member
@@ -116,10 +118,10 @@ def residual_spectrum(
     columns: dict = {}  # id of an element or datum -> its key part at each place
     interned: dict = {}  # (datum name, datum local shape) -> a small int
 
-    def parameter(summands):
-        """The shared instance, so that each parameter is classified once."""
-        phi = AParameter.of(summands)
-        return shared.setdefault(phi.basis_labels(), phi)
+    def parameter(*summands):
+        """The shared instance, so that each parameter is classified once; summands in canonical order."""
+        key = tuple((id(s), d) for s, d in summands)
+        return shared.get(key) or shared.setdefault(key, AParameter(summands))
 
     def column(s):
         """s's key part at each place: an element's class bits, or a datum's interned name and local shape."""
@@ -176,22 +178,22 @@ def residual_spectrum(
 
     # Borel family: one constituent per character, one per unordered distinct pair
     for chi in elements:
-        phi = parameter([(chi, 4)])
+        phi = parameter((chi, 4))
         add(f"B-pr[{chi.name}]", "B", phi, designated(phi))
     for e1, e2 in itertools.combinations(elements, 2):
-        phi = parameter([(e1, 2), (e2, 2)])
+        phi = parameter((e1, 2), (e2, 2))  # elements are sorted by name
         add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, designated(phi))
 
     # P2 family: dihedral data with nontrivial quadratic central character
     for rho in cuspidal:
         if rho.duality != "orthogonal" or not rho.dihedral or rho.trivial_central_char:
             continue
-        phi = parameter([(rho, 2)])
+        phi = parameter((rho, 2))
         add(f"P2[{rho.name}]", "P2", phi, designated(phi))
 
     # P1, principal family: Weil-type pi with parameter chi x S_2
     for chi in elements:
-        phi = parameter([(chi, 4)])
+        phi = parameter((chi, 4))
         for pi in mp2_weil:
             if pi.chi != chi.name:
                 continue
@@ -200,7 +202,7 @@ def residual_spectrum(
 
     # P1, Saito-Kurokawa family: pairs (chi, rho) with L(1/2, rho x chi) != 0
     for rho, chi, irr in sk_pairs:
-        phi = parameter([(rho, 1), (chi, 2)])
+        phi = parameter((rho, 1), (chi, 2))
         for signs in _sign_vectors(len(irr), rho.global_root):
             eps1 = dict(zip((p.id for p in irr), signs))
             labels = [0b10 if eps1.get(p.id, 1) == -1 else 0 for p in places]
@@ -217,9 +219,10 @@ def residual_spectrum(
                     continue
                 if any(e1.local(p) == e2.local(p) for p in places if p.id in pi.s_places):
                     continue
-                phi = parameter([(e1, 2), (e2, 2)])
+                first, second = (e1, e2) if e1.name < e2.name else (e2, e1)
+                phi = parameter((first, 2), (second, 2))
                 # the sign sits on the generator of e2, in the canonical summand order of phi
-                bit = 0b01 if phi.summands[0][0].name == e1.name else 0b10
+                bit = 0b01 if first is e1 else 0b10
                 labels = [bit if p.id in pi.s_places else 0 for p in places]
                 add(f"P1-HPS[{e1.name},{e2.name};{pi.name}]", "P1", phi, at_labels(phi, labels))
 

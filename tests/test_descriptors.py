@@ -169,6 +169,36 @@ def test_lq_orders_segments_as_the_sort_key_did(segs, inner):
     assert _outcome(lq, segs, inner) == _outcome(_reference_lq, segs, inner)
 
 
+# tags whose reprs switch quote style or hold characters below "'", so their repr order is not their tag order
+_TAGS = st.sampled_from(["mu", "nu", "it's", 'say "x"', "a\\b", "!", " ", "&", "mu'"])
+_GL1 = st.builds(Seg, st.one_of(st.builds(QuadChar, _LABELS), st.builds(TagChar, _TAGS, st.booleans())), _EXPONENTS)
+# two to four GL(1) segments, often with equal exponents, and equal characters
+_GL1_LISTS = st.one_of(
+    st.lists(_GL1, min_size=2, max_size=4),
+    _GL1.map(lambda s: [s, Seg(s.char, s.s)]),
+    st.tuples(_GL1, _EXPONENTS).map(lambda t: [t[0], Seg(t[0].char, t[1])]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GL1_LISTS, st.one_of(st.none(), st.builds(WeilEven, _LABELS)))
+def test_lq_orders_gl1_segments_by_exponent_then_repr(segs, inner):
+    # the one ordering rule: exponent descending, then the repr of the character,
+    # stable; an even Weil inner member adds its segment chi_a|.|^{1/2} first
+    flat = segs + [seg(inner.label, H)] if inner else segs
+    got = lq(MP4, segs, inner)
+    assert got == LQ(MP4, (1,) * len(flat), tuple(sorted(flat, key=lambda s: (-s.s, repr(s.char)))), None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_GL1, min_size=1, max_size=3), st.builds(GL2Seg, _GL2_REPS, _EXPONENTS), st.data())
+def test_lq_orders_gl1_segments_around_a_gl2_segment(gl1, gl2, data):
+    # mixed with a GL(2) segment anywhere in the input: the reference order, or its ValueError
+    segs = list(gl1)
+    segs.insert(data.draw(st.integers(0, len(segs))), gl2)
+    assert _outcome(lq, segs, None) == _outcome(_reference_lq, segs, None)
+
+
 def test_render_has_one_formatter_per_descriptor_class():
     assert set(descriptors._FORMATS) == {*typing.get_args(descriptors.Desc), St2, SC2, RealD}
     for value in (3, "0", (ZERO,), None, Seg(QuadChar("u"), H)):

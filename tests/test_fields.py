@@ -11,6 +11,7 @@ from mp4spectrum.fields import (
     Place,
     PlaceMismatch,
     ReciprocityReport,
+    SquareClass,
     chi_minus_one,
     hilbert,
     minus_one_element,
@@ -156,6 +157,22 @@ def test_place_mismatch_rejected():
     p1, p2 = Place("v", "real"), Place("w", "real")
     with pytest.raises(PlaceMismatch):
         hilbert(p1, p1.minus_one(), p2.minus_one())
+    with pytest.raises(PlaceMismatch):
+        chi_minus_one(p1, p2.minus_one())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chi_minus_one_builds_no_square_class(kind, monkeypatch):
+    # chi_a(-1) reads the -1 row of the kind's tables; it agrees with the
+    # Hilbert symbol against the class of -1 and constructs no SquareClass
+    place = Place("v", kind)
+    classes = place.square_classes()
+    expected = [hilbert(place, a, place.minus_one()) for a in classes]
+    built = []
+    init = SquareClass.__init__
+    monkeypatch.setattr(SquareClass, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert [chi_minus_one(place, a) for a in classes] == expected
+    assert built == []
 
 
 def test_reciprocity_trivial_scenario():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from mp4spectrum import localization
+from mp4spectrum.chargroups import ComponentGroup, LocalizationMap
 from mp4spectrum.fields import GlobalElement, Place, minus_one_element, trivial_element
 from mp4spectrum.localization import (
     PieceD,
@@ -229,3 +231,33 @@ def test_generated_parameters_and_their_local_parameters_hash(rng, ptype):
     hash(phi)
     for place in places:
         assert hash(localize(phi, place)[0]) == hash(localize(phi, place)[0])
+
+
+def test_non_tempered_localizations_share_their_groups_and_maps(rng, monkeypatch):
+    # each of the seven (group, images) pairs of the non-tempered shapes is one
+    # shared map, equal, hash-equal and repr-equal to a freshly built one
+    for iota in localization._MAPS.values():
+        fresh = LocalizationMap(ComponentGroup(iota.target.basis, iota.target.relations), iota.images)
+        assert (fresh, hash(fresh), repr(fresh)) == (iota, hash(iota), repr(iota))
+        assert (hash(fresh.target), repr(fresh.target)) == (hash(iota.target), repr(iota.target))
+    assert len({(iota.target, iota.images) for iota in localization._MAPS.values()}) == 7
+    # localize on a non-tempered parameter builds neither a group nor a map;
+    # a tempered one still builds both
+    built = []
+    for cls in (ComponentGroup, LocalizationMap):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
+    reached = set()
+    for i in range(200):
+        ptype = PTYPES[i % len(PTYPES)]
+        places, elements, phi = random_scenario_parameter(rng, ptype)
+        for place in places:
+            del built[:]
+            lp, group, iota = localize(phi, place)
+            assert group is iota.target
+            if ptype == "tempered":
+                assert [type(b) for b in built] == [ComponentGroup, LocalizationMap]
+            else:
+                assert built == [] and iota is localization._MAPS[id(group), iota.images]
+                reached.add(id(iota))
+    assert reached == {id(iota) for iota in localization._MAPS.values()}

@@ -52,7 +52,6 @@ from mp4spectrum.localization import (
 from mp4spectrum.packets import (
     UnsupportedInduction,
     designated_l_packet_member,
-    hps_quaternion_data,
     local_packet,
     mp_st_pair,
     packet_entry,
@@ -64,8 +63,6 @@ from mp4spectrum.packets import (
     reduce_so5_plus_q1,
     reduce_so5_plus_q2,
     shimura_row,
-    sk_quaternion_data,
-    theta_o3_nonvanishing,
 )
 from mp4spectrum.parameters import (
     RhoDihedralSupercuspidal,
@@ -81,6 +78,7 @@ from mp4spectrum.tables import _sample_shapes
 
 from conftest import PTYPES, random_scenario_parameter
 from golden_calls import FIXTURE_NAMES, FIXTURES, load_scengen
+from theta_oracles import hps_quaternion_data, sk_quaternion_data, theta_o3_nonvanishing
 
 H = Fraction(1, 2)
 TH = Fraction(3, 2)

@@ -497,6 +497,8 @@ def test_cli_enumerate_limit_counts_every_tuple(monkeypatch, capsys):
 
 def test_cli_packet_requires_place(capsys):
     assert main(["packet", "--scenario", fixture_path("sk.json")]) == 4
+    assert main(["packet", "--scenario", fixture_path("sk.json"), "--place", "v9"]) == 4
+    assert "schema error: $.place: unknown place 'v9'" in capsys.readouterr().err
     assert main(["packet", "--scenario", fixture_path("sk.json"), "--place", "v3"]) == 0
     out = capsys.readouterr().out
     assert "(+,+)" in out and "*L" in out
@@ -608,6 +610,37 @@ def test_cli_file_errors_exit_typed(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"schema error: {json_path}: ")
     assert repr(argv[-1].lstrip("@")) in err
+
+
+# options a subcommand does not read: (argv, the option named); each exited 0, the option ignored
+UNREAD_OPTIONS = {
+    "enumerate_place_of_no_place": (["enumerate", "--scenario", fixture_path("sk.json"), "--place", "v9"], "--place"),
+    "enumerate_place_of_a_place": (["enumerate", "--scenario", fixture_path("sk.json"), "--place", "v3"], "--place"),
+    "component_group_query_verbose": (
+        ["component-group", "--scenario", fixture_path("sk.json"), "--query", '{"x":1}', "--verbose"],
+        "--query",
+    ),
+    "export_tables_scenario": (["export-tables", "--scenario", "missing.json"], "--scenario"),
+    "validate_verbose": (["validate", "--verbose", "--scenario", fixture_path("sk.json")], "--verbose"),
+    "residual_output": (["residual", "--scenario", fixture_path("hps.json"), "-o", "{tmp}/out.json"], "-o"),
+    "self_test_place_joined": (["self-test", "--scenario", fixture_path("hps.json"), "--place=v1"], "--place=v1"),
+    "correspond_scenario": (
+        ["correspond", "--scenario", fixture_path("sk.json"), "--query", json.dumps(
+            {"place_kind": "nonarch-odd-3mod4", "row": {"type": "steinberg-S4", "a": "u"}}
+        )],
+        "--scenario",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_OPTIONS))
+def test_cli_unread_options_are_schema_errors(name, tmp_path, capsys):
+    # refused before the subcommand runs: nothing is printed or written
+    argv, option = UNREAD_OPTIONS[name]
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 4
+    out, err = capsys.readouterr()
+    assert not out and err == f"schema error: $: {argv[0]} does not read {option!r}\n"
+    assert not list(tmp_path.iterdir())
 
 
 MALFORMED_QUERIES = {
