@@ -157,12 +157,17 @@ class SquareClass(Record, order=True):
         return SquareClass(self.place, tuple(x ^ y for x, y in zip(self.bits, other.bits)))
 
 
-def hilbert(place: Place, a: SquareClass, b: SquareClass) -> Sign:
-    """Quadratic Hilbert symbol (a, b)_v on square classes."""
-    if a.place != place or b.place != place:
+def _symbol(place: Place, a: SquareClass, b_place: Place, b_bits: tuple[int, ...]) -> Sign:
+    """(a, b)_v for the class a and the class b at b_place with bits b_bits, both at place."""
+    if a.place != place or b_place != place:
         raise PlaceMismatch(f"classes not at place {place.id}")
     pairing = _PAIRING[place.kind]
-    return -1 if (pairing[a.bits][1] & pairing[b.bits][0]).bit_count() & 1 else 1
+    return -1 if (pairing[a.bits][1] & pairing[b_bits][0]).bit_count() & 1 else 1
+
+
+def hilbert(place: Place, a: SquareClass, b: SquareClass) -> Sign:
+    """Quadratic Hilbert symbol (a, b)_v on square classes."""
+    return _symbol(place, a, b.place, b.bits)
 
 
 def chi(a: SquareClass, b: SquareClass) -> Sign:
@@ -172,10 +177,7 @@ def chi(a: SquareClass, b: SquareClass) -> Sign:
 
 def chi_minus_one(place: Place, a: SquareClass) -> Sign:
     """chi_a(-1) = (a, -1)_v, with the -1 row read from the tables, not built as a class."""
-    if a.place != place:
-        raise PlaceMismatch(f"classes not at place {place.id}")
-    pairing = _PAIRING[place.kind]
-    return -1 if (pairing[a.bits][1] & pairing[_MINUS_ONE[place.kind]][0]).bit_count() & 1 else 1
+    return _symbol(place, a, place, _MINUS_ONE[place.kind])
 
 
 class GlobalElement(Record):

@@ -4,8 +4,8 @@
 
 For each workload and seed it runs ``perfbench/run.py --workload <w>
 --seed <i> --seconds <s> --trace 0`` once in each tree, from that tree's
-own ``perfbench``: the parent first on odd seeds, the change first on
-even seeds.  For each end-to-end metric of ``BENCHMARK.json`` it prints
+own ``perfbench``, with ``<s>`` the ``run_seconds`` of ``BENCHMARK.json``:
+the parent first on odd seeds, the change first on even seeds.  For each end-to-end metric of ``BENCHMARK.json`` it prints
 the median [q1, q3] of each side and the number of pairs the change won,
 and ``--out`` writes the same figures, with every run, as the
 ``end_to_end`` record of a BENCH_*.json.
@@ -98,7 +98,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="copy of the tree with the change")
     ap.add_argument("--workloads", help="comma-separated; default every workload of BENCHMARK.json")
     ap.add_argument("--seeds", type=_seeds, default=_seeds("1-10"), help="a seed or a range, e.g. 1-10")
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--metric", action="append", default=[], help="a per-layer metric (with --trace 1)")
     ap.add_argument("--out", type=Path, help="write the records here as JSON")
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
     for workload in workloads:
         pairs = []
         for seed in args.seeds:
-            result = {side: run_once(trees[side], workload, seed, args.seconds, args.trace) for side in run_order(seed)}
+            result = {side: run_once(trees[side], workload, seed, bench["run_seconds"], args.trace) for side in run_order(seed)}
             pairs.append((result["parent"], result["change"]))
         records[workload] = summarize(spec, pairs)
         print("\n".join(report_lines(workload, records[workload])), flush=True)
