@@ -21,7 +21,7 @@ function, which is called only then.  The constituent arrays of enumerate
 and residual are ``Encoded`` values, likewise joined only under ``--format json``.
 
 Exit codes: 0 success, 2 validation failure, 3 unsupported shape, 4 schema error
-(an option the subcommand does not read, per ``OPTIONS``, is one too).
+(a usage error, or an option the subcommand does not read, per ``OPTIONS``, is one too).
 """
 
 from __future__ import annotations
@@ -476,10 +476,15 @@ _ARGUMENTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a schema error (exit 4), as an unread option is
+        raise SchemaError("$", message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mp4spectrum",
         description="Symbolic calculator for the discrete spectrum of Mp(4)",
     )
@@ -494,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unread = build_parser().parse_known_args(argv)
     try:
+        args, unread = build_parser().parse_known_args(argv)
         if unread:
             raise SchemaError("$", f"{args.command} does not read {unread[0]!r}")
         report = COMMANDS[args.command](args)

@@ -40,13 +40,13 @@ MP4 = ("Mp", 2)
 # characters and GL(2) inducing data
 
 
-class QuadChar(Record, order=True):
+class QuadChar(Record):
     """Quadratic character chi_a, named by the local square-class label."""
 
     label: str
 
 
-class TagChar(Record, order=True):
+class TagChar(Record):
     """Opaque unitary character tag (chi with chi^2 != 1), or its inverse."""
 
     tag: str
@@ -56,26 +56,26 @@ class TagChar(Record, order=True):
 CharAtom = Union[QuadChar, TagChar]
 
 
-class Seg(Record, order=True):
+class Seg(Record):
     """GL(1) segment chi |.|^s."""
 
     char: CharAtom
     s: Fraction
 
 
-class St2(Record, order=True):
+class St2(Record):
     """Twisted Steinberg representation st_chi of GL(2), nonarchimedean."""
 
     label: str
 
 
-class SC2(Record, order=True):
+class SC2(Record):
     """Self-dual supercuspidal representation of GL(2), by opaque tag."""
 
     tag: str
 
 
-class RealD(Record, order=True):
+class RealD(Record):
     """Relative discrete series D_a of GL(2, R)."""
 
     a: Fraction
@@ -84,7 +84,7 @@ class RealD(Record, order=True):
 GL2Rep = Union[St2, SC2, RealD]
 
 
-class GL2Seg(Record, order=True):
+class GL2Seg(Record):
     """GL(2) segment tau x |det|^s."""
 
     rep: GL2Rep
@@ -95,98 +95,98 @@ class GL2Seg(Record, order=True):
 # atoms
 
 
-class Zero(Record, order=True):
+class Zero(Record):
     pass
 
 
 ZERO = Zero()
 
 
-class WeilOdd(Record, order=True):
+class WeilOdd(Record):
     """Odd elementary Weil representation of Mp(W_1) w.r.t. psi_a."""
 
     label: str
 
 
-class WeilEven(Record, order=True):
+class WeilEven(Record):
     """Even elementary Weil representation of Mp(W_1) w.r.t. psi_a."""
 
     label: str
 
 
-class MpSt2(Record, order=True):
+class MpSt2(Record):
     """Genuine Steinberg-type square-integrable rep of Mp(W_1) in I_{B,psi}(chi|.|^{1/2})."""
 
     label: str
 
 
-class MpRealDS2(Record, order=True):
+class MpRealDS2(Record):
     """Genuine discrete series of Mp(2, R) of signed index a (weight a+1 or a-1)."""
 
     a: Fraction
 
 
-class Mp2Member(Record, order=True):
+class Mp2Member(Record):
     """Member of the rank-1 metaplectic packet of a supercuspidal 2-dim datum."""
 
     tag: str
     eps: Sign
 
 
-class MpDS4(Record, order=True):
+class MpDS4(Record):
     """Square-integrable genuine rep of Mp(W_2) named by L-parameter key and sign label."""
 
     lparam: tuple
     label: tuple
 
 
-class SODS(Record, order=True):
+class SODS(Record):
     """Square-integrable rep of SO(V_2^eps) named by L-parameter key and sign label."""
 
     lparam: tuple
     label: tuple
 
 
-class RealLKT(Record, order=True):
+class RealLKT(Record):
     """Genuine (limit of) discrete series of Mp(4, R) named by lowest K'-type."""
 
     weights: tuple  # pair of Fractions, weakly decreasing
 
 
-class MpStPair(Record, order=True):
+class MpStPair(Record):
     """St~_psi(chi, pi): square-integrable sub of I_{P1,psi}(chi|.|^{1/2}, pi)."""
 
     label: str
     inner: "Desc"
 
 
-class MpStTwist(Record, order=True):
+class MpStTwist(Record):
     """St~^{sign}_{chi,psi}: square-integrable subs at the s = 3/2 point."""
 
     label: str
     sign: Sign
 
 
-class MpStTau(Record, order=True):
+class MpStTau(Record):
     """St~_psi(tau): square-integrable sub of I_{P2,psi}(tau |det|^{1/2})."""
 
     tau: GL2Rep
 
 
-class MpGenNG(Record, order=True):
+class MpGenNG(Record):
     """pi_{gen/ng,psi}(tau): the two tempered summands of I_{P2,psi}(tau)."""
 
     tau: GL2Rep
     generic: bool
 
 
-class NuChar(Record, order=True):
+class NuChar(Record):
     """chi_a o nu on a rank-1 special orthogonal group (nu = spinor norm)."""
 
     label: str
 
 
-class SOStPair(Record, order=True):
+class SOStPair(Record):
     """St^{eps}(chi, sigma) on SO(V_2^eps)."""
 
     space_eps: Sign
@@ -194,34 +194,34 @@ class SOStPair(Record, order=True):
     inner: "Desc"
 
 
-class SOStTwist(Record, order=True):
+class SOStTwist(Record):
     """St^{eps}_chi on SO(V_2^eps)."""
 
     space_eps: Sign
     label: str
 
 
-class SOStTau(Record, order=True):
+class SOStTau(Record):
     """St^{+}(tau) on SO(V_2^+)."""
 
     tau: GL2Rep
 
 
-class SOGenNG(Record, order=True):
+class SOGenNG(Record):
     """sigma_{gen/ng}(tau): the two tempered summands of I^+_{Q2}(tau)."""
 
     tau: GL2Rep
     generic: bool
 
 
-class OExt(Record, order=True):
+class OExt(Record):
     """eps'-extension of a rank-1 special orthogonal rep to the full orthogonal group."""
 
     base: "Desc"
     sign: Sign
 
 
-class ThetaLift(Record, order=True):
+class ThetaLift(Record):
     """theta_{W_n, V_r^eps, psi_a}(source)."""
 
     to_metaplectic: bool  # True: target Mp(W_n); False: target SO/O(V_r^eps)
@@ -232,21 +232,21 @@ class ThetaLift(Record, order=True):
     source: "Desc"
 
 
-class TwistNu(Record, order=True):
+class TwistNu(Record):
     """base tensored with chi_a o nu (SO side of the correspondence tables)."""
 
     base: "Desc"
     label: str
 
 
-class Opaque(Record, order=True):
+class Opaque(Record):
     """Named atom for members the tables leave abstract (supercuspidal partners etc.)."""
 
     head: str
     data: tuple = ()
 
 
-class LQ(Record, order=True):
+class LQ(Record):
     """Langlands quotient J_{P,psi}(segments..., inner)."""
 
     group: tuple
@@ -255,7 +255,7 @@ class LQ(Record, order=True):
     inner: Union["Desc", None] = None
 
 
-class DSum(Record, order=True):
+class DSum(Record):
     parts: tuple
 
 

@@ -93,7 +93,7 @@ class PlaceMismatch(ValueError):
     """Square classes from different places were combined."""
 
 
-class Place(Record, order=True):
+class Place(Record):
     id: str
     kind: str
 
@@ -135,7 +135,7 @@ class Place(Record, order=True):
         return SquareClass(self, (0,) * self.rank)
 
 
-class SquareClass(Record, order=True):
+class SquareClass(Record):
     place: Place
     bits: tuple[int, ...]
 
@@ -168,11 +168,6 @@ def _symbol(place: Place, a: SquareClass, b_place: Place, b_bits: tuple[int, ...
 def hilbert(place: Place, a: SquareClass, b: SquareClass) -> Sign:
     """Quadratic Hilbert symbol (a, b)_v on square classes."""
     return _symbol(place, a, b.place, b.bits)
-
-
-def chi(a: SquareClass, b: SquareClass) -> Sign:
-    """chi_a(b) = (a, b)_v."""
-    return hilbert(a.place, a, b)
 
 
 def chi_minus_one(place: Place, a: SquareClass) -> Sign:

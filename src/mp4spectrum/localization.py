@@ -60,31 +60,31 @@ from .record import FrozenMap, Record, frozen_maps
 # tempered constituents
 
 
-class PieceSC(Record, order=True):
+class PieceSC(Record):
     """2-dim irreducible symplectic supercuspidal constituent."""
 
     tag: str
 
 
-class PieceSt(Record, order=True):
+class PieceSt(Record):
     """Constituent chi_c x S_2 (Steinberg parameter)."""
 
     label: str
 
 
-class PieceD(Record, order=True):
+class PieceD(Record):
     """Real discrete-series constituent D_a, a in 1/2 + Z."""
 
     a: Fraction
 
 
-class Piece4SC(Record, order=True):
+class Piece4SC(Record):
     """4-dim irreducible symplectic supercuspidal constituent."""
 
     tag: str
 
 
-class PiecePS(Record, order=True):
+class PiecePS(Record):
     """Principal-series constituent chi|.|^s + chi^{-1}|.|^{-s}; no generator."""
 
     tag: str
@@ -93,10 +93,6 @@ class PiecePS(Record, order=True):
 
 
 TemperedPiece = Union[PieceSC, PieceSt, PieceD, Piece4SC, PiecePS]
-
-
-def contributes_generator(piece: TemperedPiece) -> bool:
-    return not isinstance(piece, PiecePS)
 
 
 def _shape_pieces(shape, sc_signs: dict) -> list[TemperedPiece]:
@@ -210,7 +206,7 @@ def local_group(shape: LocalShape) -> ComponentGroup:
     if isinstance(shape, ShSoudryNonQuadratic):
         return _TRIVIAL
     if isinstance(shape, ShTempered):
-        gens = [p for p in shape.pieces if contributes_generator(p)]
+        gens = [p for p in shape.pieces if not isinstance(p, PiecePS)]
         n = len(gens)
         relations = tuple(
             (1 << (n - 1 - j)) | (1 << (n - 1 - k))
@@ -258,10 +254,10 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
     tail: list[TemperedPiece] = []
     for i, pieces in enumerate(pieces_by_summand):
         for piece in pieces:
-            if contributes_generator(piece):
-                gens.append((piece, i))
-            else:
+            if isinstance(piece, PiecePS):
                 tail.append(piece)
+            else:
+                gens.append((piece, i))
     gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
     images = tuple(to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands)))
     ordered_pieces = tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr))

@@ -181,7 +181,7 @@ def _real_ds_member(a: Fraction, b: Fraction, eps1: Sign, eps2: Sign) -> Desc:
     return RealLKT(lowest_kprime_discrete(a, b, eps1, eps2))
 
 
-def _wald_member(rho, rho_name: str, eps1: Sign) -> Desc:
+def _wald_member(rho, eps1: Sign) -> Desc:
     """Member of the rank-1 metaplectic packet of an irreducible symplectic rho_v."""
     if isinstance(rho, RhoIrreducibleSymplectic):
         return Mp2Member(rho.tag, eps1)
@@ -213,7 +213,7 @@ def _sk(place: Place, shape: ShSK, ch: F2Character) -> PacketEntry:
             member = lq(MP4, [Seg(TagChar(rho.chi), rho.s)], WeilOdd(a.label))
         return PacketEntry(ch, member, in_l_packet=(eps2 == 1))
     if eps2 == 1:
-        return PacketEntry(ch, lq(MP4, [seg(a.label, HALF)], _wald_member(rho, shape.rho_name, eps1)), in_l_packet=True)
+        return PacketEntry(ch, lq(MP4, [seg(a.label, HALF)], _wald_member(rho, eps1)), in_l_packet=True)
     if isinstance(rho, RhoRealDiscrete):
         ca = chi_minus_one(place, a)
         if rho.kappa > 1 or eps1 == ca:
@@ -339,7 +339,7 @@ def designated_l_packet_member(lp: LocalParam) -> Desc:
     if isinstance(shape, ShSK):
         if isinstance(shape.rho, RhoPrincipalSeries):
             return lq(MP4, [Seg(QuadChar(shape.a.label), HALF), Seg(TagChar(shape.rho.chi), shape.rho.s)])
-        return lq(MP4, [Seg(QuadChar(shape.a.label), HALF)], _wald_member(shape.rho, shape.rho_name, 1))
+        return lq(MP4, [Seg(QuadChar(shape.a.label), HALF)], _wald_member(shape.rho, 1))
     if isinstance(shape, ShSoudryIrreducible):
         rho = shape.rho
         if isinstance(rho, RhoDihedralSupercuspidal):
@@ -547,8 +547,10 @@ def principal_shimura_row(place: Place, a: SquareClass) -> SCRow:
     return _sc_row("steinberg-S4", [((e,), MpStTwist(a.label, flip * e), SOStTwist(e, a.label)) for e in (1, -1)])
 
 
-def orthogonal_shimura_row(tau_tag: str) -> SCRow:
+def orthogonal_shimura_row(place: Place, tau_tag: str) -> SCRow:
     """The rho x S_2 row for an irreducible orthogonal rho (tau supercuspidal)."""
+    if not place.is_nonarch:
+        raise RowNotFound("rows are tabulated at nonarchimedean places only")
     tau = SC2(tau_tag)
     rows = [
         ((1,), MpStTau(tau), SOStTau(tau)),

@@ -149,9 +149,12 @@ _NONARCH_SYMPL = (RhoIrreducibleSymplectic, RhoSteinberg, RhoPrincipalSeries)
 _REAL_SYMPL = (RhoRealDiscrete, RhoPrincipalSeries)
 
 
-def shape_allowed(shape: LocalRhoShape, place: Place, duality: str) -> bool:
+def shape_allowed(shape: LocalRhoShape, place: Place, duality: str, gl_rank: int) -> bool:
+    """Whether ``shape`` may localize a GL(gl_rank) datum of ``duality`` at ``place``; gl4 shapes only on GL(4)."""
+    if isinstance(shape, (Rho4Irreducible, Rho4Split)) != (gl_rank == 4):
+        return False
     if isinstance(shape, Rho4Split):
-        return all(shape_allowed(p, place, "symplectic") for p in shape.parts)
+        return all(shape_allowed(p, place, "symplectic", 2) for p in shape.parts)
     if isinstance(shape, Rho4Irreducible):
         return place.is_nonarch
     if duality == "symplectic":
@@ -258,21 +261,6 @@ class CuspidalDatum(Record):
         return self.central_char in ("1", "trivial")
 
 
-Summand = Union[GlobalElement, CuspidalDatum]
-
-
-def summand_name(datum: Summand) -> str:
-    return datum.name
-
-
-def summand_dim(datum: Summand) -> int:
-    return 1 if isinstance(datum, GlobalElement) else datum.gl_rank
-
-
-def summand_duality(datum: Summand) -> str:
-    return "orthogonal" if isinstance(datum, GlobalElement) else datum.duality
-
-
 class ParamType(enum.Enum):
     TEMPERED = "tempered"
     SAITO_KUROKAWA = "saito-kurokawa"
@@ -288,16 +276,16 @@ class AParameter(Record):
     fields, so ``==``, ``hash`` and ``repr`` do not see it.
     """
 
-    summands: tuple  # of (Summand, int)
+    summands: tuple  # of (GlobalElement | CuspidalDatum, int)
     _ptype = None  # not a field: classify stores the type on the instance
 
     @staticmethod
     def of(summands) -> "AParameter":
-        ordered = tuple(sorted(summands, key=lambda sd: (sd[1], summand_name(sd[0]))))
+        ordered = tuple(sorted(summands, key=lambda sd: (sd[1], sd[0].name)))
         return AParameter(ordered)
 
     def basis_labels(self) -> tuple[str, ...]:
-        return tuple(f"{summand_name(s)}&S{d}" for s, d in self.summands)
+        return tuple(f"{s.name}&S{d}" for s, d in self.summands)
 
 
 def _validated_type(phi: AParameter) -> ParamType:
@@ -308,17 +296,18 @@ def _validated_type(phi: AParameter) -> ParamType:
     for datum, d in phi.summands:
         if d < 1:
             raise InvalidParameter("S_d index must be positive")
-        dim = summand_dim(datum)
+        element = isinstance(datum, GlobalElement)
+        dim = 1 if element else datum.gl_rank
         total += dim * d
-        key = (summand_name(datum), d)
+        key = (datum.name, d)
         if key in seen:
             raise InvalidParameter(f"repeated summand {key}")
         seen.add(key)
-        dual = summand_duality(datum)
+        dual = "orthogonal" if element else datum.duality
         if d % 2 == 1 and dual != "symplectic":
-            raise InvalidParameter(f"{summand_name(datum)} x S_{d}: odd d needs a symplectic datum")
+            raise InvalidParameter(f"{datum.name} x S_{d}: odd d needs a symplectic datum")
         if d % 2 == 0 and dual != "orthogonal":
-            raise InvalidParameter(f"{summand_name(datum)} x S_{d}: even d needs an orthogonal datum")
+            raise InvalidParameter(f"{datum.name} x S_{d}: even d needs an orthogonal datum")
         profile.append((dim, d))
     if total != 4:
         raise InvalidParameter(f"summand dimensions total {total}, need 4")

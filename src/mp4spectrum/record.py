@@ -3,12 +3,12 @@
 Every term of the package (descriptors, parameters, local shapes, packet
 entries, reports) is a small record class.  ``dataclasses`` builds the
 methods of each such class by compiling generated source at import
-(about 0.75 ms per class on Python 3.11, more with ``order=True``), and
-importing it pulls in ``inspect`` and ``ast``; over the package's 79
-classes that was most of the start-up time of every CLI call.  Here one
-shared base gives the classes their behaviour:
+(about 0.75 ms per class on Python 3.11), and importing it pulls in
+``inspect`` and ``ast``; over the package's 79 classes that was most of
+the start-up time of every CLI call.  Here one shared base gives the
+classes their behaviour:
 
-    class Seg(Record, order=True):
+    class Seg(Record):
         char: CharAtom
         s: Fraction
 
@@ -16,40 +16,39 @@ Fields are the annotated class attributes, in order, and a class
 attribute gives a default.  Every field value is immutable, so a default
 is one value shared by all instances (a map is a ``FrozenMap``, the one
 mapping type inside records, which a class's ``__post_init__`` built by
-``frozen_maps`` enforces).  The behaviour is that of a frozen dataclass,
-with ``order=True`` the one class keyword:
+``frozen_maps`` enforces).  The behaviour is that of a frozen, unordered
+dataclass, and the base takes no class keyword:
 
 * ``__init__`` takes the fields positionally or by keyword, fills the
   defaults, then calls ``__post_init__`` if the class defines one;
 * instances raise ``AttributeError`` on assignment and deletion
   (``__post_init__`` may still write through ``object.__setattr__``);
-* ``==`` holds only between instances of the same class with equal fields,
-  ``hash`` is the hash of the field tuple, and ordered classes compare
-  their field tuples, raising ``TypeError`` against any other class;
+* ``==`` holds only between instances of the same class with equal
+  fields, ``hash`` is the hash of the field tuple, and ``<``, ``<=``,
+  ``>`` and ``>=`` raise ``TypeError``;
 * ``repr`` is ``Name(field=value, ...)``, byte for byte the dataclass
   text (canonical sort keys are built on it).
 
-``hash`` and the orderings, which the package hardly calls, are shared
-functions that read the fields with ``operator.attrgetter``.
-``__init__``, ``__eq__`` and ``__repr__`` are hot (a residual-spectrum
-run builds thousands of terms, compares and ``repr``s them), and written
-that way they took about twice as long per call as the dataclass ones in
-micro-benchmarks on Python 3.11; keeping the values in a materialized
-``__dict__`` instead made every attribute read about twice as slow.  So
-each of the three is compiled once per field count, for placeholder
-fields ``_0``, ``_1``, ..., and each class gets copies of those code
-objects with the placeholders swapped for its field names
-(``CodeType.replace`` of ``co_varnames``, ``co_names`` and the string
-``co_consts``): the methods read fields by name as hand-written ones
-would, and keyword arguments, defaults and argument errors of
-``__init__`` behave as usual.  No other code-object detail is touched,
-which keeps the copies valid from Python 3.10 on (checked on 3.10 to
-3.13).
+``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are hot (a
+residual-spectrum run builds thousands of terms, compares, hashes and
+``repr``s them).  Written as shared functions reading the fields
+generically, the first three took about twice as long per call as the
+dataclass ones, and ``__hash__`` about 1.5 times as long as the compiled
+one, in micro-benchmarks on Python 3.11; keeping the values in a
+materialized ``__dict__`` instead made every attribute read about twice
+as slow.  So
+each of the four is compiled once per field count, for placeholder fields
+``_0``, ``_1``, ..., and each class gets copies of those code objects
+with the placeholders swapped for its field names (``CodeType.replace``
+of ``co_varnames``, ``co_names`` and the string ``co_consts``): the
+methods read fields by name as hand-written ones would, and keyword
+arguments, defaults and argument errors of ``__init__`` behave as usual.
+No other code-object detail is touched, which keeps the copies valid from
+Python 3.10 on (checked on 3.10 to 3.13).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, ge, gt, le, lt
 from types import FunctionType
 
 _MISSING = object()
@@ -93,18 +92,20 @@ def _template(kind: str, n: int, post_init: bool = False):
     key = (kind, n, post_init)
     if key not in _TEMPLATES:
         x = [f"_{i}" for i in range(n)]
+        mine, theirs = ("(" + "".join(f"{obj}.{a}, " for a in x) + ")" for obj in ("self", "other"))
         if kind == "__init__":
             lines = [f"def __init__({', '.join(['self', *x])}):"]
             lines += [f"    _set(self, {a!r}, {a})" for a in x]
             lines.append("    self.__post_init__()" if post_init else "    pass")
         elif kind == "__eq__":
-            mine, theirs = ("(" + "".join(f"{obj}.{a}, " for a in x) + ")" for obj in ("self", "other"))
             lines = [
                 "def __eq__(self, other):",
                 "    if other.__class__ is self.__class__:",
                 f"        return {mine} == {theirs}",
                 "    return NotImplemented",
             ]
+        elif kind == "__hash__":
+            lines = ["def __hash__(self):", f"    return hash({mine})"]
         else:
             shown = ", ".join(f"{a}={{self.{a}!r}}" for a in x)
             lines = ["def __repr__(self):", f'    return f"{{self.__class__.__qualname__}}({shown})"']
@@ -149,49 +150,20 @@ def _defaults(cls, names: tuple):
     return tuple(defaults) or None
 
 
-def _astuple(names: tuple):
-    """A function from an instance to the tuple of its field values."""
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda obj: (get(obj),)
-    return attrgetter(*names) if names else lambda obj: ()
-
-
-def _ordering(compare):
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return compare(self._astuple(self), other._astuple(other))
-        return NotImplemented
-
-    method.__name__ = f"__{compare.__name__}__"
-    return method
-
-
-_ORDERING = {f"__{op.__name__}__": _ordering(op) for op in (lt, le, gt, ge)}
-
-
 class Record:
     """Base of the package's value classes; see the module docstring."""
 
     __record_fields__: tuple = ()  # the field names, in order
-    __record_order__ = False
 
-    def __init_subclass__(cls, *, order: bool = False) -> None:
+    def __init_subclass__(cls) -> None:
         names = (*cls.__record_fields__, *cls.__dict__.get("__annotations__", {}))
         cls.__record_fields__ = names
-        cls.__record_order__ = order
         rename = _renaming(names)
         init = _template("__init__", len(names), hasattr(cls, "__post_init__"))
         cls.__init__ = _method(cls, init, rename, _defaults(cls, names))
         cls.__eq__ = _method(cls, _template("__eq__", len(names)), rename)
+        cls.__hash__ = _method(cls, _template("__hash__", len(names)), rename)
         cls.__repr__ = _method(cls, _template("__repr__", len(names)), rename)
-        cls._astuple = staticmethod(_astuple(names))
-        if order:
-            for name, method in _ORDERING.items():
-                setattr(cls, name, method)
-
-    def __hash__(self) -> int:
-        return hash(self._astuple(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -108,10 +108,10 @@ class Scenario(Record):
             if p.id not in datum.local:
                 raise ScenarioValidationError(f"datum {datum.name!r} has no shape at place {p.id!r}")
             shape = datum.local[p.id]
-            if not shape_allowed(shape, p, datum.duality):
+            if not shape_allowed(shape, p, datum.duality, datum.gl_rank):
                 raise ScenarioValidationError(
                     f"datum {datum.name!r}: shape {type(shape).__name__} not allowed "
-                    f"at {p.kind} place {p.id!r} with {datum.duality} duality"
+                    f"at {p.kind} place {p.id!r} with {datum.duality} duality on GL({datum.gl_rank})"
                 )
         if datum.duality == "orthogonal":
             self._validate_central_char(datum)

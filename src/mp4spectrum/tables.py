@@ -144,7 +144,7 @@ def shimura_row_from_query(q) -> SCRow:
     if t == "steinberg-S4":
         return principal_shimura_row(place, square_class("a", "1"))
     if t == "orthogonal-S2":
-        return orthogonal_shimura_row(text("tau"))
+        return orthogonal_shimura_row(place, text("tau"))
     signs = FrozenMap()  # sign data of the supercuspidal constituent, if a row reads it
     if t == "4dim":
         pieces = (Piece4SC(text("tag")),)

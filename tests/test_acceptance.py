@@ -188,7 +188,7 @@ def _all_shimura_rows():
     rows = [
         principal_shimura_row(place, place.class_from_label("u")),
         principal_shimura_row(place, place.class_from_label("1")),
-        orthogonal_shimura_row("tau"),
+        orthogonal_shimura_row(place, "tau"),
         shimura_row(place, ShTempered((Piece4SC("vr"),))),
         shimura_row(place, ShTempered(tuple(sorted((PieceSC("r1"), PieceSC("r2")), key=repr)))),
         shimura_row(place, ShTempered((PieceSC("r0"), PieceSC("r0")))),

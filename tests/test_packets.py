@@ -387,7 +387,7 @@ def test_steinberg_s4_rows():
 
 
 def test_orthogonal_s2_row():
-    row = orthogonal_shimura_row("tau")
+    row = orthogonal_shimura_row(ODD3, "tau")
     by = {e.label: e for e in row.entries}
     assert by[(1,)].mp == __import__("mp4spectrum.descriptors", fromlist=["MpStTau"]).MpStTau(SC2("tau"))
     assert isinstance(by[(-1,)].so, SODS)
@@ -397,7 +397,7 @@ def _all_rows():
     rows = [
         principal_shimura_row(ODD3, ODD3.class_from_label("u")),
         principal_shimura_row(ODD3, ODD3.class_from_label("1")),
-        orthogonal_shimura_row("tau"),
+        orthogonal_shimura_row(ODD3, "tau"),
         shimura_row(ODD3, ShTempered((Piece4SC("vr"),))),
         shimura_row(ODD3, ShTempered(tuple(sorted((PieceSC("r1"), PieceSC("r2")), key=repr)))),
         shimura_row(ODD3, ShTempered((PieceSC("r0"), PieceSC("r0")))),

@@ -1,11 +1,12 @@
 """The record base behaves as the dataclass it replaced, class by class.
 
-Every record class of the package is compared with a frozen
-``dataclasses`` twin built here from the same fields, ordering option and
-methods: ``repr`` text, equality, hashing, ordering, frozenness and
-``__post_init__``.  Defaults are shared immutable values, so every one of
-them hashes, a map default shared by two records refuses every change, and
-the values loaded from every fixture hash too.  ``FrozenMap``,
+Every record class of the package is compared with a frozen, unordered
+``dataclasses`` twin built here from the same fields and methods: ``repr``
+text, equality, hashing, frozenness and ``__post_init__``; like the twin,
+no record orders, and the base takes no ``order`` class keyword.
+Defaults are shared immutable values, so every one of them hashes, a map
+default shared by two records refuses every change, and the values loaded
+from every fixture hash too.  ``FrozenMap``,
 the mapping inside records, is a dict that hashes and cannot change.  A
 last test checks that importing the CLI loads neither ``dataclasses`` nor
 ``inspect``, which is what makes start-up cheap.
@@ -45,8 +46,7 @@ RECORD_CLASSES = sorted(
 # names the record base sets on each class; the twin gets dataclass's own
 RECORD_ATTRS = {
     "__module__", "__qualname__", "__doc__", "__dict__", "__weakref__", "__annotations__",
-    "__init__", "__setattr__", "__delattr__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__",
-    "__record_fields__", "__record_order__", "__repr__", "__eq__", "_astuple",
+    "__init__", "__setattr__", "__delattr__", "__hash__", "__record_fields__", "__repr__", "__eq__",
 }
 
 
@@ -95,7 +95,7 @@ def _samples(cls):
     n = len(_fields(cls))
     if n < 2:
         return [("x",) * n, ("y",) * n]
-    # the first field orders one way, the last the other
+    # the two differ in the first field and in the last
     return [("x",) * n, ("w",) + ("x",) * (n - 2) + ("y",)]
 
 
@@ -109,14 +109,14 @@ def _twin(cls):
     names = _fields(cls)
     namespace = {k: v for k, v in vars(cls).items() if k not in RECORD_ATTRS and k not in names}
     return dataclasses.make_dataclass(
-        cls.__name__, [(name, "object") for name in names], namespace=namespace, frozen=True, order=cls.__record_order__
+        cls.__name__, [(name, "object") for name in names], namespace=namespace, frozen=True, order=False
     )
 
 
 def _other(cls):
-    """A record class with the same fields and options under another name."""
+    """A record class with the same fields under another name."""
     ns = {"__annotations__": {name: "object" for name in _fields(cls)}}
-    return type("Other", (Record,), ns, order=cls.__record_order__)
+    return type("Other", (Record,), ns)
 
 
 def _values(obj, cls):
@@ -162,16 +162,14 @@ def test_record_matches_dataclass_twin(cls):
         ra, rb, ta, tb = cls(*a), cls(*b), twin(*a), twin(*b)
         assert (ra == rb) == (ta == tb)
         for op in (operator.lt, operator.le, operator.gt, operator.ge):
-            if cls.__record_order__:
-                assert op(ra, rb) == op(ta, tb)
-            else:
-                with pytest.raises(TypeError):
-                    op(ra, rb)
-    if cls.__record_order__:
-        r = cls(*samples[0])
-        for other in (_other(cls)(*_values(r, cls)), twin(*samples[0])):
             with pytest.raises(TypeError):
-                r < other
+                op(ra, rb)
+
+
+def test_record_takes_no_order_keyword():
+    ns = {"__annotations__": {"a": "object"}}
+    with pytest.raises(TypeError):
+        type("X", (Record,), ns, order=True)
 
 
 def test_every_field_default_is_hashable():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import itertools
 import os
 import random
 import subprocess
@@ -77,7 +78,21 @@ def test_validation_rejects_sign_product_mismatch():
     assert "root" in str(exc.value)
 
 
-def test_validation_rejects_shape_kind_mismatch():
+def _gl_rank_mismatch(gl_rank):
+    """tempered.json with rho1 a GL(``gl_rank``) datum whose shapes have the other dimension."""
+    data = copy.deepcopy(fixture_data("tempered.json"))
+    rho1, rho2 = data["cuspidal"]
+    if gl_rank == 4:
+        # rho1's steinberg at v2 and rho2's at v1: each 2-dimensional, root numbers -1 * -1
+        rho1["local"] = {"v1": rho2["local"]["v1"], "v2": rho1["local"]["v2"]}
+        data["parameter"]["summands"] = [["rho1", 1]]
+    else:
+        rho1["local"] = {"v1": GL4_IRREDUCIBLE, "v2": GL4_IRREDUCIBLE}
+    rho1["gl_rank"], rho1["twisted_roots"] = gl_rank, {}
+    return data
+
+
+def test_validation_rejects_shape_kind_mismatch(tmp_path, capsys):
     data = copy.deepcopy(fixture_data("sk.json"))
     data["cuspidal"][0]["local"]["v2"] = {
         "shape": "irreducible-symplectic",
@@ -88,6 +103,16 @@ def test_validation_rejects_shape_kind_mismatch():
     sc = scenario_from_dict(data)
     with pytest.raises(ScenarioValidationError):
         sc.validate()
+    # a shape of another dimension than the datum's: each validated, the GL(4)
+    # datum of 2-dim steinberg shapes was classified tempered and enumerated
+    for gl_rank in (4, 2):
+        with pytest.raises(ScenarioValidationError, match=rf"^datum 'rho1': .* place 'v1' .* on GL\({gl_rank}\)$"):
+            scenario_from_dict(_gl_rank_mismatch(gl_rank)).validate()
+        path = tmp_path / f"gl{gl_rank}.json"
+        path.write_text(json.dumps(_gl_rank_mismatch(gl_rank)))
+        for sub in ("validate", "classify", "enumerate"):
+            assert main([sub, "--scenario", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("validation error: datum 'rho1': ")
 
 
 def test_validation_rejects_central_char_mismatch():
@@ -530,8 +555,21 @@ def test_cli_correspond_and_unsupported(capsys):
     assert main(["correspond", "--query", q]) == 0
     out = capsys.readouterr().out
     assert "round trip: ok" in out
-    bad = json.dumps({"place_kind": "real", "row": {"type": "steinberg-S4", "a": "1"}})
-    assert main(["correspond", "--query", bad]) == 3
+    # no row is tabulated at an archimedean place: orthogonal-S2 printed its nonarchimedean row with exit 0
+    rows = [
+        {"type": "steinberg-S4", "a": "1"},
+        {"type": "orthogonal-S2", "tau": "t"},
+        {"type": "4dim", "tag": "t"},
+        {"type": "pair-supercuspidal", "tags": ["r1", "r2"]},
+        {"type": "double-supercuspidal", "tag": "t"},
+        {"type": "double-steinberg", "a": "1"},
+        {"type": "steinberg-pair", "a": "1", "b": "1"},
+        {"type": "sc-plus-S2", "tag": "t", "a": "1"},
+    ]
+    for kind, row in itertools.product(("real", "complex"), rows):
+        assert main(["correspond", "--query", json.dumps({"place_kind": kind, "row": row})]) == 3, (kind, row)
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("unsupported: ") and "nonarchimedean places only" in err
 
 
 def test_cli_reduce(capsys):
@@ -641,6 +679,27 @@ def test_cli_unread_options_are_schema_errors(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert not out and err == f"schema error: $: {argv[0]} does not read {option!r}\n"
     assert not list(tmp_path.iterdir())
+
+
+# usage errors argparse reported itself, printing usage and exiting 2, the validation-failure code
+USAGE_ERRORS = {
+    "enumerate_format_xml": ["enumerate", "--scenario", fixture_path("sk.json"), "--format", "xml"],
+    "no_subcommand": [],
+    "unknown_subcommand": ["frobnicate", "--scenario", fixture_path("sk.json")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_cli_usage_errors_are_schema_errors(name, capsys):
+    assert main(USAGE_ERRORS[name]) == 4
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("schema error: $: ") and err.count("\n") == 1
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-h"])
+    assert exc.value.code == 0 and "--scenario" in capsys.readouterr().out
 
 
 MALFORMED_QUERIES = {
