@@ -98,7 +98,7 @@ class UnsupportedInduction(ValueError):
     pass
 
 
-class RowNotFound(KeyError):
+class RowNotFound(ValueError):
     pass
 
 

@@ -8,13 +8,15 @@ Defaults are shared immutable values, so every one of them hashes, a map
 default shared by two records refuses every change, and the values loaded
 from every fixture hash too.  ``FrozenMap``,
 the mapping inside records, is a dict that hashes and cannot change.  A
-last test checks that importing the CLI loads neither ``dataclasses`` nor
-``inspect``, which is what makes start-up cheap.
+last test checks that importing the CLI loads none of ``dataclasses``,
+``inspect``, ``argparse`` and ``gettext``, and one that a class's methods
+are built on first use, which is what makes start-up cheap.
 """
 
 import dataclasses
 import importlib
 import itertools
+import json
 import operator
 import os
 import pkgutil
@@ -308,14 +310,43 @@ def test_post_init_rejects_bad_values():
         Place("v1", "no-such-kind")
 
 
-def test_cli_import_loads_no_dataclasses():
+def _child(code):
+    """What code prints in a fresh interpreter, under -S, with the package on its path."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    code = "import sys, mp4spectrum.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    heavy = {"dataclasses", "inspect", "argparse", "gettext"}
+    assert _child(f"import sys, mp4spectrum.cli; print(sorted({heavy!r} & set(sys.modules)))").strip() == "[]"
+
+
+# the record classes with an instance built at import: module constants such as ZERO and the shared local groups
+BUILT_AT_IMPORT = {"Zero", "ReductionResult", "ComponentGroup", "LocalizationMap"}
+
+
+def test_record_methods_are_built_on_first_use():
+    code = """if True:
+        import json, mp4spectrum.cli, mp4spectrum.record as record
+        from mp4spectrum.descriptors import Seg
+        from mp4spectrum.record import Record, _STUBS
+        classes = Record.__subclasses__()
+        built = lambda kind: sorted(c.__name__ for c in classes if vars(c)[kind] not in _STUBS)
+        print(json.dumps([sorted(record._TEMPLATES), *map(built, ("__init__", "__eq__", "__hash__", "__repr__"))]))
+        Seg("chi", 1)
+        init, repr_ = vars(Seg)["__init__"], vars(Seg)["__repr__"]
+        print(json.dumps([init not in _STUBS, init.__code__.co_varnames, init.__qualname__, repr_ in _STUBS]))
+    """
+    at_import, after_use = map(json.loads, _child(code).splitlines())
+    templates, init, eq, hash_, repr_ = at_import
+    # at import only the constants' __init__ is built, and only its template compiled
+    assert init == sorted(BUILT_AT_IMPORT) and eq == hash_ == repr_ == []
+    assert {kind for kind, _, _ in templates} == {"__init__"} and len(templates) <= len(BUILT_AT_IMPORT)
+    # one construction builds the class's __init__, the template with its fields, and nothing else
+    assert after_use == [True, ["self", "char", "s"], "Seg.__init__", True]

@@ -1,6 +1,9 @@
 """Scenario loading, validation pipeline, and the CLI surface."""
 
+import argparse
+import contextlib
 import copy
+import io
 import json
 import itertools
 import os
@@ -9,9 +12,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golden_calls import load_scengen
-from mp4spectrum.cli import main
+from mp4spectrum.cli import COMMANDS, OPTIONS, main, parse_args
 from mp4spectrum.ktypes import HARMONICS_RANK_CAP
 from mp4spectrum.scenario import (
     ScenarioValidationError,
@@ -570,6 +574,10 @@ def test_cli_correspond_and_unsupported(capsys):
         assert main(["correspond", "--query", json.dumps({"place_kind": kind, "row": row})]) == 3, (kind, row)
         out, err = capsys.readouterr()
         assert not out and err.startswith("unsupported: ") and "nonarchimedean places only" in err
+    # RowNotFound printed like every other exit-3 line, not quoted as a KeyError's message was
+    q = json.dumps({"place_kind": "real", "row": {"type": "steinberg-S4", "a": "1"}})
+    assert main(["correspond", "--query", q]) == 3
+    assert capsys.readouterr().err == "unsupported: rows are tabulated at nonarchimedean places only\n"
 
 
 def test_cli_reduce(capsys):
@@ -681,7 +689,7 @@ def test_cli_unread_options_are_schema_errors(name, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-# usage errors argparse reported itself, printing usage and exiting 2, the validation-failure code
+# usage errors; when argparse read argv, it printed its usage for them and exited 2, the validation-failure code
 USAGE_ERRORS = {
     "enumerate_format_xml": ["enumerate", "--scenario", fixture_path("sk.json"), "--format", "xml"],
     "no_subcommand": [],
@@ -700,6 +708,145 @@ def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "-h"])
     assert exc.value.code == 0 and "--scenario" in capsys.readouterr().out
+
+
+def test_cli_help_lists_subcommands_or_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and all(f"\n  {name} " in out for name in COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["export-tables", "--he"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--output, -o" in out and "--format" in out and "--scenario" not in out
+
+
+# the argparse parser parse_args replaced, rebuilt as its reference, as the twins of test_record.py are
+_OLD_ARGUMENTS = {
+    "scenario": (("--scenario",), {"help": "path to a scenario JSON file"}),
+    "verbose": (("--verbose",), {"action": "store_true"}),
+    "place": (("--place",), {"help": "place id"}),
+    "query": (("--query",), {"help": "JSON query string, or @file"}),
+    "output": (("--output", "-o"), {"help": "output file"}),
+}
+
+
+class _Refused(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _reference_parser():
+    ap = _ReferenceParser(prog="mp4spectrum")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        for option in OPTIONS[name]:
+            flags, kwargs = _OLD_ARGUMENTS[option]
+            p.add_argument(*flags, **kwargs)
+    return ap
+
+
+REFERENCE = _reference_parser()
+
+
+def _reference_reading(argv):
+    """("read", values), ("error", the does-not-read message), ("refused",) or ("help", exit code), as main saw them."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args, unread = REFERENCE.parse_known_args(argv)
+    except _Refused:
+        return ("refused",)
+    except SystemExit as exc:
+        return ("help", exc.code)
+    if unread:
+        return ("error", f"$: {args.command} does not read {unread[0]!r}")
+    return ("read", vars(args))
+
+
+def _reading(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return ("read", vars(parse_args(list(argv))))
+    except SchemaError as exc:
+        return ("error", str(exc))
+    except SystemExit as exc:
+        return ("help", exc.code)
+
+
+_FLAGS = ["-h", "--help", "--format", *(flag for flags, _ in _OLD_ARGUMENTS.values() for flag in flags)]
+# bare words and values, many starting with "-": a number, "-" alone, or with a space, is a word to argparse
+_WORDS = st.sampled_from(
+    ["", "x", "text", "json", "xml", "a b", "--", "-", "-1", "-.5", "-1.5", "-1\n", "-x", "-x y", "-o x", "-h x", "="]
+) | st.text(alphabet="-=hox .1", max_size=4)
+_VALUES = st.one_of(st.just("x"), st.just("text"), st.just("json"), _WORDS)
+
+
+def _prefixes(names):
+    return st.sampled_from(names).flatmap(lambda name: st.integers(1, len(name)).map(lambda k: name[:k]))
+
+
+_TOKENS = st.one_of(
+    st.sampled_from([*COMMANDS, *_FLAGS]),
+    _prefixes([*COMMANDS, *_FLAGS]),
+    st.tuples(_prefixes(_FLAGS), _VALUES).map("=".join),
+    st.tuples(st.sampled_from(["-o", "-h"]), st.sampled_from(["h", "o", "hh", "ho", "oF", "x"]) | _WORDS).map("".join),
+    _WORDS,
+)
+
+
+def _argvs(command):
+    """command, then its own flags (or prefixes of them) with values, and any other tokens."""
+    flags = ["--format", *(flag for option in OPTIONS[command] for flag in _OLD_ARGUMENTS[option][0])]
+    pairs = st.tuples(st.sampled_from(flags) | _prefixes(flags), _VALUES).map(list)
+    groups = st.one_of(pairs, pairs, pairs, _TOKENS.map(lambda t: [t]))
+    return st.lists(groups, max_size=4).map(lambda gs: [command, *itertools.chain.from_iterable(gs)])
+
+
+_ARGVS = st.one_of(st.lists(_TOKENS, max_size=6), *[st.sampled_from(list(COMMANDS)).flatmap(_argvs)] * 3)
+
+
+# argv forms the reader takes, with the values main reads besides the defaults
+READ_FORMS = {
+    "separate_value": (["validate", "--scenario", "s.json"], {"scenario": "s.json"}),
+    "joined_value": (["packet", "--place=v1", "--scenario=s.json"], {"place": "v1", "scenario": "s.json"}),
+    "short_joined": (["export-tables", "-oout.json"], {"output": "out.json"}),
+    "short_equals": (["export-tables", "-o=out.json"], {"output": "out.json"}),
+    "prefixes": (
+        ["enumerate", "--scen", "s.json", "--form", "json", "--v"],
+        {"scenario": "s.json", "format": "json", "verbose": True},
+    ),
+    "repeated_last_wins": (["ktype", "--query", "a", "--q=b", "--format=json", "--format", "text"], {"query": "b"}),
+    "negative_number_value": (["reduce", "--query", "-1"], {"query": "-1"}),
+    "value_with_space": (["correspond", "--query", "-x y"], {"query": "-x y"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_FORMS))
+def test_parse_args_read_forms(name):
+    argv, read = READ_FORMS[name]
+    defaults = {"format": "text", **{o: False if o == "verbose" else None for o in OPTIONS[argv[0]]}}
+    assert vars(parse_args(argv)) == {"command": argv[0], **defaults, **read} == _reference_reading(argv)[1]
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="argparse 3.13 reads -hX and a joined '--' otherwise; parse_args reads as 3.10-3.12 did",
+)
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_ARGVS)
+def test_parse_args_reads_argv_as_argparse_did(argv):
+    # the same values, the same first unread token, or both refuse (with messages of their own)
+    expected, got = _reference_reading(argv), _reading(argv)
+    if expected == ("refused",):
+        assert got[0] == "error" and " does not read " not in got[1], (argv, got)
+    else:
+        assert got == expected, argv
 
 
 MALFORMED_QUERIES = {

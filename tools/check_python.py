@@ -4,8 +4,8 @@ Run from the repository root with the interpreter to check, e.g.
 
     PYTHONPATH=src python3.10 tools/check_python.py
 
-It checks that importing ``mp4spectrum.cli`` under ``-S`` loads neither
-``dataclasses`` nor ``inspect``, that every ``TARGETS`` and ``COUNTED``
+It checks that importing ``mp4spectrum.cli`` under ``-S`` loads none of
+``dataclasses``, ``inspect``, ``argparse`` and ``gettext``, that every ``TARGETS`` and ``COUNTED``
 path of ``perfbench/tracer.py`` still names a function of the package
 (the traced benchmark run patches them), that ``self-test`` passes on every
 bundled fixture, that the character sum of ``perfbench/oracle.py``
@@ -53,7 +53,8 @@ def _run(argv):
 
 
 def check_imports():
-    probe = "import sys, mp4spectrum.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    heavy = {"dataclasses", "inspect", "argparse", "gettext"}
+    probe = f"import sys, mp4spectrum.cli; print(sorted({heavy!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
     loaded = out.stdout.strip()
