@@ -39,45 +39,13 @@ from types import SimpleNamespace
 
 from . import tables
 from .descriptors import render, sign_label, sign_str
-from .ktypes import (
-    HARMONICS_RANK_CAP,
-    DiscreteSeriesQuery,
-    KTypeO,
-    LanglandsBQuery,
-    LanglandsP1Query,
-    LanglandsP2Query,
-    NotInHarmonics,
-    UncataloguedShape,
-    degree_o,
-    joint_harmonics,
-    lowest_kprime_catalog,
-)
+from .ktypes import NotInHarmonics, UncataloguedShape
 from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents, listed_tuples, local_data
-from .packets import (
-    REDUCTIONS,
-    RowNotFound,
-    UnsupportedInduction,
-    UnsupportedShape,
-    reducibility_oracle,
-)
+from .packets import RowNotFound, UnsupportedInduction, UnsupportedShape
 from .parameters import InvalidParameter, MissingSignData, classify, epsilon_tilde
 from .reports import FIELD, MAP_END, OBJECT, OBJECT_END, Encoded, Report, array, dumps, entry
 from .residual import residual_spectrum
-from .scenario import (
-    ScenarioValidationError,
-    SchemaError,
-    _as_bool,
-    _as_fraction,
-    _as_int,
-    _as_list,
-    _as_object,
-    _as_sign,
-    _as_str,
-    _require,
-    load_scenario,
-    parse_json,
-    read_file,
-)
+from .scenario import ScenarioValidationError, SchemaError, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -243,13 +211,7 @@ def _packet_text(d):
 def _query_of(args) -> dict:
     if not args.query:
         raise SchemaError("$", "this subcommand needs --query '<json>'")
-    text = args.query
-    if text.startswith("@"):
-        text = read_file(text[1:], "$.query")
-    q = parse_json(text, "$.query")
-    if not isinstance(q, dict):
-        raise SchemaError("$.query", "query must be an object")
-    return q
+    return tables.read_query(args.query)
 
 
 def cmd_correspond(args) -> Report:
@@ -272,26 +234,7 @@ def _correspond_text(d):
 
 
 def cmd_reduce(args) -> Report:
-    q = _query_of(args)
-    group = _as_str(q.get("group", "Mp4"), "$.query.group")
-    parabolic = _as_str(q.get("parabolic", "P1"), "$.query.parabolic")
-    kwargs = {}
-    if "chi" in q:
-        kwargs["chi"] = tables.char_from_query(q["chi"])
-    if "s" in q:
-        kwargs["s"] = _as_fraction(q["s"], "$.query.s")
-    if "inner" in q:
-        kwargs["inner"] = tables.descriptor_from_query(q["inner"])
-    if "tau" in q:
-        kwargs["tau"] = tables.gl2_from_query(q["tau"])
-    if "omega_trivial" in q:
-        kwargs["omega_trivial"] = _as_bool(q["omega_trivial"], "$.query.omega_trivial")
-    if "self_dual" in q:
-        kwargs["self_dual"] = _as_bool(q["self_dual"], "$.query.self_dual")
-    _, needs = REDUCTIONS.get((group, parabolic), (None, ()))
-    for key in needs:
-        _require(q, key, "$.query")
-    result = reducibility_oracle(group, parabolic, **kwargs)
+    result = tables.reduction_from_query(_query_of(args))
     data = {
         "reducible": result.reducible,
         "direct_sum": result.direct_sum,
@@ -308,67 +251,8 @@ def _reduce_text(d):
     return ["composition series (sub, then quotient):", *(f"  {c}" for c in d["constituents"])]
 
 
-def _int_list(q: dict, key: str, path: str) -> tuple:
-    values = _as_list(q.get(key, []), f"{path}.{key}")
-    return tuple(_as_int(x, f"{path}.{key}[{i}]") for i, x in enumerate(values))
-
-
-def _ktype_o(q: dict) -> KTypeO:
-    path = "$.query"
-    fields = {
-        "p": _as_int(_require(q, "p", path), f"{path}.p"),
-        "q": _as_int(_require(q, "q", path), f"{path}.q"),
-        "a": _int_list(q, "a", path),
-        "eps": _as_sign(q.get("eps", 1), f"{path}.eps"),
-        "b": _int_list(q, "b", path),
-        "delta": _as_sign(q.get("delta", 1), f"{path}.delta"),
-    }
-    try:
-        return KTypeO(**fields)
-    except ValueError as exc:  # signature and weights that name no O(p) x O(q) type
-        raise SchemaError(path, str(exc)) from None
-
-
-def _catalog_query(sub):
-    path = "$.query.query"
-    sub = _as_object(sub, path)
-    t = sub.get("type")
-
-    def frac(key):
-        return _as_fraction(_require(sub, key, path), f"{path}.{key}")
-
-    def sign(key):
-        return _as_sign(_require(sub, key, path), f"{path}.{key}")
-
-    if t == "discrete":
-        return DiscreteSeriesQuery(frac("a"), frac("b"), sign("eps1"), sign("eps2"))
-    if t == "jp1":
-        return LanglandsP1Query(sign("chi_parity"), frac("a"), frac("s"))
-    if t == "jp2":
-        return LanglandsP2Query(frac("a"), frac("s"))
-    if t == "jb":
-        return LanglandsBQuery(sign("eps1"), sign("eps2"))
-    raise SchemaError("$.query.query.type", f"unknown catalog query {t!r}")
-
-
 def cmd_ktype(args) -> Report:
-    q = _query_of(args)
-    op = q.get("op")
-    if op == "degree" or op == "harmonics":
-        mu = _ktype_o(q)
-        data = {"degree": degree_o(mu)}
-        if op == "harmonics":
-            n = _as_int(q.get("n", 2), "$.query.n")
-            if n > HARMONICS_RANK_CAP:
-                raise NotInHarmonics(f"$.query.n: rank {n} is above the cap of {HARMONICS_RANK_CAP}")
-            mp = joint_harmonics(mu, n)
-            data["kprime"] = [str(w) for w in mp.weights]
-        return Report("ktype", data, _ktype_text)
-    if op == "catalog":
-        result = lowest_kprime_catalog(_catalog_query(q.get("query", {})))
-        data = {"lowest_kprime_types": [[str(w) for w in kt.weights] for kt in result]}
-        return Report("ktype", data, _ktype_text)
-    raise SchemaError("$.query.op", f"unknown op {op!r}; use degree, harmonics, or catalog")
+    return Report("ktype", tables.ktype_from_query(_query_of(args)), _ktype_text)
 
 
 def _ktype_text(d):

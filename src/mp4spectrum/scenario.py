@@ -12,7 +12,9 @@ JSON path; validation failures name the offending pair or datum.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -168,6 +170,9 @@ class Scenario(Record):
 # JSON loading
 
 
+_REQUIRED = object()
+
+
 def _require(obj: Mapping, key: str, path: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
@@ -210,27 +215,45 @@ def _as_object(value: Any, path: str) -> dict:
     return value
 
 
+def _field(obj: Mapping, key: str, path: str, as_value=_as_str, default: Any = _REQUIRED) -> Any:
+    """``as_value`` of ``obj[key]`` at its path, or of ``default`` when the key is absent and one is given."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise SchemaError(f"{path}.{key}", "missing required field")
+    return as_value(value, f"{path}.{key}")
+
+
 def _require_element(name: str, names: set, path: str) -> None:
     if name not in names:
         raise SchemaError(path, f"unknown element {name!r}")
 
 
 def _as_fraction(value: Any, path: str) -> Fraction:
+    text = str(value)
+    # len(text) + exponent bounds the digits of the value, which is refused before Fraction builds it (1e100000000
+    # takes seconds) when str() could not print that many; a long text is refused before int() reads its exponent
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent.isdecimal() and (len(text) > limit or len(text) + int(exponent) > limit):
+        raise SchemaError(path, f"the exponent of {value!r} gives more than {limit} digits")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational number: {value!r}") from None
 
 
-def _as_map(value: Any, path: str, as_value) -> FrozenMap:
+def _as_map(value: Any, path: str, as_value=_as_sign) -> FrozenMap:
     """An object whose every value passes ``as_value``, frozen."""
     raw = _as_object(value, path)
     return FrozenMap({str(k): as_value(v, f"{path}.{k}") for k, v in raw.items()})
 
 
-def _as_class(obj: dict, key: str, place: Place, path: str) -> SquareClass:
-    """The square class at the place that a required label names."""
-    label = _as_str(_require(obj, key, path), f"{path}.{key}")
+_as_flags = functools.partial(_as_map, as_value=_as_bool)
+
+
+def _as_class(obj: dict, key: str, place: Place, path: str, default: Any = _REQUIRED) -> SquareClass:
+    """The square class at the place that the label ``obj[key]``, or ``default``, names."""
+    label = _field(obj, key, path, default=default)
     try:
         return place.class_from_label(label)
     except ValueError as exc:
@@ -239,39 +262,34 @@ def _as_class(obj: dict, key: str, place: Place, path: str) -> SquareClass:
 
 def _parse_shape(obj: Any, place: Place, path: str, part: bool = False) -> LocalRhoShape:
     """The shape at ``path``; a ``part`` of a gl4-split is a 2-dim shape, refused before any recursion."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "shape must be an object")
-    kind = _require(obj, "shape", path)
+    kind = _require(_as_object(obj, path), "shape", path)
     if part and kind in ("gl4-irreducible", "gl4-split"):
         raise SchemaError(path, f"a gl4-split part must be a 2-dim shape, not {kind}")
-
-    def field(key, as_value=_as_str):
-        return as_value(_require(obj, key, path), f"{path}.{key}")
-
     try:
         if kind in ("irreducible-symplectic", "steinberg"):
-            twists = _as_map(obj.get("eps_twists", {}), f"{path}.eps_twists", _as_sign)
+            twists = _field(obj, "eps_twists", path, _as_map, {})
             if kind == "steinberg":
-                return RhoSteinberg(_as_class(obj, "class", place, path).label, field("eps", _as_sign), twists)
-            return RhoIrreducibleSymplectic(field("tag"), field("eps", _as_sign), twists)
+                label = _as_class(obj, "class", place, path).label
+                return RhoSteinberg(label, _field(obj, "eps", path, _as_sign), twists)
+            return RhoIrreducibleSymplectic(_field(obj, "tag", path), _field(obj, "eps", path, _as_sign), twists)
         if kind == "principal-series":
             return RhoPrincipalSeries(
-                chi=field("chi"),
-                s=_as_fraction(obj.get("s", 0), f"{path}.s"),
-                chi_parity=_as_sign(obj.get("chi_parity", 1), f"{path}.chi_parity"),
+                chi=_field(obj, "chi", path),
+                s=_field(obj, "s", path, _as_fraction, 0),
+                chi_parity=_field(obj, "chi_parity", path, _as_sign, 1),
             )
         if kind == "real-discrete":
-            return RhoRealDiscrete(field("kappa", _as_int))
+            return RhoRealDiscrete(_field(obj, "kappa", path, _as_int))
         if kind == "dihedral-supercuspidal":
-            return RhoDihedralSupercuspidal(field("tag"))
+            return RhoDihedralSupercuspidal(_field(obj, "tag", path))
         if kind == "real-orthogonal-discrete":
-            return RhoRealOrthogonalDiscrete(field("kappa", _as_int))
+            return RhoRealOrthogonalDiscrete(_field(obj, "kappa", path, _as_int))
         if kind == "quadratic-pair":
             return RhoQuadraticPair(a=_as_class(obj, "a", place, path).label, b=_as_class(obj, "b", place, path).label)
         if kind == "reducible-orthogonal":
-            return RhoReducibleOrthogonal(field("chi"))
+            return RhoReducibleOrthogonal(_field(obj, "chi", path))
         if kind == "gl4-irreducible":
-            return Rho4Irreducible(field("tag"), field("eps", _as_sign))
+            return Rho4Irreducible(_field(obj, "tag", path), _field(obj, "eps", path, _as_sign))
         if kind == "gl4-split":
             parts = _require(obj, "parts", path)
             if not isinstance(parts, list) or len(parts) != 2:
@@ -283,9 +301,7 @@ def _parse_shape(obj: Any, place: Place, path: str, part: bool = False) -> Local
 
 
 def scenario_from_dict(data: Any) -> Scenario:
-    if not isinstance(data, dict):
-        raise SchemaError("$", "scenario must be a JSON object")
-    version = data.get("version", SCHEMA_VERSION)
+    version = _as_object(data, "$").get("version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise SchemaError("$.version", f"unsupported schema version {version!r}")
 
@@ -295,10 +311,8 @@ def scenario_from_dict(data: Any) -> Scenario:
     places: list[Place] = []
     for i, praw in enumerate(places_raw):
         path = f"$.places[{i}]"
-        if not isinstance(praw, dict):
-            raise SchemaError(path, "expected an object")
-        pid = _as_str(_require(praw, "id", path), f"{path}.id")
-        kind = _as_str(_require(praw, "kind", path), f"{path}.kind")
+        pid = _field(_as_object(praw, path), "id", path)
+        kind = _field(praw, "kind", path)
         if kind not in KINDS:
             raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}; one of {sorted(KINDS)}")
         if any(p.id == pid for p in places):
@@ -307,14 +321,12 @@ def scenario_from_dict(data: Any) -> Scenario:
 
     elements: list[GlobalElement] = [trivial_element(places), minus_one_element(places)]
     squares: dict = {}  # (place id, label) -> its SquareClass, one per load
-    for i, eraw in enumerate(_as_list(data.get("elements", []), "$.elements")):
+    for i, eraw in enumerate(_field(data, "elements", "$", _as_list, [])):
         path = f"$.elements[{i}]"
-        if not isinstance(eraw, dict):
-            raise SchemaError(path, "expected an object")
-        name = _as_str(_require(eraw, "name", path), f"{path}.name")
+        name = _field(_as_object(eraw, path), "name", path)
         if any(e.name == name for e in elements):
             raise SchemaError(f"{path}.name", f"element {name!r} already defined")
-        classes_raw = _as_object(_require(eraw, "classes", path), f"{path}.classes")
+        classes_raw = _field(eraw, "classes", path, _as_object)
         classes = {}
         for p in places:
             label = classes_raw.get(p.id)
@@ -332,35 +344,30 @@ def scenario_from_dict(data: Any) -> Scenario:
     cuspidal: list[CuspidalDatum] = []
     element_names = {e.name for e in elements}
     by_id = {p.id: p for p in places}
-    for i, draw in enumerate(_as_list(data.get("cuspidal", []), "$.cuspidal")):
+    for i, draw in enumerate(_field(data, "cuspidal", "$", _as_list, [])):
         path = f"$.cuspidal[{i}]"
-        if not isinstance(draw, dict):
-            raise SchemaError(path, "expected an object")
-        name = _as_str(_require(draw, "name", path), f"{path}.name")
-        local_raw = _require(draw, "local", path)
-        if not isinstance(local_raw, dict):
-            raise SchemaError(f"{path}.local", "expected an object keyed by place id")
+        name = _field(_as_object(draw, path), "name", path)
         local = {}
-        for pid, sraw in local_raw.items():
+        for pid, sraw in _field(draw, "local", path, _as_object).items():
             if pid not in by_id:
                 raise SchemaError(f"{path}.local.{pid}", "unknown place")
             local[pid] = _parse_shape(sraw, by_id[pid], f"{path}.local.{pid}")
-        twisted_raw = _as_object(draw.get("twisted_roots", {}), f"{path}.twisted_roots")
+        twisted_raw = _field(draw, "twisted_roots", path, _as_object, {})
         for k in twisted_raw:
             _require_element(k, element_names, f"{path}.twisted_roots.{k}")
-        central_char = _as_str(draw.get("central_char", "1"), f"{path}.central_char")
+        central_char = _field(draw, "central_char", path, default="1")
         if central_char != "trivial":
             _require_element(central_char, element_names, f"{path}.central_char")
         try:
             datum = CuspidalDatum(
                 name=name,
-                gl_rank=_as_int(draw.get("gl_rank", 2), f"{path}.gl_rank"),
-                duality=_as_str(_require(draw, "duality", path), f"{path}.duality"),
-                global_root=_as_sign(draw.get("global_root", 1), f"{path}.global_root"),
+                gl_rank=_field(draw, "gl_rank", path, _as_int, 2),
+                duality=_field(draw, "duality", path),
+                global_root=_field(draw, "global_root", path, _as_sign, 1),
                 local=FrozenMap(local),
-                twisted_roots=_as_map(twisted_raw, f"{path}.twisted_roots", _as_sign),
-                l_half_nonzero=_as_map(draw.get("l_half_nonzero", {}), f"{path}.l_half_nonzero", _as_bool),
-                dihedral=_as_bool(draw.get("dihedral", False), f"{path}.dihedral"),
+                twisted_roots=_as_map(twisted_raw, f"{path}.twisted_roots"),
+                l_half_nonzero=_field(draw, "l_half_nonzero", path, _as_flags, {}),
+                dihedral=_field(draw, "dihedral", path, _as_bool, False),
                 central_char=central_char,
             )
         except InvalidParameter as exc:
@@ -370,16 +377,14 @@ def scenario_from_dict(data: Any) -> Scenario:
         cuspidal.append(datum)
 
     mp2 = []
-    for i, wraw in enumerate(_as_list(data.get("mp2_weil", []), "$.mp2_weil")):
+    for i, wraw in enumerate(_field(data, "mp2_weil", "$", _as_list, [])):
         path = f"$.mp2_weil[{i}]"
-        if not isinstance(wraw, dict):
-            raise SchemaError(path, "expected an object")
-        name = _as_str(_require(wraw, "name", path), f"{path}.name")
+        name = _field(_as_object(wraw, path), "name", path)
         if any(w.name == name for w in mp2):
             raise SchemaError(f"{path}.name", f"mp2_weil {name!r} already defined")
-        chi = _as_str(_require(wraw, "chi", path), f"{path}.chi")
+        chi = _field(wraw, "chi", path)
         s_places: list = []
-        for j, x in enumerate(_as_list(_require(wraw, "s_places", path), f"{path}.s_places")):
+        for j, x in enumerate(_field(wraw, "s_places", path, _as_list)):
             pid = _as_str(x, f"{path}.s_places[{j}]")
             if pid in s_places:
                 raise SchemaError(f"{path}.s_places[{j}]", f"place {pid!r} listed twice")
@@ -387,13 +392,10 @@ def scenario_from_dict(data: Any) -> Scenario:
         mp2.append(Mp2CuspidalWeil(name=name, chi=chi, s_places=frozenset(s_places)))
 
     parameter = None
-    if "parameter" in data and data["parameter"] is not None:
-        praw = data["parameter"]
+    if data.get("parameter") is not None:
         path = "$.parameter"
-        if not isinstance(praw, dict):
-            raise SchemaError(path, "expected an object")
         summands = []
-        for i, item in enumerate(_as_list(_require(praw, "summands", path), f"{path}.summands")):
+        for i, item in enumerate(_field(_as_object(data["parameter"], path), "summands", path, _as_list)):
             ipath = f"{path}.summands[{i}]"
             d = item[1] if isinstance(item, (list, tuple)) and len(item) == 2 else None
             if isinstance(d, bool) or not isinstance(d, int):
@@ -421,10 +423,10 @@ def parse_json(text: str, path: str) -> Any:
     """The value of a JSON text; one that does not parse, or nests too deeply to, is a SchemaError at path."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(path, "JSON nested too deeply to parse") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() reads
+        raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
 def load_scenario(path: str) -> Scenario:

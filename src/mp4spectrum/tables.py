@@ -1,7 +1,11 @@
-"""Query adapters and the packet-atlas export.
+"""Query readers and the packet-atlas export.
 
 The CLI's correspond/reduce/ktype queries arrive as small JSON objects;
-this module turns them into the internal term types.  export_all walks
+this module reads every field of them, through scenario's ``_field`` and
+``_as_*`` readers, so that each error names its JSON path.  A typed object
+(``inner``, ``tau``, a catalog ``query``) is read through a table that maps
+its ``type`` to a constructor and the constructor's fields; the reduce keys
+and the O(p) x O(q) type are tables of fields too.  export_all walks
 the compiled tables (Hilbert pairings, packet families over every place
 kind, correspondence rows, composition series, elementary Weil forms,
 lowest K'-type catalogs) and renders them into one JSON document.
@@ -9,6 +13,7 @@ lowest K'-type catalogs) and renders them into one JSON document.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .descriptors import (
@@ -30,10 +35,15 @@ from .descriptors import (
 )
 from .fields import KINDS, Place, hilbert
 from .ktypes import (
+    HARMONICS_RANK_CAP,
     DiscreteSeriesQuery,
+    KTypeO,
     LanglandsBQuery,
     LanglandsP1Query,
     LanglandsP2Query,
+    NotInHarmonics,
+    degree_o,
+    joint_harmonics,
     lowest_kprime_catalog,
 )
 from .localization import (
@@ -49,12 +59,15 @@ from .localization import (
     ShTempered,
 )
 from .packets import (
+    REDUCTIONS,
+    ReductionResult,
     SCRow,
     local_packet,
     orthogonal_shimura_row,
     principal_shimura_row,
     reduce_mp4_p1,
     reduce_mp4_p2,
+    reducibility_oracle,
     shimura_row,
 )
 from .parameters import (
@@ -66,103 +79,155 @@ from .parameters import (
     RhoSteinberg,
 )
 from .record import FrozenMap
-from .scenario import SchemaError, _as_bool, _as_fraction, _as_list, _as_object, _as_sign, _as_str, _require
+from .scenario import (
+    SchemaError,
+    _as_bool,
+    _as_class,
+    _as_fraction,
+    _as_int,
+    _as_list,
+    _as_object,
+    _as_sign,
+    _as_str,
+    _field,
+    _require,
+    parse_json,
+    read_file,
+)
 
 HALF = Fraction(1, 2)
 
 
-def _text(obj: dict, key: str, path: str) -> str:
-    """The required string ``obj[key]`` of a query object at ``path``."""
-    return _as_str(_require(obj, key, path), f"{path}.{key}")
+def read_query(text: str) -> dict:
+    """The query object of a ``--query`` value: JSON text, or ``@`` and the path of a file holding it."""
+    if text.startswith("@"):
+        text = read_file(text[1:], "$.query")
+    return _as_object(parse_json(text, "$.query"), "$.query")
 
 
-def char_from_query(q) -> QuadChar | TagChar:
+def _args(q: dict, path: str, fields) -> list:
+    """The value of each field ``(key[, reader[, default]])`` of ``q`` at ``path``; a string if no reader is named."""
+    return [_field(q, key, path, *rest) for key, *rest in fields]
+
+
+def _typed(q, path: str, table: dict, unknown: str, type_path: str = ""):
+    """The term that the row of ``table`` named by the object's ``type`` builds: a constructor, then its fields."""
+    t = _as_object(q, path).get("type")
+    if type(t) is not str or t not in table:
+        raise SchemaError(path + type_path, f"{unknown} {t!r}")
+    build, *fields = table[t]
+    return build(*_args(q, path, fields))
+
+
+def _int_list(value, path: str) -> tuple:
+    return tuple(_as_int(x, f"{path}[{i}]") for i, x in enumerate(_as_list(value, path)))
+
+
+def _char(q, path: str) -> QuadChar | TagChar:
     if isinstance(q, str):
         return QuadChar(q)
-    q = _as_object(q, "$.query.chi")
-    if "class" in q:
-        return QuadChar(_text(q, "class", "$.query.chi"))
+    if "class" in _as_object(q, path):
+        return QuadChar(_field(q, "class", path))
     if "tag" in q:
-        return TagChar(_text(q, "tag", "$.query.chi"), _as_bool(q.get("inverted", False), "$.query.chi.inverted"))
-    raise SchemaError("$.query.chi", "expected {'class': ...} or {'tag': ...}")
+        return TagChar(_field(q, "tag", path), _field(q, "inverted", path, _as_bool, False))
+    raise SchemaError(path, "expected {'class': ...} or {'tag': ...}")
 
 
-def gl2_from_query(q) -> St2 | SC2 | RealD:
-    path = "$.query.tau"
-    q = _as_object(q, path)
-    t = q.get("type")
-    if t == "steinberg":
-        return St2(_text(q, "class", path))
-    if t == "supercuspidal":
-        return SC2(_text(q, "tag", path))
-    if t == "real-discrete":
-        return RealD(_as_fraction(_require(q, "a", path), f"{path}.a"))
-    raise SchemaError(path, f"unknown GL(2) datum {t!r}")
+# the inducing representation of a P1 (or Q1) reduction, by its "type"
+INNER = {
+    "weil-odd": (WeilOdd, ("class",)),
+    "weil-even": (WeilEven, ("class",)),
+    "mp-steinberg": (MpSt2, ("class",)),
+    "mp2-member": (Mp2Member, ("tag",), ("eps", _as_sign, 1)),
+    "gl2-steinberg": (St2, ("class",)),
+    "so3-supercuspidal": (lambda tag: Opaque("sigma_sc", (tag,)), ("tag",)),
+    "nu": (NuChar, ("class",)),
+}
+# the GL(2) datum of a P2 (or Q2) reduction, by its "type"
+GL2 = {
+    "steinberg": (St2, ("class",)),
+    "supercuspidal": (SC2, ("tag",)),
+    "real-discrete": (RealD, ("a", _as_fraction)),
+}
+# a lowest K'-type catalog query, by its "type"
+CATALOG = {
+    "discrete": (DiscreteSeriesQuery, ("a", _as_fraction), ("b", _as_fraction), ("eps1", _as_sign), ("eps2", _as_sign)),
+    "jp1": (LanglandsP1Query, ("chi_parity", _as_sign), ("a", _as_fraction), ("s", _as_fraction)),
+    "jp2": (LanglandsP2Query, ("a", _as_fraction), ("s", _as_fraction)),
+    "jb": (LanglandsBQuery, ("eps1", _as_sign), ("eps2", _as_sign)),
+}
+_inner = functools.partial(_typed, table=INNER, unknown="unknown inducing representation")
+_gl2 = functools.partial(_typed, table=GL2, unknown="unknown GL(2) datum")
+_catalog = functools.partial(_typed, table=CATALOG, unknown="unknown catalog query", type_path=".type")
+# the reduce query's keys besides group and parabolic, each read if present, in this order
+REDUCE = {"chi": _char, "s": _as_fraction, "inner": _inner, "tau": _gl2, "omega_trivial": _as_bool,
+          "self_dual": _as_bool}
+# the O(p) x O(q) type of a degree or harmonics query
+KTYPE_O = (("p", _as_int), ("q", _as_int), ("a", _int_list, []), ("eps", _as_sign, 1), ("b", _int_list, []),
+           ("delta", _as_sign, 1))
 
 
-def descriptor_from_query(q):
-    path = "$.query.inner"
-    q = _as_object(q, path)
-    t = q.get("type")
-    if t == "weil-odd":
-        return WeilOdd(_text(q, "class", path))
-    if t == "weil-even":
-        return WeilEven(_text(q, "class", path))
-    if t == "mp-steinberg":
-        return MpSt2(_text(q, "class", path))
-    if t == "mp2-member":
-        return Mp2Member(_text(q, "tag", path), _as_sign(q.get("eps", 1), f"{path}.eps"))
-    if t == "gl2-steinberg":
-        return St2(_text(q, "class", path))
-    if t == "so3-supercuspidal":
-        return Opaque("sigma_sc", (_text(q, "tag", path),))
-    if t == "nu":
-        return NuChar(_text(q, "class", path))
-    raise SchemaError(path, f"unknown inducing representation {t!r}")
+def reduction_from_query(q: dict) -> ReductionResult:
+    """The composition series of the induced representation that a reduce query names."""
+    group = _field(q, "group", "$.query", default="Mp4")
+    parabolic = _field(q, "parabolic", "$.query", default="P1")
+    data = {key: _field(q, key, "$.query", read) for key, read in REDUCE.items() if key in q}
+    for key in REDUCTIONS.get((group, parabolic), (None, ()))[1]:
+        _require(q, key, "$.query")
+    return reducibility_oracle(group, parabolic, **data)
 
 
-def shimura_row_from_query(q) -> SCRow:
-    kind = _as_str(q.get("place_kind", "nonarch-odd-3mod4"), "$.query.place_kind")
+def ktype_from_query(q: dict) -> dict:
+    """A K-type's degree, and with ``op`` harmonics its K'-type in the joint harmonics; or a lowest K'-type catalog."""
+    op = q.get("op")
+    if op == "catalog":
+        result = lowest_kprime_catalog(_field(q, "query", "$.query", _catalog, {}))
+        return {"lowest_kprime_types": [[str(w) for w in kt.weights] for kt in result]}
+    if op != "degree" and op != "harmonics":
+        raise SchemaError("$.query.op", f"unknown op {op!r}; use degree, harmonics, or catalog")
+    fields = _args(q, "$.query", KTYPE_O)
+    try:
+        mu = KTypeO(*fields)
+    except ValueError as exc:  # signature and weights that name no O(p) x O(q) type
+        raise SchemaError("$.query", str(exc)) from None
+    data = {"degree": degree_o(mu)}
+    if op == "harmonics":
+        n = _field(q, "n", "$.query", _as_int, 2)
+        if n > HARMONICS_RANK_CAP:
+            raise NotInHarmonics(f"$.query.n: rank {n} is above the cap of {HARMONICS_RANK_CAP}")
+        data["kprime"] = [str(w) for w in joint_harmonics(mu, n).weights]
+    return data
+
+
+def shimura_row_from_query(q: dict) -> SCRow:
+    kind = _field(q, "place_kind", "$.query", default="nonarch-odd-3mod4")
     if kind not in KINDS:
         raise SchemaError("$.query.place_kind", f"unknown place kind {kind!r}")
     place = Place("v", kind)
     path = "$.query.row"
-    row = _as_object(q.get("row"), path)
-
-    def text(key):
-        return _text(row, key, path)
-
-    def square_class(key, default=None):
-        """The square class at the place that the label ``row[key]`` names."""
-        value = text(key) if default is None else _as_str(row.get(key, default), f"{path}.{key}")
-        try:
-            return place.class_from_label(value)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.{key}", str(exc)) from None
-
+    row = _field(q, "row", "$.query", _as_object, None)
     t = row.get("type")
     if t == "steinberg-S4":
-        return principal_shimura_row(place, square_class("a", "1"))
+        return principal_shimura_row(place, _as_class(row, "a", place, path, "1"))
     if t == "orthogonal-S2":
-        return orthogonal_shimura_row(place, text("tau"))
+        return orthogonal_shimura_row(place, _field(row, "tau", path))
     signs = FrozenMap()  # sign data of the supercuspidal constituent, if a row reads it
     if t == "4dim":
-        pieces = (Piece4SC(text("tag")),)
+        pieces = (Piece4SC(_field(row, "tag", path)),)
     elif t == "pair-supercuspidal":
-        tags = _as_list(_require(row, "tags", path), f"{path}.tags")
+        tags = _field(row, "tags", path, _as_list)
         if len(tags) != 2:
             raise SchemaError(f"{path}.tags", f"expected two tags, got {tags!r}")
         pieces = tuple(PieceSC(_as_str(x, f"{path}.tags[{i}]")) for i, x in enumerate(tags))
     elif t == "double-supercuspidal":
-        pieces = (PieceSC(text("tag")),) * 2
+        pieces = (PieceSC(_field(row, "tag", path)),) * 2
     elif t == "double-steinberg":
-        pieces = (PieceSt(square_class("a").label),) * 2
+        pieces = (PieceSt(_as_class(row, "a", place, path).label),) * 2
     elif t == "steinberg-pair":
-        pieces = (PieceSt(square_class("a").label), PieceSt(square_class("b").label))
+        pieces = tuple(PieceSt(_as_class(row, key, place, path).label) for key in ("a", "b"))
     elif t == "sc-plus-S2":
-        tag, a = text("tag"), square_class("a").label
-        eps0 = _as_sign(row.get("eps", 1), f"{path}.eps")
-        tw = _as_sign(row.get("eps_twist", 1), f"{path}.eps_twist")
+        tag, a = _field(row, "tag", path), _as_class(row, "a", place, path).label
+        eps0, tw = _field(row, "eps", path, _as_sign, 1), _field(row, "eps_twist", path, _as_sign, 1)
         pieces = (PieceSC(tag), PieceSt(a))
         signs = FrozenMap({tag: RhoIrreducibleSymplectic(tag, eps0, FrozenMap({a: tw}))})
     else:

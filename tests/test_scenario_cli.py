@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,7 +333,19 @@ SCHEMA_MUTATIONS = {
     # a mutation returning text writes that text: nesting this deep ended in
     # json's RecursionError and a traceback (900 levels was a schema error)
     "places_nested_too_deeply": ("sk.json", lambda d: '{"places": ' + "[" * DEEP + "]" * DEEP + "}", "$"),
+    # an entry that must be an object and is not
+    "scenario_not_object": ("sk.json", lambda d: "[]", "$"),
+    "place_not_object": ("sk.json", lambda d: d["places"].__setitem__(0, 5), "$.places[0]"),
+    "element_not_object": ("sk.json", lambda d: d["elements"].__setitem__(0, 5), "$.elements[0]"),
+    "datum_not_object": ("sk.json", lambda d: d["cuspidal"].__setitem__(0, 5), "$.cuspidal[0]"),
+    "local_not_object": ("sk.json", lambda d: d["cuspidal"][0].__setitem__("local", 5), "$.cuspidal[0].local"),
+    "shape_not_object": ("sk.json", lambda d: d["cuspidal"][0]["local"].__setitem__("v1", 5), "$.cuspidal[0].local.v1"),
+    "mp2_weil_not_object": ("sk.json", lambda d: d.__setitem__("mp2_weil", [5]), "$.mp2_weil[0]"),
+    "parameter_not_object": ("sk.json", lambda d: d.__setitem__("parameter", 5), "$.parameter"),
+    # json refuses an integer of more than 4,300 digits with a plain ValueError
+    "version_too_long": ("sk.json", lambda d: '{"version": ' + "1" * 5001 + "}", "$"),
 }
+NOT_OBJECTS = tuple(name for name in SCHEMA_MUTATIONS if name.endswith("_not_object"))
 DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name", "duplicate_mp2_weil_name")
 LOAD_ESCAPES = (
     "steinberg_unknown_class",
@@ -377,6 +390,12 @@ def test_cli_schema_escapes_fail_validate(name, tmp_path, capsys):
     # each of these passed validate, raised a raw ValueError there or ended in a traceback
     assert main(["validate", "--scenario", _mutated(name, tmp_path)]) == 4
     assert SCHEMA_MUTATIONS[name][2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", (*NOT_OBJECTS, "version_too_long"))
+def test_cli_non_objects_and_long_integers_are_schema_errors(name, tmp_path, capsys):
+    assert main(["validate", "--scenario", _mutated(name, tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith(f"schema error: {SCHEMA_MUTATIONS[name][2]}: ")
 
 
 @pytest.mark.parametrize("command", ["validate", "enumerate", "residual", "self-test", "component-group"])
@@ -849,6 +868,11 @@ def test_parse_args_reads_argv_as_argparse_did(argv):
         assert got == expected, argv
 
 
+P1_QUERY = {"group": "Mp4", "parabolic": "P1", "chi": {"class": "u"}, "s": "1/2", "inner": {"type": "weil-odd", "class": "u"}}
+P2_QUERY = {"group": "Mp4", "parabolic": "P2", "tau": {"type": "supercuspidal", "tag": "t"}, "s": "1/2"}
+JP2 = {"type": "jp2", "a": "2", "s": "1/2"}
+JP2_QUERY = {"op": "catalog", "query": JP2}
+
 MALFORMED_QUERIES = {
     "ktype_degree_without_p": ("ktype", {"op": "degree"}, "$.query.p"),
     "ktype_catalog_without_a": ("ktype", {"op": "catalog", "query": {"type": "discrete"}}, "$.query.query.a"),
@@ -896,6 +920,64 @@ MALFORMED_QUERIES = {
     ),
     # given as text: nesting this deep ended in json's RecursionError and a traceback
     "correspond_nested_too_deeply": ("correspond", '{"row": ' + "[" * DEEP + "]" * DEEP + "}", "$.query"),
+    "query_not_object": ("reduce", "[1]", "$.query"),
+    "reduce_unknown_inner_type": ("reduce", {**P1_QUERY, "inner": {"type": "zz"}}, "$.query.inner"),
+    "reduce_inner_not_object": ("reduce", {**P1_QUERY, "inner": "weil-odd"}, "$.query.inner"),
+    "reduce_unknown_tau_type": ("reduce", {**P2_QUERY, "tau": {"type": ["zz"]}}, "$.query.tau"),
+    "ktype_unknown_catalog_type": ("ktype", {"op": "catalog", "query": {"type": "zz"}}, "$.query.query.type"),
+    "ktype_catalog_without_query": ("ktype", {"op": "catalog"}, "$.query.query.type"),
+    "ktype_catalog_eps1_zero": (
+        "ktype",
+        {"op": "catalog", "query": {"type": "jb", "eps1": 0, "eps2": 1}},
+        "$.query.query.eps1",
+    ),
+    "ktype_unknown_op": ("ktype", {"op": "zz"}, "$.query.op"),
+    "reduce_chi_neither_class_nor_tag": ("reduce", {**P1_QUERY, "chi": {"label": "u"}}, "$.query.chi"),
+    "reduce_chi_inverted_not_bool": ("reduce", {**P1_QUERY, "chi": {"tag": "t", "inverted": 1}}, "$.query.chi.inverted"),
+    "reduce_mp2_member_eps_zero": (
+        "reduce",
+        {**P1_QUERY, "inner": {"type": "mp2-member", "tag": "t", "eps": 0}},
+        "$.query.inner.eps",
+    ),
+    "reduce_p1_without_inner": ("reduce", {k: v for k, v in P1_QUERY.items() if k != "inner"}, "$.query.inner"),
+    "reduce_group_number": ("reduce", {**P1_QUERY, "group": 5}, "$.query.group"),
+    "reduce_real_discrete_a_not_rational": (
+        "reduce",
+        {**P2_QUERY, "tau": {"type": "real-discrete", "a": "x"}},
+        "$.query.tau.a",
+    ),
+    "ktype_degree_a_item_not_int": ("ktype", {"op": "degree", "p": 2, "q": 1, "a": ["x"]}, "$.query.a[0]"),
+    "ktype_degree_a_not_list": ("ktype", {"op": "degree", "p": 2, "q": 1, "a": 5}, "$.query.a"),
+    "ktype_degree_even_signature": ("ktype", {"op": "degree", "p": 2, "q": 2}, "$.query"),
+    "ktype_harmonics_n_not_int": ("ktype", {"op": "harmonics", "p": 2, "q": 1, "a": [0], "n": "2"}, "$.query.n"),
+    "correspond_unknown_place_kind": ("correspond", {"place_kind": "zz", "row": {"type": "4dim"}}, "$.query.place_kind"),
+    "correspond_row_not_object": ("correspond", {"row": 5}, "$.query.row"),
+    "correspond_unknown_row_type": ("correspond", {"row": {"type": "zz"}}, "$.query.row.type"),
+    "correspond_steinberg_S4_unknown_class": (
+        "correspond",
+        {"row": {"type": "steinberg-S4", "a": "zz9"}},
+        "$.query.row.a",
+    ),
+    "correspond_tags_not_two": ("correspond", {"row": {"type": "pair-supercuspidal", "tags": ["t"]}}, "$.query.row.tags"),
+    "correspond_tags_not_list": ("correspond", {"row": {"type": "pair-supercuspidal", "tags": "t"}}, "$.query.row.tags"),
+    "correspond_tag_not_string": (
+        "correspond",
+        {"row": {"type": "pair-supercuspidal", "tags": ["t", 1]}},
+        "$.query.row.tags[1]",
+    ),
+    "correspond_sc_plus_S2_eps_twist_zero": (
+        "correspond",
+        {"row": {"type": "sc-plus-S2", "tag": "t", "a": "u", "eps_twist": 0}},
+        "$.query.row.eps_twist",
+    ),
+    # json refuses an integer of more than 4,300 digits with a plain ValueError
+    "ktype_degree_p_too_long": ("ktype", '{"op": "degree", "p": ' + "1" * 5001 + "}", "$.query"),
+    # each of these exponents gives more digits than str() prints
+    **{
+        f"ktype_catalog_a_exponent_{a}": ("ktype", {**JP2_QUERY, "query": {**JP2, "a": a}}, "$.query.query.a")
+        for a in ("1e5000", "1e-5000", "1e100000000", "1E+4300")
+    },
+    "reduce_s_exponent_too_large": ("reduce", {**P1_QUERY, "s": "1e5000"}, "$.query.s"),
 }
 
 
@@ -903,7 +985,21 @@ MALFORMED_QUERIES = {
 def test_cli_malformed_query_exit_typed(name, capsys):
     sub, query, json_path = MALFORMED_QUERIES[name]
     assert main([sub, "--query", query if isinstance(query, str) else json.dumps(query)]) == 4
-    assert json_path in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"schema error: {json_path}: ")
+
+
+def test_cli_huge_exponent_is_refused_before_it_is_built(capsys):
+    query = json.dumps({**JP2_QUERY, "query": {**JP2, "a": "1e100000000"}})
+    start = time.perf_counter()
+    assert main(["ktype", "--query", query]) == 4
+    assert time.perf_counter() - start < 0.1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("a, s", [("1e4000", "1/2"), ("2", "1.5e-4000"), ("2.5", "15e-1"), ("3/2", "5E-1")])
+def test_cli_exponents_within_the_digit_limit_are_read(a, s, capsys):
+    assert main(["ktype", "--query", json.dumps({**JP2_QUERY, "query": {**JP2, "a": a, "s": s}})]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [10**30, 10**8])
