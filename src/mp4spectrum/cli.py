@@ -17,7 +17,10 @@ Subcommands:
 Each subcommand builds its result dict once.  ``--format json`` prints
 that dict; ``--format text`` renders it through the command's ``_*_text``
 function, which is called only then.  The constituent arrays of enumerate
-and residual are ``Encoded`` values, likewise joined only under ``--format json``.
+and residual are ``Encoded`` pieces, which ``reports.dumps`` joins with the
+rest of the report under ``--format json``.  The report is written in slices
+of ``SLICE`` characters, so the output is held once as text and never whole
+as bytes.
 
 ``parse_args`` reads argv as the argparse parser it replaced did, from
 ``OPTIONS`` and ``_ARGUMENTS``, in about 0.04 ms; importing argparse and
@@ -154,19 +157,16 @@ def cmd_enumerate(args) -> Report:
     return Report("enumerate", data, text)
 
 
-def _constituents_json(places, listed) -> str:
-    """enumerate's "constituents" array as reports.dumps would lay it out under a top-level key."""
-    # every place's entry but the first follows a comma
-    etas = [[("," if k else "") + entry(pid, t) for t in labels] for k, (pid, labels, _) in enumerate(places)]
-    members = [[("," if k else "") + entry(pid, t) for t in rendered] for k, (pid, _, rendered) in enumerate(places)]
-    head = f'{OBJECT}{FIELD}"eta": {{'
-    middle = f'{MAP_END},{FIELD}"members": {{'
+def _constituents_json(places, listed) -> list:
+    """The pieces of enumerate's "constituents" array as reports.dumps would lay it out under a top-level key."""
+    # the first place's entry opens the map, every other one follows a comma
+    heads = (f'{OBJECT}{FIELD}"eta": {{', f'{MAP_END},{FIELD}"members": {{')
+    etas = [[("," if k else heads[0]) + entry(pid, t) for t in labels] for k, (pid, labels, _) in enumerate(places)]
+    members = [[("," if k else heads[1]) + entry(pid, m) for m in shown] for k, (pid, _, shown) in enumerate(places)]
     tails = tuple(f'{MAP_END},{FIELD}"vanishing": {v}{OBJECT_END}' for v in ("false", "true"))
     parts = []
     for choice, vanishing in listed:
-        parts.append(head)
         parts += map(getitem, etas, choice)
-        parts.append(middle)
         parts += map(getitem, members, choice)
         parts.append(tails[vanishing])
     return array(parts)
@@ -274,8 +274,8 @@ def cmd_residual(args) -> Report:
     return Report("residual", data, functools.partial(_residual_text, cons=cons, shown=shown, verbose=args.verbose))
 
 
-def _residual_json(cons, shown) -> str:
-    """residual's "constituents" array as reports.dumps would lay it out; shown maps id(member) -> rendering."""
+def _residual_json(cons, shown) -> list:
+    """The pieces of residual's "constituents" array as dumps would lay it out; shown maps id(member) -> rendering."""
     encoded = functools.cache(encode_basestring)  # a support and a family repeat across constituents
     member_entry = functools.cache(lambda pid, key: entry(pid, shown[key]))  # encoded once per (place, member)
     parts = []
@@ -303,7 +303,7 @@ def cmd_export_tables(args) -> Report:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(dumps(data))
+                _write(fh, dumps(data), end="")
         except OSError as exc:
             raise SchemaError("$", f"cannot write {args.output!r}: {exc.strerror or exc}") from None
     return Report("export-tables", data, functools.partial(_export_tables_text, output=args.output))
@@ -449,6 +449,17 @@ def parse_args(argv: list) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
+# characters per write: 16-256 KiB slices gave the same peak RSS on a 4.4 MB enumerate, 1 MiB and more a higher one
+SLICE = 1 << 16
+
+
+def _write(fh, text: str, end: str = "\n") -> None:
+    """Write text, then end, to fh in slices, so that fh never encodes the whole text at once."""
+    for k in range(0, len(text), SLICE):
+        fh.write(text[k : k + SLICE])
+    fh.write(end)
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
@@ -469,7 +480,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    print(report.emit(args.format))
+    _write(sys.stdout, report.emit(args.format))
     return EXIT_OK
 
 

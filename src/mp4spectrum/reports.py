@@ -2,7 +2,7 @@
 
 The JSON form is plain JSON-serializable data with deterministic
 ordering, so exported atlases diff cleanly across runs; a top-level value
-may come as Encoded text that dumps splices in.  The text form is
+may come as Encoded pieces of text that dumps splices in.  The text form is
 a rendering of the same dict, built only when it is asked for.
 """
 
@@ -16,17 +16,17 @@ from .record import Record
 
 
 class Encoded(Record):
-    """A top-level value whose JSON text, laid out at that depth as dumps would lay it out, is encode()."""
+    """A top-level value whose JSON text, laid out at that depth as dumps would lay it out, is joined from encode()."""
 
-    encode: Callable[[], str]
+    encode: Callable[[], list]  # the pieces of the text, in order
 
 
 def dumps(data) -> str:
     """The package's one JSON writer: two-space indent, non-ASCII kept.
 
     Byte for byte ``json.dumps(data, indent=2, ensure_ascii=False)``, whose
-    indented form runs json's pure-Python encoder.  The text is joined from
-    its pieces once, so an Encoded value's text is copied once.
+    indented form runs json's pure-Python encoder.  The text is joined once
+    from pieces, an Encoded value's among them.
     """
     out: list = []
     _write(data, "\n", out)
@@ -59,7 +59,10 @@ def _write(o, nl: str, out: list) -> None:
             sep = "," + inner
         out.append(nl + "]" if o else "[]")
     elif isinstance(o, Encoded):
-        out.append(o.encode())
+        pieces = o.encode()
+        if isinstance(pieces, str):  # extending out with it would splice it in one character at a time
+            raise TypeError("Encoded.encode() returns a list of pieces, not a str")
+        out += pieces
     else:
         out.append(json.dumps(o))  # numbers, booleans and None; anything else raises TypeError
 
@@ -74,13 +77,13 @@ def entry(key: str, value: str) -> str:
     return f"\n        {encode_basestring(key)}: {encode_basestring(value)}"
 
 
-def array(parts: list) -> str:
-    """The array joined from its objects' pieces; the first object's comma becomes the bracket."""
+def array(parts: list) -> list:
+    """The pieces of the array of its objects' pieces; the first object's comma becomes the bracket."""
     if not parts:
-        return "[]"
+        return ["[]"]
     parts[0] = "[" + parts[0][1:]
     parts.append("\n  ]")
-    return "".join(parts)
+    return parts
 
 
 class Report(Record):

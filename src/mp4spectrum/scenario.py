@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 import sys
 from fractions import Fraction
 from typing import Any, Mapping
@@ -59,6 +60,14 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+# a schema error echoes an input value as its repr cut by reprlib (loaded by collections already) to one level,
+# six list or four object items and 30 characters a string, never built whole: a few hundred bytes at most, an
+# object's keys in sorted order
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_shown = _ECHO.repr
 
 
 class ScenarioValidationError(ValueError):
@@ -181,37 +190,37 @@ def _require(obj: Mapping, key: str, path: str) -> Any:
 
 def _as_sign(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
-        raise SchemaError(path, f"expected +1 or -1, got {value!r}")
+        raise SchemaError(path, f"expected +1 or -1, got {_shown(value)}")
     return value
 
 
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
-        raise SchemaError(path, f"expected true or false, got {value!r}")
+        raise SchemaError(path, f"expected true or false, got {_shown(value)}")
     return value
 
 
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {value!r}")
+        raise SchemaError(path, f"expected a string, got {_shown(value)}")
     return value
 
 
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
+        raise SchemaError(path, f"expected an integer, got {_shown(value)}")
     return value
 
 
 def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(path, f"expected a list, got {value!r}")
+        raise SchemaError(path, f"expected a list, got {_shown(value)}")
     return value
 
 
 def _as_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {value!r}")
+        raise SchemaError(path, f"expected an object, got {_shown(value)}")
     return value
 
 
@@ -228,18 +237,23 @@ def _require_element(name: str, names: set, path: str) -> None:
         raise SchemaError(path, f"unknown element {name!r}")
 
 
+# digits a rational's numerator and denominator keep free under the digits str() prints: the catalog's arithmetic
+# (a + 1/2, a - 1, 2a) adds at most one digit to either, and its weights must still print
+DIGIT_MARGIN = 8
+
+
 def _as_fraction(value: Any, path: str) -> Fraction:
     text = str(value)
-    # len(text) + exponent bounds the digits of the value, which is refused before Fraction builds it (1e100000000
-    # takes seconds) when str() could not print that many; a long text is refused before int() reads its exponent
+    # len(text), plus the exponent if any, bounds the digits of the value, which is refused before Fraction builds
+    # it (1e100000000 takes seconds); a long text is refused before int() reads its exponent
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if exponent.isdecimal() and (len(text) > limit or len(text) + int(exponent) > limit):
-        raise SchemaError(path, f"the exponent of {value!r} gives more than {limit} digits")
+    limit = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - DIGIT_MARGIN
+    if len(text) > limit or exponent.isdecimal() and len(text) + int(exponent) > limit:
+        raise SchemaError(path, f"{_shown(value)} may have more than {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(path, f"not a rational number: {value!r}") from None
+        raise SchemaError(path, f"not a rational number: {_shown(value)}") from None
 
 
 def _as_map(value: Any, path: str, as_value=_as_sign) -> FrozenMap:
@@ -297,13 +311,13 @@ def _parse_shape(obj: Any, place: Place, path: str, part: bool = False) -> Local
             return Rho4Split(tuple(_parse_shape(s, place, f"{path}.parts[{i}]", True) for i, s in enumerate(parts)))
     except InvalidParameter as exc:
         raise SchemaError(path, str(exc)) from exc
-    raise SchemaError(f"{path}.shape", f"unknown shape kind {kind!r}")
+    raise SchemaError(f"{path}.shape", f"unknown shape kind {_shown(kind)}")
 
 
 def scenario_from_dict(data: Any) -> Scenario:
     version = _as_object(data, "$").get("version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise SchemaError("$.version", f"unsupported schema version {version!r}")
+        raise SchemaError("$.version", f"unsupported schema version {_shown(version)}")
 
     places_raw = _require(data, "places", "$")
     if not isinstance(places_raw, list) or not places_raw:
@@ -314,7 +328,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         pid = _field(_as_object(praw, path), "id", path)
         kind = _field(praw, "kind", path)
         if kind not in KINDS:
-            raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}; one of {sorted(KINDS)}")
+            raise SchemaError(f"{path}.kind", f"unknown kind {_shown(kind)}; one of {sorted(KINDS)}")
         if any(p.id == pid for p in places):
             raise SchemaError(f"{path}.id", f"duplicate place id {pid!r}")
         places.append(Place(pid, kind))

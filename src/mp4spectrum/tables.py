@@ -91,6 +91,7 @@ from .scenario import (
     _as_str,
     _field,
     _require,
+    _shown,
     parse_json,
     read_file,
 )
@@ -114,7 +115,7 @@ def _typed(q, path: str, table: dict, unknown: str, type_path: str = ""):
     """The term that the row of ``table`` named by the object's ``type`` builds: a constructor, then its fields."""
     t = _as_object(q, path).get("type")
     if type(t) is not str or t not in table:
-        raise SchemaError(path + type_path, f"{unknown} {t!r}")
+        raise SchemaError(path + type_path, f"{unknown} {_shown(t)}")
     build, *fields = table[t]
     return build(*_args(q, path, fields))
 
@@ -184,7 +185,7 @@ def ktype_from_query(q: dict) -> dict:
         result = lowest_kprime_catalog(_field(q, "query", "$.query", _catalog, {}))
         return {"lowest_kprime_types": [[str(w) for w in kt.weights] for kt in result]}
     if op != "degree" and op != "harmonics":
-        raise SchemaError("$.query.op", f"unknown op {op!r}; use degree, harmonics, or catalog")
+        raise SchemaError("$.query.op", f"unknown op {_shown(op)}; use degree, harmonics, or catalog")
     fields = _args(q, "$.query", KTYPE_O)
     try:
         mu = KTypeO(*fields)
@@ -217,7 +218,7 @@ def shimura_row_from_query(q: dict) -> SCRow:
     elif t == "pair-supercuspidal":
         tags = _field(row, "tags", path, _as_list)
         if len(tags) != 2:
-            raise SchemaError(f"{path}.tags", f"expected two tags, got {tags!r}")
+            raise SchemaError(f"{path}.tags", f"expected two tags, got {_shown(tags)}")
         pieces = tuple(PieceSC(_as_str(x, f"{path}.tags[{i}]")) for i, x in enumerate(tags))
     elif t == "double-supercuspidal":
         pieces = (PieceSC(_field(row, "tag", path)),) * 2
@@ -231,7 +232,7 @@ def shimura_row_from_query(q: dict) -> SCRow:
         pieces = (PieceSC(tag), PieceSt(a))
         signs = FrozenMap({tag: RhoIrreducibleSymplectic(tag, eps0, FrozenMap({a: tw}))})
     else:
-        raise SchemaError("$.query.row.type", f"unknown row type {t!r}")
+        raise SchemaError("$.query.row.type", f"unknown row type {_shown(t)}")
     return shimura_row(place, ShTempered(tuple(sorted(pieces, key=repr)), signs))
 
 

@@ -11,13 +11,18 @@ scenarios under tests/scenarios/ likewise, for the variants listed in
 Beside the files, ``RESIDUAL_WIDE_SHA256`` pins one digest of ``residual``
 output per seed on the 100 inputs of the benchmark's residual-wide workload
 of seeds 1 to 4 (see ``residual_wide_digest``), too many outputs to keep
-as files; the seeds mix the place kinds differently.
+as files; the seeds mix the place kinds differently.  ``memory_peaks``
+measures the peak memory of ``enumerate`` on the benchmark's memory input
+of seed 1 (``MEMORY_SCENARIO``), whose 4.4 MB JSON output
+``MEMORY_SLOT_SHA256`` pins.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 HERE = os.path.dirname(__file__)
@@ -162,3 +167,39 @@ def residual_wide_digest(run, seed: int = 1) -> str:
                 digest.update(f"{i} {' '.join(fmt)} exit {code}\n".encode())
                 digest.update(out)
     return digest.hexdigest()
+
+
+# perfbench/scengen.memory_scenario(1, ...): a principal parameter at 13 places with 2^12 constituents
+MEMORY_SCENARIO = os.path.join(SCENARIOS, "memory_slot_1.json")
+MEMORY_SLOT_SHA256 = "cdacb75ecb365178d988d773e3ce0fc5fec75541e114a1f5c65a8b5ad53c3ac6"
+# enumerate --format json on MEMORY_SCENARIO raises the peak RSS of its process above the peak of the import by
+# under this multiple of its output: the output held once as text, plus a pointer per piece it is joined from and
+# the listed tuples (about 1.37); 2.2 when the output was held joined twice and encoded whole
+MEMORY_EXCESS_BOUND = 1.5
+
+# a child that reads its peak RSS after importing the CLI and again after running it on its arguments, and prints
+# both in KiB to stderr: the VmHWM of Linux's /proc/self/status (ru_maxrss would carry the RSS of the process that
+# forked it)
+_PEAK_PROBE = """
+import sys
+def peak():
+    return next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+from mp4spectrum.cli import main
+imported = peak()
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(imported, peak(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def memory_peaks(python: str = sys.executable) -> tuple:
+    """(peak after the import, peak after enumerate, both in KiB; its stdout) on MEMORY_SCENARIO, in one child.
+
+    Linux only: the peaks are read from /proc/self/status.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    argv = ["enumerate", "--format", "json", "--scenario", MEMORY_SCENARIO]
+    proc = subprocess.run([python, "-c", _PEAK_PROBE, *argv], env=env, capture_output=True, check=True, timeout=60)
+    imported, peak = map(int, proc.stderr.split()[-2:])
+    return imported, peak, proc.stdout

@@ -8,17 +8,29 @@ encoded by ``json.dumps(..., indent=2, ensure_ascii=False)`` or written as
 the text form's lines.  The two must agree byte for byte on generated
 scenarios of all five families, on the fixtures, on a parameter with no
 constituent and on names that need escaping, plain and ``--verbose``.
+
+The last test bounds the memory the output costs: ``enumerate`` on the
+benchmark's memory input holds its 4.4 MB of JSON about once at its peak.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 
 import pytest
 
-from golden_calls import FIXTURE_NAMES, FIXTURES, SCENARIOS, load_scengen
+from golden_calls import (
+    FIXTURE_NAMES,
+    FIXTURES,
+    MEMORY_EXCESS_BOUND,
+    MEMORY_SLOT_SHA256,
+    SCENARIOS,
+    load_scengen,
+    memory_peaks,
+)
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render, sign_label
 from mp4spectrum.multiplicity import enumerate_constituents
@@ -123,3 +135,11 @@ def test_empty_enumeration(scenario_paths, capsys):
     assert main(["enumerate", "--verbose", "--format", "json", "--scenario", scenario_paths["empty"]]) == 0
     listed = json.loads(capsys.readouterr().out)["constituents"]
     assert len(listed) == 1 and listed[0]["vanishing"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from Linux's /proc/self/status")
+def test_enumerate_peak_holds_its_output_about_once():
+    # joined twice and encoded whole, the output cost 2.15 times its size (9.3 MB over 16.8 MB for 4.4 MB)
+    base_kib, peak_kib, out = memory_peaks()
+    assert hashlib.sha256(out).hexdigest() == MEMORY_SLOT_SHA256
+    assert (peak_kib - base_kib) * 1024 < MEMORY_EXCESS_BOUND * len(out)

@@ -1,15 +1,19 @@
 """reports.dumps, the package's JSON writer, against json.dumps(indent=2, ensure_ascii=False).
 
-The constituent arrays that cli joins from encoded pieces are checked against dumps.
+The constituent arrays that cli joins from encoded pieces are checked against dumps,
+and cli's writer, which writes a report in slices, against the export-tables goldens.
 """
 
+import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mp4spectrum.cli import _constituents_json, _residual_json
-from mp4spectrum.reports import Encoded, dumps
+from golden_calls import GOLDEN
+from mp4spectrum.cli import SLICE, _constituents_json, _residual_json, _write, main
+from mp4spectrum.reports import Encoded, array, dumps
 from mp4spectrum.residual import ResidualConstituent
 
 
@@ -47,11 +51,20 @@ def test_dumps_is_json_dumps(x):
 @SETTINGS
 @given(st.dictionaries(TEXT, VALUES, min_size=1, max_size=4), st.data())
 def test_dumps_splices_a_top_level_encoded_value(plain, data):
-    # an Encoded value is the text of its value laid out one level deep
+    # an Encoded value is the text of its value laid out one level deep, in pieces cut anywhere
     key = data.draw(st.sampled_from(sorted(plain)))
+    text = reference(plain[key]).replace("\n", "\n  ")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    pieces = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
     encoded = dict(plain)
-    encoded[key] = Encoded(lambda: reference(plain[key]).replace("\n", "\n  "))
+    encoded[key] = Encoded(lambda: pieces)
     assert dumps(encoded) == reference(plain)
+
+
+def test_dumps_refuses_an_encoded_str():
+    # extending the pieces with a str would splice it in a character at a time, and the text would still come out
+    with pytest.raises(TypeError):
+        dumps({"a": Encoded(lambda: '"b"')})
 
 
 @pytest.mark.parametrize("key", [1, -7, 2**80, True, False, None, 2.5, float("nan")])
@@ -95,6 +108,13 @@ def test_residual_array_is_dumps_of_the_dict_form(data):
     assert _top("constituents", Encoded(lambda: _residual_json(cons, shown))) == _top("constituents", dicts)
 
 
+def test_empty_array():
+    assert array([]) == ["[]"]
+    assert _top("constituents", Encoded(lambda: array([]))) == _top("constituents", [])
+    no_constituents = Encoded(lambda: _constituents_json([("v1", ["(+)"], ["m"])], []))
+    assert _top("constituents", no_constituents) == _top("constituents", [])
+
+
 @pytest.mark.parametrize("descriptors", [[], [()], [(), ()]])
 def test_residual_array_with_no_constituents_or_members(descriptors):
     cons = [ResidualConstituent(f"c{i}", "B", "principal", d, None) for i, d in enumerate(descriptors)]
@@ -120,3 +140,32 @@ def test_enumerate_array_is_dumps_of_the_dict_form(data):
         for choice, vanishing in listed
     ]
     assert _top("constituents", Encoded(lambda: _constituents_json(places, listed))) == _top("constituents", dicts)
+
+
+# --- cli's writer ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3])
+def test_write_is_the_text_then_end(size):
+    text = ("a\u00e9\U0001d53d\n" * size)[:size]  # slices fall between any two characters, astral ones too
+    out = io.StringIO()
+    _write(out, text)
+    assert out.getvalue() == text + "\n"
+    out = io.StringIO()
+    _write(out, text, end="")
+    assert out.getvalue() == text
+
+
+def test_export_tables_is_written_byte_for_byte_across_slices(tmp_path, capsys):
+    # the writer's byte-identity check: each export-tables golden is longer than one slice
+    with open(os.path.join(GOLDEN, "export-tables.json"), "rb") as fh:
+        golden_json = fh.read()
+    with open(os.path.join(GOLDEN, "export-tables.txt"), "rb") as fh:
+        golden_text = fh.read()
+    assert len(golden_json) > SLICE and len(golden_text) > SLICE
+    capsys.readouterr()
+    assert main(["export-tables", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden_json
+    # the -o file holds the text form without its newline
+    assert main(["export-tables", "-o", str(tmp_path / "tables.json")]) == 0
+    assert (tmp_path / "tables.json").read_bytes() == golden_text[:-1]

@@ -19,6 +19,7 @@ from golden_calls import load_scengen
 from mp4spectrum.cli import COMMANDS, OPTIONS, main, parse_args
 from mp4spectrum.ktypes import HARMONICS_RANK_CAP
 from mp4spectrum.scenario import (
+    DIGIT_MARGIN,
     ScenarioValidationError,
     SchemaError,
     load_scenario,
@@ -433,6 +434,29 @@ def test_cli_validate_checks_reciprocity_once(monkeypatch, capsys):
     monkeypatch.setattr(scenario, "validate_reciprocity", lambda *a: calls.append(a) or check(*a))
     assert main(["validate", "--scenario", fixture_path("sk.json"), "--format", "json"]) == 0
     assert len(calls) == 1
+
+
+# values too large to echo whole: (document, JSON path, the start of the echo)
+HUGE_VALUES = {
+    "scenario_array": (list(range(200_000)), "$", "expected an object, got [0, 1, 2, 3, 4, 5, ...]"),
+    "place_kind_list": (
+        {"places": [{"id": "v1", "kind": [["k" * 100] * 100] * 100}]},
+        "$.places[0].kind",
+        "expected a string, got [[...], [...], [...], [...], [...], [...], ...]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_VALUES))
+def test_cli_schema_error_echoes_a_bounded_value(name, tmp_path, capsys):
+    # the whole value's repr was echoed: 1.49 MB on stderr for the array
+    doc, json_path, echo = HUGE_VALUES[name]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {json_path}: {echo}")
+    assert len(err.encode("utf-8")) < 1024
 
 
 def test_cli_schema_error_exit_code(tmp_path, capsys):
@@ -978,6 +1002,11 @@ MALFORMED_QUERIES = {
         for a in ("1e5000", "1e-5000", "1e100000000", "1E+4300")
     },
     "reduce_s_exponent_too_large": ("reduce", {**P1_QUERY, "s": "1e5000"}, "$.query.s"),
+    # a + 1/2 had more digits than str() prints: a ValueError traceback; a rational keeps DIGIT_MARGIN digits free
+    **{
+        f"ktype_catalog_a_{n}_digits": ("ktype", {**JP2_QUERY, "query": {**JP2, "a": "9" * n}}, "$.query.query.a")
+        for n in (4300, 4301 - DIGIT_MARGIN)
+    },
 }
 
 
@@ -996,7 +1025,17 @@ def test_cli_huge_exponent_is_refused_before_it_is_built(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("a, s", [("1e4000", "1/2"), ("2", "1.5e-4000"), ("2.5", "15e-1"), ("3/2", "5E-1")])
+@pytest.mark.parametrize(
+    "a, s",
+    [
+        ("1e4000", "1/2"),
+        ("2", "1.5e-4000"),
+        ("2.5", "15e-1"),
+        ("3/2", "5E-1"),
+        # the most digits read: the weights a + 1/2 and -a - 1/2 have one more, and print
+        pytest.param("9" * (4300 - DIGIT_MARGIN), "1/2", id="nines-at-the-margin"),
+    ],
+)
 def test_cli_exponents_within_the_digit_limit_are_read(a, s, capsys):
     assert main(["ktype", "--query", json.dumps({**JP2_QUERY, "query": {**JP2, "a": a, "s": s}})]) == 0
     assert capsys.readouterr().out

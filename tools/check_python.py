@@ -19,7 +19,10 @@ An info line, which never fails, gives the line count of
 ``src/mp4spectrum``, its code-line count (the lines that are not blank,
 comment-only or part of a docstring) and the in-process ``compile()``
 time of its modules (best of 7), since every CLI child without a
-bytecode cache pays it.
+bytecode cache pays it.  On Linux it also gives the peak RSS (VmHWM) of
+the memory test's child after importing the CLI and after ``enumerate
+--format json`` on that test's scenario, and the rise as a multiple of the
+output's size.
 Uses the standard library only, for interpreters that have no pytest.
 """
 
@@ -41,6 +44,7 @@ from golden_calls import (
     GOLDEN,
     RESIDUAL_WIDE_SHA256,
     golden_calls,
+    memory_peaks,
     residual_wide_digest,
 )
 from mp4spectrum.cli import main
@@ -151,7 +155,12 @@ def source_info():
         best = min(best, time.perf_counter() - start)
     lines = sum(text.count("\n") for text in sources)
     code = sum(map(code_lines, sources))
-    return f"INFO src: {lines} lines ({code} code lines) in {len(paths)} modules, compile() {best * 1e3:.1f} ms"
+    info = f"INFO src: {lines} lines ({code} code lines) in {len(paths)} modules, compile() {best * 1e3:.1f} ms"
+    if os.path.exists("/proc/self/status"):
+        base, peak, out = memory_peaks()
+        info += (f"; VmHWM import {base / 1024:.1f} MB, enumerate {peak / 1024:.1f} MB: "
+                 f"{(peak - base) * 1024 / len(out):.2f} x its {len(out) / 1e6:.1f} MB output")
+    return info
 
 
 def main_check() -> int:
