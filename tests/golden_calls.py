@@ -11,7 +11,10 @@ scenarios under tests/scenarios/ likewise, for the variants listed in
 Beside the files, ``RESIDUAL_WIDE_SHA256`` pins one digest of ``residual``
 output per seed on the 100 inputs of the benchmark's residual-wide workload
 of seeds 1 to 4 (see ``residual_wide_digest``), too many outputs to keep
-as files; the seeds mix the place kinds differently.  ``memory_peaks``
+as files; the seeds mix the place kinds differently.
+``ENUMERATE_SCALED_SHA256`` pins ``enumerate`` the same way on the 100
+inputs of the enumerate-scaled workload of seeds 1 and 2 (see
+``enumerate_scaled_digest``).  ``memory_peaks``
 measures the peak memory of ``enumerate`` on the benchmark's memory input
 of seed 1 (``MEMORY_SCENARIO``), whose 4.4 MB JSON output
 ``MEMORY_SLOT_SHA256`` pins.
@@ -125,13 +128,18 @@ def golden_calls():
     return calls
 
 
-def load_scengen():
-    """perfbench/scengen.py, the benchmark's scenario generator, loaded from its file."""
-    path = os.path.join(HERE, "..", "perfbench", "scengen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_scengen", path)
+def load_perfbench(name: str):
+    """perfbench/<name>.py, loaded from its file."""
+    path = os.path.join(HERE, "..", "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_scengen():
+    """perfbench/scengen.py, the benchmark's scenario generator, loaded from its file."""
+    return load_perfbench("scengen")
 
 
 RESIDUAL_WIDE_FORMATS = (["--format", "json"], ["--format", "text", "--verbose"])
@@ -164,6 +172,44 @@ def residual_wide_digest(run, seed: int = 1) -> str:
                 json.dump(doc, fh)
             for fmt in RESIDUAL_WIDE_FORMATS:
                 code, out = run(["residual", "--scenario", path, *fmt])
+                digest.update(f"{i} {' '.join(fmt)} exit {code}\n".encode())
+                digest.update(out)
+    return digest.hexdigest()
+
+
+ENUMERATE_SCALED_FORMATS = (["--format", "json"], ["--format", "json", "--verbose"])
+
+# by seed; computed before enumerate listed its tuples in one pruned walk over
+# the places instead of a span of the affine solutions sorted and filtered
+ENUMERATE_SCALED_SHA256 = {
+    1: "55905b9e191ef2024ab81fdf70f88ad2a9cd947fb023690c2f296484a6c9082f",
+    2: "b38f1be119ca2089596685488125daef14c9d577b1704aed594ecc33617a2d12",
+}
+
+
+def enumerate_scaled_digest(run, seed: int = 1) -> str:
+    """SHA-256 of ``enumerate`` on ``scengen.enumerate_scenarios(seed)``, in JSON with and without ``--verbose``.
+
+    The scenarios are drawn as the benchmark's enumerate-scaled workload
+    draws them, against the character sums of ``oracle``; ``run`` and the
+    digest are as in ``residual_wide_digest``.
+    """
+    oracle = load_perfbench("oracle")
+    from mp4spectrum.scenario import scenario_from_dict
+
+    def counts(doc):
+        sc = scenario_from_dict(doc)
+        sc.validate()
+        return tuple(oracle.character_sum_count(sc.parameter, sc.places, nonzero) for nonzero in (False, True))
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (_, doc) in enumerate(load_scengen().enumerate_scenarios(seed, counts)):
+            path = os.path.join(tmp, f"{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for fmt in ENUMERATE_SCALED_FORMATS:
+                code, out = run(["enumerate", "--scenario", path, *fmt])
                 digest.update(f"{i} {' '.join(fmt)} exit {code}\n".encode())
                 digest.update(out)
     return digest.hexdigest()

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from golden_calls import (
+    ENUMERATE_SCALED_SHA256,
     FIXTURE_NAMES,
     GENERATED_GOLDENS,
     GOLDEN,
@@ -18,6 +19,7 @@ from golden_calls import (
     RESIDUAL_WIDE_SHA256,
     SCENARIO_FREE,
     VARIANTS,
+    enumerate_scaled_digest,
     golden_calls,
     residual_wide_digest,
 )
@@ -92,6 +94,13 @@ def test_residual_output_on_seed_4_inputs_is_pinned(capsys):
     # every byte of residual's JSON array is joined from encoded lines, not
     # written by reports.dumps, so a fourth seed pins more of that output
     assert residual_wide_digest(_digest_runner(capsys), 4) == RESIDUAL_WIDE_SHA256[4]
+
+
+@pytest.mark.parametrize("seed", sorted(ENUMERATE_SCALED_SHA256))
+def test_enumerate_output_on_generated_inputs_is_pinned(seed, capsys):
+    # enumerate in JSON, plain and --verbose, on the 100 enumerate-scaled
+    # inputs of the seed: 6-13 places of all five families
+    assert enumerate_scaled_digest(_digest_runner(capsys), seed) == ENUMERATE_SCALED_SHA256[seed]
 
 
 def _refuse_text(monkeypatch):

@@ -1,4 +1,4 @@
-"""Check one interpreter without pytest: imports, tracer paths, self-test, character sum, goldens.
+"""Check one interpreter without pytest: imports, tracer paths, self-test, character sum, goldens, digests.
 
 Run from the repository root with the interpreter to check, e.g.
 
@@ -13,7 +13,9 @@ counts what ``enumerate_constituents`` lists on every fixture (with and
 without the vanishing tuples), and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
 byte for byte, and that ``residual`` on the benchmark's residual-wide
-inputs of seeds 1 to 4 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``.
+inputs of seeds 1 to 4 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``,
+and ``enumerate`` on the enumerate-scaled inputs of seeds 1 and 2 to
+``golden_calls.ENUMERATE_SCALED_SHA256``.
 Prints one line per check and exits 1 if any fails.
 An info line, which never fails, gives the line count of
 ``src/mp4spectrum``, its code-line count (the lines that are not blank,
@@ -29,7 +31,7 @@ Uses the standard library only, for interpreters that have no pytest.
 import ast
 import contextlib
 import glob
-import importlib.util
+import importlib
 import io
 import os
 import subprocess
@@ -40,10 +42,13 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from golden_calls import (
+    ENUMERATE_SCALED_SHA256,
     FIXTURE_NAMES,
     GOLDEN,
     RESIDUAL_WIDE_SHA256,
+    enumerate_scaled_digest,
     golden_calls,
+    load_perfbench,
     memory_peaks,
     residual_wide_digest,
 )
@@ -74,15 +79,8 @@ def check_self_test():
     return not failed, f"self-test on {len(FIXTURE_NAMES)} fixtures, failed: {failed}"
 
 
-def _perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def check_tracer_paths():
-    tracer = _perfbench("tracer")
+    tracer = load_perfbench("tracer")
     paths = [(mod, path) for _, mod, path, _ in tracer.TARGETS] + [(mod, path) for _, mod, path in tracer.COUNTED]
     missing = []
     for mod, path in paths:
@@ -100,7 +98,7 @@ def check_tracer_paths():
 
 
 def check_character_sum():
-    oracle = _perfbench("oracle")
+    oracle = load_perfbench("oracle")
     differ = []
     for f in FIXTURE_NAMES:
         sc = load_scenario(os.path.join(ROOT, "fixtures", f"{f}.json"))
@@ -127,6 +125,12 @@ def check_residual_digest():
     digests = {seed: residual_wide_digest(_run, seed) for seed in RESIDUAL_WIDE_SHA256}
     shown = ", ".join(f"seed {seed} {digest}" for seed, digest in digests.items())
     return digests == RESIDUAL_WIDE_SHA256, f"residual on the 100 residual-wide inputs per seed hashes to {shown}"
+
+
+def check_enumerate_digest():
+    digests = {seed: enumerate_scaled_digest(_run, seed) for seed in ENUMERATE_SCALED_SHA256}
+    shown = ", ".join(f"seed {seed} {digest}" for seed, digest in digests.items())
+    return digests == ENUMERATE_SCALED_SHA256, f"enumerate on the 100 enumerate-scaled inputs per seed hashes to {shown}"
 
 
 def code_lines(text: str) -> int:
@@ -167,7 +171,8 @@ def main_check() -> int:
     print(f"python {sys.version.split()[0]}")
     print(source_info())
     ok = True
-    checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_goldens, check_residual_digest)
+    checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_goldens, check_residual_digest,
+              check_enumerate_digest)
     for check in checks:
         passed, detail = check()
         ok &= passed
