@@ -9,8 +9,9 @@ every relation; ascending masks are then the canonical character order
 (lexicographic on basis values, +1 before -1), which keeps reports and
 atlases diff-stable.
 
-The small Gaussian-elimination helpers double as the engine for the
-multiplicity module's affine parity solve, so they live here.
+The small Gaussian-elimination helpers also bound the multiplicity
+module's listing: its affine solve over the concatenated local character
+masks counts the multiplicity-one tuples before any is listed.
 """
 
 from __future__ import annotations

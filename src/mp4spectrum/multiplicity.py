@@ -13,11 +13,14 @@ from S_phi, and the local packet, its entries built as they are read.
 
 Two counting routes are kept deliberately independent:
 
-  * listed_tuples solves the F2-affine system cut out by the pullback
-    condition (one affine solve over the concatenated local character
-    masks, kernel enumeration) and drops, by character index, the tuples
-    with a vanishing local member; enumerate_constituents and the CLI's
-    enumerate both read its index tuples;
+  * listed_tuples reads the pullback condition one place at a time: each
+    packet entry's residue (LocalData.factors) is its character's pullback
+    to S_phi, and a multiplicity-one tuple is one whose residues sum to
+    eps~.  One walk over the places, pruned by the residues the places
+    still ahead can reach, lays the tuples down in order, the ones with a
+    vanishing member left out unless asked for; an affine solve over the
+    concatenated local character masks first bounds their number.
+    enumerate_constituents and the CLI's enumerate both read it;
   * brute_force_count iterates the full product of local packet entries
     and applies the definitional test tuple by tuple.
 
@@ -27,7 +30,6 @@ Their agreement is the main acceptance gate.
 from __future__ import annotations
 
 import itertools
-from operator import getitem
 from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affine
 from .descriptors import Zero
 from .fields import Place
@@ -80,13 +82,14 @@ class LocalData:
     entries (the packet) and entry(label) build each entry once; member is the designated member once built.
     """
 
-    __slots__ = ("param", "iota", "member", "_entries", "_at")
+    __slots__ = ("param", "iota", "member", "_entries", "_at", "_factors")
 
     def __init__(self, param: LocalParam, iota: LocalizationMap):
         self.param = param
         self.iota = iota
         self.member = None
         self._entries = None
+        self._factors = None
         self._at = {}  # label mask -> its packet entry
 
     @property
@@ -102,6 +105,17 @@ class LocalData:
         if self._entries is None:
             self._entries = tuple(local_packet(self.param))
         return self._entries
+
+    @property
+    def factors(self) -> tuple:
+        """(residue, is zero) per entry, built once; the residue is iota.pullback of the entry's character.
+
+        Delta^* eta is the sum of its components' residues, so the pullback
+        condition can be read one place at a time.
+        """
+        if self._factors is None:
+            self._factors = tuple((self.iota.pullback(e.label), e.is_zero) for e in self.entries)
+        return self._factors
 
     def entry(self, label: int) -> PacketEntry:
         e = self._at.get(label)
@@ -131,73 +145,73 @@ def multiplicity(phi: AParameter, places: list[Place], eta: AdelicCharacter) -> 
     return 1 if diagonal_pullback(phi, places, eta) == epsilon_tilde(phi) else 0
 
 
-def _constituent(eta_pairs: list, member_pairs: list, choice: tuple) -> Constituent:
-    """The constituent at one multiplicity-one tuple of character indexes.
-
-    eta_pairs[k][i] and member_pairs[k][i] are the (place id, character)
-    and (place id, member) pairs of character i at the k-th place; sharing
-    them keeps each constituent to a handful of new objects.
-    """
-    eta = AdelicCharacter(tuple(map(getitem, eta_pairs, choice)))
-    return Constituent(eta, tuple(map(getitem, member_pairs, choice)), multiplicity=1)
+def _constituent(pieces: list, n: int) -> Constituent:
+    """The constituent whose n (place id, character) pairs, then n (place id, member) pairs, are pieces."""
+    return Constituent(AdelicCharacter(tuple(pieces[:n])), tuple(pieces[n:]), multiplicity=1)
 
 
-def _solutions_by_linear_algebra(phi: AParameter, locals_: list[LocalData]) -> list[tuple]:
-    """Index tuples of all adelic characters with Delta^* eta = eps~, in order.
+def listed_tuples(phi: AParameter, locals_: list[LocalData], rows: list, tails: tuple, include_vanishing=False) -> list:
+    """The multiplicity-one tuples laid down in one list, in AdelicCharacter.sort_key order.
 
-    The unknown is the concatenation of the local character masks, the
-    first place most significant, so ascending solutions are adelic
-    characters in AdelicCharacter.sort_key order.  Its equations are one
-    parity per global generator (eta on the images of that generator has
-    product eps~) and one per local relation (eta is trivial on it).
-    The affine solve runs once and the global kernel is a basis, so no
-    solution repeats.  More than ENUMERATE_LIMIT solutions raise
-    ScenarioTooLarge before any is listed.
+    rows[k][i] is the tuple of items that entry i of locals_[k] gives.  A
+    tuple lays down item 0 of its entries' rows in place order, then item 1
+    and so on, then tails[vanishing], vanishing saying whether a local
+    member is zero (such tuples are left out without include_vanishing).
+
+    The affine solve first refuses more than ENUMERATE_LIMIT
+    multiplicity-one tuples, vanishing ones included.  A backward pass then
+    keys tables[k] by the residues the places from k on can sum to, each
+    with the entries of place k, in mask order, that leave a residue the
+    places after k can sum to.  The walk keeps an explicit stack of places,
+    no recursion, so it meets the tuples in order and enters no branch
+    that does not end at eps~: nothing is sorted, decoded or dropped.
     """
     eps = epsilon_tilde(phi)
-    rows = [0] * len(eps.group.basis)
-    relations = []
-    slices = []  # (shift, mask, character index by mask) per place
-    width = 0
+    # over the concatenated local character masks, one parity row per global generator and one per local relation
+    images = [0] * len(eps.group.basis)
+    relations, width = [], 0
     for ld in reversed(locals_):
-        n = len(ld.group.basis)
-        rows = [row | (img << width) for row, img in zip(rows, ld.iota.images)]
+        images = [row | (img << width) for row, img in zip(images, ld.iota.images)]
         relations += [r << width for r in ld.group.relations]
-        slices.append((width, (1 << n) - 1, {e.label.bits: i for i, e in enumerate(ld.entries)}))
-        width += n
-    slices.reverse()
-    solved = solve_affine(rows + relations, eps.bits << len(relations), width)
+        width += len(ld.group.basis)
+    solved = solve_affine(images + relations, eps.bits << len(relations), width)
     if solved is None:
         return []
-    x0, kernel = solved
-    if 1 << len(kernel) > ENUMERATE_LIMIT:
+    if 1 << len(solved[1]) > ENUMERATE_LIMIT:
         raise ScenarioTooLarge(
-            f"{1 << len(kernel)} multiplicity-one tuples to list, above the limit of {ENUMERATE_LIMIT}"
+            f"{1 << len(solved[1])} multiplicity-one tuples to list, above the limit of {ENUMERATE_LIMIT}"
         )
-    span = [x0]
-    for b in kernel:
-        span += [v ^ b for v in span]
-    span.sort()
-    return list(zip(*([index[(x >> shift) & mask] for x in span] for shift, mask, index in slices)))
-
-
-def listed_tuples(
-    phi: AParameter, places: list[Place], include_vanishing: bool = False
-) -> tuple[list[LocalData], list[tuple[tuple, bool]]]:
-    """The local data and the multiplicity-one tuples, as character indexes.
-
-    Returns (locals_, [(choice, vanishing), ...]) in AdelicCharacter.sort_key
-    order: choice[k] indexes locals_[k].entries, and vanishing says whether
-    a local member of the tuple is zero.  Without include_vanishing those
-    tuples are dropped, by index against each place's zero members.
-    """
-    locals_ = prepare_local_data(phi, places)
-    zeros = [{i for i, e in enumerate(ld.entries) if e.is_zero} for ld in locals_]
-    zeros = [(k, z) for k, z in enumerate(zeros) if z]
-    listed = [(c, any(c[k] in z for k, z in zeros)) for c in _solutions_by_linear_algebra(phi, locals_)]
-    if not include_vanishing:
-        listed = [pair for pair in listed if not pair[1]]
-    return locals_, listed
+    tables, ahead = [], {0: ()}  # past the last place only the residue 0 is left
+    for col, ld in zip(reversed(rows), reversed(locals_)):
+        step = [(row, r, zero) for row, (r, zero) in zip(col, ld.factors) if include_vanishing or not zero]
+        needs = {r ^ s for _, r, _ in step for s in ahead}
+        ahead = {t: [(row, t ^ r, zero) for row, r, zero in step if t ^ r in ahead] for t in needs}
+        tables.append(ahead)
+    tables.reverse()
+    n, last, out = len(locals_), len(locals_) - 1, []
+    stack = [None] * (n * len(rows[0][0]))
+    walks, vanishing = [iter(tables[0].get(eps.bits, ()))], [False]
+    while walks:
+        k = len(walks) - 1
+        for row, need, zero in walks[k]:
+            stack[k::n] = row
+            v = vanishing[k] or zero
+            if k + 1 < last:
+                walks.append(iter(tables[k + 1][need]))
+                vanishing.append(v)
+                break
+            if k == last:  # one place only
+                out += stack
+                out.append(tails[v])
+                continue
+            for row, _, zero in tables[last][need]:
+                stack[last::n] = row
+                out += stack
+                out.append(tails[v or zero])
+        else:
+            walks.pop()
+            vanishing.pop()
+    return out
 
 
 def enumerate_constituents(
@@ -213,10 +227,10 @@ def enumerate_constituents(
     Places are ordered by id, so the constituents come in
     AdelicCharacter.sort_key order.
     """
-    locals_, listed = listed_tuples(phi, places, include_vanishing)
-    eta_pairs = [tuple((ld.place.id, e.label) for e in ld.entries) for ld in locals_]
-    member_pairs = [tuple((ld.place.id, e.member) for e in ld.entries) for ld in locals_]
-    return [_constituent(eta_pairs, member_pairs, choice) for choice, _ in listed]
+    locals_ = prepare_local_data(phi, places)
+    rows = [[((ld.place.id, e.label), (ld.place.id, e.member)) for e in ld.entries] for ld in locals_]
+    pieces, n = listed_tuples(phi, locals_, rows, (False, True), include_vanishing), len(locals_)
+    return [_constituent(pieces[i : i + 2 * n], n) for i in range(0, len(pieces), 2 * n + 1)]
 
 
 def brute_force_count(phi: AParameter, places: list[Place]) -> int:

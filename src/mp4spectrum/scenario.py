@@ -117,12 +117,12 @@ class Scenario(Record):
     def _validate_datum(self, datum: CuspidalDatum) -> None:
         for p in self.places:
             if p.id not in datum.local:
-                raise ScenarioValidationError(f"datum {datum.name!r} has no shape at place {p.id!r}")
+                raise ScenarioValidationError(f"datum {_shown(datum.name)} has no shape at place {_shown(p.id)}")
             shape = datum.local[p.id]
             if not shape_allowed(shape, p, datum.duality, datum.gl_rank):
                 raise ScenarioValidationError(
-                    f"datum {datum.name!r}: shape {type(shape).__name__} not allowed "
-                    f"at {p.kind} place {p.id!r} with {datum.duality} duality on GL({datum.gl_rank})"
+                    f"datum {_shown(datum.name)}: shape {type(shape).__name__} not allowed "
+                    f"at {p.kind} place {_shown(p.id)} with {datum.duality} duality on GL({datum.gl_rank})"
                 )
         if datum.duality == "orthogonal":
             self._validate_central_char(datum)
@@ -132,7 +132,7 @@ class Scenario(Record):
             prod *= local_eps(datum.local[p.id], p)
         if prod != datum.global_root:
             raise ScenarioValidationError(
-                f"datum {datum.name!r}: local root numbers multiply to {prod:+d}, "
+                f"datum {_shown(datum.name)}: local root numbers multiply to {prod:+d}, "
                 f"declared global root is {datum.global_root:+d}"
             )
         for ename, sign in datum.twisted_roots.items():
@@ -142,10 +142,10 @@ class Scenario(Record):
                 try:
                     tprod *= local_eps_twist(datum.local[p.id], elem.local(p), p)
                 except MissingSignData as exc:
-                    raise ScenarioValidationError(f"datum {datum.name!r} at {p.id!r}: {exc}") from exc
+                    raise ScenarioValidationError(f"datum {_shown(datum.name)} at {_shown(p.id)}: {exc}") from exc
             if tprod != sign:
                 raise ScenarioValidationError(
-                    f"datum {datum.name!r}: twisted local roots by {ename!r} multiply to "
+                    f"datum {_shown(datum.name)}: twisted local roots by {_shown(ename)} multiply to "
                     f"{tprod:+d}, declared {sign:+d}"
                 )
 
@@ -157,20 +157,20 @@ class Scenario(Record):
             if isinstance(shape, (RhoDihedralSupercuspidal, RhoRealOrthogonalDiscrete)):
                 if cls.is_trivial:
                     raise ScenarioValidationError(
-                        f"datum {datum.name!r} at {p.id!r}: an irreducible orthogonal shape "
+                        f"datum {_shown(datum.name)} at {_shown(p.id)}: an irreducible orthogonal shape "
                         "needs a locally nontrivial central character"
                     )
             elif isinstance(shape, RhoQuadraticPair):
                 prod = p.class_from_label(shape.a) * p.class_from_label(shape.b)
                 if prod != cls:
                     raise ScenarioValidationError(
-                        f"datum {datum.name!r} at {p.id!r}: chi_a chi_b = {prod.label!r} "
+                        f"datum {_shown(datum.name)} at {_shown(p.id)}: chi_a chi_b = {prod.label!r} "
                         f"does not match the central character class {cls.label!r}"
                     )
             elif isinstance(shape, RhoReducibleOrthogonal):
                 if not cls.is_trivial:
                     raise ScenarioValidationError(
-                        f"datum {datum.name!r} at {p.id!r}: chi + chi^-1 has trivial "
+                        f"datum {_shown(datum.name)} at {_shown(p.id)}: chi + chi^-1 has trivial "
                         "determinant but the central character is locally nontrivial"
                     )
 
@@ -234,7 +234,7 @@ def _field(obj: Mapping, key: str, path: str, as_value=_as_str, default: Any = _
 
 def _require_element(name: str, names: set, path: str) -> None:
     if name not in names:
-        raise SchemaError(path, f"unknown element {name!r}")
+        raise SchemaError(path, f"unknown element {_shown(name)}")
 
 
 # digits a rational's numerator and denominator keep free under the digits str() prints: the catalog's arithmetic
@@ -330,7 +330,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         if kind not in KINDS:
             raise SchemaError(f"{path}.kind", f"unknown kind {_shown(kind)}; one of {sorted(KINDS)}")
         if any(p.id == pid for p in places):
-            raise SchemaError(f"{path}.id", f"duplicate place id {pid!r}")
+            raise SchemaError(f"{path}.id", f"duplicate place id {_shown(pid)}")
         places.append(Place(pid, kind))
 
     elements: list[GlobalElement] = [trivial_element(places), minus_one_element(places)]
@@ -339,7 +339,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         path = f"$.elements[{i}]"
         name = _field(_as_object(eraw, path), "name", path)
         if any(e.name == name for e in elements):
-            raise SchemaError(f"{path}.name", f"element {name!r} already defined")
+            raise SchemaError(f"{path}.name", f"element {_shown(name)} already defined")
         classes_raw = _field(eraw, "classes", path, _as_object)
         classes = {}
         for p in places:
@@ -347,12 +347,12 @@ def scenario_from_dict(data: Any) -> Scenario:
             cls = squares.get((p.id, label)) if type(label) is str else None
             if cls is None:
                 if p.id not in classes_raw:
-                    raise SchemaError(f"{path}.classes", f"no class at place {p.id!r} (closed world)")
+                    raise SchemaError(f"{path}.classes", f"no class at place {_shown(p.id)} (closed world)")
                 cls = squares[p.id, label] = _as_class(classes_raw, p.id, p, f"{path}.classes")
             classes[p.id] = cls
         extra = set(classes_raw) - {p.id for p in places}
         if extra:
-            raise SchemaError(f"{path}.classes", f"unknown places {sorted(extra)}")
+            raise SchemaError(f"{path}.classes", f"unknown places {_shown(sorted(extra))}")
         elements.append(GlobalElement(name, FrozenMap(classes)))
 
     cuspidal: list[CuspidalDatum] = []
@@ -387,7 +387,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         except InvalidParameter as exc:
             raise SchemaError(path, str(exc)) from exc
         if any(d.name == datum.name for d in cuspidal):
-            raise SchemaError(f"{path}.name", f"datum {name!r} already defined")
+            raise SchemaError(f"{path}.name", f"datum {_shown(name)} already defined")
         cuspidal.append(datum)
 
     mp2 = []
@@ -395,13 +395,13 @@ def scenario_from_dict(data: Any) -> Scenario:
         path = f"$.mp2_weil[{i}]"
         name = _field(_as_object(wraw, path), "name", path)
         if any(w.name == name for w in mp2):
-            raise SchemaError(f"{path}.name", f"mp2_weil {name!r} already defined")
+            raise SchemaError(f"{path}.name", f"mp2_weil {_shown(name)} already defined")
         chi = _field(wraw, "chi", path)
         s_places: list = []
         for j, x in enumerate(_field(wraw, "s_places", path, _as_list)):
             pid = _as_str(x, f"{path}.s_places[{j}]")
             if pid in s_places:
-                raise SchemaError(f"{path}.s_places[{j}]", f"place {pid!r} listed twice")
+                raise SchemaError(f"{path}.s_places[{j}]", f"place {_shown(pid)} listed twice")
             s_places.append(pid)
         mp2.append(Mp2CuspidalWeil(name=name, chi=chi, s_places=frozenset(s_places)))
 
@@ -417,7 +417,7 @@ def scenario_from_dict(data: Any) -> Scenario:
             name = _as_str(item[0], f"{ipath}[0]")
             datum = next((x for x in (*cuspidal, *elements) if x.name == name), None)
             if datum is None:
-                raise SchemaError(ipath, f"unknown summand {name!r}")
+                raise SchemaError(ipath, f"unknown summand {_shown(name)}")
             summands.append((datum, d))
         parameter = AParameter.of(summands)
 

@@ -1,25 +1,29 @@
 """Diagonal pullback, multiplicity, and the two enumeration routes."""
 
 import itertools
+import json
 import math
 import os
 import random
 import sys
+from unittest import mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mp4spectrum.chargroups import rref
+from mp4spectrum.chargroups import F2Character, rref
 from mp4spectrum.cli import main
 from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
 from mp4spectrum.localization import localize
 from mp4spectrum.multiplicity import (
+    BRUTE_FORCE_PLACE_CAP,
     AdelicCharacter,
     ScenarioTooLarge,
     brute_force_count,
     diagonal_pullback,
     enumerate_constituents,
+    listed_tuples,
     multiplicity,
     prepare_local_data,
 )
@@ -39,6 +43,7 @@ from mp4spectrum.residual import residual_spectrum
 from mp4spectrum.scenario import load_scenario
 
 from conftest import PTYPES, make_places, random_scenario_parameter
+from golden_calls import load_perfbench, load_scengen
 
 
 def _trivial_eta(phi, places):
@@ -200,6 +205,68 @@ def test_enumeration_order_matches_brute_force_list(ptype):
         expected.sort(key=AdelicCharacter.sort_key)
         cons = enumerate_constituents(phi, places, include_vanishing=True)
         assert [c.eta.signs() for c in cons] == [eta.signs() for eta in expected]
+
+
+def _product_listing(locals_, target, include_vanishing):
+    """(index tuple, vanishing) of every tuple of the full product meeting the definitional test, sorted."""
+    listed = []
+    for choice in itertools.product(*(range(len(ld.entries)) for ld in locals_)):
+        entries = [ld.entries[i] for ld, i in zip(locals_, choice)]
+        if all(
+            math.prod(e.label.on(ld.iota.images[g]) for ld, e in zip(locals_, entries)) == sign
+            for g, sign in enumerate(target.values)
+        ):
+            eta = AdelicCharacter(tuple((ld.place.id, e.label) for ld, e in zip(locals_, entries)))
+            listed.append((eta.sort_key(), choice, any(e.is_zero for e in entries)))
+    listed.sort()
+    return [(choice, vanishing) for _, choice, vanishing in listed if include_vanishing or not vanishing]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ptype=st.sampled_from(PTYPES),
+    flip=st.integers(0, 15),
+    include_vanishing=st.booleans(),
+)
+@example(seed=2, ptype="howe-ps", flip=1, include_vanishing=True)  # unsolvable
+@settings(max_examples=150, deadline=None)
+def test_listed_tuples_are_the_product_filtered_in_order(seed, ptype, flip, include_vanishing):
+    # listed_tuples against the full product of entries with the definitional
+    # test; eps~ is flipped on some generators, which makes some systems
+    # unsolvable, where nothing may be listed
+    places, elements, phi = random_scenario_parameter(random.Random(seed), ptype)
+    assert len(places) <= BRUTE_FORCE_PLACE_CAP
+    locals_ = prepare_local_data(phi, places)
+    eps = epsilon_tilde(phi)
+    target = F2Character(eps.group, eps.bits ^ (flip & ((1 << len(eps.group.basis)) - 1)))
+    module = sys.modules["mp4spectrum.multiplicity"]
+    rows = [[(i,) for i in range(len(ld.entries))] for ld in locals_]
+    with mock.patch.object(module, "epsilon_tilde", lambda _: target):
+        laid = listed_tuples(phi, locals_, rows, (False, True), include_vanishing)
+    n = len(locals_)
+    listed = [(tuple(laid[i : i + n]), laid[i + n]) for i in range(0, len(laid), n + 1)]
+    assert listed == _product_listing(locals_, target, include_vanishing)
+
+
+def test_enumerate_lists_a_scenario_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1,500 places, all but a few with a trivial local group (two tempered
+    # principal-series pieces): a walk that recursed once per place would
+    # raise RecursionError
+    places = 1500
+    assert places > sys.getrecursionlimit()
+    rng = random.Random("deep")
+    doc = None
+    while doc is None:
+        doc = load_scengen()._enumerate_draw(rng, "tempered", places, 3)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    sc = load_scenario(str(path))
+    expected = load_perfbench("oracle").character_sum_count(sc.parameter, sc.places)
+    assert expected > 1
+    assert main(["enumerate", "--scenario", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["count"] == len(data["constituents"]) == expected
+    assert all(len(c["eta"]) == places for c in data["constituents"])
 
 
 def test_multiplicity_sk_wrong_parity_is_zero():

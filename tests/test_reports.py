@@ -111,8 +111,6 @@ def test_residual_array_is_dumps_of_the_dict_form(data):
 def test_empty_array():
     assert array([]) == ["[]"]
     assert _top("constituents", Encoded(lambda: array([]))) == _top("constituents", [])
-    no_constituents = Encoded(lambda: _constituents_json([("v1", ["(+)"], ["m"])], []))
-    assert _top("constituents", no_constituents) == _top("constituents", [])
 
 
 @pytest.mark.parametrize("descriptors", [[], [()], [(), ()]])
@@ -139,7 +137,13 @@ def test_enumerate_array_is_dumps_of_the_dict_form(data):
         }
         for choice, vanishing in listed
     ]
-    assert _top("constituents", Encoded(lambda: _constituents_json(places, listed))) == _top("constituents", dicts)
+    # laid down as listed_tuples lays each tuple down: item 0 of its rows, then item 1, then its tail
+    rows, tails = _constituents_json(places)
+    parts = []
+    for choice, vanishing in listed:
+        picked = [rows[k][i] for k, i in enumerate(choice)]
+        parts += [eta for eta, _ in picked] + [member for _, member in picked] + [tails[vanishing]]
+    assert _top("constituents", Encoded(lambda: array(parts))) == _top("constituents", dicts)
 
 
 # --- cli's writer ----------------------------------------------------------

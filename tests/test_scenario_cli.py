@@ -459,6 +459,52 @@ def test_cli_schema_error_echoes_a_bounded_value(name, tmp_path, capsys):
     assert len(err.encode("utf-8")) < 1024
 
 
+LONG = "n" * 100_000
+
+
+def _long_names(doc):
+    """Per schema error that echoes a name: (doc or a copy given a LONG name, subcommand argv or (), JSON path)."""
+
+    def mutated(fn):
+        d = copy.deepcopy(doc)
+        fn(d)
+        return d
+
+    def twice(key, item):
+        return mutated(lambda d: d.setdefault(key, []).extend([item, item]))
+
+    weil = {"name": "w", "chi": "t", "s_places": [LONG, LONG]}
+    return {
+        "duplicate_place": (twice("places", {"id": LONG, "kind": "real"}), (), "$.places[4].id"),
+        "duplicate_element": (twice("elements", dict(doc["elements"][0], name=LONG)), (), "$.elements[2].name"),
+        "duplicate_datum": (twice("cuspidal", dict(doc["cuspidal"][0], name=LONG)), (), "$.cuspidal[2].name"),
+        "duplicate_mp2_weil": (twice("mp2_weil", dict(weil, name=LONG, s_places=[])), (), "$.mp2_weil[1].name"),
+        "unknown_element": (
+            mutated(lambda d: d["cuspidal"][0].update(central_char=LONG)), (), "$.cuspidal[0].central_char"
+        ),
+        "unknown_summand": (
+            mutated(lambda d: d["parameter"]["summands"].append([LONG, 1])), (), "$.parameter.summands[2]"
+        ),
+        "listed_twice": (mutated(lambda d: d.update(mp2_weil=[weil])), (), "$.mp2_weil[0].s_places[1]"),
+        "no_class_at_place": (
+            mutated(lambda d: d["places"].append({"id": LONG, "kind": "real"})), (), "$.elements[0].classes"
+        ),
+        "unknown_place": (doc, ("packet", "--place", LONG), "$.place"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_long_names(fixture_data("sk.json"))))
+def test_cli_schema_error_echoes_a_bounded_name(name, tmp_path, capsys):
+    # a 100,000-character name was echoed whole: about 100,050 bytes on stderr
+    doc, argv, json_path = _long_names(fixture_data("sk.json"))[name]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main([*(argv or ["validate"]), "--scenario", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {json_path}: ")
+    assert len(err.encode("utf-8")) < 1024
+
+
 def test_cli_schema_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
