@@ -9,6 +9,14 @@ every relation; ascending masks are then the canonical character order
 (lexicographic on basis values, +1 before -1), which keeps reports and
 atlases diff-stable.
 
+Characters are values shared per group object: a group builds its
+characters on the first ``characters()`` call and hands out the same
+objects from then on (``at_mask`` and ``character`` included), and a
+character computes its signs and its printed label once.  The shared
+local groups of ``localization`` are module constants, so their
+characters are constants too; a tempered group's live as long as the
+group.  Nothing is keyed by input values.
+
 The small Gaussian-elimination helpers also bound the multiplicity
 module's listing: its affine solve over the concatenated local character
 masks counts the multiplicity-one tuples before any is listed.
@@ -16,6 +24,7 @@ masks counts the multiplicity-one tuples before any is listed.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .record import Record
@@ -76,6 +85,15 @@ def solve_affine(rows: Sequence[int], rhs: int, width: int) -> tuple[int, list[i
     return x, kernel
 
 
+def sign_str(s: Sign) -> str:
+    return "+" if s == 1 else "-"
+
+
+def sign_label(values) -> str:
+    """A character label written as its signs, e.g. "(+,-)"."""
+    return "(" + ",".join(map(sign_str, values)) + ")"
+
+
 class ComponentGroup(Record):
     """F2^basis modulo the span of the relation masks."""
 
@@ -89,17 +107,23 @@ class ComponentGroup(Record):
     def order(self) -> int:
         return 1 << self.rank
 
+    @cached_property
+    def _by_mask(self) -> dict:
+        """Mask -> character, for the characters trivial on the relations, in ascending mask order."""
+        relations = self.relations
+        return {
+            m: F2Character(self, m)
+            for m in range(1 << len(self.basis))
+            if not any((m & r).bit_count() & 1 for r in relations)
+        }
+
     def characters(self) -> list["F2Character"]:
         """All characters trivial on the relations, in canonical (ascending mask) order.
 
-        The trivial character always comes first.
+        The trivial character always comes first.  Every call returns the
+        same character objects.
         """
-        relations = self.relations
-        return [
-            F2Character(self, m)
-            for m in range(1 << len(self.basis))
-            if not any((m & r).bit_count() & 1 for r in relations)
-        ]
+        return list(self._by_mask.values())
 
     def character(self, values: Sequence[Sign]) -> "F2Character":
         """The character with the given sign on each basis element."""
@@ -109,27 +133,32 @@ class ComponentGroup(Record):
 
     def at_mask(self, bits: int) -> "F2Character":
         """The character of the given mask, refused unless it is one of characters()."""
+        ch = self._by_mask.get(bits)
+        if ch is not None:
+            return ch
         width = len(self.basis)
         if not 0 <= bits < 1 << width:
             raise ValueError(f"mask {bits} is not a character of a group with {width} generators")
-        ch = F2Character(self, bits)
-        for r in self.relations:
-            if (bits & r).bit_count() & 1:
-                raise ValueError(f"character {ch.values} violates relation {r:0{width}b}")
-        return ch
+        r = next(r for r in self.relations if (bits & r).bit_count() & 1)
+        raise ValueError(f"character {F2Character(self, bits).values} violates relation {r:0{width}b}")
 
     def trivial_character(self) -> "F2Character":
-        return F2Character(self, 0)
+        return self._by_mask[0]
 
 
 class F2Character(Record):
     group: ComponentGroup
     bits: int  # mask of the basis elements where the character is -1
 
-    @property
+    @cached_property
     def values(self) -> tuple[Sign, ...]:
         """Signs aligned with group.basis."""
         return tuple(1 - 2 * b for b in from_mask(self.bits, len(self.group.basis)))
+
+    @cached_property
+    def sign_label(self) -> str:
+        """The signs as enumerate and packet print them, e.g. "(+,-)"."""
+        return sign_label(self.values)
 
     def on(self, vector: int) -> Sign:
         """Value on a group element given as a mask over the basis."""
@@ -162,6 +191,6 @@ class LocalizationMap(Record):
 
     def pullback(self, eta: F2Character) -> int:
         """Mask of the global generators a_i with (eta o iota)(a_i) = -1."""
-        if eta.group != self.target:
+        if eta.group is not self.target and eta.group != self.target:
             raise ValueError("character does not live on the target group")
         return to_mask((eta.bits & m).bit_count() & 1 for m in self.images)

@@ -18,7 +18,9 @@ Each subcommand builds its result dict once.  ``--format json`` prints
 that dict; ``--format text`` renders it through the command's ``_*_text``
 function, which is called only then.  The constituent arrays of enumerate
 and residual are ``Encoded`` pieces, which ``reports.dumps`` joins with the
-rest of the report under ``--format json``.  The report is written in slices
+rest of the report under ``--format json``.  enumerate lists its tuples
+once, in the form asked for: under ``--format text`` its "constituents"
+are the pieces of the text lines.  The report is written in slices
 of ``SLICE`` characters, so the output is held once as text and never whole
 as bytes.
 
@@ -40,7 +42,7 @@ from json.encoder import encode_basestring
 from types import SimpleNamespace
 
 from . import tables
-from .descriptors import render, sign_label, sign_str
+from .descriptors import render, sign_str
 from .ktypes import NotInHarmonics, UncataloguedShape
 from .multiplicity import ScenarioTooLarge, brute_force_count, enumerate_constituents, listed_tuples
 from .multiplicity import local_data, prepare_local_data
@@ -145,17 +147,17 @@ def cmd_enumerate(args) -> Report:
     # the label and member at a place are functions of the local character
     # there, so each (place, character) pair is rendered once
     places = [
-        (ld.place.id, [sign_label(e.label.values) for e in ld.entries], [render(e.member) for e in ld.entries])
+        (ld.place.id, [e.label.sign_label for e in ld.entries], [render(e.member) for e in ld.entries])
         for ld in locals_
     ]
-    rows, tails = _constituents_json(places)
-    parts = listed_tuples(phi, locals_, rows, tails, args.verbose)
-    count = parts[2 * len(places) :: 2 * len(places) + 1].count(tails[0])  # a tuple's tail follows its 2P pieces
+    json_form = args.format == "json"
+    rows, tails = (_constituents_json if json_form else _constituents_text)(places)
+    laid, n = listed_tuples(phi, locals_, rows, tails, args.verbose), len(places)
+    count = laid[2 * n :: 2 * n + 1].count(tails[0])  # a tuple's tail follows its 2n pieces
     # dumps pops the pieces, so they are not held beside the joined report
     # (which costs about 0.2 times the output); the report is emitted once
-    data = {"count": count, "constituents": Encoded([array(parts)].pop)}
-    text = functools.partial(_enumerate_text, phi=phi, locals_=locals_, places=places, verbose=args.verbose)
-    return Report("enumerate", data, text)
+    data = {"count": count, "constituents": Encoded([array(laid)].pop) if json_form else laid}
+    return Report("enumerate", data, functools.partial(_enumerate_text, n=n, verbose=args.verbose))
 
 
 def _constituents_json(places) -> tuple:
@@ -172,10 +174,15 @@ def _constituents_json(places) -> tuple:
     return rows, tuple(f'{MAP_END},{FIELD}"vanishing": {v}{OBJECT_END}' for v in ("false", "true"))
 
 
-def _enumerate_text(d, phi, locals_, places, verbose):
-    yield f"{d['count']} constituents"
+def _constituents_text(places) -> tuple:
+    """The rows and tails that listed_tuples lays the text form's constituents down from: labels, members, flag."""
     rows = [[(f"{pid}:{t}", f"      {pid}: {m}") for t, m in zip(labels, shown)] for pid, labels, shown in places]
-    lines, n = listed_tuples(phi, locals_, rows, ("", "  [vanishing member]"), verbose), len(places)
+    return rows, ("", "  [vanishing member]")
+
+
+def _enumerate_text(d, n, verbose):
+    yield f"{d['count']} constituents"
+    lines = d["constituents"]
     for i in range(0, len(lines), 2 * n + 1):
         yield "  " + " ".join(lines[i : i + n]) + lines[i + 2 * n]
         if verbose:

@@ -29,11 +29,21 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Union
 
+from .chargroups import sign_label, sign_str
 from .record import Record
 
 Sign = int
 
 MP4 = ("Mp", 2)
+
+# the fixed exponents, one object each, which lq orders by identity when a pair's are the same object
+HALF = Fraction(1, 2)
+THREE_HALF = Fraction(3, 2)
+
+
+def half_odd(k: int) -> Fraction:
+    """k - 1/2, the shared constant for k = 1 and 2."""
+    return HALF if k == 1 else THREE_HALF if k == 2 else Fraction(2 * k - 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +296,7 @@ def lq(group: tuple, segs: list, inner: Desc | None = None) -> Desc:
             return ZERO
         # even Weil rep in inducing position is the Borel quotient J(chi_a|.|^{1/2})
         if isinstance(inner, WeilEven):
-            segs = [*segs, seg(inner.label, Fraction(1, 2))]
+            segs = [*segs, seg(inner.label, HALF)]
             inner = None
         # nested quotient of a smaller metaplectic group: merge the segments
         elif isinstance(inner, LQ) and inner.group[0] == "Mp":
@@ -296,7 +306,10 @@ def lq(group: tuple, segs: list, inner: Desc | None = None) -> Desc:
         x, y = segs
         if type(x) is Seg and type(y) is Seg:
             # two GL(1) segments, put in the order of the key (-s, repr(char)) below
-            if x.s < y.s or (x.s == y.s and repr(y.char) < repr(x.char)):
+            if x.s is y.s or x.s == y.s:
+                if repr(y.char) < repr(x.char):
+                    x, y = y, x
+            elif x.s < y.s:
                 x, y = y, x
             return LQ(group, (1, 1), (x, y), None)
     gl1 = [s for s in segs if type(s) is Seg]
@@ -343,11 +356,11 @@ def elementary_weil(n: int, parity: Sign, label: str) -> Desc:
     if n < 1:
         raise ValueError("n must be positive")
     if parity == 1:
-        segs = [seg(label, Fraction(2 * k - 1, 2)) for k in range(n, 0, -1)]
+        segs = [seg(label, half_odd(k)) for k in range(n, 0, -1)]
         return lq(("Mp", n), segs)
     if n == 1:
         return WeilOdd(label)
-    segs = [seg(label, Fraction(2 * k - 1, 2)) for k in range(n, 1, -1)]
+    segs = [seg(label, half_odd(k)) for k in range(n, 1, -1)]
     return lq(("Mp", n), segs, WeilOdd(label))
 
 
@@ -381,15 +394,6 @@ def _render_piece(p) -> str:
     name = type(p).__name__
     vals = ",".join(str(v) for v in vars(p).values())
     return f"{name[5:] if name.startswith('Piece') else name}({vals})"
-
-
-def sign_str(s: Sign) -> str:
-    return "+" if s == 1 else "-"
-
-
-def sign_label(values) -> str:
-    """A character label written as its signs, e.g. "(+,-)"."""
-    return "(" + ",".join(map(sign_str, values)) + ")"
 
 
 def _render_lq(d: LQ) -> str:

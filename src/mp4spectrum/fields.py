@@ -24,6 +24,7 @@ pairings = +1) is validated pairwise, never assumed.
 
 from __future__ import annotations
 
+import reprlib
 from functools import reduce
 from operator import xor
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +33,13 @@ from .chargroups import to_mask
 from .record import FrozenMap, Record, frozen_maps
 
 Sign = int  # +1 or -1
+
+# an error echoes an input value as its repr cut by reprlib (loaded by collections already) to one level, six
+# list or four object items and 30 characters a string, never built whole: a few hundred bytes at most, an
+# object's keys in sorted order; scenario's schema errors and the messages they pass on echo through it
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_shown = _ECHO.repr
 
 KINDS = (
     "nonarch-odd-1mod4",
@@ -124,7 +132,7 @@ class Place(Record):
     def class_from_label(self, label: str) -> "SquareClass":
         bits = _BITS[self.kind].get(label)
         if bits is None:
-            raise ValueError(f"no square class {label!r} at {self.kind} place {self.id!r}")
+            raise ValueError(f"no square class {_shown(label)} at {self.kind} place {_shown(self.id)}")
         return SquareClass(self, bits)
 
     def minus_one(self) -> "SquareClass":

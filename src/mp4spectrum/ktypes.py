@@ -30,10 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .descriptors import HALF, THREE_HALF
 from .record import Record
 
 Sign = int
-HALF = Fraction(1, 2)
 
 
 class NotInHarmonics(ValueError):
@@ -212,9 +212,9 @@ def lowest_kprime_catalog(query) -> list[KTypeMp]:
         if query.s <= 0 or a == 0 or (a - HALF).denominator != 1:
             raise UncataloguedShape("need s > 0 and a half-odd nonzero weight")
         if a > 0:
-            w = (a + 1, HALF) if query.chi_parity == 1 else (a + 1, Fraction(3, 2))
+            w = (a + 1, HALF) if query.chi_parity == 1 else (a + 1, THREE_HALF)
         else:
-            w = (Fraction(-3, 2), a - 1) if query.chi_parity == 1 else (-HALF, a - 1)
+            w = (-THREE_HALF, a - 1) if query.chi_parity == 1 else (-HALF, a - 1)
         return [KTypeMp(tuple(map(Fraction, w)))]
     if isinstance(query, LanglandsP2Query):
         a = Fraction(query.a)

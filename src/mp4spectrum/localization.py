@@ -22,7 +22,10 @@ significant bit.
 
 The groups of the non-tempered shapes, and their seven (group, images)
 maps, are module constants that every localization shares; only a
-tempered shape builds its own.
+tempered shape builds its own.  A group hands out one set of characters
+(``chargroups``), so the shared groups' characters, signs and labels are
+constants that every place, packet, pullback and label reads, and a
+tempered group's are shared by everything that reads its LocalData.
 
 A ``LocalParam`` is a place and a local shape; the shape classes name
 the family, so the local parameter carries no separate family tag.  The
@@ -36,6 +39,7 @@ from fractions import Fraction
 from typing import Union
 
 from .chargroups import ComponentGroup, LocalizationMap, to_mask
+from .descriptors import half_odd
 from .fields import Place, SquareClass
 from .parameters import (
     AParameter,
@@ -105,7 +109,7 @@ def _shape_pieces(shape, sc_signs: dict) -> list[TemperedPiece]:
     if isinstance(shape, RhoSteinberg):
         return [PieceSt(shape.label)]
     if isinstance(shape, RhoRealDiscrete):
-        return [PieceD(Fraction(2 * shape.kappa - 1, 2))]
+        return [PieceD(half_odd(shape.kappa))]
     if isinstance(shape, RhoPrincipalSeries):
         return [PiecePS(shape.chi, shape.s, shape.chi_parity)]
     if isinstance(shape, Rho4Irreducible):

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chargroups import F2Character
+from .chargroups import ComponentGroup, F2Character
 from .descriptors import (
+    HALF,
     MP4,
     Desc,
     GL2Seg,
@@ -44,6 +45,7 @@ from .descriptors import (
     SOStTau,
     SOStTwist,
     St2,
+    THREE_HALF,
     TagChar,
     ThetaLift,
     TwistNu,
@@ -53,6 +55,7 @@ from .descriptors import (
     Zero,
     dsum,
     elementary_weil,
+    half_odd,
     lq,
     render,
     seg,
@@ -86,9 +89,6 @@ from .parameters import (
 )
 from .record import Record
 
-HALF = Fraction(1, 2)
-THREE_HALF = Fraction(3, 2)
-
 
 class UnsupportedShape(ValueError):
     pass
@@ -113,7 +113,7 @@ class PacketEntry(Record):
 
     def rendered(self) -> dict:
         return {
-            "label": sign_label(self.label.values),
+            "label": self.label.sign_label,
             "member": render(self.member),
             "in_l_packet": self.in_l_packet,
             "zero": self.is_zero,
@@ -188,7 +188,7 @@ def _wald_member(rho, eps1: Sign) -> Desc:
     if isinstance(rho, RhoSteinberg):
         return MpSt2(rho.label) if eps1 == 1 else WeilOdd(rho.label)
     if isinstance(rho, RhoRealDiscrete):
-        lam = Fraction(2 * rho.kappa - 1, 2)
+        lam = half_odd(rho.kappa)
         return MpRealDS2(lam if eps1 == 1 else -lam)
     raise UnsupportedShape(f"no rank-1 packet for {rho!r}")
 
@@ -217,7 +217,7 @@ def _sk(place: Place, shape: ShSK, ch: F2Character) -> PacketEntry:
     if isinstance(rho, RhoRealDiscrete):
         ca = chi_minus_one(place, a)
         if rho.kappa > 1 or eps1 == ca:
-            member = _real_ds_member(Fraction(2 * rho.kappa - 1, 2), HALF, eps1, ca)
+            member = _real_ds_member(half_odd(rho.kappa), HALF, eps1, ca)
         else:
             member = ZERO
     elif isinstance(rho, RhoSteinberg) and place.class_from_label(rho.label) == a:
@@ -304,21 +304,24 @@ _RULES = {
 }
 
 
-def local_packet(lp: LocalParam) -> list[PacketEntry]:
+def local_packet(lp: LocalParam, group: ComponentGroup | None = None) -> list[PacketEntry]:
     """The packet entries at a local parameter, one per admissible character, in mask order.
 
-    Each entry comes from the shape's rule for one character, the rule
-    packet_entry applies to a single one.
+    ``group`` is the shape's local group as localize returned it (a
+    LocalData passes iota.target), so every entry's label is one of that
+    group object's shared characters; without it local_group builds the
+    group again, a tempered one anew.  Each entry comes from the shape's
+    rule for one character, the rule packet_entry applies to a single one.
     """
     # local_group rejects anything that is not a local shape
-    chars = local_group(lp.shape).characters()
+    chars = (group or local_group(lp.shape)).characters()
     rule = _RULES[type(lp.shape)]
     return [rule(lp.place, lp.shape, ch) for ch in chars]
 
 
-def packet_entry(lp: LocalParam, label: int) -> PacketEntry:
-    """The entry of local_packet(lp) at the character of mask ``label``, built alone."""
-    ch = local_group(lp.shape).at_mask(label)
+def packet_entry(lp: LocalParam, label: int, group: ComponentGroup | None = None) -> PacketEntry:
+    """The entry of local_packet(lp, group) at the character of mask ``label``, built alone."""
+    ch = (group or local_group(lp.shape)).at_mask(label)
     return _RULES[type(lp.shape)](lp.place, lp.shape, ch)
 
 

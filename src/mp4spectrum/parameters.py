@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .chargroups import ComponentGroup, F2Character
-from .fields import GlobalElement, Place, Sign, SquareClass, chi_minus_one
+from .descriptors import HALF
+from .fields import GlobalElement, Place, Sign, SquareClass, _shown, chi_minus_one
 from .record import FrozenMap, Record, frozen_maps
 
 
@@ -83,7 +84,7 @@ class RhoPrincipalSeries(Record):
 
     def __post_init__(self) -> None:
         # |s| < 1/2 up to swapping the pair, so s >= 0 is a normal form
-        if not (0 <= self.s < Fraction(1, 2)):
+        if not (0 <= self.s < HALF):
             raise InvalidParameter(f"principal-series exponent must satisfy 0 <= s < 1/2, got {self.s}")
 
 
@@ -247,7 +248,7 @@ class CuspidalDatum(Record):
         if self.gl_rank not in (2, 4):
             raise InvalidParameter(f"gl_rank must be 2 or 4, got {self.gl_rank}")
         if self.duality not in ("symplectic", "orthogonal"):
-            raise InvalidParameter(f"bad duality {self.duality!r}")
+            raise InvalidParameter(f"bad duality {_shown(self.duality)}")
         if self.gl_rank == 4 and self.duality != "symplectic":
             raise InvalidParameter("GL(4) data must be symplectic here")
         for a, nonzero in self.l_half_nonzero.items():

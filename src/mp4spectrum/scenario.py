@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import reprlib
 import sys
 from fractions import Fraction
 from typing import Any, Mapping
@@ -25,6 +24,7 @@ from .fields import (
     Place,
     ReciprocityReport,
     SquareClass,
+    _shown,
     minus_one_element,
     trivial_element,
     validate_reciprocity,
@@ -60,14 +60,6 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-# a schema error echoes an input value as its repr cut by reprlib (loaded by collections already) to one level,
-# six list or four object items and 30 characters a string, never built whole: a few hundred bytes at most, an
-# object's keys in sorted order
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 1
-_shown = _ECHO.repr
 
 
 class ScenarioValidationError(ValueError):

@@ -17,6 +17,7 @@ import functools
 from fractions import Fraction
 
 from .descriptors import (
+    HALF,
     Mp2Member,
     MpSt2,
     NuChar,
@@ -25,6 +26,7 @@ from .descriptors import (
     RealD,
     SC2,
     St2,
+    THREE_HALF,
     TagChar,
     WeilEven,
     WeilOdd,
@@ -95,8 +97,6 @@ from .scenario import (
     parse_json,
     read_file,
 )
-
-HALF = Fraction(1, 2)
 
 
 def read_query(text: str) -> dict:
@@ -325,7 +325,7 @@ def _reducibility_tables() -> list:
         ("mp-steinberg chi[1]", MpSt2("1")),
     ]
     for cl in ("1", "u"):
-        for s in (Fraction(0), HALF, Fraction(3, 2)):
+        for s in (Fraction(0), HALF, THREE_HALF):
             for label, inner in inners:
                 r = reduce_mp4_p1(QuadChar(cl), s, inner)
                 out.append(
@@ -360,7 +360,7 @@ def _elementary_weil_tables() -> dict:
 
 def _ktype_tables() -> dict:
     ds = {}
-    for a, b in ((Fraction(5, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(3, 2))):
+    for a, b in ((Fraction(5, 2), THREE_HALF), (THREE_HALF, THREE_HALF)):
         for e1 in (1, -1):
             for e2 in (1, -1):
                 if a == b and e1 != e2:
@@ -368,10 +368,10 @@ def _ktype_tables() -> dict:
                 kt = lowest_kprime_catalog(DiscreteSeriesQuery(a, b, e1, e2))[0]
                 ds[f"a={a},b={b},label={sign_label((e1, e2))}"] = [str(w) for w in kt.weights]
     lang = {
-        "J_P1(chi+, a=3/2, s=1)": lowest_kprime_catalog(LanglandsP1Query(1, Fraction(3, 2), Fraction(1))),
-        "J_P1(chi-, a=3/2, s=1)": lowest_kprime_catalog(LanglandsP1Query(-1, Fraction(3, 2), Fraction(1))),
+        "J_P1(chi+, a=3/2, s=1)": lowest_kprime_catalog(LanglandsP1Query(1, THREE_HALF, Fraction(1))),
+        "J_P1(chi-, a=3/2, s=1)": lowest_kprime_catalog(LanglandsP1Query(-1, THREE_HALF, Fraction(1))),
         "J_P2(a=2, s=1/2)": lowest_kprime_catalog(LanglandsP2Query(Fraction(2), HALF)),
-        "J_P2(a=3/2, s=1/2)": lowest_kprime_catalog(LanglandsP2Query(Fraction(3, 2), HALF)),
+        "J_P2(a=3/2, s=1/2)": lowest_kprime_catalog(LanglandsP2Query(THREE_HALF, HALF)),
         "J_B(+,+)": lowest_kprime_catalog(LanglandsBQuery(1, 1)),
         "J_B(+,-)": lowest_kprime_catalog(LanglandsBQuery(1, -1)),
         "J_B(-,-)": lowest_kprime_catalog(LanglandsBQuery(-1, -1)),

@@ -187,13 +187,9 @@ ENUMERATE_SCALED_SHA256 = {
 }
 
 
-def enumerate_scaled_digest(run, seed: int = 1) -> str:
-    """SHA-256 of ``enumerate`` on ``scengen.enumerate_scenarios(seed)``, in JSON with and without ``--verbose``.
-
-    The scenarios are drawn as the benchmark's enumerate-scaled workload
-    draws them, against the character sums of ``oracle``; ``run`` and the
-    digest are as in ``residual_wide_digest``.
-    """
+def enumerate_scaled_scenarios(seed: int = 1) -> list:
+    """The documents of ``scengen.enumerate_scenarios(seed)``, drawn as the benchmark's enumerate-scaled
+    workload draws them, against the character sums of ``oracle``."""
     oracle = load_perfbench("oracle")
     from mp4spectrum.scenario import scenario_from_dict
 
@@ -202,9 +198,17 @@ def enumerate_scaled_digest(run, seed: int = 1) -> str:
         sc.validate()
         return tuple(oracle.character_sum_count(sc.parameter, sc.places, nonzero) for nonzero in (False, True))
 
+    return [doc for _, doc in load_scengen().enumerate_scenarios(seed, counts)]
+
+
+def enumerate_scaled_digest(run, seed: int = 1) -> str:
+    """SHA-256 of ``enumerate`` on ``enumerate_scaled_scenarios(seed)``, in JSON with and without ``--verbose``.
+
+    ``run`` and the digest are as in ``residual_wide_digest``.
+    """
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (_, doc) in enumerate(load_scengen().enumerate_scenarios(seed, counts)):
+        for i, doc in enumerate(enumerate_scaled_scenarios(seed)):
             path = os.path.join(tmp, f"{i}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

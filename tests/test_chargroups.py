@@ -1,10 +1,14 @@
 """Component groups, characters, and the F2 solver."""
 
 import itertools
+import operator
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from golden_calls import FIXTURE_NAMES, FIXTURES, enumerate_scaled_scenarios
+from mp4spectrum import localization
 from mp4spectrum.chargroups import (
     ComponentGroup,
     F2Character,
@@ -14,6 +18,9 @@ from mp4spectrum.chargroups import (
     solve_affine,
     to_mask,
 )
+from mp4spectrum.localization import ShTempered, local_group
+from mp4spectrum.multiplicity import prepare_local_data
+from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
 
 def _image(iota, x):
@@ -136,3 +143,52 @@ def test_characters_are_exactly_relation_orthogonal_vectors(relations):
         bits = tuple(0 if v == 1 else 1 for v in values)
         ok = all(sum(a & b for a, b in zip(bits, from_mask(r, 3))) % 2 == 0 for r in relations)
         assert (values in seen) == ok
+
+
+# ---------------------------------------------------------------------------
+# characters shared per group object
+
+SHARED_GROUPS = tuple(getattr(localization, name) for name in ("_TRIVIAL", "_RANK1", "_FREE2", "_FIRST2", "_DIAGONAL2"))
+
+
+@pytest.fixture(scope="module")
+def input_local_data():
+    """Every LocalData of the fixtures and of the seed-1 enumerate-scaled inputs."""
+    scenarios = [load_scenario(os.path.join(FIXTURES, f"{name}.json")) for name in FIXTURE_NAMES]
+    scenarios += [scenario_from_dict(doc) for doc in enumerate_scaled_scenarios(1)]
+    return [ld for sc in scenarios for ld in prepare_local_data(sc.parameter, sc.places)]
+
+
+def test_every_local_group_hands_out_one_set_of_characters(input_local_data):
+    groups = {id(g): g for g in SHARED_GROUPS}
+    for ld in input_local_data:
+        group = local_group(ld.param.shape)
+        tempered = isinstance(ld.param.shape, ShTempered)
+        # a tempered shape's group is built per call; every other is one of the shared constants
+        assert (group is not ld.group and group == ld.group) if tempered else group is ld.group
+        groups.setdefault(id(group), group)
+        groups.setdefault(id(ld.group), ld.group)
+    assert len(groups) > 2 * len(SHARED_GROUPS)  # the tempered groups of the inputs are covered too
+    for group in groups.values():
+        chars, again = group.characters(), group.characters()
+        assert all(map(operator.is_, chars, again)) and len(chars) == len(again) == group.order()
+        assert all(group.at_mask(ch.bits) is ch for ch in chars) and group.trivial_character() is chars[0]
+        width = len(group.basis)
+        for ch in chars:
+            fresh = F2Character(group, ch.bits)
+            assert ch == fresh and hash(ch) == hash(fresh) and repr(ch) == repr(fresh)
+            values = tuple(-1 if ch.bits >> (width - 1 - j) & 1 else 1 for j in range(width))
+            label = "(" + ",".join("+" if v == 1 else "-" for v in values) + ")"
+            assert ch.values == fresh.values == values and ch.sign_label == fresh.sign_label == label
+            # computed once per character object
+            assert ch.values is ch.values and ch.sign_label is ch.sign_label
+
+
+def test_packet_entries_use_the_group_localize_built(input_local_data):
+    assert any(isinstance(ld.param.shape, ShTempered) for ld in input_local_data)
+    for ld in input_local_data:
+        chars = ld.iota.target.characters()
+        assert [e.label for e in ld.entries] == chars
+        assert all(e.label is ch and e.label.group is ld.iota.target for e, ch in zip(ld.entries, chars))
+        # an entry built alone carries the same character
+        assert all(ld.entry(ch.bits).label is ch for ch in chars)

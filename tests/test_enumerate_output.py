@@ -31,6 +31,7 @@ from golden_calls import (
     load_scengen,
     memory_peaks,
 )
+from mp4spectrum import cli
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render, sign_label
 from mp4spectrum.multiplicity import enumerate_constituents
@@ -126,6 +127,21 @@ def test_enumerate_output_equals_the_encoded_constituent_list(scenario_paths, ve
         argv = ["enumerate", *(["--verbose"] if verbose else []), "--format", fmt, "--scenario", path]
         assert main(argv) == 0, name
         assert capsys.readouterr().out == _expected(path, verbose, fmt), name
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("verbose", (False, True), ids=("plain", "verbose"))
+def test_enumerate_lists_the_tuples_once(scenario_paths, verbose, fmt, monkeypatch, capsys):
+    # a text enumerate listed them twice: once as the JSON pieces, read only for the count
+    calls = []
+    listed = cli.listed_tuples
+    monkeypatch.setattr(cli, "listed_tuples", lambda *args: calls.append(args) or listed(*args))
+    for name, path in scenario_paths.items():
+        calls.clear()
+        argv = ["enumerate", *(["--verbose"] if verbose else []), "--format", fmt, "--scenario", path]
+        assert main(argv) == 0, name
+        assert len(calls) == 1, name
+    capsys.readouterr()
 
 
 def test_empty_enumeration(scenario_paths, capsys):

@@ -261,10 +261,11 @@ def test_residual_builds_each_packet_once(monkeypatch):
     calls = _record_calls(monkeypatch, packets, "packet_entry", entries)
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
     assert not whole
-    built = [(_placeless(lp), label) for lp, label in calls]
+    built = [(_placeless(lp), label) for lp, label, _ in calls]
     assert built == _distinct(built) and all(label for _, label in built)
-    for (lp, label), entry in zip(calls, entries):
+    for (lp, label, group), entry in zip(calls, entries):
         assert entry == next(e for e in local_packet(lp) if e.label.bits == label)
+        assert entry.label.group is group  # the LocalData's own group, not one built again
     # the label a slot reads is the one of its member in the local packet, whose members differ
     slots = _member_slots(sc, cons, localize_, designate)
     reads = [(lp, d) for c, lp, d, all_plus in slots if c.support == "P1" and not all_plus]

@@ -463,7 +463,7 @@ LONG = "n" * 100_000
 
 
 def _long_names(doc):
-    """Per schema error that echoes a name: (doc or a copy given a LONG name, subcommand argv or (), JSON path)."""
+    """Per schema error that echoes a name or label: (doc or a copy given a LONG one, subcommand argv or (), JSON path)."""
 
     def mutated(fn):
         d = copy.deepcopy(doc)
@@ -490,6 +490,11 @@ def _long_names(doc):
             mutated(lambda d: d["places"].append({"id": LONG, "kind": "real"})), (), "$.elements[0].classes"
         ),
         "unknown_place": (doc, ("packet", "--place", LONG), "$.place"),
+        # messages that scenario passes on: a square-class label, a datum's duality
+        "unknown_class_label": (
+            mutated(lambda d: d["elements"][0]["classes"].update(v1=LONG)), (), "$.elements[0].classes.v1"
+        ),
+        "bad_duality": (mutated(lambda d: d["cuspidal"][0].update(duality=LONG)), (), "$.cuspidal[0]"),
     }
 
 
