@@ -313,7 +313,7 @@ def local_packet(lp: LocalParam, group: ComponentGroup | None = None) -> list[Pa
     group again, a tempered one anew.  Each entry comes from the shape's
     rule for one character, the rule packet_entry applies to a single one.
     """
-    # local_group rejects anything that is not a local shape
+    # without a group, local_group rejects anything that is not a local shape
     chars = (group or local_group(lp.shape)).characters()
     rule = _RULES[type(lp.shape)]
     return [rule(lp.place, lp.shape, ch) for ch in chars]
