@@ -14,7 +14,9 @@ of seeds 1 to 4 (see ``residual_wide_digest``), too many outputs to keep
 as files; the seeds mix the place kinds differently.
 ``ENUMERATE_SCALED_SHA256`` pins ``enumerate`` the same way on the 100
 inputs of the enumerate-scaled workload of seeds 1 and 2 (see
-``enumerate_scaled_digest``).  ``memory_peaks``
+``enumerate_scaled_digest``), and ``PACKET_SHA256`` pins ``packet`` at
+every place of its 40 Soudry and tempered inputs of seed 1 (see
+``packet_digest``).  ``memory_peaks``
 measures the peak memory of ``enumerate`` on the benchmark's memory input
 of seed 1 (``MEMORY_SCENARIO``), whose 4.4 MB JSON output
 ``MEMORY_SLOT_SHA256`` pins.
@@ -215,6 +217,35 @@ def enumerate_scaled_digest(run, seed: int = 1) -> str:
             for fmt in ENUMERATE_SCALED_FORMATS:
                 code, out = run(["enumerate", "--scenario", path, *fmt])
                 digest.update(f"{i} {' '.join(fmt)} exit {code}\n".encode())
+                digest.update(out)
+    return digest.hexdigest()
+
+
+# the enumerate-scaled families whose packets packet_digest reads; computed before
+# every tempered local group and map became a shared constant
+PACKET_FAMILIES = ("soudry", "tempered")
+PACKET_SHA256 = "363ac68b837dc385dabe5f3f090888068869720d17fc45961ff75106bdbd7eea"
+
+
+def packet_digest(run, seed: int = 1) -> str:
+    """SHA-256 of ``packet --format json`` at every place of the PACKET_FAMILIES inputs of
+    ``enumerate_scaled_scenarios(seed)``.
+
+    ``run`` and the digest are as in ``residual_wide_digest``, each call adding its place id too.
+    """
+    scengen = load_scengen()
+    families = [slot[0] for slot in scengen.ENUMERATE_SLOTS for _ in range(scengen.ENUMERATE_DRAWS)]
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (family, doc) in enumerate(zip(families, enumerate_scaled_scenarios(seed))):
+            if family not in PACKET_FAMILIES:
+                continue
+            path = os.path.join(tmp, f"{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for place in doc["places"]:
+                code, out = run(["packet", "--place", place["id"], "--format", "json", "--scenario", path])
+                digest.update(f"{i} {place['id']} exit {code}\n".encode())
                 digest.update(out)
     return digest.hexdigest()
 

@@ -15,12 +15,14 @@ from golden_calls import (
     FIXTURE_NAMES,
     GENERATED_GOLDENS,
     GOLDEN,
+    PACKET_SHA256,
     PACKETS,
     RESIDUAL_WIDE_SHA256,
     SCENARIO_FREE,
     VARIANTS,
     enumerate_scaled_digest,
     golden_calls,
+    packet_digest,
     residual_wide_digest,
 )
 from mp4spectrum import cli
@@ -101,6 +103,12 @@ def test_enumerate_output_on_generated_inputs_is_pinned(seed, capsys):
     # enumerate in JSON, plain and --verbose, on the 100 enumerate-scaled
     # inputs of the seed: 6-13 places of all five families
     assert enumerate_scaled_digest(_digest_runner(capsys), seed) == ENUMERATE_SCALED_SHA256[seed]
+
+
+def test_packet_output_on_generated_inputs_is_pinned(capsys):
+    # packet in JSON at every place of the 40 Soudry and tempered
+    # enumerate-scaled inputs of seed 1: each entry's label, member and flags
+    assert packet_digest(_digest_runner(capsys)) == PACKET_SHA256
 
 
 def _refuse_text(monkeypatch):

@@ -14,8 +14,9 @@ without the vanishing tuples), and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
 byte for byte, and that ``residual`` on the benchmark's residual-wide
 inputs of seeds 1 to 4 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``,
-and ``enumerate`` on the enumerate-scaled inputs of seeds 1 and 2 to
-``golden_calls.ENUMERATE_SCALED_SHA256``.
+``enumerate`` on the enumerate-scaled inputs of seeds 1 and 2 to
+``golden_calls.ENUMERATE_SCALED_SHA256``, and ``packet`` on the Soudry and
+tempered ones of seed 1 to ``golden_calls.PACKET_SHA256``.
 Prints one line per check and exits 1 if any fails.
 An info line, which never fails, gives the line count of
 ``src/mp4spectrum``, its code-line count (the lines that are not blank,
@@ -45,11 +46,13 @@ from golden_calls import (
     ENUMERATE_SCALED_SHA256,
     FIXTURE_NAMES,
     GOLDEN,
+    PACKET_SHA256,
     RESIDUAL_WIDE_SHA256,
     enumerate_scaled_digest,
     golden_calls,
     load_perfbench,
     memory_peaks,
+    packet_digest,
     residual_wide_digest,
 )
 from mp4spectrum.cli import main
@@ -133,6 +136,11 @@ def check_enumerate_digest():
     return digests == ENUMERATE_SCALED_SHA256, f"enumerate on the 100 enumerate-scaled inputs per seed hashes to {shown}"
 
 
+def check_packet_digest():
+    digest = packet_digest(_run)
+    return digest == PACKET_SHA256, f"packet on the Soudry and tempered enumerate-scaled inputs of seed 1 hashes to {digest}"
+
+
 def code_lines(text: str) -> int:
     """The lines of a module that are not blank, comment-only or part of a docstring."""
     lines = text.splitlines()
@@ -172,7 +180,7 @@ def main_check() -> int:
     print(source_info())
     ok = True
     checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_goldens, check_residual_digest,
-              check_enumerate_digest)
+              check_enumerate_digest, check_packet_digest)
     for check in checks:
         passed, detail = check()
         ok &= passed
