@@ -12,10 +12,11 @@ atlases diff-stable.
 Characters are values shared per group object: a group builds its
 characters on the first ``characters()`` call and hands out the same
 objects from then on (``at_mask`` and ``character`` included), and a
-character computes its signs and its printed label once.  The shared
-local groups of ``localization`` are module constants, so their
-characters are constants too; a tempered group's live as long as the
-group.  Nothing is keyed by input values.
+character computes its signs and its printed label once.  A localization
+map likewise works out the pullback of each of its target's characters
+once (``residues``).  Every local group and map of ``localization`` is a
+module constant, tempered ones included, so their characters and
+residues are constants too.  Nothing is keyed by input values.
 
 The small Gaussian-elimination helpers also bound the multiplicity
 module's listing: its affine solve over the concatenated local character
@@ -188,6 +189,11 @@ class LocalizationMap(Record):
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The images as 0/1 rows over the local basis."""
         return tuple(from_mask(m, len(self.target.basis)) for m in self.images)
+
+    @cached_property
+    def residues(self) -> tuple[int, ...]:
+        """The pullback of each character of target.characters(), in mask order, worked out once per map."""
+        return tuple(map(self.pullback, self.target.characters()))
 
     def pullback(self, eta: F2Character) -> int:
         """Mask of the global generators a_i with (eta o iota)(a_i) = -1."""

@@ -148,7 +148,7 @@ class SquareClass(Record):
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bits) != self.place.rank or any(b not in (0, 1) for b in self.bits):
+        if not isinstance(self.bits, tuple) or self.bits not in _LABELS[self.place.kind]:
             raise ValueError(f"bad bit vector {self.bits} for {self.place.kind}")
 
     @property

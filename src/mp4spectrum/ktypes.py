@@ -165,13 +165,9 @@ def lowest_kprime_discrete(a: Fraction, b: Fraction, eps1: Sign, eps2: Sign) -> 
         if eps1 != eps2:
             raise UncataloguedShape("mixed labels index no member when a = b")
         return (a + 1, -a) if eps1 == 1 else (a, -a - 1)
-    table = {
-        (1, 1): (a + 1, -b),
-        (1, -1): (a + 1, b + 2),
-        (-1, 1): (-b - 2, -a - 1),
-        (-1, -1): (b, -a - 1),
-    }
-    return table[(eps1, eps2)]
+    if eps1 == 1:
+        return (a + 1, -b) if eps2 == 1 else (a + 1, b + 2)
+    return (-b - 2, -a - 1) if eps2 == 1 else (b, -a - 1)
 
 
 class DiscreteSeriesQuery(Record):

@@ -20,12 +20,12 @@ constituents its summand splits into.  Relations and images are masks
 in the convention of ``chargroups``: local generator 0 is the most
 significant bit.
 
-The groups of the non-tempered shapes, and their seven (group, images)
-maps, are module constants that every localization shares; only a
-tempered shape builds its own.  A group hands out one set of characters
-(``chargroups``), so the shared groups' characters, signs and labels are
-constants that every place, packet, pullback and label reads, and a
-tempered group's are shared by everything that reads its LocalData.
+Every local group and map is a shared module constant: a tempered
+parameter of Mp(4) has at most two symplectic generators, so its group is
+one of four, and its maps are few.  No table is keyed by input values.
+A group hands out one set of characters (``chargroups``) and a map one
+set of residues, so the characters, signs, labels and residues are
+constants that every place, packet, pullback and label reads.
 
 A ``LocalParam`` is a place and a local shape; the shape classes name
 the family, so the local parameter carries no separate family tag.  The
@@ -36,6 +36,7 @@ global parameter is classified (and validated) once per instance by
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .chargroups import ComponentGroup, LocalizationMap, to_mask
@@ -167,6 +168,24 @@ class ShTempered(Record):
     sc_signs: FrozenMap = FrozenMap()  # tag -> its RhoIrreducibleSymplectic, for supercuspidal pieces
     __post_init__ = frozen_maps("sc_signs")
 
+    @cached_property
+    def form(self) -> tuple:
+        """(generators, kind, order, key): what local_group and the packet rule read, worked out once per shape.
+
+        The generators are the pieces but the principal series, in basis
+        order.  kind is "DxD" for two real discrete series, "ds4" for one
+        4-dim or two 2-dim supercuspidal or Steinberg pieces (they name an
+        Mp(4) discrete-series member), and None otherwise; order lists the
+        generators' indices in repr order, and key is the pieces' reprs.
+        """
+        gens = tuple(p for p in self.pieces if not isinstance(p, PiecePS))
+        key = tuple(map(repr, self.pieces))
+        types = {type(p) for p in gens} if len(gens) == len(key) else {PiecePS}
+        kind = "DxD" if len(gens) == 2 and types == {PieceD} else None
+        if len(gens) == 1 and types == {Piece4SC} or len(gens) == 2 and types <= {PieceSC, PieceSt}:
+            kind = "ds4"
+        return gens, kind, sorted(range(len(gens)), key=key.__getitem__), key
+
 
 LocalShape = Union[ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQuadratic, ShTempered]
 
@@ -178,13 +197,17 @@ class LocalParam(Record):
     shape: LocalShape
 
 
-# the groups and maps of the non-tempered shapes are fixed values, built once and shared
+# every local group and map is a fixed value, built once and shared
 _TRIVIAL = ComponentGroup(())
 _RANK1 = ComponentGroup(("a1",))
 _FREE2 = ComponentGroup(("a1", "a2"))
 _FIRST2 = ComponentGroup(("a1", "a2"), (0b10,))  # modulo the first factor
 _DIAGONAL2 = ComponentGroup(("a1", "a2"), (0b11,))  # modulo the diagonal
-# (id of one of the groups above, images) -> the map
+# tempered, by the number of generators (one per symplectic piece, at most two); two equal ones modulo the diagonal
+_TEMPERED = (_TRIVIAL, ComponentGroup(("g0",)), ComponentGroup(("g0", "g1")))
+_REPEATED = ComponentGroup(("g0", "g1"), (0b11,))
+# (id of one of the groups above, images) -> the map; the tempered ones, ten more since one or two
+# summands share out at most two generators, are added on first use
 _MAPS = {
     (id(group), images): LocalizationMap(group, images)
     for group, images in (
@@ -200,7 +223,7 @@ _MAPS = {
 
 
 def local_group(shape: LocalShape) -> ComponentGroup:
-    """The local component group a shape determines, per the table above; shared unless tempered."""
+    """The local component group a shape determines, per the table above: one of the shared constants."""
     if isinstance(shape, (ShPrincipal, ShSoudryIrreducible)):
         return _RANK1
     if isinstance(shape, ShSK):
@@ -210,20 +233,13 @@ def local_group(shape: LocalShape) -> ComponentGroup:
     if isinstance(shape, ShSoudryNonQuadratic):
         return _TRIVIAL
     if isinstance(shape, ShTempered):
-        gens = [p for p in shape.pieces if not isinstance(p, PiecePS)]
-        n = len(gens)
-        relations = tuple(
-            (1 << (n - 1 - j)) | (1 << (n - 1 - k))
-            for j in range(n)
-            for k in range(j + 1, n)
-            if gens[j] == gens[k]
-        )
-        return ComponentGroup(tuple(f"g{k}" for k in range(n)), relations)
+        gens = shape.form[0]
+        return _REPEATED if len(gens) == 2 and gens[0] == gens[1] else _TEMPERED[len(gens)]
     raise TypeError(f"not a local shape: {shape!r}")
 
 
 def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup, LocalizationMap]:
-    """Local shape, local component group, and the canonical map at one place; shared unless tempered."""
+    """Local shape, local component group, and the canonical map at one place; the group and map are shared."""
     ptype = classify(phi)
     if ptype is ParamType.PRINCIPAL:
         shape, images = ShPrincipal(phi.summands[0][0].local(place)), (0b1,)
@@ -244,27 +260,24 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
             assert isinstance(local, RhoQuadraticPair)
             a, b = sorted((local.a, local.b))
             shape, images = ShHPS(place.class_from_label(a), place.class_from_label(b)), (0b11,)
-    if ptype is not ParamType.TEMPERED:
-        group = local_group(shape)
-        return LocalParam(place, shape), group, _MAPS[id(group), images]
-
-    # tempered: generators come from the declared local decomposition
-    pieces_by_summand: list[list[TemperedPiece]] = []
-    sc_signs: dict = {}
-    for datum, _ in phi.summands:
-        assert isinstance(datum, CuspidalDatum)
-        pieces_by_summand.append(_shape_pieces(datum.local[place.id], sc_signs))
-    gens: list[tuple[TemperedPiece, int]] = []  # (piece, summand index)
-    tail: list[TemperedPiece] = []
-    for i, pieces in enumerate(pieces_by_summand):
-        for piece in pieces:
-            if isinstance(piece, PiecePS):
-                tail.append(piece)
-            else:
-                gens.append((piece, i))
-    gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
-    images = tuple(to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands)))
-    ordered_pieces = tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr))
-    shape = ShTempered(ordered_pieces, FrozenMap(sc_signs))
+    else:
+        # tempered: generators come from the declared local decomposition
+        pieces_by_summand: list[list[TemperedPiece]] = []
+        sc_signs: dict = {}
+        for datum, _ in phi.summands:
+            assert isinstance(datum, CuspidalDatum)
+            pieces_by_summand.append(_shape_pieces(datum.local[place.id], sc_signs))
+        gens: list[tuple[TemperedPiece, int]] = []  # (piece, summand index)
+        tail: list[TemperedPiece] = []
+        for i, pieces in enumerate(pieces_by_summand):
+            for piece in pieces:
+                if isinstance(piece, PiecePS):
+                    tail.append(piece)
+                else:
+                    gens.append((piece, i))
+        gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
+        images = tuple(to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands)))
+        shape = ShTempered(tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr)), FrozenMap(sc_signs))
     group = local_group(shape)
-    return LocalParam(place, shape), group, LocalizationMap(group, images)
+    key = id(group), images
+    return LocalParam(place, shape), group, _MAPS.get(key) or _MAPS.setdefault(key, LocalizationMap(group, images))

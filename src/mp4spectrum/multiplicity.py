@@ -108,13 +108,14 @@ class LocalData:
 
     @property
     def factors(self) -> tuple:
-        """(residue, is zero) per entry, built once; the residue is iota.pullback of the entry's character.
+        """(residue, is zero) per entry, built once; the residue is the pullback of the entry's character.
 
-        Delta^* eta is the sum of its components' residues, so the pullback
-        condition can be read one place at a time.
+        They are iota.residues, worked out once per shared map in mask order,
+        the entries' order.  Delta^* eta is the sum of its components'
+        residues, so the pullback condition can be read one place at a time.
         """
         if self._factors is None:
-            self._factors = tuple((self.iota.pullback(e.label), e.is_zero) for e in self.entries)
+            self._factors = tuple(zip(self.iota.residues, [e.is_zero for e in self.entries]))
         return self._factors
 
     def entry(self, label: int) -> PacketEntry:

@@ -67,7 +67,6 @@ from .ktypes import lowest_kprime_discrete
 from .localization import (
     LocalParam,
     Piece4SC,
-    PieceD,
     PiecePS,
     PieceSC,
     PieceSt,
@@ -152,14 +151,13 @@ def _tau_of_piece(piece) -> Desc:
     raise UnsupportedShape(f"no GL(2) datum behind {piece!r}")
 
 
-def _square_integrable(pairs, gen_ng, ds) -> Desc:
-    """The member named by (constituent, sign) pairs, canonically sorted.
+def _square_integrable(ordered, gen_ng, ds) -> Desc:
+    """The member named by (constituent, sign) pairs in canonical order, by the constituent's repr.
 
     A doubled constituent with its (necessarily diagonal) label is the
     generic or nongeneric summand ``gen_ng`` of the corresponding
     parabolic induction from tau; any other is the ``ds`` member.
     """
-    ordered = sorted(pairs, key=lambda ps: (repr(ps[0]), ps[1]))
     if len(ordered) == 2 and ordered[0][0] == ordered[1][0]:
         if ordered[0][1] != ordered[1][1]:
             raise UnsupportedShape("mixed label on a doubled constituent indexes no member")
@@ -167,14 +165,18 @@ def _square_integrable(pairs, gen_ng, ds) -> Desc:
     return ds(lparam=tuple(p for p, _ in ordered), label=tuple(s for _, s in ordered))
 
 
+def _repr_order(pair) -> tuple:
+    return repr(pair[0]), pair[1]
+
+
 def mp_ds4(piece_sign_pairs) -> Desc:
     """Tempered Mp(4) member named by (constituent, sign) pairs."""
-    return _square_integrable(piece_sign_pairs, MpGenNG, MpDS4)
+    return _square_integrable(sorted(piece_sign_pairs, key=_repr_order), MpGenNG, MpDS4)
 
 
 def so_ds(piece_sign_pairs) -> Desc:
     """Tempered SO(5) member named by (constituent, sign) pairs."""
-    return _square_integrable(piece_sign_pairs, SOGenNG, SODS)
+    return _square_integrable(sorted(piece_sign_pairs, key=_repr_order), SOGenNG, SODS)
 
 
 def _real_ds_member(a: Fraction, b: Fraction, eps1: Sign, eps2: Sign) -> Desc:
@@ -279,17 +281,13 @@ def _soudry(place: Place, shape, ch: F2Character) -> PacketEntry:
 
 
 def _tempered(place: Place, shape: ShTempered, ch: F2Character) -> PacketEntry:
-    gens = [p for p in shape.pieces if not isinstance(p, PiecePS)]
-    if len(gens) == len(shape.pieces):
-        if place.is_real and len(gens) == 2 and all(isinstance(p, PieceD) for p in gens):
-            # sorted descending by the localization order
-            return PacketEntry(ch, _real_ds_member(gens[0].a, gens[1].a, *ch.values), in_l_packet=True)
-        if place.is_nonarch and (
-            (len(gens) == 1 and isinstance(gens[0], Piece4SC))
-            or (len(gens) == 2 and all(isinstance(p, (PieceSC, PieceSt)) for p in gens))
-        ):
-            return PacketEntry(ch, mp_ds4(list(zip(gens, ch.values))), in_l_packet=True)
-    key = tuple(repr(p) for p in shape.pieces)
+    gens, kind, order, key = shape.form
+    if kind == "DxD" and place.is_real:
+        # sorted descending by the localization order
+        return PacketEntry(ch, _real_ds_member(gens[0].a, gens[1].a, *ch.values), in_l_packet=True)
+    if kind == "ds4" and place.is_nonarch:
+        member = _square_integrable([(gens[i], ch.values[i]) for i in order], MpGenNG, MpDS4)
+        return PacketEntry(ch, member, in_l_packet=True)
     return PacketEntry(ch, Opaque("tempered-member", (key, ch.values)), in_l_packet=True)
 
 
@@ -308,10 +306,10 @@ def local_packet(lp: LocalParam, group: ComponentGroup | None = None) -> list[Pa
     """The packet entries at a local parameter, one per admissible character, in mask order.
 
     ``group`` is the shape's local group as localize returned it (a
-    LocalData passes iota.target), so every entry's label is one of that
-    group object's shared characters; without it local_group builds the
-    group again, a tempered one anew.  Each entry comes from the shape's
-    rule for one character, the rule packet_entry applies to a single one.
+    LocalData passes iota.target); without it local_group picks the same
+    shared constant, so every entry's label is one of its shared
+    characters.  Each entry comes from the shape's rule for one
+    character, the rule packet_entry applies to a single one.
     """
     # without a group, local_group rejects anything that is not a local shape
     chars = (group or local_group(lp.shape)).characters()

@@ -148,7 +148,12 @@ def test_characters_are_exactly_relation_orthogonal_vectors(relations):
 # ---------------------------------------------------------------------------
 # characters shared per group object
 
-SHARED_GROUPS = tuple(getattr(localization, name) for name in ("_TRIVIAL", "_RANK1", "_FREE2", "_FIRST2", "_DIAGONAL2"))
+# every local group localize hands out: the module constants, tempered ones included
+SHARED_GROUPS = (
+    *(getattr(localization, name) for name in ("_TRIVIAL", "_RANK1", "_FREE2", "_FIRST2", "_DIAGONAL2")),
+    *localization._TEMPERED[1:],
+    localization._REPEATED,
+)
 
 
 @pytest.fixture(scope="module")
@@ -160,16 +165,11 @@ def input_local_data():
 
 
 def test_every_local_group_hands_out_one_set_of_characters(input_local_data):
-    groups = {id(g): g for g in SHARED_GROUPS}
     for ld in input_local_data:
-        group = local_group(ld.param.shape)
-        tempered = isinstance(ld.param.shape, ShTempered)
-        # a tempered shape's group is built per call; every other is one of the shared constants
-        assert (group is not ld.group and group == ld.group) if tempered else group is ld.group
-        groups.setdefault(id(group), group)
-        groups.setdefault(id(ld.group), ld.group)
-    assert len(groups) > 2 * len(SHARED_GROUPS)  # the tempered groups of the inputs are covered too
-    for group in groups.values():
+        # every group, a tempered shape's too, is one of the shared constants
+        assert local_group(ld.param.shape) is ld.group and any(ld.group is g for g in SHARED_GROUPS)
+    assert any(isinstance(ld.param.shape, ShTempered) for ld in input_local_data)
+    for group in SHARED_GROUPS:
         chars, again = group.characters(), group.characters()
         assert all(map(operator.is_, chars, again)) and len(chars) == len(again) == group.order()
         assert all(group.at_mask(ch.bits) is ch for ch in chars) and group.trivial_character() is chars[0]
@@ -182,6 +182,16 @@ def test_every_local_group_hands_out_one_set_of_characters(input_local_data):
             assert ch.values == fresh.values == values and ch.sign_label == fresh.sign_label == label
             # computed once per character object
             assert ch.values is ch.values and ch.sign_label is ch.sign_label
+
+
+def test_every_shared_map_holds_its_residues_once(input_local_data):
+    # a map's residues are the pullbacks of its target's characters in mask
+    # order, and LocalData.factors pairs them with its entries' zero flags
+    for iota in localization._MAPS.values():
+        assert iota.residues == tuple(iota.pullback(ch) for ch in iota.target.characters())
+        assert iota.residues is iota.residues
+    for ld in input_local_data:
+        assert ld.factors == tuple((ld.iota.pullback(e.label), e.is_zero) for e in ld.entries)
 
 
 def test_packet_entries_use_the_group_localize_built(input_local_data):

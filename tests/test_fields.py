@@ -153,6 +153,21 @@ def test_chi_minus_one_multiplicative(kind):
         assert chi_minus_one(place, a) * chi_minus_one(place, b) == chi_minus_one(place, a * b)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_square_class_refuses_a_bad_bit_vector(kind):
+    place = Place("v", kind)
+    rank = place.rank
+    for bits in place.square_classes():
+        assert SquareClass(place, bits.bits) == bits
+    bad = [(0,) * (rank + 1), list((0,) * rank)]
+    if rank:
+        bad += [(0,) * (rank - 1), (2,) + (0,) * (rank - 1), (0,) * (rank - 1) + (-1,)]
+    for bits in bad:
+        # a list would pass as a tuple does and fail only when hashed
+        with pytest.raises(ValueError, match=f"bad bit vector .* for {kind}"):
+            SquareClass(place, bits)
+
+
 def test_place_mismatch_rejected():
     p1, p2 = Place("v", "real"), Place("w", "real")
     with pytest.raises(PlaceMismatch):

@@ -1,5 +1,6 @@
 """Localization: shapes, local groups, canonical maps."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from mp4spectrum.localization import (
 )
 from mp4spectrum.parameters import (
     AParameter,
+    ParamType,
+    classify,
     CuspidalDatum,
     RhoIrreducibleSymplectic,
     RhoPrincipalSeries,
@@ -28,8 +31,10 @@ from mp4spectrum.parameters import (
     RhoSteinberg,
 )
 from mp4spectrum.record import FrozenMap
+from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
 from conftest import PTYPES, make_places, random_scenario_parameter
+from golden_calls import FIXTURE_NAMES, FIXTURES, enumerate_scaled_scenarios
 
 
 def _sk_parameter(shape_v1):
@@ -233,31 +238,62 @@ def test_generated_parameters_and_their_local_parameters_hash(rng, ptype):
         assert hash(localize(phi, place)[0]) == hash(localize(phi, place)[0])
 
 
-def test_non_tempered_localizations_share_their_groups_and_maps(rng, monkeypatch):
-    # each of the seven (group, images) pairs of the non-tempered shapes is one
-    # shared map, equal, hash-equal and repr-equal to a freshly built one
-    for iota in localization._MAPS.values():
+# every local group localize hands out: the module constants
+CONSTANT_GROUPS = (
+    *(getattr(localization, name) for name in ("_TRIVIAL", "_RANK1", "_FREE2", "_FIRST2", "_DIAGONAL2")),
+    *localization._TEMPERED[1:],
+    localization._REPEATED,
+)
+# the seven maps of the non-tempered shapes and the ten tempered ones: one or two summands share out at most two
+# generators, (0,) on no generator being the Soudry chi^2 != 1 map
+MAPS_BOUND = 17
+
+
+def _localized_inputs(rng):
+    """(places, parameter) of the fixtures, 200 generated scenarios and the enumerate-scaled inputs of seeds 1 and 2."""
+    inputs = []
+    for name in FIXTURE_NAMES:
+        sc = load_scenario(os.path.join(FIXTURES, f"{name}.json"))
+        inputs.append((sc.places, sc.parameter))
+    for i in range(200):
+        places, _, phi = random_scenario_parameter(rng, PTYPES[i % len(PTYPES)])
+        inputs.append((places, phi))
+    for seed in (1, 2):
+        for doc in enumerate_scaled_scenarios(seed):
+            sc = scenario_from_dict(doc)
+            inputs.append((sc.places, sc.parameter))
+    return inputs
+
+
+def test_localizations_share_their_groups_and_maps(rng, monkeypatch):
+    inputs = _localized_inputs(rng)
+    for places, phi in inputs:  # warm-up
+        for place in places:
+            localize(phi, place)
+    # every shared map is equal, hash-equal and repr-equal to a freshly built
+    # one, on one of the constant groups; no key holds input text
+    keys = set(localization._MAPS)
+    assert len(keys) <= MAPS_BOUND
+    for (group_id, images), iota in localization._MAPS.items():
+        assert group_id == id(iota.target) and images == iota.images
+        assert any(iota.target is g for g in CONSTANT_GROUPS)
+        assert 1 <= len(images) <= 2 and all(0 <= m < 1 << len(iota.target.basis) for m in images)
         fresh = LocalizationMap(ComponentGroup(iota.target.basis, iota.target.relations), iota.images)
         assert (fresh, hash(fresh), repr(fresh)) == (iota, hash(iota), repr(iota))
         assert (hash(fresh.target), repr(fresh.target)) == (hash(iota.target), repr(iota.target))
-    assert len({(iota.target, iota.images) for iota in localization._MAPS.values()}) == 7
-    # localize on a non-tempered parameter builds neither a group nor a map;
-    # a tempered one still builds both
+    # once warm, localize builds neither a group nor a map, tempered shapes included
     built = []
     for cls in (ComponentGroup, LocalizationMap):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
-    reached = set()
-    for i in range(200):
-        ptype = PTYPES[i % len(PTYPES)]
-        places, elements, phi = random_scenario_parameter(rng, ptype)
+    reached, families = set(), set()
+    for places, phi in inputs:
         for place in places:
-            del built[:]
             lp, group, iota = localize(phi, place)
-            assert group is iota.target
-            if ptype == "tempered":
-                assert [type(b) for b in built] == [ComponentGroup, LocalizationMap]
-            else:
-                assert built == [] and iota is localization._MAPS[id(group), iota.images]
-                reached.add(id(iota))
-    assert reached == {id(iota) for iota in localization._MAPS.values()}
+            assert group is iota.target and iota is localization._MAPS[id(group), iota.images]
+            assert any(group is g for g in CONSTANT_GROUPS)
+            reached.add(id(group))
+            families.add(classify(phi))
+    assert built == [] and families == set(ParamType)
+    assert reached == {id(g) for g in CONSTANT_GROUPS}
+    assert set(localization._MAPS) == keys

@@ -37,6 +37,8 @@ from mp4spectrum import residual
 from mp4spectrum.fields import KINDS, Place, chi_minus_one
 from mp4spectrum.localization import (
     Piece4SC,
+    PieceD,
+    PiecePS,
     PieceSC,
     PieceSt,
     ShHPS,
@@ -77,7 +79,7 @@ from mp4spectrum.scenario import load_scenario, scenario_from_dict
 from mp4spectrum.tables import _sample_shapes
 
 from conftest import PTYPES, random_scenario_parameter
-from golden_calls import FIXTURE_NAMES, FIXTURES, load_scengen
+from golden_calls import FIXTURE_NAMES, FIXTURES, enumerate_scaled_scenarios, load_scengen
 from theta_oracles import hps_quaternion_data, sk_quaternion_data, theta_o3_nonvanishing
 
 H = Fraction(1, 2)
@@ -637,3 +639,33 @@ def test_packet_entry_is_the_local_packet_entry(monkeypatch):
                     packet_entry(lp, mask)
                 refused += 0 <= mask < 1 << len(local_group(lp.shape).basis)
     assert len(lps) > 2000 and refused  # some masks in range break a relation
+
+
+def test_tempered_packet_reads_each_piece_repr_once(rng, monkeypatch):
+    # the tempered rule reads a shape's generators, branch and piece reprs
+    # once per shape, however many entries local_packet and packet_entry build
+    scenarios = [load_scenario(os.path.join(FIXTURES, "tempered.json"))]
+    scenarios += [scenario_from_dict(doc) for doc in enumerate_scaled_scenarios(1)]
+    inputs = [(sc.places, sc.parameter) for sc in scenarios]
+    for _ in range(40):
+        places, _, phi = random_scenario_parameter(rng, "tempered")
+        inputs.append((places, phi))
+    read = []
+    for cls, piece in ((PieceSC, PieceSC("t")), (PieceSt, PieceSt("1")), (PieceD, PieceD(Fraction(1, 2))),
+                       (Piece4SC, Piece4SC("t")), (PiecePS, PiecePS("c", Fraction(0), 1))):
+        repr(piece)  # puts the class's own __repr__ in place of the shared first-use stub
+        monkeypatch.setattr(cls, "__repr__", lambda self, _repr=cls.__repr__: read.append(self) or _repr(self))
+    shapes = 0
+    for places, phi in inputs:
+        if not isinstance(localize(phi, places[0])[0].shape, ShTempered):
+            continue
+        for place in places:
+            lp, group, _ = localize(phi, place)
+            del read[:]
+            packet = local_packet(lp, group)
+            assert local_packet(lp) == packet
+            assert [packet_entry(lp, e.label.bits, group) for e in packet] == packet
+            assert len(read) == len({id(p) for p in read}) <= len(lp.shape.pieces)
+            assert all(any(p is q for q in lp.shape.pieces) for p in read)
+            shapes += len(packet) > 1 and not all(isinstance(p, PieceD) for p in lp.shape.pieces)
+    assert shapes > 100  # shapes whose several entries are named by piece reprs
