@@ -20,12 +20,13 @@ constituents its summand splits into.  Relations and images are masks
 in the convention of ``chargroups``: local generator 0 is the most
 significant bit.
 
-Every local group and map is a shared module constant: a tempered
-parameter of Mp(4) has at most two symplectic generators, so its group is
-one of four, and its maps are few.  No table is keyed by input values.
-A group hands out one set of characters (``chargroups``) and a map one
-set of residues, so the characters, signs, labels and residues are
-constants that every place, packet, pullback and label reads.
+Every local group is a module constant and every map a shared entry of
+one bounded table, none keyed by input values: a tempered parameter of
+Mp(4) has at most two symplectic generators, so its group is one of four
+and its maps are few.  A group hands out one set of characters
+(``chargroups``) and a map one set of residues, so the characters, signs,
+labels and residues are constants that every place, packet, pullback and
+label reads.
 
 A ``LocalParam`` is a place and a local shape; the shape classes name
 the family, so the local parameter carries no separate family tag.  The
@@ -180,7 +181,7 @@ class ShTempered(Record):
         """
         gens = tuple(p for p in self.pieces if not isinstance(p, PiecePS))
         key = tuple(map(repr, self.pieces))
-        types = {type(p) for p in gens} if len(gens) == len(key) else {PiecePS}
+        types = {type(p) for p in self.pieces}
         kind = "DxD" if len(gens) == 2 and types == {PieceD} else None
         if len(gens) == 1 and types == {Piece4SC} or len(gens) == 2 and types <= {PieceSC, PieceSt}:
             kind = "ds4"
@@ -206,8 +207,7 @@ _DIAGONAL2 = ComponentGroup(("a1", "a2"), (0b11,))  # modulo the diagonal
 # tempered, by the number of generators (one per symplectic piece, at most two); two equal ones modulo the diagonal
 _TEMPERED = (_TRIVIAL, ComponentGroup(("g0",)), ComponentGroup(("g0", "g1")))
 _REPEATED = ComponentGroup(("g0", "g1"), (0b11,))
-# (id of one of the groups above, images) -> the map; the tempered ones, ten more since one or two
-# summands share out at most two generators, are added on first use
+# (id of one of the groups above, images) -> the map; the at most ten tempered ones are added on first use
 _MAPS = {
     (id(group), images): LocalizationMap(group, images)
     for group, images in (
