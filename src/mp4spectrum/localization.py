@@ -124,14 +124,6 @@ def _shape_pieces(shape, sc_signs: dict) -> list[TemperedPiece]:
     raise TypeError(f"not a symplectic local shape: {shape!r}")
 
 
-def _piece_order_key(piece: TemperedPiece):
-    # real discrete-series constituents sort by descending parameter so the
-    # label conventions of the archimedean tables line up with the basis
-    if isinstance(piece, PieceD):
-        return (0, -piece.a)
-    return (1, repr(piece))
-
-
 # ---------------------------------------------------------------------------
 # local parameter shapes
 
@@ -179,13 +171,17 @@ class ShTempered(Record):
         Mp(4) discrete-series member), and None otherwise; order lists the
         generators' indices in repr order, and key is the pieces' reprs.
         """
-        gens = tuple(p for p in self.pieces if not isinstance(p, PiecePS))
-        key = tuple(map(repr, self.pieces))
-        types = {type(p) for p in self.pieces}
-        kind = "DxD" if len(gens) == 2 and types == {PieceD} else None
-        if len(gens) == 1 and types == {Piece4SC} or len(gens) == 2 and types <= {PieceSC, PieceSt}:
-            kind = "ds4"
-        return gens, kind, sorted(range(len(gens)), key=key.__getitem__), key
+        return _tempered_form(self.pieces, tuple(map(repr, self.pieces)))
+
+
+def _tempered_form(pieces: tuple, key: tuple) -> tuple:
+    """ShTempered.form of the pieces whose reprs are ``key``."""
+    gens = tuple(p for p in pieces if not isinstance(p, PiecePS))
+    types = {type(p) for p in pieces}
+    kind = "DxD" if len(gens) == 2 and types == {PieceD} else None
+    if len(gens) == 1 and types == {Piece4SC} or len(gens) == 2 and types <= {PieceSC, PieceSt}:
+        kind = "ds4"
+    return gens, kind, sorted(range(len(gens)), key=key.__getitem__), key
 
 
 LocalShape = Union[ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQuadratic, ShTempered]
@@ -261,23 +257,22 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
             a, b = sorted((local.a, local.b))
             shape, images = ShHPS(place.class_from_label(a), place.class_from_label(b)), (0b11,)
     else:
-        # tempered: generators come from the declared local decomposition
-        pieces_by_summand: list[list[TemperedPiece]] = []
+        # tempered: generators come from the declared local decomposition.  One sort, each piece repr'd once:
+        # real discrete series first, by descending parameter so the labels of the archimedean tables line up
+        # with the basis, then the other generators by repr, then the principal series by repr; ties by summand
+        keyed = []  # (rank, summand index, repr, piece)
         sc_signs: dict = {}
-        for datum, _ in phi.summands:
+        for i, (datum, _) in enumerate(phi.summands):
             assert isinstance(datum, CuspidalDatum)
-            pieces_by_summand.append(_shape_pieces(datum.local[place.id], sc_signs))
-        gens: list[tuple[TemperedPiece, int]] = []  # (piece, summand index)
-        tail: list[TemperedPiece] = []
-        for i, pieces in enumerate(pieces_by_summand):
-            for piece in pieces:
-                if isinstance(piece, PiecePS):
-                    tail.append(piece)
-                else:
-                    gens.append((piece, i))
-        gens.sort(key=lambda t: (_piece_order_key(t[0]), t[1]))
-        images = tuple(to_mask(gi == i for _, gi in gens) for i in range(len(phi.summands)))
-        shape = ShTempered(tuple(p for p, _ in gens) + tuple(sorted(tail, key=repr)), FrozenMap(sc_signs))
+            for piece in _shape_pieces(datum.local[place.id], sc_signs):
+                shown = repr(piece)
+                rank = (0, -piece.a) if isinstance(piece, PieceD) else (1 + isinstance(piece, PiecePS), shown)
+                keyed.append((rank, i, shown, piece))
+        keyed.sort(key=lambda k: k[:2])
+        gens = [i for rank, i, _, _ in keyed if rank[0] < 2]
+        images = tuple(to_mask(gi == i for gi in gens) for i in range(len(phi.summands)))
+        shape = ShTempered(tuple(k[3] for k in keyed), FrozenMap(sc_signs))
+        vars(shape)["form"] = _tempered_form(shape.pieces, tuple(k[2] for k in keyed))  # fills the cached property
     group = local_group(shape)
     key = id(group), images
     return LocalParam(place, shape), group, _MAPS.get(key) or _MAPS.setdefault(key, LocalizationMap(group, images))

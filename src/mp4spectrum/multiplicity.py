@@ -103,7 +103,7 @@ class LocalData:
     @property
     def entries(self) -> tuple:
         if self._entries is None:
-            self._entries = tuple(local_packet(self.param, self.iota.target))
+            self._entries = tuple(local_packet(self.param))
         return self._entries
 
     @property
@@ -121,7 +121,7 @@ class LocalData:
     def entry(self, label: int) -> PacketEntry:
         e = self._at.get(label)
         if e is None:
-            e = self._at[label] = packet_entry(self.param, label, self.iota.target)
+            e = self._at[label] = packet_entry(self.param, label)
         return e
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chargroups import ComponentGroup, F2Character
+from .chargroups import F2Character
 from .descriptors import (
     HALF,
     MP4,
@@ -302,24 +302,22 @@ _RULES = {
 }
 
 
-def local_packet(lp: LocalParam, group: ComponentGroup | None = None) -> list[PacketEntry]:
+def local_packet(lp: LocalParam) -> list[PacketEntry]:
     """The packet entries at a local parameter, one per admissible character, in mask order.
 
-    ``group`` is the shape's local group as localize returned it (a
-    LocalData passes iota.target); without it local_group picks the same
-    shared constant, so every entry's label is one of its shared
-    characters.  Each entry comes from the shape's rule for one
+    Every entry's label is one of the characters of the shape's shared
+    local group.  Each entry comes from the shape's rule for one
     character, the rule packet_entry applies to a single one.
     """
-    # without a group, local_group rejects anything that is not a local shape
-    chars = (group or local_group(lp.shape)).characters()
+    # local_group rejects anything that is not a local shape
+    chars = local_group(lp.shape).characters()
     rule = _RULES[type(lp.shape)]
     return [rule(lp.place, lp.shape, ch) for ch in chars]
 
 
-def packet_entry(lp: LocalParam, label: int, group: ComponentGroup | None = None) -> PacketEntry:
-    """The entry of local_packet(lp, group) at the character of mask ``label``, built alone."""
-    ch = (group or local_group(lp.shape)).at_mask(label)
+def packet_entry(lp: LocalParam, label: int) -> PacketEntry:
+    """The entry of local_packet(lp) at the character of mask ``label``, built alone."""
+    ch = local_group(lp.shape).at_mask(label)
     return _RULES[type(lp.shape)](lp.place, lp.shape, ch)
 
 

@@ -662,10 +662,35 @@ def test_tempered_packet_reads_each_piece_repr_once(rng, monkeypatch):
         for place in places:
             lp, group, _ = localize(phi, place)
             del read[:]
-            packet = local_packet(lp, group)
-            assert local_packet(lp) == packet
-            assert [packet_entry(lp, e.label.bits, group) for e in packet] == packet
+            packet = local_packet(lp)
+            assert all(e.label.group is group for e in packet)
+            assert [packet_entry(lp, e.label.bits) for e in packet] == packet
             assert len(read) == len({id(p) for p in read}) <= len(lp.shape.pieces)
             assert all(any(p is q for q in lp.shape.pieces) for p in read)
             shapes += len(packet) > 1 and not all(isinstance(p, PieceD) for p in lp.shape.pieces)
     assert shapes > 100  # shapes whose several entries are named by piece reprs
+
+
+def test_local_data_reads_each_piece_repr_once(monkeypatch):
+    # localize orders a tempered shape's pieces by their reprs and hands the
+    # same reprs to the shape's form, so building the local data and packets
+    # of the seed-1 enumerate-scaled inputs reprs each piece at most once
+    # (the non-tempered rules repr pieces of their own, which are not counted)
+    from mp4spectrum.multiplicity import prepare_local_data
+
+    scenarios = [scenario_from_dict(doc) for doc in enumerate_scaled_scenarios(1)]
+    read = []
+    for cls, piece in ((PieceSC, PieceSC("t")), (PieceSt, PieceSt("1")), (PieceD, PieceD(Fraction(1, 2))),
+                       (Piece4SC, Piece4SC("t")), (PiecePS, PiecePS("c", Fraction(0), 1))):
+        repr(piece)  # puts the class's own __repr__ in place of the shared first-use stub
+        monkeypatch.setattr(cls, "__repr__", lambda self, _repr=cls.__repr__: read.append(self) or _repr(self))
+    pieces = []
+    for sc in scenarios:
+        for ld in prepare_local_data(sc.parameter, sc.places):
+            assert ld.entries
+            if isinstance(ld.param.shape, ShTempered):
+                pieces += ld.param.shape.pieces
+    ids = {id(p) for p in pieces}
+    assert len(pieces) > 300 and len(ids) == len(pieces)
+    shape_reads = [id(p) for p in read if id(p) in ids]
+    assert len(shape_reads) == len(set(shape_reads)) <= len(pieces)

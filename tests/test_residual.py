@@ -12,7 +12,7 @@ from mp4spectrum import descriptors, localization, packets, parameters
 from mp4spectrum.cli import main
 from mp4spectrum.descriptors import render
 from mp4spectrum.fields import KINDS, GlobalElement, Place, minus_one_element, trivial_element
-from mp4spectrum.localization import LocalParam, ShHPS, ShPrincipal, localize
+from mp4spectrum.localization import LocalParam, ShHPS, ShPrincipal, local_group, localize
 from mp4spectrum.multiplicity import enumerate_constituents
 from mp4spectrum.packets import designated_key, local_packet
 from mp4spectrum.parameters import (
@@ -261,11 +261,11 @@ def test_residual_builds_each_packet_once(monkeypatch):
     calls = _record_calls(monkeypatch, packets, "packet_entry", entries)
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
     assert not whole
-    built = [(_placeless(lp), label) for lp, label, _ in calls]
+    built = [(_placeless(lp), label) for lp, label in calls]
     assert built == _distinct(built) and all(label for _, label in built)
-    for (lp, label, group), entry in zip(calls, entries):
+    for (lp, label), entry in zip(calls, entries):
         assert entry == next(e for e in local_packet(lp) if e.label.bits == label)
-        assert entry.label.group is group  # the LocalData's own group, not one built again
+        assert entry.label.group is local_group(lp.shape)  # the shared group, not one built again
     # the label a slot reads is the one of its member in the local packet, whose members differ
     slots = _member_slots(sc, cons, localize_, designate)
     reads = [(lp, d) for c, lp, d, all_plus in slots if c.support == "P1" and not all_plus]

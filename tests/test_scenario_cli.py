@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import itertools
@@ -603,6 +604,70 @@ def test_cli_residual_refuses_above_the_limit(tmp_path):
     assert "524288 P1-SK constituents" in err
     assert seconds < 0.1
     assert rss_kib < 30 * 1024
+
+
+_FREEZE_PROBES = {
+    # the console script's path: main() reads sys.argv
+    "main": "exit_code = mp4spectrum.cli.main()",
+    # python -m mp4spectrum.cli: the __main__ block
+    "run_module": (
+        "try:\n"
+        "    runpy.run_module('mp4spectrum.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    exit_code = exc.code\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FREEZE_PROBES))
+def test_program_path_freezes_the_import_heap(entry):
+    # run as the program, main moves the import-time objects into the
+    # permanent generation before it reads argv, so no collection rescans them
+    probe = (
+        "import gc, runpy, sys\n"
+        "import mp4spectrum.cli\n"
+        "assert gc.get_freeze_count() == 0\n"
+        f"sys.argv = ['mp4spectrum', 'validate', '--format', 'json', '--scenario', {fixture_path('sk.json')!r}]\n"
+        f"{_FREEZE_PROBES[entry]}\n"
+        "print(exit_code, gc.get_freeze_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *report, last = proc.stdout.splitlines()
+    code, frozen = map(int, last.split())
+    assert code == 0 and json.loads("\n".join(report))["ok"] is True
+    assert frozen > 1000
+
+
+def test_in_process_main_does_not_freeze(capsys):
+    # a caller that passes argv (tests, the benchmark, tools) gets no process-wide gc change
+    before = gc.get_freeze_count()
+    assert main(["enumerate", "--scenario", fixture_path("tempered.json"), "--format", "json"]) == 0
+    assert main(["validate", "--scenario", fixture_path("missing.json")]) == 4
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["validate", "enumerate-verbose", "malformed"])
+def test_cli_child_prints_what_main_prints_in_process(name, tmp_path, capsys):
+    # the program path (frozen heap) and an in-process call write the same bytes and exit alike
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"version": 1, "places": [{"id": "v1"}]}))
+    argv = {
+        "validate": ["validate", "--scenario", fixture_path("soudry.json")],
+        "enumerate-verbose": ["enumerate", "--verbose", "--scenario", fixture_path("tempered.json")],
+        "malformed": ["validate", "--format", "json", "--scenario", str(malformed)],
+    }[name]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "mp4spectrum.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    if name == "malformed":
+        assert code == 4 and err.startswith("schema error")
+    else:
+        assert code == 0 and out
 
 
 def test_cli_enumerate_limit_counts_every_tuple(monkeypatch, capsys):

@@ -25,7 +25,14 @@ time of its modules (best of 7), since every CLI child without a
 bytecode cache pays it.  On Linux it also gives the peak RSS (VmHWM) of
 the memory test's child after importing the CLI and after ``enumerate
 --format json`` on that test's scenario, and the rise as a multiple of the
-output's size.
+output's size.  Last it gives the median wall time of 9 fresh children
+each for ``-c pass`` (the interpreter floor), ``-c "import
+mp4spectrum.cli"`` (floor, compiling and running the imports) and ``-m
+mp4spectrum.cli validate --scenario fixtures/sk.json --format json`` (all
+that, the work and the teardown at exit), run in the caller's
+environment, and whether ``src`` held a bytecode cache for them; the
+benchmark's children run without one (``PYTHONDONTWRITEBYTECODE=1`` and
+no ``__pycache__``).
 Uses the standard library only, for interpreters that have no pytest.
 """
 
@@ -33,8 +40,10 @@ import ast
 import contextlib
 import glob
 import importlib
+import importlib.util
 import io
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -153,6 +162,31 @@ def code_lines(text: str) -> int:
     return len(lines) - len(skipped)
 
 
+def child_split(runs: int = 9) -> str:
+    """Median wall time of fresh children: the interpreter alone, importing the CLI, and one validate call.
+
+    The three run in turn, ``runs`` times each, in this process's
+    environment with ``src`` on the path, so they read a bytecode cache
+    only where one is there already.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    sk = os.path.join(ROOT, "fixtures", "sk.json")
+    children = {
+        "pass": ["-c", "pass"],
+        "import": ["-c", "import mp4spectrum.cli"],
+        "validate": ["-m", "mp4spectrum.cli", "validate", "--scenario", sk, "--format", "json"],
+    }
+    times = {name: [] for name in children}
+    for _ in range(runs):
+        for name, args in children.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+            times[name].append(time.perf_counter() - start)
+    cache = importlib.util.cache_from_source(os.path.join(ROOT, "src", "mp4spectrum", "cli.py"))
+    shown = ", ".join(f"{name} {statistics.median(t) * 1e3:.1f} ms" for name, t in times.items())
+    return f"children (median of {runs}, bytecode cache {'present' if os.path.exists(cache) else 'absent'}): {shown}"
+
+
 def source_info():
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "mp4spectrum", "*.py")))
     sources = []
@@ -172,7 +206,7 @@ def source_info():
         base, peak, out = memory_peaks()
         info += (f"; VmHWM import {base / 1024:.1f} MB, enumerate {peak / 1024:.1f} MB: "
                  f"{(peak - base) * 1024 / len(out):.2f} x its {len(out) / 1e6:.1f} MB output")
-    return info
+    return f"{info}; {child_split()}"
 
 
 def main_check() -> int:
