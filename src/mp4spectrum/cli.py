@@ -29,8 +29,8 @@ as bytes.
 building that parser cost a fresh CLI child 6-14 ms (Python 3.11.7 on a
 2-vCPU VM).
 
-Start-up: a fresh CLI child without a bytecode cache (as the benchmark runs it) pays about 39 ms of
-interpreter floor, 40 ms compiling ``src``, 11 ms running the imports, 2 ms of work, and then 6 ms at exit,
+Start-up: a fresh CLI child without a bytecode cache (as the benchmark runs it) pays about 40 ms of
+interpreter floor, 41 ms compiling ``src``, 11 ms running the imports, 2 ms of work, and then 6 ms at exit,
 where the shutdown collections traverse and free the 13,000 objects the imports made (Python 3.11.7 on a
 2-vCPU VM).  Run as the program, main first calls ``gc.freeze()``, which takes them out of every later
 collection, so that teardown is gone; what the subcommand builds is collected as before.

@@ -269,8 +269,8 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
                 rank = (0, -piece.a) if isinstance(piece, PieceD) else (1 + isinstance(piece, PiecePS), shown)
                 keyed.append((rank, i, shown, piece))
         keyed.sort(key=lambda k: k[:2])
-        gens = [i for rank, i, _, _ in keyed if rank[0] < 2]
-        images = tuple(to_mask(gi == i for gi in gens) for i in range(len(phi.summands)))
+        owners = [i for rank, i, _, _ in keyed if rank[0] < 2]  # the summand of each generator, in basis order
+        images = tuple(to_mask(owner == i for owner in owners) for i in range(len(phi.summands)))
         shape = ShTempered(tuple(k[3] for k in keyed), FrozenMap(sc_signs))
         vars(shape)["form"] = _tempered_form(shape.pieces, tuple(k[2] for k in keyed))  # fills the cached property
     group = local_group(shape)

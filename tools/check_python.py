@@ -27,12 +27,13 @@ the memory test's child after importing the CLI and after ``enumerate
 --format json`` on that test's scenario, and the rise as a multiple of the
 output's size.  Last it gives the median wall time of 9 fresh children
 each for ``-c pass`` (the interpreter floor), ``-c "import
-mp4spectrum.cli"`` (floor, compiling and running the imports) and ``-m
-mp4spectrum.cli validate --scenario fixtures/sk.json --format json`` (all
-that, the work and the teardown at exit), run in the caller's
-environment, and whether ``src`` held a bytecode cache for them; the
-benchmark's children run without one (``PYTHONDONTWRITEBYTECODE=1`` and
-no ``__pycache__``).
+mp4spectrum.cli"`` (floor, compiling and running the imports, and
+collecting what they made at exit) and ``-m mp4spectrum.cli validate
+--scenario fixtures/sk.json --format json`` (floor, compiling, imports and
+the work; the program freezes the import-time heap, so its exit skips
+collecting it), run in the caller's environment, and whether ``src`` held
+a bytecode cache for them; the benchmark's children run without one
+(``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__``).
 Uses the standard library only, for interpreters that have no pytest.
 """
 
