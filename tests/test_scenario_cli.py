@@ -646,7 +646,6 @@ def test_in_process_main_does_not_freeze(capsys):
     assert main(["enumerate", "--scenario", fixture_path("tempered.json"), "--format", "json"]) == 0
     assert main(["validate", "--scenario", fixture_path("missing.json")]) == 4
     assert gc.get_freeze_count() == before
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", ["validate", "enumerate-verbose", "malformed"])

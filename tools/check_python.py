@@ -163,10 +163,10 @@ def code_lines(text: str) -> int:
     return len(lines) - len(skipped)
 
 
-def child_split(runs: int = 9) -> str:
+def child_split() -> str:
     """Median wall time of fresh children: the interpreter alone, importing the CLI, and one validate call.
 
-    The three run in turn, ``runs`` times each, in this process's
+    The three run in turn, 9 times each, in this process's
     environment with ``src`` on the path, so they read a bytecode cache
     only where one is there already.
     """
@@ -178,6 +178,7 @@ def child_split(runs: int = 9) -> str:
         "validate": ["-m", "mp4spectrum.cli", "validate", "--scenario", sk, "--format", "json"],
     }
     times = {name: [] for name in children}
+    runs = 9
     for _ in range(runs):
         for name, args in children.items():
             start = time.perf_counter()
