@@ -18,9 +18,9 @@ once (``residues``).  Every local group and map of ``localization`` is a
 module constant, tempered ones included, so their characters and
 residues are constants too.  Nothing is keyed by input values.
 
-The small Gaussian-elimination helpers also bound the multiplicity
-module's listing: its affine solve over the concatenated local character
-masks counts the multiplicity-one tuples before any is listed.
+``rref`` also bounds the multiplicity module's listing: eps~ reduced
+against the span of the local residues counts the multiplicity-one tuples
+before any is listed.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ Two counting routes are kept deliberately independent:
     to S_phi, and a multiplicity-one tuple is one whose residues sum to
     eps~.  One walk over the places, pruned by the residues the places
     still ahead can reach, lays the tuples down in order, the ones with a
-    vanishing member left out unless asked for; an affine solve over the
-    concatenated local character masks first bounds their number.
+    vanishing member left out unless asked for; coset_size first bounds
+    their number from the span of the residues.
     enumerate_constituents and the CLI's enumerate both read it;
   * brute_force_count iterates the full product of local packet entries
     and applies the definitional test tuple by tuple.
@@ -30,7 +30,7 @@ Their agreement is the main acceptance gate.
 from __future__ import annotations
 
 import itertools
-from .chargroups import ComponentGroup, F2Character, LocalizationMap, solve_affine
+from .chargroups import ComponentGroup, F2Character, LocalizationMap, rref
 from .descriptors import Zero
 from .fields import Place
 from .localization import LocalParam, localize
@@ -151,6 +151,18 @@ def _constituent(pieces: list, n: int) -> Constituent:
     return Constituent(AdelicCharacter(tuple(pieces[:n])), tuple(pieces[n:]), multiplicity=1)
 
 
+def coset_size(eps_bits: int, locals_: list[LocalData]) -> int:
+    """How many character tuples have residues summing to eps_bits, vanishing members included.
+
+    Delta^* is linear: none when eps_bits is outside the span of the
+    residues, else a coset of its kernel, 2^(sum of local ranks - dim span).
+    """
+    span = rref({r for ld in locals_ for r in ld.iota.residues})
+    for row in span:
+        eps_bits = min(eps_bits, eps_bits ^ row)  # clears the leading bit of row where eps_bits has it
+    return 0 if eps_bits else 1 << sum(len(ld.iota.residues).bit_length() - 1 for ld in locals_) - len(span)
+
+
 def listed_tuples(phi: AParameter, locals_: list[LocalData], rows: list, tails: tuple, include_vanishing=False) -> list:
     """The multiplicity-one tuples laid down in one list, in AdelicCharacter.sort_key order.
 
@@ -159,29 +171,21 @@ def listed_tuples(phi: AParameter, locals_: list[LocalData], rows: list, tails: 
     and so on, then tails[vanishing], vanishing saying whether a local
     member is zero (such tuples are left out without include_vanishing).
 
-    The affine solve first refuses more than ENUMERATE_LIMIT
-    multiplicity-one tuples, vanishing ones included.  A backward pass then
-    keys tables[k] by the residues the places from k on can sum to, each
-    with the entries of place k, in mask order, that leave a residue the
-    places after k can sum to.  The walk keeps an explicit stack of places,
-    no recursion, so it meets the tuples in order and enters no branch
-    that does not end at eps~: nothing is sorted, decoded or dropped.
+    coset_size first finds none when eps~ is outside the span of the
+    residues, and refuses more than ENUMERATE_LIMIT multiplicity-one
+    tuples, vanishing ones included.  A backward pass then keys tables[k]
+    by the residues the places from k on can sum to, each with the entries
+    of place k, in mask order, that leave a residue the places after k can
+    sum to.  The walk keeps an explicit stack of places, no recursion, so
+    it meets the tuples in order and enters no branch that does not end at
+    eps~: nothing is sorted, decoded or dropped.
     """
     eps = epsilon_tilde(phi)
-    # over the concatenated local character masks, one parity row per global generator and one per local relation
-    images = [0] * len(eps.group.basis)
-    relations, width = [], 0
-    for ld in reversed(locals_):
-        images = [row | (img << width) for row, img in zip(images, ld.iota.images)]
-        relations += [r << width for r in ld.group.relations]
-        width += len(ld.group.basis)
-    solved = solve_affine(images + relations, eps.bits << len(relations), width)
-    if solved is None:
+    size = coset_size(eps.bits, locals_)
+    if not size:
         return []
-    if 1 << len(solved[1]) > ENUMERATE_LIMIT:
-        raise ScenarioTooLarge(
-            f"{1 << len(solved[1])} multiplicity-one tuples to list, above the limit of {ENUMERATE_LIMIT}"
-        )
+    if size > ENUMERATE_LIMIT:
+        raise ScenarioTooLarge(f"{size} multiplicity-one tuples to list, above the limit of {ENUMERATE_LIMIT}")
     tables, ahead = [], {0: ()}  # past the last place only the residue 0 is left
     for col, ld in zip(reversed(rows), reversed(locals_)):
         step = [(row, r, zero) for row, (r, zero) in zip(col, ld.factors) if include_vanishing or not zero]

@@ -20,6 +20,8 @@ every place of its 40 Soudry and tempered inputs of seed 1 (see
 measures the peak memory of ``enumerate`` on the benchmark's memory input
 of seed 1 (``MEMORY_SCENARIO``), whose 4.4 MB JSON output
 ``MEMORY_SLOT_SHA256`` pins.
+``solved_coset_size`` counts a parameter's multiplicity-one tuples with
+``chargroups.solve_affine``, the reference for ``multiplicity.coset_size``.
 """
 
 import hashlib
@@ -201,6 +203,25 @@ def enumerate_scaled_scenarios(seed: int = 1) -> list:
         return tuple(oracle.character_sum_count(sc.parameter, sc.places, nonzero) for nonzero in (False, True))
 
     return [doc for _, doc in load_scengen().enumerate_scenarios(seed, counts)]
+
+
+def solved_coset_size(eps_bits: int, locals_) -> int:
+    """The multiplicity-one tuples, vanishing ones included, counted by solve_affine: 0 or 2^(kernel rank).
+
+    The unknowns are the concatenated local character masks; there is one
+    parity row per global generator (right-hand side its eps bit) and one
+    per local relation (right-hand side 0).
+    """
+    from mp4spectrum.chargroups import solve_affine
+
+    images = [0] * len(locals_[0].iota.images)
+    relations, width = [], 0
+    for ld in reversed(locals_):
+        images = [row | (img << width) for row, img in zip(images, ld.iota.images)]
+        relations += [r << width for r in ld.group.relations]
+        width += len(ld.group.basis)
+    solved = solve_affine(images + relations, eps_bits << len(relations), width)
+    return 0 if solved is None else 1 << len(solved[1])
 
 
 def enumerate_scaled_digest(run, seed: int = 1) -> str:

@@ -18,9 +18,11 @@ from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
 from mp4spectrum.localization import localize
 from mp4spectrum.multiplicity import (
     BRUTE_FORCE_PLACE_CAP,
+    ENUMERATE_LIMIT,
     AdelicCharacter,
     ScenarioTooLarge,
     brute_force_count,
+    coset_size,
     diagonal_pullback,
     enumerate_constituents,
     listed_tuples,
@@ -40,10 +42,10 @@ from mp4spectrum.parameters import (
 )
 from mp4spectrum.record import FrozenMap
 from mp4spectrum.residual import residual_spectrum
-from mp4spectrum.scenario import load_scenario
+from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
 from conftest import PTYPES, make_places, random_scenario_parameter
-from golden_calls import load_perfbench, load_scengen
+from golden_calls import FIXTURE_NAMES, FIXTURES, load_perfbench, load_scengen, solved_coset_size
 
 
 def _trivial_eta(phi, places):
@@ -246,6 +248,84 @@ def test_listed_tuples_are_the_product_filtered_in_order(seed, ptype, flip, incl
     n = len(locals_)
     listed = [(tuple(laid[i : i + n]), laid[i + n]) for i in range(0, len(laid), n + 1)]
     assert listed == _product_listing(locals_, target, include_vanishing)
+
+
+def _fixture_locals():
+    """(name, parameter, eps~, local data) of each bundled fixture."""
+    for name in FIXTURE_NAMES:
+        sc = load_scenario(os.path.join(FIXTURES, f"{name}.json"))
+        yield name, sc.parameter, epsilon_tilde(sc.parameter), prepare_local_data(sc.parameter, sc.places)
+
+
+def test_coset_size_is_the_affine_solve_on_the_fixtures():
+    # every flip of eps~ on every fixture, over all its places and over each
+    # place alone: the span of the residues counts what the affine solve over
+    # the concatenated character masks counts, and eps~ itself counts what
+    # enumerate lists with the vanishing tuples
+    sizes = []
+    for name, phi, eps, locals_ in _fixture_locals():
+        for part, flip in itertools.product([locals_, *([ld] for ld in locals_)], range(1 << len(eps.group.basis))):
+            sizes.append(coset_size(eps.bits ^ flip, part))
+            assert sizes[-1] == solved_coset_size(eps.bits ^ flip, part), (name, part[0].place.id, len(part), flip)
+        places = [ld.place for ld in locals_]
+        assert coset_size(eps.bits, locals_) == len(enumerate_constituents(phi, places, include_vanishing=True))
+    assert 0 in sizes and max(sizes) > 1
+
+
+@given(seed=st.integers(0, 2**31 - 1), ptype=st.sampled_from(PTYPES), flip=st.integers(0, 15))
+@example(seed=2, ptype="howe-ps", flip=1)  # unsolvable
+@settings(max_examples=150, deadline=None)
+def test_coset_size_is_the_affine_solve_property(seed, ptype, flip):
+    # eps~ flipped on some generators, as in the listing test, so unsolvable systems are drawn too
+    places, elements, phi = random_scenario_parameter(random.Random(seed), ptype)
+    locals_ = prepare_local_data(phi, places)
+    eps = epsilon_tilde(phi)
+    target = eps.bits ^ (flip & ((1 << len(eps.group.basis)) - 1))
+    assert coset_size(target, locals_) == solved_coset_size(target, locals_)
+
+
+@pytest.mark.parametrize("places", [64, 256])
+@pytest.mark.parametrize("family", PTYPES)
+def test_coset_size_counts_where_no_listing_runs(family, places):
+    # generated parameters far above ENUMERATE_LIMIT: the span count equals
+    # the affine solve on every flip of eps~ and, on eps~ itself, the
+    # character sum with the vanishing tuples included
+    rng = random.Random(f"coset-{family}-{places}")
+    doc = None
+    while doc is None:
+        doc = load_scengen()._enumerate_draw(rng, family, places, places)
+    sc = scenario_from_dict(doc)
+    locals_ = prepare_local_data(sc.parameter, sc.places)
+    eps = epsilon_tilde(sc.parameter)
+    expected = load_perfbench("oracle").character_sum_count(sc.parameter, sc.places, nonzero_only=False)
+    assert expected > ENUMERATE_LIMIT
+    assert coset_size(eps.bits, locals_) == solved_coset_size(eps.bits, locals_) == expected
+    for flip in range(1, 1 << len(eps.group.basis)):
+        assert coset_size(eps.bits ^ flip, locals_) == solved_coset_size(eps.bits ^ flip, locals_)
+
+
+def test_an_unsolvable_system_lists_nothing_under_any_limit(monkeypatch):
+    # solvability is read before the limit: with ENUMERATE_LIMIT at 1, an
+    # eps~ outside the span lists nothing and raises nothing, though its
+    # kernel has more than one element, while eps~ itself is refused
+    module = sys.modules["mp4spectrum.multiplicity"]
+    monkeypatch.setattr(module, "ENUMERATE_LIMIT", 1)
+    unsolvable = 0
+    for name, phi, eps, locals_ in _fixture_locals():
+        rows = [[(i,) for i in range(len(ld.entries))] for ld in locals_]
+        if solved_coset_size(eps.bits, locals_) > 1:
+            with pytest.raises(ScenarioTooLarge):
+                listed_tuples(phi, locals_, rows, (False, True), True)
+        if solved_coset_size(0, locals_) == 1:
+            continue
+        for flip in range(1, 1 << len(eps.group.basis)):
+            if solved_coset_size(eps.bits ^ flip, locals_):
+                continue
+            target = F2Character(eps.group, eps.bits ^ flip)
+            with mock.patch.object(module, "epsilon_tilde", lambda _: target):
+                assert listed_tuples(phi, locals_, rows, (False, True), True) == []
+            unsolvable += 1
+    assert unsolvable >= 2
 
 
 def test_enumerate_lists_a_scenario_deeper_than_the_recursion_limit(tmp_path, capsys):

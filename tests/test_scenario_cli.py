@@ -16,9 +16,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golden_calls import load_scengen
+from conftest import PTYPES
+from golden_calls import load_scengen, solved_coset_size
 from mp4spectrum.cli import COMMANDS, OPTIONS, main, parse_args
 from mp4spectrum.ktypes import HARMONICS_RANK_CAP
+from mp4spectrum.multiplicity import ENUMERATE_LIMIT, prepare_local_data
+from mp4spectrum.parameters import epsilon_tilde
 from mp4spectrum.scenario import (
     DIGIT_MARGIN,
     ScenarioValidationError,
@@ -591,6 +594,26 @@ def test_cli_enumerate_refuses_above_the_limit(tmp_path):
     assert "524288 multiplicity-one tuples" in err
     assert seconds < 0.1
     assert rss_kib < 30 * 1024
+
+
+@pytest.mark.parametrize("family", PTYPES)
+def test_cli_enumerate_refuses_a_generated_scenario_above_the_limit(family, tmp_path):
+    # a generated 24-place parameter of each family, far above the limit, is
+    # refused before any tuple is built, with the count the affine solve over
+    # the concatenated character masks gives
+    rng = random.Random(f"enumerate-limit-{family}")
+    doc = None
+    while doc is None:
+        doc = load_scengen()._enumerate_draw(rng, family, 24, 24)
+    path = tmp_path / f"{family}24.json"
+    path.write_text(json.dumps(doc))
+    sc = load_scenario(str(path))
+    count = solved_coset_size(epsilon_tilde(sc.parameter).bits, prepare_local_data(sc.parameter, sc.places))
+    assert count > ENUMERATE_LIMIT
+    code, seconds, rss_kib, err = _refused_in_child("enumerate", path)
+    assert code == 3
+    assert f"{count} multiplicity-one tuples to list, above the limit of {ENUMERATE_LIMIT}" in err
+    assert seconds < 0.1
 
 
 def test_cli_residual_refuses_above_the_limit(tmp_path):

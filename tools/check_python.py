@@ -1,4 +1,4 @@
-"""Check one interpreter without pytest: imports, tracer paths, self-test, character sum, goldens, digests.
+"""Check one interpreter without pytest: imports, tracer paths, self-test, character sum, listing size, goldens, digests.
 
 Run from the repository root with the interpreter to check, e.g.
 
@@ -10,7 +10,11 @@ path of ``perfbench/tracer.py`` still names a function of the package
 (the traced benchmark run patches them), that ``self-test`` passes on every
 bundled fixture, that the character sum of ``perfbench/oracle.py``
 counts what ``enumerate_constituents`` lists on every fixture (with and
-without the vanishing tuples), and that every call of
+without the vanishing tuples), that ``multiplicity.coset_size`` (the
+span of the local residues) gives the count of
+``golden_calls.solved_coset_size`` (the affine solve over the
+concatenated local character masks) on every flip of eps~ of every
+fixture and of the enumerate-scaled inputs of seed 1, and that every call of
 ``tests/golden_calls.py`` reproduces its file under ``tests/golden/``
 byte for byte, and that ``residual`` on the benchmark's residual-wide
 inputs of seeds 1 to 4 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``,
@@ -59,15 +63,18 @@ from golden_calls import (
     PACKET_SHA256,
     RESIDUAL_WIDE_SHA256,
     enumerate_scaled_digest,
+    enumerate_scaled_scenarios,
     golden_calls,
     load_perfbench,
     memory_peaks,
     packet_digest,
     residual_wide_digest,
+    solved_coset_size,
 )
 from mp4spectrum.cli import main
-from mp4spectrum.multiplicity import enumerate_constituents
-from mp4spectrum.scenario import load_scenario
+from mp4spectrum.multiplicity import coset_size, enumerate_constituents, prepare_local_data
+from mp4spectrum.parameters import epsilon_tilde
+from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
 
 def _run(argv):
@@ -121,6 +128,21 @@ def check_character_sum():
         if sums != listed:
             differ.append(f"{f} {sums} != {listed}")
     return not differ, f"character sum = enumeration on {len(FIXTURE_NAMES)} fixtures, differ: {differ}"
+
+
+def check_listing_size():
+    scenarios = [load_scenario(os.path.join(ROOT, "fixtures", f"{f}.json")) for f in FIXTURE_NAMES]
+    scenarios += [scenario_from_dict(doc) for doc in enumerate_scaled_scenarios(1)]
+    differ, checked = [], 0
+    for i, sc in enumerate(scenarios):
+        eps = epsilon_tilde(sc.parameter)
+        locals_ = prepare_local_data(sc.parameter, sc.places)
+        for flip in range(1 << len(eps.group.basis)):
+            checked += 1
+            if coset_size(eps.bits ^ flip, locals_) != solved_coset_size(eps.bits ^ flip, locals_):
+                differ.append((i, flip))
+    return not differ, (f"coset_size = solve_affine's count on {checked} flips of eps~ over the {len(FIXTURE_NAMES)} "
+                        f"fixtures and 100 enumerate-scaled inputs of seed 1, differ (input, flip): {differ}")
 
 
 def check_goldens():
@@ -215,8 +237,8 @@ def main_check() -> int:
     print(f"python {sys.version.split()[0]}")
     print(source_info())
     ok = True
-    checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_goldens, check_residual_digest,
-              check_enumerate_digest, check_packet_digest)
+    checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_listing_size, check_goldens,
+              check_residual_digest, check_enumerate_digest, check_packet_digest)
     for check in checks:
         passed, detail = check()
         ok &= passed
