@@ -20,10 +20,15 @@ every place of its 40 Soudry and tempered inputs of seed 1 (see
 measures the peak memory of ``enumerate`` on the benchmark's memory input
 of seed 1 (``MEMORY_SCENARIO``), whose 4.4 MB JSON output
 ``MEMORY_SLOT_SHA256`` pins.
+``SCHEMA_ERROR_SHA256`` pins the exit code and stderr of ``validate`` on
+some 2,800 malformed copies of the fixtures (see ``schema_error_digest``):
+every error's exit code, JSON path and message, and which of two faults
+is reported first.
 ``solved_coset_size`` counts a parameter's multiplicity-one tuples with
 ``chargroups.solve_affine``, the reference for ``multiplicity.coset_size``.
 """
 
+import copy
 import hashlib
 import importlib.util
 import json
@@ -306,3 +311,297 @@ def memory_peaks(python: str = sys.executable) -> tuple:
     proc = subprocess.run([python, "-c", _PEAK_PROBE, *argv], env=env, capture_output=True, check=True, timeout=60)
     imported, peak = map(int, proc.stderr.split()[-2:])
     return imported, peak, proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed scenarios
+
+def _set_local(pid, key, value):
+    return lambda d: d["cuspidal"][0]["local"][pid].__setitem__(key, value)
+
+
+# deeper than json.loads parses, on any interpreter
+DEEP = 100_000
+
+SC1 = {"shape": "irreducible-symplectic", "tag": "sc1", "eps": -1, "eps_twists": {"u": 1, "p": 1, "up": -1}}
+GL4_IRREDUCIBLE = {"shape": "gl4-irreducible", "tag": "t4", "eps": 1}
+
+
+def _gl4_split(parts):
+    """Make the parameter of tempered.json one GL(4) datum split into ``parts`` at v1; it is valid otherwise."""
+    local = {"v1": {"shape": "gl4-split", "parts": parts}, "v2": GL4_IRREDUCIBLE}
+    rho4 = {"name": "rho4", "gl_rank": 4, "duality": "symplectic", "global_root": -1, "local": local}
+    return lambda d: (d["cuspidal"].append(rho4), d["parameter"].__setitem__("summands", [["rho4", 1]]))
+
+
+def _nested_split(depth):
+    """A gl4-split whose second part is a gl4-split, ``depth`` levels deep."""
+    shape = SC1
+    for _ in range(depth):
+        shape = {"shape": "gl4-split", "parts": [SC1, shape]}
+    return shape
+
+
+# (fixture, mutation, JSON path the error must name); the first six are the
+# single mutations of sk.json that used to end in a traceback
+SCHEMA_MUTATIONS = {
+    "kappa_not_int": ("sk.json", _set_local("v2", "kappa", "two"), "$.cuspidal[0].local.v2.kappa"),
+    "gl_rank_not_int": (
+        "sk.json",
+        lambda d: d["cuspidal"][0].__setitem__("gl_rank", "two"),
+        "$.cuspidal[0].gl_rank",
+    ),
+    "summands_not_list": ("sk.json", lambda d: d["parameter"].__setitem__("summands", 5), "$.parameter.summands"),
+    "s_places_not_list": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": 5}]),
+        "$.mp2_weil[0].s_places",
+    ),
+    "eps_twists_not_object": ("sk.json", _set_local("v1", "eps_twists", [1]), "$.cuspidal[0].local.v1.eps_twists"),
+    "twisted_root_unknown_element": (
+        "sk.json",
+        lambda d: d["cuspidal"][0]["twisted_roots"].__setitem__("zz", 1),
+        "$.cuspidal[0].twisted_roots.zz",
+    ),
+    "s_places_bare_string": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": "v2v3"}]),
+        "$.mp2_weil[0].s_places",
+    ),
+    "central_char_unknown_element": (
+        "soudry.json",
+        lambda d: d["cuspidal"][0].__setitem__("central_char", "zz"),
+        "$.cuspidal[0].central_char",
+    ),
+    "dihedral_string": (
+        "soudry.json",
+        lambda d: d["cuspidal"][0].__setitem__("dihedral", "false"),
+        "$.cuspidal[0].dihedral",
+    ),
+    # the escapes below loaded, and ended in a raw ValueError or a wrong
+    # result later; load now refuses them
+    "steinberg_unknown_class": ("sk_steinberg.json", _set_local("v1", "class", "zz9"), "$.cuspidal[0].local.v1.class"),
+    "quadratic_pair_unknown_class": ("soudry.json", _set_local("v1", "b", "zz9"), "$.cuspidal[0].local.v1.b"),
+    "shape_tag_null": ("sk.json", _set_local("v1", "tag", None), "$.cuspidal[0].local.v1.tag"),
+    "global_root_true": (
+        "sk.json",
+        lambda d: d["cuspidal"][0].__setitem__("global_root", True),
+        "$.cuspidal[0].global_root",
+    ),
+    "global_root_float": (
+        "sk.json",
+        lambda d: d["cuspidal"][0].__setitem__("global_root", -1.0),
+        "$.cuspidal[0].global_root",
+    ),
+    # names and labels must be JSON strings; those in LOAD_ESCAPES loaded as
+    # their str(): null as the name "None", the number 1 as the class or
+    # element "1"; true passed as the index d = 1 (printed as "S True") and
+    # as version 1
+    "datum_and_summand_name_null": (
+        "sk.json",
+        lambda d: (d["cuspidal"][0].__setitem__("name", None), d["parameter"]["summands"][0].__setitem__(0, None)),
+        "$.cuspidal[0].name",
+    ),
+    "summand_name_number": (
+        "sk.json",
+        lambda d: d["parameter"]["summands"][1].__setitem__(0, 1),
+        "$.parameter.summands[1][0]",
+    ),
+    "summand_index_true": (
+        "sk.json",
+        lambda d: d["parameter"]["summands"][0].__setitem__(1, True),
+        "$.parameter.summands[0]",
+    ),
+    "version_true": ("sk.json", lambda d: d.__setitem__("version", True), "$.version"),
+    "element_name_null": ("sk.json", lambda d: d["elements"][0].__setitem__("name", None), "$.elements[0].name"),
+    "element_class_number": (
+        "sk.json",
+        lambda d: d["elements"][0]["classes"].__setitem__("v1", 1),
+        "$.elements[0].classes.v1",
+    ),
+    "place_id_number": ("sk.json", lambda d: d["places"][0].__setitem__("id", 1), "$.places[0].id"),
+    "place_kind_null": ("sk.json", lambda d: d["places"][0].__setitem__("kind", None), "$.places[0].kind"),
+    "duality_null": ("sk.json", lambda d: d["cuspidal"][0].__setitem__("duality", None), "$.cuspidal[0].duality"),
+    "central_char_null": (
+        "soudry.json",
+        lambda d: d["cuspidal"][0].__setitem__("central_char", None),
+        "$.cuspidal[0].central_char",
+    ),
+    "mp2_weil_name_null": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": None, "chi": "t", "s_places": ["v2", "v3"]}]),
+        "$.mp2_weil[0].name",
+    ),
+    "mp2_weil_chi_number": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": 1, "s_places": ["v2", "v3"]}]),
+        "$.mp2_weil[0].chi",
+    ),
+    "s_places_item_number": (
+        "sk.json",
+        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": ["v2", 3]}]),
+        "$.mp2_weil[0].s_places[1]",
+    ),
+    # an id or name given twice
+    "duplicate_place_id": ("sk.json", lambda d: d["places"].append({"id": "v2", "kind": "real"}), "$.places[3].id"),
+    "duplicate_element_name": (
+        "sk.json",
+        lambda d: d["elements"].append(copy.deepcopy(d["elements"][0])),
+        "$.elements[1].name",
+    ),
+    "duplicate_datum_name": (
+        "sk.json",
+        lambda d: d["cuspidal"].append(copy.deepcopy(d["cuspidal"][0])),
+        "$.cuspidal[1].name",
+    ),
+    "duplicate_mp2_weil_name": (
+        "hps.json",
+        lambda d: d["mp2_weil"].append(copy.deepcopy(d["mp2_weil"][0])),
+        "$.mp2_weil[1].name",
+    ),
+    # S(pi) is a set, so a place listed twice is refused rather than merged
+    "s_places_item_repeated": (
+        "hps.json",
+        lambda d: d["mp2_weil"][0].__setitem__("s_places", ["v1", "v1", "v3", "v3"]),
+        "$.mp2_weil[0].s_places[1]",
+    ),
+    # a gl4-split has two 2-dim parts; these loaded (the deep one ended in a
+    # RecursionError traceback)
+    "gl4_split_three_parts": ("tempered.json", _gl4_split([SC1, SC1, SC1]), "$.cuspidal[2].local.v1.parts"),
+    "gl4_split_one_part": ("tempered.json", _gl4_split([SC1]), "$.cuspidal[2].local.v1.parts"),
+    "gl4_split_gl4_part": ("tempered.json", _gl4_split([SC1, GL4_IRREDUCIBLE]), "$.cuspidal[2].local.v1.parts[1]"),
+    "gl4_split_nested": ("tempered.json", _gl4_split([SC1, _nested_split(1)]), "$.cuspidal[2].local.v1.parts[1]"),
+    "gl4_split_nested_deeply": (
+        "tempered.json",
+        _gl4_split([SC1, _nested_split(450)]),
+        "$.cuspidal[2].local.v1.parts[1]",
+    ),
+    # a mutation returning text writes that text: nesting this deep ended in
+    # json's RecursionError and a traceback (900 levels was a schema error)
+    "places_nested_too_deeply": ("sk.json", lambda d: '{"places": ' + "[" * DEEP + "]" * DEEP + "}", "$"),
+    # an entry that must be an object and is not
+    "scenario_not_object": ("sk.json", lambda d: "[]", "$"),
+    "place_not_object": ("sk.json", lambda d: d["places"].__setitem__(0, 5), "$.places[0]"),
+    "element_not_object": ("sk.json", lambda d: d["elements"].__setitem__(0, 5), "$.elements[0]"),
+    "datum_not_object": ("sk.json", lambda d: d["cuspidal"].__setitem__(0, 5), "$.cuspidal[0]"),
+    "local_not_object": ("sk.json", lambda d: d["cuspidal"][0].__setitem__("local", 5), "$.cuspidal[0].local"),
+    "shape_not_object": ("sk.json", lambda d: d["cuspidal"][0]["local"].__setitem__("v1", 5), "$.cuspidal[0].local.v1"),
+    "mp2_weil_not_object": ("sk.json", lambda d: d.__setitem__("mp2_weil", [5]), "$.mp2_weil[0]"),
+    "parameter_not_object": ("sk.json", lambda d: d.__setitem__("parameter", 5), "$.parameter"),
+    # json refuses an integer of more than 4,300 digits with a plain ValueError
+    "version_too_long": ("sk.json", lambda d: '{"version": ' + "1" * 5001 + "}", "$"),
+}
+DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name", "duplicate_mp2_weil_name")
+LOAD_ESCAPES = (
+    "steinberg_unknown_class",
+    "quadratic_pair_unknown_class",
+    "shape_tag_null",
+    "global_root_true",
+    "global_root_float",
+    "datum_and_summand_name_null",
+    "element_name_null",
+    "element_class_number",
+    "mp2_weil_name_null",
+    "mp2_weil_chi_number",
+    "s_places_item_repeated",
+    "summand_index_true",
+    "version_true",
+    "gl4_split_three_parts",
+    "gl4_split_one_part",
+    "gl4_split_gl4_part",
+    "gl4_split_nested",
+    "gl4_split_nested_deeply",
+)
+
+
+def mutated_text(name: str) -> str:
+    """The text of SCHEMA_MUTATIONS[name]'s fixture, mutated, or the text its mutation returns."""
+    fixture, mutate, _ = SCHEMA_MUTATIONS[name]
+    with open(os.path.join(FIXTURES, fixture), encoding="utf-8") as fh:
+        data = json.load(fh)
+    text = mutate(data)
+    return text if isinstance(text, str) else json.dumps(data)
+
+
+# what a malformed copy of a fixture puts in place of the value at one JSON path
+SCHEMA_ERROR_VALUES = ("x", 1.5, True, None, [], {}, -2)
+_DELETE = object()
+
+
+def _json_paths(value, path=()):
+    """The path of every value below ``value``, in document order, each before the paths below it."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _json_paths(child, (*path, key))
+
+
+def _shown_path(path) -> str:
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _edit(doc, path, value) -> None:
+    """Put ``value`` at ``path`` of ``doc``, or delete the key there when ``value`` is ``_DELETE``."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+def schema_error_cases():
+    """(name, text) of every malformed scenario ``schema_error_digest`` reads.
+
+    Per fixture, in document order: the value at each JSON path replaced
+    by each of ``SCHEMA_ERROR_VALUES``, and each object key deleted; then
+    two faults at once, the value at the i-th of the n paths made "x" and
+    the one at the (i + n // 2)-th (cyclically) made null, where neither
+    path lies under the other, so the first error found is pinned too.
+    Last the ``SCHEMA_MUTATIONS`` cases, by name.
+    """
+    for fixture in FIXTURE_NAMES:
+        with open(_scenario(fixture), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        paths = list(_json_paths(doc))
+        for path in paths:
+            edits = SCHEMA_ERROR_VALUES + ((_DELETE,) if isinstance(path[-1], str) else ())
+            for value in edits:
+                mutated = copy.deepcopy(doc)
+                _edit(mutated, path, value)
+                shown = "deleted" if value is _DELETE else f"= {json.dumps(value)}"
+                yield f"{fixture} {_shown_path(path)} {shown}", json.dumps(mutated)
+        for i, first in enumerate(paths):
+            second = paths[(i + len(paths) // 2) % len(paths)]
+            if first[: len(second)] == second or second[: len(first)] == first:
+                continue
+            mutated = copy.deepcopy(doc)
+            _edit(mutated, first, "x")
+            _edit(mutated, second, None)
+            yield f"{fixture} {_shown_path(first)} = \"x\", {_shown_path(second)} = null", json.dumps(mutated)
+    for name in SCHEMA_MUTATIONS:
+        yield name, mutated_text(name)
+
+
+# computed before the scenario loader and validator stopped formatting paths, scanning names and parsing
+# rationals through Fraction's pattern on the success path
+SCHEMA_ERROR_SHA256 = "835f011fbc28b729088b1b13e3392b7ddc10c0c1df7a77edc573df73980c69aa"
+
+
+def schema_error_digest(run) -> str:
+    """SHA-256 of ``validate --format json`` on every case of ``schema_error_cases``.
+
+    ``run(argv)`` calls the CLI and returns its exit code and stderr bytes;
+    each call adds the case's name, the exit code and stderr to the digest.
+    """
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "malformed.json")
+        for name, text in schema_error_cases():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code, err = run(["validate", "--scenario", path, "--format", "json"])
+            digest.update(f"{name} exit {code}\n".encode())
+            digest.update(err)
+    return digest.hexdigest()

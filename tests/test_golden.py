@@ -19,11 +19,13 @@ from golden_calls import (
     PACKETS,
     RESIDUAL_WIDE_SHA256,
     SCENARIO_FREE,
+    SCHEMA_ERROR_SHA256,
     VARIANTS,
     enumerate_scaled_digest,
     golden_calls,
     packet_digest,
     residual_wide_digest,
+    schema_error_digest,
 )
 from mp4spectrum import cli
 from mp4spectrum.cli import COMMANDS, main
@@ -109,6 +111,17 @@ def test_packet_output_on_generated_inputs_is_pinned(capsys):
     # packet in JSON at every place of the 40 Soudry and tempered
     # enumerate-scaled inputs of seed 1: each entry's label, member and flags
     assert packet_digest(_digest_runner(capsys)) == PACKET_SHA256
+
+
+def test_schema_errors_on_malformed_fixtures_are_pinned(capsys):
+    # validate on every value of the fixtures replaced by a wrong one, every
+    # key deleted, and pairs of faults: each exit code, path and message, and
+    # which of two faults is reported first
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().err.encode("utf-8")
+
+    assert schema_error_digest(run) == SCHEMA_ERROR_SHA256
 
 
 def _refuse_text(monkeypatch):

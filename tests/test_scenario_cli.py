@@ -17,7 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PTYPES
-from golden_calls import load_scengen, solved_coset_size
+from golden_calls import (
+    DEEP,
+    DUPLICATES,
+    GL4_IRREDUCIBLE,
+    LOAD_ESCAPES,
+    SCHEMA_MUTATIONS,
+    load_scengen,
+    mutated_text,
+    solved_coset_size,
+)
 from mp4spectrum.cli import COMMANDS, OPTIONS, main, parse_args
 from mp4spectrum.ktypes import HARMONICS_RANK_CAP
 from mp4spectrum.multiplicity import ENUMERATE_LIMIT, prepare_local_data
@@ -175,212 +184,13 @@ def test_single_flip_mutations_rejected():
         assert elem_name in (a, b)
 
 
-def _set_local(pid, key, value):
-    return lambda d: d["cuspidal"][0]["local"][pid].__setitem__(key, value)
-
-
-# deeper than json.loads parses, on any interpreter
-DEEP = 100_000
-
-SC1 = {"shape": "irreducible-symplectic", "tag": "sc1", "eps": -1, "eps_twists": {"u": 1, "p": 1, "up": -1}}
-GL4_IRREDUCIBLE = {"shape": "gl4-irreducible", "tag": "t4", "eps": 1}
-
-
-def _gl4_split(parts):
-    """Make the parameter of tempered.json one GL(4) datum split into ``parts`` at v1; it is valid otherwise."""
-    local = {"v1": {"shape": "gl4-split", "parts": parts}, "v2": GL4_IRREDUCIBLE}
-    rho4 = {"name": "rho4", "gl_rank": 4, "duality": "symplectic", "global_root": -1, "local": local}
-    return lambda d: (d["cuspidal"].append(rho4), d["parameter"].__setitem__("summands", [["rho4", 1]]))
-
-
-def _nested_split(depth):
-    """A gl4-split whose second part is a gl4-split, ``depth`` levels deep."""
-    shape = SC1
-    for _ in range(depth):
-        shape = {"shape": "gl4-split", "parts": [SC1, shape]}
-    return shape
-
-
-# (fixture, mutation, JSON path the error must name); the first six are the
-# single mutations of sk.json that used to end in a traceback
-SCHEMA_MUTATIONS = {
-    "kappa_not_int": ("sk.json", _set_local("v2", "kappa", "two"), "$.cuspidal[0].local.v2.kappa"),
-    "gl_rank_not_int": (
-        "sk.json",
-        lambda d: d["cuspidal"][0].__setitem__("gl_rank", "two"),
-        "$.cuspidal[0].gl_rank",
-    ),
-    "summands_not_list": ("sk.json", lambda d: d["parameter"].__setitem__("summands", 5), "$.parameter.summands"),
-    "s_places_not_list": (
-        "sk.json",
-        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": 5}]),
-        "$.mp2_weil[0].s_places",
-    ),
-    "eps_twists_not_object": ("sk.json", _set_local("v1", "eps_twists", [1]), "$.cuspidal[0].local.v1.eps_twists"),
-    "twisted_root_unknown_element": (
-        "sk.json",
-        lambda d: d["cuspidal"][0]["twisted_roots"].__setitem__("zz", 1),
-        "$.cuspidal[0].twisted_roots.zz",
-    ),
-    "s_places_bare_string": (
-        "sk.json",
-        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": "v2v3"}]),
-        "$.mp2_weil[0].s_places",
-    ),
-    "central_char_unknown_element": (
-        "soudry.json",
-        lambda d: d["cuspidal"][0].__setitem__("central_char", "zz"),
-        "$.cuspidal[0].central_char",
-    ),
-    "dihedral_string": (
-        "soudry.json",
-        lambda d: d["cuspidal"][0].__setitem__("dihedral", "false"),
-        "$.cuspidal[0].dihedral",
-    ),
-    # the escapes below loaded, and ended in a raw ValueError or a wrong
-    # result later; load now refuses them
-    "steinberg_unknown_class": ("sk_steinberg.json", _set_local("v1", "class", "zz9"), "$.cuspidal[0].local.v1.class"),
-    "quadratic_pair_unknown_class": ("soudry.json", _set_local("v1", "b", "zz9"), "$.cuspidal[0].local.v1.b"),
-    "shape_tag_null": ("sk.json", _set_local("v1", "tag", None), "$.cuspidal[0].local.v1.tag"),
-    "global_root_true": (
-        "sk.json",
-        lambda d: d["cuspidal"][0].__setitem__("global_root", True),
-        "$.cuspidal[0].global_root",
-    ),
-    "global_root_float": (
-        "sk.json",
-        lambda d: d["cuspidal"][0].__setitem__("global_root", -1.0),
-        "$.cuspidal[0].global_root",
-    ),
-    # names and labels must be JSON strings; those in LOAD_ESCAPES loaded as
-    # their str(): null as the name "None", the number 1 as the class or
-    # element "1"; true passed as the index d = 1 (printed as "S True") and
-    # as version 1
-    "datum_and_summand_name_null": (
-        "sk.json",
-        lambda d: (d["cuspidal"][0].__setitem__("name", None), d["parameter"]["summands"][0].__setitem__(0, None)),
-        "$.cuspidal[0].name",
-    ),
-    "summand_name_number": (
-        "sk.json",
-        lambda d: d["parameter"]["summands"][1].__setitem__(0, 1),
-        "$.parameter.summands[1][0]",
-    ),
-    "summand_index_true": (
-        "sk.json",
-        lambda d: d["parameter"]["summands"][0].__setitem__(1, True),
-        "$.parameter.summands[0]",
-    ),
-    "version_true": ("sk.json", lambda d: d.__setitem__("version", True), "$.version"),
-    "element_name_null": ("sk.json", lambda d: d["elements"][0].__setitem__("name", None), "$.elements[0].name"),
-    "element_class_number": (
-        "sk.json",
-        lambda d: d["elements"][0]["classes"].__setitem__("v1", 1),
-        "$.elements[0].classes.v1",
-    ),
-    "place_id_number": ("sk.json", lambda d: d["places"][0].__setitem__("id", 1), "$.places[0].id"),
-    "place_kind_null": ("sk.json", lambda d: d["places"][0].__setitem__("kind", None), "$.places[0].kind"),
-    "duality_null": ("sk.json", lambda d: d["cuspidal"][0].__setitem__("duality", None), "$.cuspidal[0].duality"),
-    "central_char_null": (
-        "soudry.json",
-        lambda d: d["cuspidal"][0].__setitem__("central_char", None),
-        "$.cuspidal[0].central_char",
-    ),
-    "mp2_weil_name_null": (
-        "sk.json",
-        lambda d: d.__setitem__("mp2_weil", [{"name": None, "chi": "t", "s_places": ["v2", "v3"]}]),
-        "$.mp2_weil[0].name",
-    ),
-    "mp2_weil_chi_number": (
-        "sk.json",
-        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": 1, "s_places": ["v2", "v3"]}]),
-        "$.mp2_weil[0].chi",
-    ),
-    "s_places_item_number": (
-        "sk.json",
-        lambda d: d.__setitem__("mp2_weil", [{"name": "piw", "chi": "t", "s_places": ["v2", 3]}]),
-        "$.mp2_weil[0].s_places[1]",
-    ),
-    # an id or name given twice
-    "duplicate_place_id": ("sk.json", lambda d: d["places"].append({"id": "v2", "kind": "real"}), "$.places[3].id"),
-    "duplicate_element_name": (
-        "sk.json",
-        lambda d: d["elements"].append(copy.deepcopy(d["elements"][0])),
-        "$.elements[1].name",
-    ),
-    "duplicate_datum_name": (
-        "sk.json",
-        lambda d: d["cuspidal"].append(copy.deepcopy(d["cuspidal"][0])),
-        "$.cuspidal[1].name",
-    ),
-    "duplicate_mp2_weil_name": (
-        "hps.json",
-        lambda d: d["mp2_weil"].append(copy.deepcopy(d["mp2_weil"][0])),
-        "$.mp2_weil[1].name",
-    ),
-    # S(pi) is a set, so a place listed twice is refused rather than merged
-    "s_places_item_repeated": (
-        "hps.json",
-        lambda d: d["mp2_weil"][0].__setitem__("s_places", ["v1", "v1", "v3", "v3"]),
-        "$.mp2_weil[0].s_places[1]",
-    ),
-    # a gl4-split has two 2-dim parts; these loaded (the deep one ended in a
-    # RecursionError traceback)
-    "gl4_split_three_parts": ("tempered.json", _gl4_split([SC1, SC1, SC1]), "$.cuspidal[2].local.v1.parts"),
-    "gl4_split_one_part": ("tempered.json", _gl4_split([SC1]), "$.cuspidal[2].local.v1.parts"),
-    "gl4_split_gl4_part": ("tempered.json", _gl4_split([SC1, GL4_IRREDUCIBLE]), "$.cuspidal[2].local.v1.parts[1]"),
-    "gl4_split_nested": ("tempered.json", _gl4_split([SC1, _nested_split(1)]), "$.cuspidal[2].local.v1.parts[1]"),
-    "gl4_split_nested_deeply": (
-        "tempered.json",
-        _gl4_split([SC1, _nested_split(450)]),
-        "$.cuspidal[2].local.v1.parts[1]",
-    ),
-    # a mutation returning text writes that text: nesting this deep ended in
-    # json's RecursionError and a traceback (900 levels was a schema error)
-    "places_nested_too_deeply": ("sk.json", lambda d: '{"places": ' + "[" * DEEP + "]" * DEEP + "}", "$"),
-    # an entry that must be an object and is not
-    "scenario_not_object": ("sk.json", lambda d: "[]", "$"),
-    "place_not_object": ("sk.json", lambda d: d["places"].__setitem__(0, 5), "$.places[0]"),
-    "element_not_object": ("sk.json", lambda d: d["elements"].__setitem__(0, 5), "$.elements[0]"),
-    "datum_not_object": ("sk.json", lambda d: d["cuspidal"].__setitem__(0, 5), "$.cuspidal[0]"),
-    "local_not_object": ("sk.json", lambda d: d["cuspidal"][0].__setitem__("local", 5), "$.cuspidal[0].local"),
-    "shape_not_object": ("sk.json", lambda d: d["cuspidal"][0]["local"].__setitem__("v1", 5), "$.cuspidal[0].local.v1"),
-    "mp2_weil_not_object": ("sk.json", lambda d: d.__setitem__("mp2_weil", [5]), "$.mp2_weil[0]"),
-    "parameter_not_object": ("sk.json", lambda d: d.__setitem__("parameter", 5), "$.parameter"),
-    # json refuses an integer of more than 4,300 digits with a plain ValueError
-    "version_too_long": ("sk.json", lambda d: '{"version": ' + "1" * 5001 + "}", "$"),
-}
 NOT_OBJECTS = tuple(name for name in SCHEMA_MUTATIONS if name.endswith("_not_object"))
-DUPLICATES = ("duplicate_place_id", "duplicate_element_name", "duplicate_datum_name", "duplicate_mp2_weil_name")
-LOAD_ESCAPES = (
-    "steinberg_unknown_class",
-    "quadratic_pair_unknown_class",
-    "shape_tag_null",
-    "global_root_true",
-    "global_root_float",
-    "datum_and_summand_name_null",
-    "element_name_null",
-    "element_class_number",
-    "mp2_weil_name_null",
-    "mp2_weil_chi_number",
-    "s_places_item_repeated",
-    "summand_index_true",
-    "version_true",
-    "gl4_split_three_parts",
-    "gl4_split_one_part",
-    "gl4_split_gl4_part",
-    "gl4_split_nested",
-    "gl4_split_nested_deeply",
-)
 
 
 def _mutated(name, tmp_path) -> str:
     """The path of a file holding SCHEMA_MUTATIONS[name]'s fixture, mutated, or the text its mutation returns."""
-    fixture, mutate, _ = SCHEMA_MUTATIONS[name]
-    data = copy.deepcopy(fixture_data(fixture))
-    text = mutate(data)
     path = tmp_path / "mutated.json"
-    path.write_text(text if isinstance(text, str) else json.dumps(data))
+    path.write_text(mutated_text(name))
     return str(path)
 
 

@@ -20,7 +20,9 @@ byte for byte, and that ``residual`` on the benchmark's residual-wide
 inputs of seeds 1 to 4 hashes to ``golden_calls.RESIDUAL_WIDE_SHA256``,
 ``enumerate`` on the enumerate-scaled inputs of seeds 1 and 2 to
 ``golden_calls.ENUMERATE_SCALED_SHA256``, and ``packet`` on the Soudry and
-tempered ones of seed 1 to ``golden_calls.PACKET_SHA256``.
+tempered ones of seed 1 to ``golden_calls.PACKET_SHA256``, and the exit
+code and stderr of ``validate`` on the malformed copies of the fixtures
+to ``golden_calls.SCHEMA_ERROR_SHA256``.
 Prints one line per check and exits 1 if any fails.
 An info line, which never fails, gives the line count of
 ``src/mp4spectrum``, its code-line count (the lines that are not blank,
@@ -62,6 +64,7 @@ from golden_calls import (
     GOLDEN,
     PACKET_SHA256,
     RESIDUAL_WIDE_SHA256,
+    SCHEMA_ERROR_SHA256,
     enumerate_scaled_digest,
     enumerate_scaled_scenarios,
     golden_calls,
@@ -69,6 +72,7 @@ from golden_calls import (
     memory_peaks,
     packet_digest,
     residual_wide_digest,
+    schema_error_digest,
     solved_coset_size,
 )
 from mp4spectrum.cli import main
@@ -77,11 +81,12 @@ from mp4spectrum.parameters import epsilon_tilde
 from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv, stream="stdout"):
+    """The exit code of one CLI call and what it wrote to ``stream``, stdout or stderr, as bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue().encode("utf-8")
+    return code, (out if stream == "stdout" else err).getvalue().encode("utf-8")
 
 
 def check_imports():
@@ -173,6 +178,11 @@ def check_packet_digest():
     return digest == PACKET_SHA256, f"packet on the Soudry and tempered enumerate-scaled inputs of seed 1 hashes to {digest}"
 
 
+def check_schema_error_digest():
+    digest = schema_error_digest(lambda argv: _run(argv, "stderr"))
+    return digest == SCHEMA_ERROR_SHA256, f"validate on the malformed copies of the fixtures hashes to {digest}"
+
+
 def code_lines(text: str) -> int:
     """The lines of a module that are not blank, comment-only or part of a docstring."""
     lines = text.splitlines()
@@ -238,7 +248,7 @@ def main_check() -> int:
     print(source_info())
     ok = True
     checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_listing_size, check_goldens,
-              check_residual_digest, check_enumerate_digest, check_packet_digest)
+              check_residual_digest, check_enumerate_digest, check_packet_digest, check_schema_error_digest)
     for check in checks:
         passed, detail = check()
         ok &= passed
