@@ -256,8 +256,9 @@ def _global_masks(places: Sequence[Place], a: GlobalElement) -> tuple[int, int]:
     mask = image = 0
     for p in places:
         c = a.local(p)
-        if c.place != p:
+        if c.place is not p and c.place != p:
             raise PlaceMismatch(f"classes not at place {p.id}")
         m, i = _PAIRING[p.kind][c.bits]
-        mask, image = mask << p.rank | m, image << p.rank | i
+        rank = _RANK[p.kind]
+        mask, image = mask << rank | m, image << rank | i
     return mask, image

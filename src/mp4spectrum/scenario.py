@@ -8,6 +8,14 @@ cuspidal representations, and one parameter built from these.
 Validation order: schema -> reciprocity -> cuspidal sign products and
 shape compatibility -> parameter invariants.  Schema problems carry a
 JSON path; validation failures name the offending pair or datum.
+
+Every scenario subcommand loads and validates before any mathematics, so
+neither does error work on the success path: a field's JSON path is
+formatted only when its reader converts the value or refuses it (one
+path per list item that builds a record is kept), names are checked
+against sets and dicts built while loading, and a plain rational is read
+by int().  An error is the one found first, at the same path and with
+the same message, as when every check built its message up front.
 """
 
 from __future__ import annotations
@@ -73,12 +81,6 @@ class Scenario(Record):
     mp2_weil: tuple[Mp2CuspidalWeil, ...]
     parameter: AParameter | None
 
-    def element(self, name: str) -> GlobalElement:
-        for e in self.elements:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def place(self, place_id: str) -> Place:
         for p in self.places:
             if p.id == place_id:
@@ -96,17 +98,17 @@ class Scenario(Record):
             raise ScenarioValidationError(
                 f"reciprocity fails for pair ({a}, {b}): product = {prod:+d}"
             )
+        elements = {e.name: e for e in self.elements}
         for datum in self.cuspidal:
-            self._validate_datum(datum)
-        names = {e.name for e in self.elements}
+            self._validate_datum(datum, elements)
         pids = {p.id for p in self.places}
         for w in self.mp2_weil:
-            w.validate(pids, names)
+            w.validate(pids, elements)
         if self.parameter is not None:
             classify(self.parameter)
         return report
 
-    def _validate_datum(self, datum: CuspidalDatum) -> None:
+    def _validate_datum(self, datum: CuspidalDatum, elements: Mapping[str, GlobalElement]) -> None:
         for p in self.places:
             if p.id not in datum.local:
                 raise ScenarioValidationError(f"datum {_shown(datum.name)} has no shape at place {_shown(p.id)}")
@@ -117,7 +119,7 @@ class Scenario(Record):
                     f"at {p.kind} place {_shown(p.id)} with {datum.duality} duality on GL({datum.gl_rank})"
                 )
         if datum.duality == "orthogonal":
-            self._validate_central_char(datum)
+            self._validate_central_char(datum, elements)
             return
         prod = 1
         for p in self.places:
@@ -128,7 +130,7 @@ class Scenario(Record):
                 f"declared global root is {datum.global_root:+d}"
             )
         for ename, sign in datum.twisted_roots.items():
-            elem = self.element(ename)
+            elem = elements[ename]
             tprod = 1
             for p in self.places:
                 try:
@@ -141,8 +143,8 @@ class Scenario(Record):
                     f"{tprod:+d}, declared {sign:+d}"
                 )
 
-    def _validate_central_char(self, datum: CuspidalDatum) -> None:
-        cc_elem = None if datum.trivial_central_char else self.element(datum.central_char)
+    def _validate_central_char(self, datum: CuspidalDatum, elements: Mapping[str, GlobalElement]) -> None:
+        cc_elem = None if datum.trivial_central_char else elements[datum.central_char]
         for p in self.places:
             shape = datum.local[p.id]
             cls = cc_elem.local(p) if cc_elem is not None else p.trivial_class()
@@ -216,17 +218,21 @@ def _as_object(value: Any, path: str) -> dict:
     return value
 
 
+# the readers that only check a value, by the one type each returns as it is (a sign must be 1 or -1 too)
+_PASSES = {_as_str: str, _as_object: dict, _as_list: list, _as_bool: bool, _as_int: int, _as_sign: int}
+
+
 def _field(obj: Mapping, key: str, path: str, as_value=_as_str, default: Any = _REQUIRED) -> Any:
-    """``as_value`` of ``obj[key]`` at its path, or of ``default`` when the key is absent and one is given."""
+    """``as_value`` of ``obj[key]`` at its path, or of ``default`` when the key is absent and one is given.
+
+    A value that a reader of ``_PASSES`` passes is returned before the path is formatted.
+    """
     value = obj.get(key, default)
+    if type(value) is _PASSES.get(as_value) and (as_value is not _as_sign or value in (1, -1)):
+        return value
     if value is _REQUIRED:
         raise SchemaError(f"{path}.{key}", "missing required field")
     return as_value(value, f"{path}.{key}")
-
-
-def _require_element(name: str, names: set, path: str) -> None:
-    if name not in names:
-        raise SchemaError(path, f"unknown element {_shown(name)}")
 
 
 # digits a rational's numerator and denominator keep free under the digits str() prints: the catalog's arithmetic
@@ -236,10 +242,14 @@ DIGIT_MARGIN = 8
 
 def _as_fraction(value: Any, path: str) -> Fraction:
     text = str(value)
+    limit = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - DIGIT_MARGIN
+    # a plain ASCII n or n/d, d nonzero, within the limit is read by int(), not by Fraction's pattern
+    num, slash, den = text.partition("/")
+    if len(text) <= limit and text.isascii() and num.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     # len(text), plus the exponent if any, bounds the digits of the value, which is refused before Fraction builds
     # it (1e100000000 takes seconds); a long text is refused before int() reads its exponent
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-    limit = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - DIGIT_MARGIN
     if len(text) > limit or exponent.isdecimal() and len(text) + int(exponent) > limit:
         raise SchemaError(path, f"{_shown(value)} may have more than {limit} digits")
     try:
@@ -251,7 +261,7 @@ def _as_fraction(value: Any, path: str) -> Fraction:
 def _as_map(value: Any, path: str, as_value=_as_sign) -> FrozenMap:
     """An object whose every value passes ``as_value``, frozen."""
     raw = _as_object(value, path)
-    return FrozenMap({str(k): as_value(v, f"{path}.{k}") for k, v in raw.items()})
+    return FrozenMap({str(k): _field(raw, k, path, as_value) for k in raw})
 
 
 _as_flags = functools.partial(_as_map, as_value=_as_bool)
@@ -314,23 +324,25 @@ def scenario_from_dict(data: Any) -> Scenario:
     places_raw = _require(data, "places", "$")
     if not isinstance(places_raw, list) or not places_raw:
         raise SchemaError("$.places", "expected a nonempty list")
-    places: list[Place] = []
+    by_id: dict[str, Place] = {}
     for i, praw in enumerate(places_raw):
         path = f"$.places[{i}]"
         pid = _field(_as_object(praw, path), "id", path)
         kind = _field(praw, "kind", path)
         if kind not in KINDS:
             raise SchemaError(f"{path}.kind", f"unknown kind {_shown(kind)}; one of {sorted(KINDS)}")
-        if any(p.id == pid for p in places):
+        if pid in by_id:
             raise SchemaError(f"{path}.id", f"duplicate place id {_shown(pid)}")
-        places.append(Place(pid, kind))
+        by_id[pid] = Place(pid, kind)
+    places = list(by_id.values())
 
-    elements: list[GlobalElement] = [trivial_element(places), minus_one_element(places)]
-    squares: dict = {}  # (place id, label) -> its SquareClass, one per load
+    elements = {e.name: e for e in (trivial_element(places), minus_one_element(places))}
+    # (place id, label) -> its SquareClass, one per load, seeded with the classes of the built-ins
+    squares = {(pid, c.label): c for e in elements.values() for pid, c in e.classes.items()}
     for i, eraw in enumerate(_field(data, "elements", "$", _as_list, [])):
         path = f"$.elements[{i}]"
         name = _field(_as_object(eraw, path), "name", path)
-        if any(e.name == name for e in elements):
+        if name in elements:
             raise SchemaError(f"{path}.name", f"element {_shown(name)} already defined")
         classes_raw = _field(eraw, "classes", path, _as_object)
         classes = {}
@@ -342,14 +354,12 @@ def scenario_from_dict(data: Any) -> Scenario:
                     raise SchemaError(f"{path}.classes", f"no class at place {_shown(p.id)} (closed world)")
                 cls = squares[p.id, label] = _as_class(classes_raw, p.id, p, f"{path}.classes")
             classes[p.id] = cls
-        extra = set(classes_raw) - {p.id for p in places}
-        if extra:
+        if len(classes_raw) != len(classes):  # every place has its class, so some key names no place
+            extra = set(classes_raw) - by_id.keys()
             raise SchemaError(f"{path}.classes", f"unknown places {_shown(sorted(extra))}")
-        elements.append(GlobalElement(name, FrozenMap(classes)))
+        elements[name] = GlobalElement(name, FrozenMap(classes))
 
-    cuspidal: list[CuspidalDatum] = []
-    element_names = {e.name for e in elements}
-    by_id = {p.id: p for p in places}
+    cuspidal: dict[str, CuspidalDatum] = {}
     for i, draw in enumerate(_field(data, "cuspidal", "$", _as_list, [])):
         path = f"$.cuspidal[{i}]"
         name = _field(_as_object(draw, path), "name", path)
@@ -360,10 +370,11 @@ def scenario_from_dict(data: Any) -> Scenario:
             local[pid] = _parse_shape(sraw, by_id[pid], f"{path}.local.{pid}")
         twisted_raw = _field(draw, "twisted_roots", path, _as_object, {})
         for k in twisted_raw:
-            _require_element(k, element_names, f"{path}.twisted_roots.{k}")
+            if k not in elements:
+                raise SchemaError(f"{path}.twisted_roots.{k}", f"unknown element {_shown(k)}")
         central_char = _field(draw, "central_char", path, default="1")
-        if central_char != "trivial":
-            _require_element(central_char, element_names, f"{path}.central_char")
+        if central_char != "trivial" and central_char not in elements:
+            raise SchemaError(f"{path}.central_char", f"unknown element {_shown(central_char)}")
         try:
             datum = CuspidalDatum(
                 name=name,
@@ -378,42 +389,42 @@ def scenario_from_dict(data: Any) -> Scenario:
             )
         except InvalidParameter as exc:
             raise SchemaError(path, str(exc)) from exc
-        if any(d.name == datum.name for d in cuspidal):
+        if name in cuspidal:
             raise SchemaError(f"{path}.name", f"datum {_shown(name)} already defined")
-        cuspidal.append(datum)
+        cuspidal[name] = datum
 
-    mp2 = []
+    mp2: dict[str, Mp2CuspidalWeil] = {}
     for i, wraw in enumerate(_field(data, "mp2_weil", "$", _as_list, [])):
         path = f"$.mp2_weil[{i}]"
         name = _field(_as_object(wraw, path), "name", path)
-        if any(w.name == name for w in mp2):
+        if name in mp2:
             raise SchemaError(f"{path}.name", f"mp2_weil {_shown(name)} already defined")
         chi = _field(wraw, "chi", path)
-        s_places: list = []
-        for j, x in enumerate(_field(wraw, "s_places", path, _as_list)):
-            pid = _as_str(x, f"{path}.s_places[{j}]")
-            if pid in s_places:
-                raise SchemaError(f"{path}.s_places[{j}]", f"place {_shown(pid)} listed twice")
-            s_places.append(pid)
-        mp2.append(Mp2CuspidalWeil(name=name, chi=chi, s_places=frozenset(s_places)))
+        s_places: set = set()
+        for j, pid in enumerate(_field(wraw, "s_places", path, _as_list)):
+            if not isinstance(pid, str) or pid in s_places:  # not a string, or listed twice
+                jpath = f"{path}.s_places[{j}]"
+                raise SchemaError(jpath, f"place {_shown(_as_str(pid, jpath))} listed twice")
+            s_places.add(pid)
+        mp2[name] = Mp2CuspidalWeil(name=name, chi=chi, s_places=frozenset(s_places))
 
     parameter = None
     if data.get("parameter") is not None:
         path = "$.parameter"
         summands = []
+        named = {**elements, **cuspidal}  # a datum's name before an element's
         for i, item in enumerate(_field(_as_object(data["parameter"], path), "summands", path, _as_list)):
             ipath = f"{path}.summands[{i}]"
             d = item[1] if isinstance(item, (list, tuple)) and len(item) == 2 else None
             if isinstance(d, bool) or not isinstance(d, int):
                 raise SchemaError(ipath, "expected [name, d]")
-            name = _as_str(item[0], f"{ipath}[0]")
-            datum = next((x for x in (*cuspidal, *elements) if x.name == name), None)
-            if datum is None:
+            name = item[0] if isinstance(item[0], str) else _as_str(item[0], f"{ipath}[0]")
+            if name not in named:
                 raise SchemaError(ipath, f"unknown summand {_shown(name)}")
-            summands.append((datum, d))
+            summands.append((named[name], d))
         parameter = AParameter.of(summands)
 
-    return Scenario(tuple(places), tuple(elements), tuple(cuspidal), tuple(mp2), parameter)
+    return Scenario(tuple(places), tuple(elements.values()), tuple(cuspidal.values()), tuple(mp2.values()), parameter)
 
 
 def read_file(path: str, json_path: str = "$") -> str:
