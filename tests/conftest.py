@@ -1,4 +1,4 @@
-"""Shared builders: valid random scenarios and the bundled fixtures.
+"""Shared builders: valid random scenarios, the bundled fixtures, and bounded scengen draws.
 
 Random elements are sampled exactly: the reciprocity conditions against
 the already-chosen elements are F2-linear in the new element's bits, so
@@ -42,6 +42,8 @@ from mp4spectrum.parameters import (
     local_eps_twist,
 )
 from mp4spectrum.record import FrozenMap
+
+from golden_calls import load_scengen
 
 NONARCH_KINDS = ("nonarch-odd-1mod4", "nonarch-odd-3mod4", "nonarch-dyadic")
 ALL_KINDS = NONARCH_KINDS + ("real", "complex")
@@ -254,6 +256,20 @@ def random_scenario_parameter(rng: random.Random, ptype: str):
 
 
 PTYPES = ("principal", "saito-kurokawa", "howe-ps", "soudry", "tempered")
+
+# scengen's enumerate draws return None, never raising, when the tuple target is out of the family's reach
+ENUMERATE_DRAW_CAP = 1_000
+
+
+def enumerate_draw(rng: random.Random, family: str, places: int, m: int) -> dict:
+    """A scengen document of ``family`` at ``places`` places aiming at 2^m tuples, from at most
+    ENUMERATE_DRAW_CAP draws of ``rng``; a target no draw meets fails the test instead of drawing forever."""
+    draw = load_scengen()._enumerate_draw
+    for _ in range(ENUMERATE_DRAW_CAP):
+        doc = draw(rng, family, places, m)
+        if doc is not None:
+            return doc
+    pytest.fail(f"no {family} scenario at {places} places with m = {m} in {ENUMERATE_DRAW_CAP} draws")
 
 
 @pytest.fixture

@@ -44,8 +44,8 @@ from mp4spectrum.record import FrozenMap
 from mp4spectrum.residual import residual_spectrum
 from mp4spectrum.scenario import load_scenario, scenario_from_dict
 
-from conftest import PTYPES, make_places, random_scenario_parameter
-from golden_calls import FIXTURE_NAMES, FIXTURES, load_perfbench, load_scengen, solved_coset_size
+from conftest import PTYPES, enumerate_draw, make_places, random_scenario_parameter
+from golden_calls import FIXTURE_NAMES, FIXTURES, load_perfbench, solved_coset_size
 
 
 def _trivial_eta(phi, places):
@@ -291,9 +291,7 @@ def test_coset_size_counts_where_no_listing_runs(family, places):
     # the affine solve on every flip of eps~ and, on eps~ itself, the
     # character sum with the vanishing tuples included
     rng = random.Random(f"coset-{family}-{places}")
-    doc = None
-    while doc is None:
-        doc = load_scengen()._enumerate_draw(rng, family, places, places)
+    doc = enumerate_draw(rng, family, places, places)
     sc = scenario_from_dict(doc)
     locals_ = prepare_local_data(sc.parameter, sc.places)
     eps = epsilon_tilde(sc.parameter)
@@ -302,6 +300,15 @@ def test_coset_size_counts_where_no_listing_runs(family, places):
     assert coset_size(eps.bits, locals_) == solved_coset_size(eps.bits, locals_) == expected
     for flip in range(1, 1 << len(eps.group.basis)):
         assert coset_size(eps.bits ^ flip, locals_) == solved_coset_size(eps.bits ^ flip, locals_)
+
+
+def test_a_draw_out_of_the_familys_reach_fails_instead_of_hanging():
+    # a Saito-Kurokawa parameter at n = 24 places has 2^(2n - k - 2) tuples for
+    # k < n principal-series places, so m = 20 would need k = 26: every draw is
+    # None, and enumerate_draw gives up after its cap
+    message = "^no saito-kurokawa scenario at 24 places with m = 20 in 1000 draws$"
+    with pytest.raises(pytest.fail.Exception, match=message):
+        enumerate_draw(random.Random("out-of-reach"), "saito-kurokawa", 24, 20)
 
 
 def test_an_unsolvable_system_lists_nothing_under_any_limit(monkeypatch):
@@ -335,9 +342,7 @@ def test_enumerate_lists_a_scenario_deeper_than_the_recursion_limit(tmp_path, ca
     places = 1500
     assert places > sys.getrecursionlimit()
     rng = random.Random("deep")
-    doc = None
-    while doc is None:
-        doc = load_scengen()._enumerate_draw(rng, "tempered", places, 3)
+    doc = enumerate_draw(rng, "tempered", places, 3)
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(doc))
     sc = load_scenario(str(path))

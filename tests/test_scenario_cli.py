@@ -16,7 +16,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PTYPES
+from conftest import PTYPES, enumerate_draw
 from golden_calls import (
     DEEP,
     DUPLICATES,
@@ -412,9 +412,7 @@ def test_cli_enumerate_refuses_a_generated_scenario_above_the_limit(family, tmp_
     # refused before any tuple is built, with the count the affine solve over
     # the concatenated character masks gives
     rng = random.Random(f"enumerate-limit-{family}")
-    doc = None
-    while doc is None:
-        doc = load_scengen()._enumerate_draw(rng, family, 24, 24)
+    doc = enumerate_draw(rng, family, 24, 24)
     path = tmp_path / f"{family}24.json"
     path.write_text(json.dumps(doc))
     sc = load_scenario(str(path))

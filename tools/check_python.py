@@ -248,7 +248,8 @@ def main_check() -> int:
     print(source_info())
     ok = True
     checks = (check_imports, check_tracer_paths, check_self_test, check_character_sum, check_listing_size, check_goldens,
-              check_residual_digest, check_enumerate_digest, check_packet_digest, check_schema_error_digest)
+              check_residual_digest, check_enumerate_digest, check_packet_digest,
+              check_schema_error_digest)
     for check in checks:
         passed, detail = check()
         ok &= passed
