@@ -281,19 +281,30 @@ def cmd_residual(args) -> Report:
     sc = _load(args)
     sc.validate()
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
-    # id(member) -> rendering, each distinct member object rendered once; cons keeps every member alive
-    shown = {key: render(d) for key, d in {id(d): d for c in cons for _, d in c.descriptor}.items()}
+    # id(member) -> rendering, each distinct member object rendered at its first entry; cons keeps every member alive
+    shown: dict = {}
     data = {"count": len(cons), "constituents": Encoded(functools.partial(_residual_json, cons, shown))}
     return Report("residual", data, functools.partial(_residual_text, cons=cons, shown=shown, verbose=args.verbose))
 
 
+def _rendered(shown: dict, d) -> str:
+    """The rendering of member d, made once: shown maps id(member) -> rendering."""
+    text = shown.get(id(d))
+    if text is None:
+        text = shown[id(d)] = render(d)
+    return text
+
+
 def _residual_json(cons, shown) -> list:
-    """The pieces of residual's "constituents" array as dumps would lay it out; shown maps id(member) -> rendering."""
+    """The pieces of residual's "constituents" array as dumps would lay it out; shown as _rendered reads it."""
     encoded = functools.cache(encode_basestring)  # a support and a family repeat across constituents
-    member_entry = functools.cache(lambda pid, key: entry(pid, shown[key]))  # encoded once per (place, member)
+    entries: dict = {}  # (place id, id(member)) -> its entry, encoded once
     parts = []
     for c in cons:
-        members = [member_entry(pid, id(d)) for pid, d in c.descriptor]
+        members = [
+            entries.get((pid, id(d))) or entries.setdefault((pid, id(d)), entry(pid, _rendered(shown, d)))
+            for pid, d in c.descriptor
+        ]
         members = "{" + ",".join(members) + MAP_END if members else "{}"
         parts.append(
             f'{OBJECT}{FIELD}"name": {encode_basestring(c.name)},{FIELD}"support": {encoded(c.support)},'
@@ -308,7 +319,7 @@ def _residual_text(d, cons, shown, verbose):
         yield f"  [{c.support}] {c.name}  ({c.family})"
         if verbose:
             for pid, member in c.descriptor:
-                yield f"      {pid}: {shown[id(member)]}"
+                yield f"      {pid}: {_rendered(shown, member)}"
 
 
 def cmd_export_tables(args) -> Report:

@@ -305,9 +305,11 @@ def lq(group: tuple, segs: list, inner: Desc | None = None) -> Desc:
     if inner is None and len(segs) == 2:
         x, y = segs
         if type(x) is Seg and type(y) is Seg:
-            # two GL(1) segments, put in the order of the key (-s, repr(char)) below
+            # two GL(1) segments, put in the order of the key (-s, repr(char)) below; the reprs of two QuadChars
+            # order as their labels' reprs do, since no label's repr is the start of another's
             if x.s is y.s or x.s == y.s:
-                if repr(y.char) < repr(x.char):
+                a, b = (x.char.label, y.char.label) if type(x.char) is QuadChar is type(y.char) else (x.char, y.char)
+                if repr(b) < repr(a):
                     x, y = y, x
             elif x.s < y.s:
                 x, y = y, x

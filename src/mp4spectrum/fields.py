@@ -167,7 +167,7 @@ class SquareClass(Record):
 
 def _symbol(place: Place, a: SquareClass, b_place: Place, b_bits: tuple[int, ...]) -> Sign:
     """(a, b)_v for the class a and the class b at b_place with bits b_bits, both at place."""
-    if a.place != place or b_place != place:
+    if a.place is not place and a.place != place or b_place is not place and b_place != place:
         raise PlaceMismatch(f"classes not at place {place.id}")
     pairing = _PAIRING[place.kind]
     return -1 if (pairing[a.bits][1] & pairing[b_bits][0]).bit_count() & 1 else 1

@@ -29,7 +29,10 @@ labels and residues are constants that every place, packet, pullback and
 label reads.
 
 A ``LocalParam`` is a place and a local shape; the shape classes name
-the family, so the local parameter carries no separate family tag.  The
+the family, so the local parameter carries no separate family tag.
+``local_shape`` is the one construction of a shape and its generator
+images; ``localize`` adds the group and the map, which a caller that
+reads only the shape (residual's designated members) does without.  The
 global parameter is classified (and validated) once per instance by
 ``parameters.classify``, however many places it is localized at.
 """
@@ -234,8 +237,8 @@ def local_group(shape: LocalShape) -> ComponentGroup:
     raise TypeError(f"not a local shape: {shape!r}")
 
 
-def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup, LocalizationMap]:
-    """Local shape, local component group, and the canonical map at one place; the group and map are shared."""
+def local_shape(phi: AParameter, place: Place) -> tuple[LocalShape, tuple]:
+    """phi's local shape at one place and the images of its global generators: the one construction of a shape."""
     ptype = classify(phi)
     if ptype is ParamType.PRINCIPAL:
         shape, images = ShPrincipal(phi.summands[0][0].local(place)), (0b1,)
@@ -273,6 +276,12 @@ def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup,
         images = tuple(to_mask(owner == i for owner in owners) for i in range(len(phi.summands)))
         shape = ShTempered(tuple(k[3] for k in keyed), FrozenMap(sc_signs))
         vars(shape)["form"] = _tempered_form(shape.pieces, tuple(k[2] for k in keyed))  # fills the cached property
+    return shape, images
+
+
+def localize(phi: AParameter, place: Place) -> tuple[LocalParam, ComponentGroup, LocalizationMap]:
+    """Local parameter, local component group, and the canonical map at one place; the group and map are shared."""
+    shape, images = local_shape(phi, place)
     group = local_group(shape)
     key = id(group), images
     return LocalParam(place, shape), group, _MAPS.get(key) or _MAPS.setdefault(key, LocalizationMap(group, images))

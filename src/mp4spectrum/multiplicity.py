@@ -6,10 +6,11 @@ each global generator a_i as the product over places of eta_v on the
 image of a_i under the localization map.  The multiplicity of pi_eta is
 1 exactly when the pullback equals the sign character of the parameter.
 
-Every route (both counting routes, residual_spectrum, the CLI's packet
-and component-group) reads a parameter's data at a place from one
-LocalData, built only by local_data: the local parameter, the map iota
-from S_phi, and the local packet, its entries built as they are read.
+Both counting routes and the CLI's packet and component-group read a
+parameter's data at a place from one LocalData, built only by local_data:
+the local parameter, the map iota from S_phi, and the local packet, its
+entries built as they are read.  residual_spectrum builds one only where
+it reads a packet entry other than the designated member.
 
 Two counting routes are kept deliberately independent:
 
@@ -79,15 +80,14 @@ class Constituent(Record):
 class LocalData:
     """A parameter's local data at one place: param and iota, which give place and group.
 
-    entries (the packet) and entry(label) build each entry once; member is the designated member once built.
+    entries (the packet) and entry(label) build each entry once.
     """
 
-    __slots__ = ("param", "iota", "member", "_entries", "_at", "_factors")
+    __slots__ = ("param", "iota", "_entries", "_at", "_factors")
 
     def __init__(self, param: LocalParam, iota: LocalizationMap):
         self.param = param
         self.iota = iota
-        self.member = None
         self._entries = None
         self._factors = None
         self._at = {}  # label mask -> its packet entry

@@ -289,6 +289,14 @@ class AParameter(Record):
         return tuple(f"{s.name}&S{d}" for s, d in self.summands)
 
 
+# the type of each sorted (dim, d) profile that has one; a datum's dim, its gl_rank, is 2 or 4, so the all
+# d = 1 (tempered) profiles of total 4 are the first two
+_PROFILE_TYPES = {
+    ((2, 1), (2, 1)): ParamType.TEMPERED, ((4, 1),): ParamType.TEMPERED, ((1, 4),): ParamType.PRINCIPAL,
+    ((1, 2), (1, 2)): ParamType.HOWE_PS, ((1, 2), (2, 1)): ParamType.SAITO_KUROKAWA, ((2, 2),): ParamType.SOUDRY,
+}
+
+
 def _validated_type(phi: AParameter) -> ParamType:
     """Check the summand rules and match the profile to the one type that fits."""
     total = 0
@@ -313,23 +321,17 @@ def _validated_type(phi: AParameter) -> ParamType:
     if total != 4:
         raise InvalidParameter(f"summand dimensions total {total}, need 4")
     profile.sort()
-    if all(d == 1 for _, d in profile):
-        return ParamType.TEMPERED
-    if profile == [(1, 4)]:
-        return ParamType.PRINCIPAL
-    if profile == [(1, 2), (1, 2)]:
-        return ParamType.HOWE_PS
-    if profile == [(1, 2), (2, 1)]:
-        return ParamType.SAITO_KUROKAWA
-    if profile == [(2, 2)]:
+    ptype = _PROFILE_TYPES.get(tuple(profile))
+    if ptype is ParamType.SOUDRY:
         datum = phi.summands[0][0]
         assert isinstance(datum, CuspidalDatum)
         if not datum.dihedral:
             raise InvalidParameter("rho x S_2 requires a dihedral datum")
         if datum.trivial_central_char:
             raise InvalidParameter("rho x S_2 requires a nontrivial quadratic central character")
-        return ParamType.SOUDRY
-    raise InvalidParameter(f"no elliptic shape matches profile {profile}")
+    elif ptype is None:
+        raise InvalidParameter(f"no elliptic shape matches profile {profile}")
+    return ptype
 
 
 def classify(phi: AParameter) -> ParamType:

@@ -24,8 +24,9 @@ dataclass, and the base takes no class keyword:
 * instances raise ``AttributeError`` on assignment and deletion
   (``__post_init__`` may still write through ``object.__setattr__``);
 * ``==`` holds only between instances of the same class with equal
-  fields, ``hash`` is the hash of the field tuple, and ``<``, ``<=``,
-  ``>`` and ``>=`` raise ``TypeError``;
+  fields (an instance equals itself without reading them), ``hash`` is
+  the hash of the field tuple, and ``<``, ``<=``, ``>`` and ``>=`` raise
+  ``TypeError``;
 * ``repr`` is ``Name(field=value, ...)``, byte for byte the dataclass
   text (canonical sort keys are built on it).
 
@@ -109,6 +110,8 @@ def _template(kind: str, n: int, post_init: bool = False):
         elif kind == "__eq__":
             lines = [
                 "def __eq__(self, other):",
+                "    if other is self:",
+                "        return True",
                 "    if other.__class__ is self.__class__:",
                 f"        return {mine} == {theirs}",
                 "    return NotImplemented",

@@ -28,16 +28,17 @@ Local work sees a place only through its kind: it is keyed by the kind,
 the d of each summand of phi in canonical order, and each summand's key
 part there (an element's class bits, or a small int interned per call
 from a datum's name and local shape, so each datum local shape is hashed
-once per place), read from per-summand columns computed once per call; a
-key's multiplicity.LocalData comes from local_data at the first place
-reaching it.  B and P2 read the designated member, built once per
-packets.designated_key (labels, and a datum's interned int: a Soudry
-split place and an HPS pair share one) and then held by the LocalData,
-and so does P1 at the all-plus character, whose packet entry equals it.
-At any other character P1 reads the one packet entry it names,
-LocalData.entry, built once per local key and character; no packet is
-built whole.  The CLI renders each shared member object once, and
-encodes its JSON line once per place.  More than
+once per place), read from per-summand columns computed once per call.
+B and P2 read the designated member at every place, and so does P1 at
+the all-plus character, whose packet entry equals it: a local key's
+member is read from localization.local_shape at the first place reaching
+it, and built once per packets.designated_key (labels, and a datum's
+interned int: a Soudry split place and an HPS pair share one).  Only at
+another character does P1 need a multiplicity.LocalData, from local_data
+at the first place reaching the key; it reads the one packet entry the
+character names, LocalData.entry, built once per local key and
+character; no packet is built whole.  The CLI renders each shared member
+object once, and encodes its JSON line once per place.  More than
 multiplicity.ENUMERATE_LIMIT P1-SK constituents are refused early.
 """
 
@@ -48,6 +49,7 @@ import math
 
 from .descriptors import sign_str
 from .fields import GlobalElement, Place
+from .localization import LocalParam, local_shape
 from .multiplicity import ENUMERATE_LIMIT, ScenarioTooLarge, local_data
 from .packets import designated_key, designated_l_packet_member
 from .parameters import AParameter, CuspidalDatum, InvalidParameter, classify, rho_is_irreducible
@@ -110,11 +112,11 @@ def residual_spectrum(
         raise ScenarioTooLarge(f"{sk_count} P1-SK constituents to list, above the limit of {ENUMERATE_LIMIT}")
     out: list[ResidualConstituent] = []
     shared: dict = {}  # (id of each summand, d) -> the call's one instance of that parameter
-    at_places: dict = {}  # id of a shared parameter -> what localized(phi) returns
-    by_key: dict = {}  # local key -> LocalData
+    designated_at: dict = {}  # local key -> the designated member
+    by_key: dict = {}  # local key -> LocalData, for the labels other than all-plus
     members: dict = {}  # designated key -> the designated member
-    pids = [p.id for p in places]
     kinds = [p.kind for p in places]
+    all_plus = [0] * len(places)
     columns: dict = {}  # id of an element or datum -> its key part at each place
     interned: dict = {}  # (datum name, datum local shape) -> a small int
 
@@ -134,43 +136,29 @@ def residual_spectrum(
             columns[id(s)] = col
         return col
 
-    def localized(phi):
-        """phi's LocalData per place and its first summand's key part per place; one local_data per key."""
-        at = at_places.get(id(phi))
-        if at is None:
-            locals_ = []
-            ds = itertools.repeat(tuple(d for _, d in phi.summands))
-            cols = [column(s) for s, _ in phi.summands]
-            for p, key in zip(places, zip(kinds, ds, *cols)):
-                local = by_key.get(key)
-                if local is None:
-                    local = by_key[key] = local_data(phi, p)
-                locals_.append(local)
-            at = at_places[id(phi)] = (locals_, cols[0])
-        return at
+    def member(phi, place, key, datum):
+        """The designated member at a local key (datum: phi's first summand's key part), one per designated key."""
+        lp = LocalParam(place, local_shape(phi, place)[0])
+        dkey = designated_key(lp, datum)
+        m = designated_at[key] = members.get(dkey) or members.setdefault(dkey, designated_l_packet_member(lp))
+        return m
 
-    def member(local, datum):
-        """local's designated member, built once per designated key (datum: the first summand's key part)."""
-        if local.member is None:
-            key = designated_key(local.param, datum)
-            local.member = members.get(key)
-            if local.member is None:
-                local.member = members[key] = designated_l_packet_member(local.param)
-        return local.member
-
-    def designated(phi):
-        return tuple(zip(pids, map(member, *localized(phi))))
-
-    def at_labels(phi, labels):
-        """The packet member at each place's label, a character mask (one per place).
+    def at_labels(phi, labels=all_plus):
+        """The packet member at each place's label, a character mask (one per place; by default all 0).
 
         Label 0, the all-plus character, reads the designated member, which
         equals the packet's all-plus entry; another label reads its one
         entry, built once per local key.
         """
+        cols = [column(s) for s, _ in phi.summands]
+        keys = zip(kinds, itertools.repeat(tuple(d for _, d in phi.summands)), *cols)
         out = []
-        for pid, local, datum, label in zip(pids, *localized(phi), labels):
-            out.append((pid, local.entry(label).member if label else member(local, datum)))
+        for p, key, datum, label in zip(places, keys, cols[0], labels):
+            if label:
+                local = by_key.get(key) or by_key.setdefault(key, local_data(phi, p))
+                out.append((p.id, local.entry(label).member))
+            else:
+                out.append((p.id, designated_at.get(key) or member(phi, p, key, datum)))
         return tuple(out)
 
     def add(name, support, phi, descriptor):
@@ -179,17 +167,17 @@ def residual_spectrum(
     # Borel family: one constituent per character, one per unordered distinct pair
     for chi in elements:
         phi = parameter((chi, 4))
-        add(f"B-pr[{chi.name}]", "B", phi, designated(phi))
+        add(f"B-pr[{chi.name}]", "B", phi, at_labels(phi))
     for e1, e2 in itertools.combinations(elements, 2):
         phi = parameter((e1, 2), (e2, 2))  # elements are sorted by name
-        add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, designated(phi))
+        add(f"B-HPS[{e1.name},{e2.name}]", "B", phi, at_labels(phi))
 
     # P2 family: dihedral data with nontrivial quadratic central character
     for rho in cuspidal:
         if rho.duality != "orthogonal" or not rho.dihedral or rho.trivial_central_char:
             continue
         phi = parameter((rho, 2))
-        add(f"P2[{rho.name}]", "P2", phi, designated(phi))
+        add(f"P2[{rho.name}]", "P2", phi, at_labels(phi))
 
     # P1, principal family: Weil-type pi with parameter chi x S_2
     for chi in elements:

@@ -190,6 +190,28 @@ def test_lq_orders_gl1_segments_by_exponent_then_repr(segs, inner):
     assert got == LQ(MP4, (1,) * len(flat), tuple(sorted(flat, key=lambda s: (-s.s, repr(s.char)))), None)
 
 
+# labels with quotes, backslashes, control and non-ASCII characters, whose reprs switch quote style or escape
+_ODD_LABELS = st.text(st.characters(), max_size=4) | st.sampled_from(["a", "a'", 'a"', "a\\", "'", '"', "é", "\x00"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ODD_LABELS, _ODD_LABELS, _EXPONENTS)
+def test_lq_orders_a_quadchar_pair_as_its_record_reprs(a, b, s):
+    # at equal exponents lq orders two QuadChar segments by their labels'
+    # reprs, which is the order of the QuadChar reprs the sort key reads
+    x, y = Seg(QuadChar(a), s), Seg(QuadChar(b), s)
+    first = min((x, y), key=lambda sg: repr(sg.char))
+    assert lq(MP4, [x, y]).segs[0] == first == lq(MP4, [y, x]).segs[0]
+
+
+def test_quadchar_pair_order_is_not_the_raw_label_order():
+    # "a" < "a'", but repr("a") = 'a' sorts after repr("a'") = "a'", as the
+    # QuadChar reprs do, so comparing the raw labels would order the pair wrong
+    x, y = Seg(QuadChar("a"), H), Seg(QuadChar("a'"), H)
+    assert "a" < "a'" and repr(y.char) < repr(x.char)
+    assert lq(MP4, [x, y]).segs == (y, x) == lq(MP4, [y, x]).segs
+
+
 def test_render_has_one_formatter_per_descriptor_class():
     assert set(descriptors._FORMATS) == {*typing.get_args(descriptors.Desc), St2, SC2, RealD}
     for value in (3, "0", (ZERO,), None, Seg(QuadChar("u"), H)):

@@ -15,7 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 from mp4spectrum.chargroups import F2Character, rref
 from mp4spectrum.cli import main
 from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
-from mp4spectrum.localization import localize
+from mp4spectrum import localization, packets, record, residual
+from mp4spectrum.localization import (
+    ShHPS,
+    ShPrincipal,
+    ShSK,
+    ShSoudryIrreducible,
+    ShSoudryNonQuadratic,
+    ShTempered,
+    localize,
+)
 from mp4spectrum.multiplicity import (
     BRUTE_FORCE_PLACE_CAP,
     ENUMERATE_LIMIT,
@@ -510,30 +519,51 @@ def test_constraint_rank_law(rng):
 ROUTES = ("enumerate", "brute_force_count", "multiplicity", "residual_spectrum", "packet", "component-group")
 
 
+SHAPES = (ShPrincipal, ShSK, ShHPS, ShSoudryIrreducible, ShSoudryNonQuadratic, ShTempered)
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_every_route_reads_local_data(route, monkeypatch, capsys):
-    # local_data is the one constructor of LocalData: each route reaches it,
-    # builds no LocalData otherwise, and localizes only through it
+    # local_data is the one constructor of LocalData and local_shape the one
+    # construction of a local shape: each route builds no LocalData but
+    # through local_data, localizes only through it, and builds no shape but
+    # through local_shape, whose shapes are the ones every LocalData and
+    # designated member reads.  residual_spectrum reads its designated
+    # members from local shapes alone, and on sk.json no P1 constituent
+    # reads a label other than all-plus, so it builds no LocalData there
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "sk.json")
     sc = load_scenario(path)
     phi, places = sc.parameter, sc.places
     eta = _trivial_eta(phi, places)
     module = sys.modules["mp4spectrum.multiplicity"]
-    counts = dict.fromkeys(("local_data", "localize", "LocalData"), 0)
+    counts = dict.fromkeys(("local_data", "localize", "local_shape", "LocalData", "shapes", "designated"), 0)
+    shaped, read = [], []  # the shapes local_shape returns; the shapes each LocalData and designated member reads
 
-    def counted(name, original):
-        def wrapper(*args):
+    def counted(name, original, after=None):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return original(*args)
+            result = original(*args, **kwargs)
+            if after is not None:
+                after(args, result)
+            return result
 
         return wrapper
 
-    for name in ("local_data", "localize"):
-        original = getattr(module, name)
+    for name, home, after in (
+        ("local_data", module, None),
+        ("localize", module, None),
+        ("local_shape", localization, lambda args, result: shaped.append(result[0])),
+    ):
+        original = getattr(home, name)
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "mp4spectrum" and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted(name, original))
-    monkeypatch.setattr(module.LocalData, "__init__", counted("LocalData", module.LocalData.__init__))
+                monkeypatch.setattr(mod, name, counted(name, original, after))
+    init = counted("LocalData", module.LocalData.__init__, lambda args, _: read.append(args[1].shape))
+    monkeypatch.setattr(module.LocalData, "__init__", init)  # args: self, param, iota
+    designate = counted("designated", packets.designated_l_packet_member, lambda args, _: read.append(args[0].shape))
+    monkeypatch.setattr(residual, "designated_l_packet_member", designate)
+    for cls in SHAPES:  # each class's own __init__, which its first-use stub would put back in place of a wrapper
+        monkeypatch.setattr(cls, "__init__", counted("shapes", record._method(cls, "__init__")))
     if route == "enumerate":
         enumerate_constituents(phi, places)
     elif route == "brute_force_count":
@@ -544,5 +574,10 @@ def test_every_route_reads_local_data(route, monkeypatch, capsys):
         residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
     else:
         assert main([route, "--scenario", path] + (["--place", places[0].id] if route == "packet" else [])) == 0
-    assert counts["local_data"] > 0
     assert counts["LocalData"] == counts["localize"] == counts["local_data"]
+    assert counts["shapes"] == counts["local_shape"] == len(shaped) > 0
+    assert read and all(any(shape is s for s in shaped) for shape in read)
+    if route == "residual_spectrum":
+        assert counts["local_data"] == 0 < counts["designated"] <= counts["local_shape"]
+    else:
+        assert counts["local_data"] > 0 and counts["local_shape"] == counts["localize"]

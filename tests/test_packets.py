@@ -49,6 +49,7 @@ from mp4spectrum.localization import (
     ShTempered,
     LocalParam,
     local_group,
+    local_shape,
     localize,
 )
 from mp4spectrum.packets import (
@@ -605,7 +606,11 @@ def test_oracle_rejects_unknown_shapes():
 
 
 def _reached_local_params(monkeypatch) -> list:
-    """The tables samples at every kind, the fixtures' local parameters, and those residual reaches on seeds 1-3."""
+    """The tables samples at every kind, the fixtures' local parameters, and those residual reaches on seeds 1-3.
+
+    residual reaches a local parameter through localize where it builds a
+    LocalData, and through local_shape where it reads a designated member.
+    """
     lps = [lp for kind in KINDS for _, lp in _sample_shapes(Place("v", kind))]
     for name in FIXTURE_NAMES:
         sc = load_scenario(os.path.join(FIXTURES, f"{name}.json"))
@@ -616,7 +621,13 @@ def _reached_local_params(monkeypatch) -> list:
         lps.append(out[0])
         return out
 
+    def shaped(phi, place):
+        out = local_shape(phi, place)
+        lps.append(LocalParam(place, out[0]))
+        return out
+
     monkeypatch.setattr(sys.modules["mp4spectrum.multiplicity"], "localize", recorded)
+    monkeypatch.setattr(residual, "local_shape", shaped)  # the shapes residual reads designated members from
     for seed in (1, 2, 3):
         for _, doc in load_scengen().residual_scenarios(seed):
             sc = scenario_from_dict(doc)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mp4spectrum import parameters
 from mp4spectrum.fields import GlobalElement, minus_one_element, trivial_element
 from mp4spectrum.parameters import (
     AParameter,
@@ -104,6 +105,90 @@ def test_soudry_needs_dihedral_and_central_character():
     )
     with pytest.raises(InvalidParameter):
         classify(AParameter.of([(trivial_cc, 2)]))
+
+
+def _chain_validated_type(phi: AParameter) -> ParamType:
+    """parameters._validated_type as it matched a profile by a chain of list comparisons, frozen as a reference."""
+    total = 0
+    seen = set()
+    profile = []
+    for datum, d in phi.summands:
+        if d < 1:
+            raise InvalidParameter("S_d index must be positive")
+        element = isinstance(datum, GlobalElement)
+        dim = 1 if element else datum.gl_rank
+        total += dim * d
+        key = (datum.name, d)
+        if key in seen:
+            raise InvalidParameter(f"repeated summand {key}")
+        seen.add(key)
+        dual = "orthogonal" if element else datum.duality
+        if d % 2 == 1 and dual != "symplectic":
+            raise InvalidParameter(f"{datum.name} x S_{d}: odd d needs a symplectic datum")
+        if d % 2 == 0 and dual != "orthogonal":
+            raise InvalidParameter(f"{datum.name} x S_{d}: even d needs an orthogonal datum")
+        profile.append((dim, d))
+    if total != 4:
+        raise InvalidParameter(f"summand dimensions total {total}, need 4")
+    profile.sort()
+    if all(d == 1 for _, d in profile):
+        return ParamType.TEMPERED
+    if profile == [(1, 4)]:
+        return ParamType.PRINCIPAL
+    if profile == [(1, 2), (1, 2)]:
+        return ParamType.HOWE_PS
+    if profile == [(1, 2), (2, 1)]:
+        return ParamType.SAITO_KUROKAWA
+    if profile == [(2, 2)]:
+        datum = phi.summands[0][0]
+        assert isinstance(datum, CuspidalDatum)
+        if not datum.dihedral:
+            raise InvalidParameter("rho x S_2 requires a dihedral datum")
+        if datum.trivial_central_char:
+            raise InvalidParameter("rho x S_2 requires a nontrivial quadratic central character")
+        return ParamType.SOUDRY
+    raise InvalidParameter(f"no elliptic shape matches profile {profile}")
+
+
+def _outcome(validated_type, phi):
+    """The type validated_type gives phi, or the class and message of what it raises."""
+    try:
+        return validated_type(phi)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+def test_profile_lookup_matches_the_comparison_chain():
+    # every ordered tuple of one to three summands over two elements, GL(2)
+    # data of each duality and Soudry condition, and a GL(4) datum, at
+    # d = 0..4: the same type, or the same exception and message, as the
+    # chain of list comparisons the profile lookup replaced
+    places = _places()
+    data = [trivial_element(places), minus_one_element(places)]
+    for name, rank, duality, dihedral, central in (
+        ("s2", 2, "symplectic", False, "1"),
+        ("t2", 2, "symplectic", False, "1"),
+        ("o2", 2, "orthogonal", True, "-1"),
+        ("n2", 2, "orthogonal", False, "-1"),
+        ("c2", 2, "orthogonal", True, "1"),
+        ("s4", 4, "symplectic", False, "1"),
+    ):
+        data.append(CuspidalDatum(name, rank, duality, 1, FrozenMap(), dihedral=dihedral, central_char=central))
+    pool = list(itertools.product(data, range(5)))
+    types, messages = set(), set()
+    for n in (1, 2, 3):
+        for summands in itertools.product(pool, repeat=n):
+            phi = AParameter(summands)
+            chain = _outcome(_chain_validated_type, phi)
+            assert _outcome(parameters._validated_type, phi) == chain, summands
+            if isinstance(chain, ParamType):
+                types.add(chain)
+            else:
+                messages.add(chain[1])
+    # the grid reaches every type and every check but the last raise, which no profile of total 4 reaches
+    assert types == set(ParamType)
+    for check in ("positive", "repeated", "odd d", "even d", "total", "dihedral", "central character"):
+        assert any(check in m for m in messages), check
 
 
 def test_five_types_partition_generated_shapes(rng):

@@ -150,8 +150,10 @@ def test_record_matches_dataclass_twin(cls):
         assert _values(r, cls) == _values(t, cls)
         assert cls(**dict(zip(names, vals))) == r
         assert r == cls(*vals) and not (r != cls(*vals))
+        assert r == r and not (r != r)  # an instance equals itself without reading its fields
         assert r != t and t != r
         assert r != _other(cls)(*_values(r, cls))
+        assert r.__eq__(t) is NotImplemented and r.__eq__(_other(cls)(*_values(r, cls))) is NotImplemented
         assert _hash(r) == _hash(_values(r, cls)) == _hash(t)
         attr = names[0] if names else "x"
         with pytest.raises(AttributeError):

@@ -213,24 +213,36 @@ def test_residual_builds_each_local_parameter_once(monkeypatch):
     # places of each of its two kinds; B-pr and P1-pr, B-HPS and P1-HPS,
     # the P1-SK sign vectors, parameters of elements with equal classes at
     # a place, and equal local data at places of one kind share local
-    # parameters.  Local work is keyed by kind and local data, so no local
-    # data is localized twice, except that a Soudry split place repeats an
-    # HPS pair's local data under its own key (the two share one member)
+    # parameters.  Local work is keyed by kind and local data, along two
+    # routes: a designated read (B, P2, and P1 at the all-plus label) shapes
+    # each local key once through local_shape, and a LocalData is built once
+    # per key that a P1 label other than all-plus reads.  Neither route
+    # shapes local data twice, except that a Soudry split place repeats an
+    # HPS pair's local data under its own key (the two share one member);
+    # a key both routes read is shaped once on each
     sc = load_scenario(os.path.join(SCENARIOS, "residual_wide_1_06.json"))
     assert len({p.kind for p in sc.places}) < len(sc.places)
-    original = localization.localize
-    localized = _record_calls(monkeypatch, localization, "localize")
+    original = localization.local_shape
+    shaped = []  # the designated route: residual's own local_shape calls, not those localize makes
+
+    def recorded(*args):
+        shaped.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sys.modules["mp4spectrum.residual"], "local_shape", recorded)
+    localized = _record_calls(monkeypatch, sys.modules["mp4spectrum.multiplicity"], "local_data")
     cons = residual_spectrum(sc.places, sc.elements, sc.cuspidal, sc.mp2_weil)
     assert {c.name.split("[")[0] for c in cons} == {"B-pr", "B-HPS", "P2", "P1-pr", "P1-SK", "P1-HPS"}
-    built = [(classify(phi), _placeless(original(phi, place)[0])) for phi, place in localized]
-    repeats = [{t1, t2} for (t1, a), (t2, b) in itertools.combinations(built, 2) if a == b]
-    assert all(pair == {ParamType.SOUDRY, ParamType.HOWE_PS} for pair in repeats)
-    # every (parameter, place) slot is covered by value
-    lps = {lp for _, lp in built}
-    slots = {(c.parameter.basis_labels(), p.id): original(c.parameter, p)[0] for c in cons for p in sc.places}
-    assert {_placeless(lp) for lp in slots.values()} <= lps
-    # and sharing across places of one kind builds fewer than one per distinct place-bound local parameter
-    assert len(built) < len(set(slots.values())) < len(slots)
+    slots = _member_slots(sc, cons, localize, packets.designated_l_packet_member)
+    for route, all_plus in ((shaped, True), (localized, False)):
+        built = [(classify(phi), _placeless(LocalParam(place, original(phi, place)[0]))) for phi, place in route]
+        repeats = [{t1, t2} for (t1, a), (t2, b) in itertools.combinations(built, 2) if a == b]
+        assert all(pair == {ParamType.SOUDRY, ParamType.HOWE_PS} for pair in repeats)
+        # the route builds the local parameters of exactly the slots that read through it, by value
+        reads = [lp for _, lp, _, designated in slots if designated is all_plus]
+        assert {lp for _, lp in built} == {_placeless(lp) for lp in reads}
+        # and sharing across places of one kind builds fewer than one per distinct place-bound local parameter
+        assert 0 < len(built) < len(set(reads)) < len(reads)
 
 
 def _member_slots(sc, cons, localize_, designate):

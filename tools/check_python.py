@@ -28,7 +28,9 @@ An info line, which never fails, gives the line count of
 ``src/mp4spectrum``, its code-line count (the lines that are not blank,
 comment-only or part of a docstring) and the in-process ``compile()``
 time of its modules (best of 7), since every CLI child without a
-bytecode cache pays it.  On Linux it also gives the peak RSS (VmHWM) of
+bytecode cache pays it.  Then it gives exact counts over one pass of
+``residual --format json`` on the 100 seed-1 residual-wide inputs: local
+shapes, ``LocalData``, designated members and record ``repr`` calls.  On Linux it also gives the peak RSS (VmHWM) of
 the memory test's child after importing the CLI and after ``enumerate
 --format json`` on that test's scenario, and the rise as a multiple of the
 output's size.  Last it gives the median wall time of 9 fresh children
@@ -50,9 +52,11 @@ import importlib
 import importlib.util
 import io
 import os
+import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -69,6 +73,7 @@ from golden_calls import (
     enumerate_scaled_scenarios,
     golden_calls,
     load_perfbench,
+    load_scengen,
     memory_peaks,
     packet_digest,
     residual_wide_digest,
@@ -221,6 +226,63 @@ def child_split() -> str:
     return f"children (median of {runs}, bytecode cache {'present' if os.path.exists(cache) else 'absent'}): {shown}"
 
 
+def residual_counts() -> str:
+    """Exact counts over one pass of ``residual --format json`` on the 100 seed-1 residual-wide inputs, after one pass.
+
+    Counts the local shapes (``localization.local_shape`` calls), the
+    ``LocalData`` built, the designated members built and the ``repr``
+    calls of record classes, by wrapping each function in every module
+    that bound it, as the tracer does, and every record class's own
+    ``__repr__``; everything is put back after.
+    """
+    from mp4spectrum import record
+
+    counts = dict.fromkeys(("local shapes", "LocalData", "designated members", "Record reprs"), 0)
+    patches = []
+
+    def patch(owner, attr, name):
+        original = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        patches.append((owner, attr, original))
+        setattr(owner, attr, counted)
+
+    classes, todo = [], [record.Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (_, doc) in enumerate(load_scengen().residual_scenarios(1)):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        for path in paths:
+            _run(["residual", "--scenario", path, "--format", "json"])
+        try:
+            for home, attr, name in (("localization", "local_shape", "local shapes"),
+                                     ("packets", "designated_l_packet_member", "designated members")):
+                original = getattr(sys.modules[f"mp4spectrum.{home}"], attr)
+                for modname, mod in sorted(sys.modules.items()):
+                    if modname.split(".")[0] == "mp4spectrum" and vars(mod).get(attr) is original:
+                        patch(mod, attr, name)
+            patch(sys.modules["mp4spectrum.multiplicity"].LocalData, "__init__", "LocalData")
+            for cls in classes:
+                if vars(cls)["__repr__"] in record._STUBS:  # put the class's own in place, as its first call would
+                    cls.__repr__ = record._method(cls, "__repr__")
+                patch(cls, "__repr__", "Record reprs")
+            for path in paths:
+                _run(["residual", "--scenario", path, "--format", "json"])
+        finally:
+            for owner, attr, original in reversed(patches):
+                setattr(owner, attr, original)
+    return "residual-wide seed 1 per pass: " + ", ".join(f"{n:,} {name}" for name, n in counts.items())
+
+
 def source_info():
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "mp4spectrum", "*.py")))
     sources = []
@@ -236,6 +298,7 @@ def source_info():
     lines = sum(text.count("\n") for text in sources)
     code = sum(map(code_lines, sources))
     info = f"INFO src: {lines} lines ({code} code lines) in {len(paths)} modules, compile() {best * 1e3:.1f} ms"
+    info += f"; {residual_counts()}"
     if os.path.exists("/proc/self/status"):
         base, peak, out = memory_peaks()
         info += (f"; VmHWM import {base / 1024:.1f} MB, enumerate {peak / 1024:.1f} MB: "
